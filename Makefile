@@ -36,7 +36,8 @@ race:
 
 # Run the fault-injection conformance campaigns (docs/RELIABILITY.md):
 # the datapath catalogue and the control-plane saga/recovery/reconciliation
-# catalogue. Fails if any scenario violates its invariants.
+# catalogue. Fails if any scenario violates its invariants. Writes
+# chaos_report.json (git-ignored).
 chaos:
 	$(GO) run ./cmd/tfbench -chaos -seed 1 -parallel 0 -chaos-out chaos_report.json
 
@@ -46,10 +47,12 @@ chaos:
 replay-smoke:
 	$(GO) run ./cmd/tfbench -experiment replay -replay-minutes 1 -seed 1 >/dev/null
 
-# HA smoke: the same churn replay against a 3-node Raft-replicated control
-# plane, killing the leader mid-saga twice and failing over to a freshly
-# elected successor. Exits non-zero on any invariant violation (committed-
-# saga loss, diverged replica logs, orphaned donor memory).
+# HA smoke: the same churn replay against the in-process 3-node Raft test
+# rig (internal/cpworld builds the world; the replicated journal is a test
+# rig, not a daemon mode), killing the leader mid-saga twice and failing
+# over to a freshly elected successor. Exits non-zero on any invariant
+# violation (committed-saga loss, diverged replica logs, orphaned donor
+# memory).
 ha-smoke:
 	$(GO) run ./cmd/tfbench -experiment replay -replay-minutes 1 -seed 1 \
 		-replay-ha 3 -replay-leader-kills 2 >/dev/null
@@ -97,6 +100,7 @@ bench-quick:
 
 # Produce a sample cross-layer trace (and metrics snapshot) from the quick
 # Figure 5 run: open trace_fig5.json in Perfetto (https://ui.perfetto.dev)
-# or chrome://tracing. See docs/OBSERVABILITY.md.
+# or chrome://tracing. See docs/OBSERVABILITY.md. Both outputs are
+# git-ignored.
 trace-demo:
 	$(GO) run ./cmd/tfbench -experiment fig5 -trace trace_fig5.json -metrics metrics_fig5.json

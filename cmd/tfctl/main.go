@@ -12,13 +12,6 @@
 //	get     -id ATTACHMENT
 //	sagas
 //	topology
-//	raft    [-json]
-//
-// raft prints the queried node's Raft view — its role and term plus every
-// member's role, term, and commit/applied/last log indices — as a
-// deterministic table (members in ID order), or as the raw
-// /v1/raft/status JSON with -json. On a single-node (non-HA) control
-// plane the server answers 404.
 package main
 
 import (
@@ -29,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 )
 
 func main() {
@@ -63,8 +55,6 @@ func main() {
 		err = doGET(*server+"/v1/sagas", *token)
 	case "topology":
 		err = doGET(*server+"/v1/topology", *token)
-	case "raft":
-		err = cmdRaft(*server, *token, rest)
 	default:
 		usage()
 	}
@@ -75,7 +65,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: tfctl [-server URL] [-token TOKEN] attach|detach|list|get|sagas|topology|raft [flags]")
+	fmt.Fprintln(os.Stderr, "usage: tfctl [-server URL] [-token TOKEN] attach|detach|list|get|sagas|topology [flags]")
 	os.Exit(2)
 }
 
@@ -114,87 +104,6 @@ func cmdDetach(server, token string, args []string) error {
 		return err
 	}
 	return do(req, token)
-}
-
-// raftStatus mirrors the /v1/raft/status response shape
-// (controlplane.RaftStatus); tfctl decodes over HTTP like any external
-// client rather than importing the server package.
-type raftStatus struct {
-	ID               string `json:"id"`
-	Role             string `json:"role"`
-	Term             uint64 `json:"term"`
-	Leader           string `json:"leader"`
-	CommitIndex      uint64 `json:"commit_index"`
-	AppliedIndex     uint64 `json:"applied_index"`
-	LastIndex        uint64 `json:"last_index"`
-	QuorumReachable  bool   `json:"quorum_reachable"`
-	LeaderChanges    uint64 `json:"leader_changes"`
-	NotLeaderRejects int64  `json:"not_leader_rejects"`
-	Members          []struct {
-		ID        string `json:"id"`
-		Role      string `json:"role"`
-		Term      uint64 `json:"term"`
-		Commit    uint64 `json:"commit"`
-		Applied   uint64 `json:"applied"`
-		LastIndex uint64 `json:"last_index"`
-		Leader    string `json:"leader"`
-		Stopped   bool   `json:"stopped"`
-	} `json:"members"`
-}
-
-func cmdRaft(server, token string, args []string) error {
-	fs := flag.NewFlagSet("raft", flag.ExitOnError)
-	asJSON := fs.Bool("json", false, "print the raw /v1/raft/status JSON")
-	fs.Parse(args) //nolint:errcheck
-	if *asJSON {
-		return doGET(server+"/v1/raft/status", token)
-	}
-	req, err := http.NewRequest(http.MethodGet, server+"/v1/raft/status", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("control plane is not running a replica set (%s)", resp.Status)
-	}
-	if resp.StatusCode >= 400 {
-		return fmt.Errorf("server returned %s: %s", resp.Status, bytes.TrimSpace(raw))
-	}
-	var st raftStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("decode /v1/raft/status: %w", err)
-	}
-	quorum := "reachable"
-	if !st.QuorumReachable {
-		quorum = "lost"
-	}
-	leader := st.Leader
-	if leader == "" {
-		leader = "(none)"
-	}
-	fmt.Printf("node %s: role %s, term %d, leader %s, quorum %s\n", st.ID, st.Role, st.Term, leader, quorum)
-	fmt.Printf("log: commit %d, applied %d, last %d; %d leader changes, %d not-leader rejects\n",
-		st.CommitIndex, st.AppliedIndex, st.LastIndex, st.LeaderChanges, st.NotLeaderRejects)
-	members := st.Members
-	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
-	fmt.Printf("%-10s %-10s %6s %8s %8s %6s %s\n", "MEMBER", "ROLE", "TERM", "COMMIT", "APPLIED", "LAST", "STATE")
-	for _, m := range members {
-		state := "running"
-		if m.Stopped {
-			state = "stopped"
-		}
-		fmt.Printf("%-10s %-10s %6d %8d %8d %6d %s\n", m.ID, m.Role, m.Term, m.Commit, m.Applied, m.LastIndex, state)
-	}
-	return nil
 }
 
 func doGET(url, token string) error {

@@ -10,12 +10,7 @@
 // the file; on boot the daemon replays the journal, finishing or
 // compensating sagas a previous crash left in flight. With
 // -reconcile-interval D, a background loop periodically diffs control-plane
-// records against executor/agent ground truth and repairs divergence. With
-// -ha-nodes N (N > 1), the saga journal is replicated across an in-process
-// Raft replica set of N control-plane nodes: writes commit only on quorum
-// ack, /v1/raft/status (and tfctl raft) report the replica view, and
-// /v1/readyz carries the node's role; combined with -journal, each
-// replica's term/vote/log persists at PATH.raft-<id>. Note
+// records against executor/agent ground truth and repairs divergence. Note
 // that tfd's rack is simulated in-process: its datapath state dies with the
 // process, so after a restart the reconciler will (correctly) tear down
 // recovered records whose datapath no longer exists.
@@ -28,7 +23,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"strings"
@@ -38,7 +32,6 @@ import (
 	"thymesisflow/internal/controlplane"
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/metrics"
-	"thymesisflow/internal/raft"
 	"thymesisflow/internal/timeseries"
 	"thymesisflow/internal/timeseries/detect"
 	"thymesisflow/internal/trace"
@@ -59,8 +52,6 @@ func main() {
 	reconcileEvery := flag.Duration("reconcile-interval", 0, "run the reconciliation loop at this interval (0 disables)")
 	flightRecorder := flag.Bool("flight-recorder", false, "sample control-plane saga counters into flight-recorder time series with online anomaly detection, served under /v1/timeseries and /v1/anomalies")
 	flightInterval := flag.Duration("flight-interval", time.Second, "with -flight-recorder: wall-clock sampling period")
-	haNodes := flag.Int("ha-nodes", 0, "replicate the saga journal across this many in-process Raft control-plane nodes (0 = single node); /v1/raft/status and tfctl raft go live, and /v1/readyz reports the node's role")
-	haSeed := flag.Int64("ha-seed", 1, "with -ha-nodes: seed for the replica set's randomized election timers")
 	flag.Parse()
 
 	names := strings.Split(*hosts, ",")
@@ -79,21 +70,8 @@ func main() {
 			log.Fatalf("tfd: %v", err)
 		}
 	}
-	// Fully cabled point-to-point rack: compute transceiver i of each host
-	// to memory transceiver i of every other host.
-	for _, a := range names {
-		for _, b := range names {
-			if a == b {
-				continue
-			}
-			ct := model.Transceivers(a, controlplane.LabelComputeEP)
-			mt := model.Transceivers(b, controlplane.LabelMemoryEP)
-			for i := 0; i < len(ct) && i < len(mt); i++ {
-				if err := model.Cable(ct[i], mt[i]); err != nil {
-					log.Fatalf("tfd: cabling: %v", err)
-				}
-			}
-		}
+	if err := model.CableFullMesh(); err != nil {
+		log.Fatalf("tfd: %v", err)
 	}
 
 	const cpToken = "tfd-internal-trust"
@@ -107,57 +85,7 @@ func main() {
 	for _, n := range names {
 		svc.RegisterAgent(agent.New(strings.TrimSpace(n), cpToken))
 	}
-	var replicas *controlplane.ReplicaSet
-	switch {
-	case *haNodes > 1:
-		// HA: the saga WAL is the Raft-replicated journal. With -journal,
-		// each replica persists its term/vote/log beside the journal path;
-		// without it, replication is in-memory (still quorum-acked).
-		//
-		// The replica set is an in-process simulation on a virtual clock
-		// that advances only inside journal appends (plus the boot-time
-		// election below), and the leader/gate/journal binding is fixed at
-		// boot. On an idle daemon /v1/raft/status and /v1/readyz therefore
-		// report state as of the last write, and no runtime re-election
-		// occurs; failover behavior is exercised by the chaos scenarios
-		// and crash-point tests, which drive the clock explicitly. See
-		// docs/RELIABILITY.md "HA control plane".
-		ids := make([]string, *haNodes)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("cp-%02d", i)
-		}
-		var storageFn func(id string) raft.Storage
-		if *journalPath != "" {
-			storageFn = func(id string) raft.Storage {
-				st, err := raft.OpenFileStorage(*journalPath + ".raft-" + id)
-				if err != nil {
-					log.Fatalf("tfd: raft storage %s: %v", id, err)
-				}
-				return st
-			}
-		}
-		rs, err := controlplane.NewReplicaSetWithStorage(ids, *haSeed, storageFn)
-		if err != nil {
-			log.Fatalf("tfd: replica set: %v", err)
-		}
-		leader, err := rs.ElectLeader(800)
-		if err != nil {
-			log.Fatalf("tfd: election: %v", err)
-		}
-		replicas = rs
-		svc.SetJournal(rs.Journal(leader))
-		svc.SetLeaderGate(rs.Gate(leader))
-		svc.SetRaftStatus(func() controlplane.RaftStatus { return rs.StatusFor(leader) })
-		rep, err := svc.Recover()
-		if err != nil {
-			log.Fatalf("tfd: journal recovery: %v", err)
-		}
-		log.Printf("tfd: raft replica set of %d nodes up, leader %s (term %d)", *haNodes, leader, rs.StatusFor(leader).Term)
-		if rep.SagasSeen > 0 {
-			log.Printf("tfd: recovered replicated journal: %d sagas seen, %d attachments restored, %d rolled forward, %d compensated, %d re-parked",
-				rep.SagasSeen, rep.Restored, rep.RolledForward, rep.Compensated, rep.Reparked)
-		}
-	case *journalPath != "":
+	if *journalPath != "" {
 		j, err := controlplane.OpenFileJournal(*journalPath)
 		if err != nil {
 			log.Fatalf("tfd: %v", err)
@@ -211,9 +139,6 @@ func main() {
 		det := detect.New(detect.ControlPlaneRules())
 		svc.SetFlightRecorder(rec, det)
 		sampler := controlplane.NewFlightSampler(svc, rec, det)
-		if replicas != nil {
-			sampler.ObserveRaft()
-		}
 		start := time.Now()
 		go func() {
 			for range time.Tick(*flightInterval) {

@@ -39,19 +39,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	for _, a := range names {
-		for _, b := range names {
-			if a == b {
-				continue
-			}
-			ct := model.Transceivers(a, controlplane.LabelComputeEP)
-			mt := model.Transceivers(b, controlplane.LabelMemoryEP)
-			for i := 0; i < len(ct) && i < len(mt); i++ {
-				if err := model.Cable(ct[i], mt[i]); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
+	if err := model.CableFullMesh(); err != nil {
+		log.Fatal(err)
 	}
 	svc := controlplane.NewService(model, controlplane.ClusterExecutor{Cluster: cluster}, cpToken)
 	for _, n := range names {

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
-	"thymesisflow/internal/agent"
 	"thymesisflow/internal/controlplane"
 	"thymesisflow/internal/core"
+	"thymesisflow/internal/cpworld"
 	"thymesisflow/internal/dctrace"
 	"thymesisflow/internal/metrics"
 	"thymesisflow/internal/trace"
@@ -41,13 +38,14 @@ type ReplayConfig struct {
 	// concurrent driver (Workers > 1) races its issuers against it and
 	// surfaces the shed load as SagasRejected.
 	MaxInflightSagas int
-	// Workers is the number of concurrent saga-issuing goroutines. 1 (the
-	// default) is the deterministic sequential driver — byte-identical per
-	// seed. N > 1 shards attach/depart events across N issuers routed by
-	// attachment sequence (so each attachment's lifecycle stays ordered)
-	// while flap storms, autoscaler evaluations, and periodic reconciles
-	// run at pool barriers; totals then depend on scheduling, which is the
-	// point — it is the load harness that makes admission control trip.
+	// Workers is the number of saga-issuing goroutines. Attach/depart
+	// events are routed by attachment sequence (so each attachment's
+	// lifecycle stays ordered on one issuer) while flap storms, autoscaler
+	// evaluations, and periodic reconciles run at pool barriers. With 1
+	// (the default) every saga call happens in trace order, so the report
+	// is byte-identical per seed; with N > 1 totals depend on scheduling,
+	// which is the point — it is the load harness that makes admission
+	// control trip.
 	Workers           int
 	ReconcileEverySec float64 // periodic reconciler cadence (simulated)
 	LocalBytes        int64   // synthetic local DRAM per host for the pressure model
@@ -121,45 +119,6 @@ type ReplayJournal struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// ReplayAttachment is one (compute, donor, bytes) multiset entry of the
-// final attachment state. Executor IDs are deliberately excluded: a crashed
-// and recovered run re-issues sagas under fresh IDs, but must converge to
-// the same multiset.
-type ReplayAttachment struct {
-	Compute string `json:"compute"`
-	Donor   string `json:"donor"`
-	Bytes   int64  `json:"bytes"`
-	Count   int    `json:"count"`
-}
-
-// ReplayRaft summarizes the replica set after an HA replay run: the
-// surviving leader, its committed log, and the failover/partition tallies.
-// Present only when HANodes > 1 (pointer + omitempty keeps single-node
-// reports byte-identical with earlier versions).
-type ReplayRaft struct {
-	Nodes           int    `json:"nodes"`
-	FinalLeader     string `json:"final_leader,omitempty"`
-	FinalTerm       uint64 `json:"final_term"`
-	FinalCommit     uint64 `json:"final_commit"`
-	LeaderChanges   uint64 `json:"leader_changes"`
-	DroppedMessages uint64 `json:"dropped_messages"`
-	// Converged: every running replica exposes the identical committed
-	// journal prefix at the end of the run.
-	Converged bool `json:"converged"`
-}
-
-// ReplayFinalState is the converged end-of-trace state — the section the
-// crash-point property test asserts byte-equal between a crashed and an
-// uncrashed run.
-type ReplayFinalState struct {
-	Attachments      []ReplayAttachment `json:"attachments"`
-	Count            int                `json:"count"`
-	TotalBytes       int64              `json:"total_bytes"`
-	ReservedVertices int                `json:"reserved_vertices"`
-	AgentHeld        int                `json:"agent_held"`
-	ParkedSagas      int                `json:"parked_sagas"`
-}
-
 // ReplayReport is the deterministic (per seed) result of a replay run.
 type ReplayReport struct {
 	Experiment       string  `json:"experiment"`
@@ -202,111 +161,30 @@ type ReplayReport struct {
 	EventsRecorded uint64 `json:"events_recorded"`
 	EventsDropped  uint64 `json:"events_dropped"`
 
-	Raft *ReplayRaft `json:"raft,omitempty"`
+	// Raft summarizes the replica set after an HA run (HANodes > 1; nil,
+	// and so absent from the JSON, on a single node).
+	Raft *cpworld.RaftSummary `json:"raft,omitempty"`
 
-	FinalState ReplayFinalState `json:"final_state"`
+	// FinalState is the converged end-of-trace state — the section the
+	// crash-point property test asserts byte-equal between a crashed and an
+	// uncrashed run.
+	FinalState cpworld.FinalState `json:"final_state"`
 	// Invariants lists end-state invariant violations (empty on a healthy
 	// run; the crash tests assert it stays empty).
 	Invariants []string `json:"invariants,omitempty"`
 }
 
-// replayWorld is everything that outlives a control-plane "process": the
-// cluster, topology model, agents, transports, journal chain, and the
-// shared saga event log. A crash kills only the Service; a fresh boot()
-// over the same world recovers from the journal.
-type replayWorld struct {
-	cfg      ReplayConfig
-	cluster  *core.Cluster
-	model    *controlplane.Model
-	inner    *controlplane.DirectTransport
-	faulty   *controlplane.FaultyTransport
-	counting *controlplane.CountingJournal
-	crash    *controlplane.CrashableJournal
-	elog     *trace.EventLog
-	clock    trace.WallClock
-	hosts    []string
-
-	// HA mode (cfg.HANodes > 1): the counting/crash chain bottoms out in
-	// swap, which routes to the current leader's ReplicatedJournal and is
-	// re-pointed on failover; leader is the node sagas currently run on and
-	// haDown the killed node awaiting restart (at most one down at a time).
-	rs     *controlplane.ReplicaSet
-	swap   *switchJournal
-	leader string
-	haDown string
-}
-
-// switchJournal routes Journal calls to a swappable inner journal so the
-// counting/crash wrappers above it — whose inner is fixed at construction —
-// survive a leader failover: the driver re-points it at the new leader's
-// ReplicatedJournal without rebuilding the chain.
-type switchJournal struct {
-	mu    sync.Mutex
-	inner controlplane.Journal
-}
-
-func (s *switchJournal) SetInner(j controlplane.Journal) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner = j
-}
-
-func (s *switchJournal) Append(e controlplane.JournalEntry) error {
-	s.mu.Lock()
-	j := s.inner
-	s.mu.Unlock()
-	return j.Append(e)
-}
-
-func (s *switchJournal) Entries() ([]controlplane.JournalEntry, error) {
-	s.mu.Lock()
-	j := s.inner
-	s.mu.Unlock()
-	return j.Entries()
-}
-
-func buildReplayWorld(cfg ReplayConfig) (*replayWorld, error) {
-	cluster := core.NewCluster()
+// newReplayWorld builds the replay's control-plane world: cfg.Hosts small
+// hosts cabled as a full mesh, the seeded lossy transport, and with
+// HANodes > 1 a replica set carrying the journal.
+func newReplayWorld(cfg ReplayConfig) (*cpworld.World, error) {
 	hosts := make([]string, cfg.Hosts)
 	for i := range hosts {
 		hosts[i] = fmt.Sprintf("replay%02d", i)
 	}
-	for _, n := range hosts {
-		hc := core.DefaultHostConfig(n)
-		hc.Sockets = 1
-		hc.CoresPerSocket = 2
-		hc.DRAMPerSocket = 1 << 30
-		hc.SectionSize = 1 << 20
-		hc.RMMUSections = 512
-		if _, err := cluster.AddHost(hc); err != nil {
-			return nil, fmt.Errorf("replay: add host %s: %w", n, err)
-		}
-	}
-	model := controlplane.NewModel()
-	for _, n := range hosts {
-		if err := model.AddHost(n, cfg.TransceiversPerEP); err != nil {
-			return nil, fmt.Errorf("replay: model host %s: %w", n, err)
-		}
-	}
-	for _, a := range hosts {
-		for _, b := range hosts {
-			if a == b {
-				continue
-			}
-			ca := model.Transceivers(a, controlplane.LabelComputeEP)
-			mb := model.Transceivers(b, controlplane.LabelMemoryEP)
-			for i := range ca {
-				if i < len(mb) {
-					if err := model.Cable(ca[i], mb[i]); err != nil {
-						return nil, fmt.Errorf("replay: cable %s-%s: %w", a, b, err)
-					}
-				}
-			}
-		}
-	}
-	inner := controlplane.NewDirectTransport()
-	for _, n := range hosts {
-		inner.Register(agent.New(n, replayToken))
+	var replicas []string
+	for i := 0; cfg.HANodes > 1 && i < cfg.HANodes; i++ {
+		replicas = append(replicas, fmt.Sprintf("cp-%02d", i))
 	}
 	faults := controlplane.TransportFaults{Seed: cfg.Seed}
 	if !cfg.NoFaults {
@@ -314,7 +192,6 @@ func buildReplayWorld(cfg ReplayConfig) (*replayWorld, error) {
 		faults.DupProb = 0.04
 		faults.AmbiguousProb = 0.04
 	}
-
 	// Size the saga event log for the expected traffic (~56 events per
 	// saga), clamped to [16Ki, 512Ki]; overflow drops deterministically
 	// and is reported.
@@ -323,77 +200,29 @@ func buildReplayWorld(cfg ReplayConfig) (*replayWorld, error) {
 	for capEvents < expected && capEvents < 1<<19 {
 		capEvents <<= 1
 	}
-
-	w := &replayWorld{
-		cfg:     cfg,
-		cluster: cluster,
-		model:   model,
-		inner:   inner,
-		faulty:  controlplane.NewFaultyTransport(inner, faults),
-		elog:    trace.NewEventLog(capEvents),
-		clock:   trace.StepClock(0, 25),
-		hosts:   hosts,
-	}
-	if cfg.HANodes > 1 {
-		ids := make([]string, cfg.HANodes)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("cp-%02d", i)
-		}
-		rs, err := controlplane.NewReplicaSet(ids, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("replay: replica set: %w", err)
-		}
-		leader, err := rs.ElectLeader(800)
-		if err != nil {
-			return nil, fmt.Errorf("replay: initial election: %w", err)
-		}
-		w.rs, w.leader = rs, leader
-		w.swap = &switchJournal{inner: rs.Journal(leader)}
-		w.counting = controlplane.NewCountingJournal(w.swap)
-	} else {
-		w.counting = controlplane.NewCountingJournal(controlplane.NewMemJournal())
+	w, err := cpworld.New(cpworld.Config{
+		Hosts: hosts,
+		Host: func(n string) core.HostConfig {
+			hc := core.DefaultHostConfig(n)
+			hc.Sockets = 1
+			hc.CoresPerSocket = 2
+			hc.DRAMPerSocket = 1 << 30
+			hc.SectionSize = 1 << 20
+			hc.RMMUSections = 512
+			return hc
+		},
+		TransceiversPerEP: cfg.TransceiversPerEP,
+		Token:             replayToken,
+		Faults:            faults,
+		Events:            capEvents,
+		MaxInflightSagas:  cfg.MaxInflightSagas,
+		Replicas:          replicas,
+		Seed:              cfg.Seed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
 	}
 	return w, nil
-}
-
-// boot starts a control-plane "process" over the shared world. Transport
-// must be set before tracing so SetSagaTracing can wire the agents, and
-// tracing continues trace/span sequences past the shared log's high-water
-// mark so incarnations never collide.
-func (w *replayWorld) boot() *controlplane.Service {
-	svc := controlplane.NewService(w.model, controlplane.ClusterExecutor{Cluster: w.cluster}, replayToken)
-	svc.SetJournal(w.crash)
-	svc.SetTransport(w.faulty)
-	svc.SetRetryPolicy(controlplane.RetryPolicy{MaxAttempts: 6})
-	svc.SetMaxInflightSagas(w.cfg.MaxInflightSagas)
-	svc.SetSagaTracing(w.elog, w.clock)
-	if w.rs != nil {
-		id := w.leader
-		svc.SetLeaderGate(w.rs.Gate(id))
-		svc.SetRaftStatus(func() controlplane.RaftStatus { return w.rs.StatusFor(id) })
-	}
-	return svc
-}
-
-// failover handles a leader crash in HA mode: restart the previously
-// killed node (at most one replica stays down), stop the current leader,
-// and re-point the journal chain at a freshly elected successor. boot()
-// afterwards binds the new Service to that leader.
-func (w *replayWorld) failover() error {
-	if w.haDown != "" {
-		if err := w.rs.Restart(w.haDown); err != nil {
-			return fmt.Errorf("replay: restart %s: %w", w.haDown, err)
-		}
-	}
-	w.rs.Stop(w.leader)
-	w.haDown = w.leader
-	next, err := w.rs.ElectLeader(800)
-	if err != nil {
-		return fmt.Errorf("replay: failover election: %w", err)
-	}
-	w.leader = next
-	w.swap.SetInner(w.rs.Journal(next))
-	return nil
 }
 
 // replayInspector feeds the autoscaler a synthetic per-host memory view:
@@ -409,8 +238,8 @@ func (ri *replayInspector) HostMemory() []controlplane.HostMemory {
 	for _, rec := range d.svc.Attachments() {
 		remote[rec.ComputeHost] += rec.Bytes
 	}
-	out := make([]controlplane.HostMemory, 0, len(d.w.hosts))
-	for i, h := range d.w.hosts {
+	out := make([]controlplane.HostMemory, 0, len(d.w.Hosts))
+	for i, h := range d.w.Hosts {
 		local := d.cfg.LocalBytes
 		demand := d.demand[i]
 		hm := controlplane.HostMemory{
@@ -433,77 +262,67 @@ func max64(a, b int64) int64 {
 }
 
 // replayDriver walks the churn trace, translating events into real
-// control-plane calls and recovering from injected crashes.
+// control-plane calls and recovering from injected crashes. Attach and
+// depart events run on cfg.Workers issuer goroutines; with one issuer the
+// driver is the deterministic sequential replay, with more it races them
+// against the admission limit.
 type replayDriver struct {
-	w      *replayWorld
+	w      *cpworld.World
 	cfg    ReplayConfig
 	svc    *controlplane.Service
 	scaler *controlplane.Autoscaler
 
-	demand     []int64        // per-host pressure walk
-	live       map[int]string // churn attach seq -> executor attachment ID
-	known      map[string]bool
-	crashQueue []int
-	banked     controlplane.SagaCounters
-	rep        *ReplayReport
+	demand     []int64 // per-host pressure walk
+	crashQueue []int   // scripted crash points not yet armed
 
-	// Concurrent-driver state (Workers > 1 only): mu guards live/known/rep
-	// against the issuer pool, pending counts submitted-but-unfinished
-	// events so the dispatcher can barrier before global actions.
-	mu      sync.Mutex
-	pending sync.WaitGroup
+	// mu guards live, known and the attach/depart tallies in rep against
+	// concurrent issuers.
+	mu    sync.Mutex
+	live  map[int]string // churn attach seq -> executor attachment ID
+	known map[string]bool
+	rep   *ReplayReport
 }
 
-func (d *replayDriver) bank() {
-	c := d.svc.Counters()
-	d.banked.SagaRetries += c.SagaRetries
-	d.banked.SagaCompensations += c.SagaCompensations
-	d.banked.RecoveryReplays += c.RecoveryReplays
-	d.banked.ReconcileRepairs += c.ReconcileRepairs
-	d.banked.DetachAgentFailures += c.DetachAgentFailures
-	d.banked.SagasParked += c.SagasParked
-	d.banked.SagasRejected += c.SagasRejected
+// boot starts a control-plane process over the world, arms the next
+// scripted crash point, and points a fresh autoscaler at it.
+func (d *replayDriver) boot() {
+	d.svc = d.w.Boot(d.w.Faulty)
+	if len(d.crashQueue) > 0 {
+		d.w.Journal.FailAfter(d.crashQueue[0])
+		d.crashQueue = d.crashQueue[1:]
+	}
+	if !d.cfg.NoAutoscale {
+		d.scaler = controlplane.NewAutoscaler(d.svc, &replayInspector{d: d}, controlplane.AutoscalePolicy{
+			LowWatermark:          0.15,
+			HighWatermark:         0.60,
+			StepBytes:             4 << 20,
+			DonorReserve:          0.25,
+			MaxAttachmentsPerHost: 24,
+		})
+	}
 }
 
 // reboot replaces a crashed control plane: bank the dead incarnation's
-// counters, arm the next scripted crash point (or disarm), boot a fresh
-// Service over the same world, replay the journal, and reconcile until the
-// recovered state is clean.
+// counters, boot a fresh Service over the same world, replay the journal,
+// and reconcile until the recovered state is clean. With a replica set a
+// crash is a leader kill: the successor recovers from the replicated
+// journal, not the dead node's local state.
 func (d *replayDriver) reboot() {
 	d.rep.Crashes++
-	d.bank()
-	if len(d.crashQueue) > 0 {
-		d.w.crash.FailAfter(d.crashQueue[0])
-		d.crashQueue = d.crashQueue[1:]
-	} else {
-		d.w.crash.FailAfter(-1)
-	}
-	if d.w.rs != nil {
-		// In HA mode a crash is a leader kill: the successor recovers from
-		// the replicated journal, not the dead node's local state.
-		if err := d.w.failover(); err != nil {
+	d.rep.Counters.Add(d.svc.Counters())
+	if d.w.Replicas != nil {
+		if err := d.w.Failover(true); err != nil {
 			d.rep.Invariants = append(d.rep.Invariants, err.Error())
 		}
 	}
-	d.svc = d.w.boot()
-	if d.scaler != nil {
-		d.scaler = controlplane.NewAutoscaler(d.svc, &replayInspector{d: d}, d.scalePolicy())
-	}
+	d.boot()
 	d.svc.Recover() //nolint:errcheck // recovery over a live journal cannot fail here
 	d.svc.ReconcileUntilClean(8)
 }
 
-func (d *replayDriver) scalePolicy() controlplane.AutoscalePolicy {
-	return controlplane.AutoscalePolicy{
-		LowWatermark:          0.15,
-		HighWatermark:         0.60,
-		StepBytes:             4 << 20,
-		DonorReserve:          0.25,
-		MaxAttachmentsPerHost: 24,
-	}
-}
-
 // handle applies one churn event, rebooting and re-issuing through crashes.
+// Crash points are armed only with a single issuer, so recovery never
+// races another issuer.
 func (d *replayDriver) handle(ev dctrace.ChurnEvent) {
 	for attempt := 0; attempt < 4; attempt++ {
 		err := d.apply(ev)
@@ -550,7 +369,7 @@ func (d *replayDriver) adoptAttach(ev dctrace.ChurnEvent) bool {
 		if d.known[rec.ID] {
 			continue
 		}
-		if rec.ComputeHost == d.w.hosts[ev.Compute] && rec.DonorHost == d.w.hosts[ev.Donor] && rec.Bytes == ev.Bytes {
+		if rec.ComputeHost == d.w.Hosts[ev.Compute] && rec.DonorHost == d.w.Hosts[ev.Donor] && rec.Bytes == ev.Bytes {
 			d.known[rec.ID] = true
 			d.live[ev.Seq] = rec.ID
 			d.rep.AttachesOK++
@@ -561,18 +380,24 @@ func (d *replayDriver) adoptAttach(ev dctrace.ChurnEvent) bool {
 }
 
 // apply performs one event against the live control plane. Only crash
-// errors propagate; everything else is tallied.
+// errors propagate; everything else is tallied. Saga calls run outside
+// d.mu — admission and execution are the service's concern, and racing
+// issuers against SetMaxInflightSagas is what Workers > 1 exists for —
+// while attach/depart bookkeeping happens under it. Flap, pressure and
+// scale events run only on the dispatcher with the issuers drained.
 func (d *replayDriver) apply(ev dctrace.ChurnEvent) error {
 	switch ev.Kind {
 	case dctrace.ChurnAttach:
 		rec, err := d.svc.Attach(controlplane.AttachRequest{
-			ComputeHost: d.w.hosts[ev.Compute], DonorHost: d.w.hosts[ev.Donor],
+			ComputeHost: d.w.Hosts[ev.Compute], DonorHost: d.w.Hosts[ev.Donor],
 			Bytes: ev.Bytes, Channels: 1,
 		})
+		if controlplane.IsCrash(err) {
+			return err
+		}
+		d.mu.Lock()
+		defer d.mu.Unlock()
 		if err != nil {
-			if controlplane.IsCrash(err) {
-				return err
-			}
 			d.rep.AttachErrors++
 			return nil
 		}
@@ -581,31 +406,40 @@ func (d *replayDriver) apply(ev dctrace.ChurnEvent) error {
 		d.rep.AttachesOK++
 
 	case dctrace.ChurnDepart:
+		d.mu.Lock()
 		id, ok := d.live[ev.Ref]
+		d.mu.Unlock()
 		if !ok {
+			d.mu.Lock()
 			d.rep.DepartsSkipped++ // its attach failed or was shed
+			d.mu.Unlock()
 			return nil
 		}
-		if _, alive := d.svc.Attachment(id); !alive {
-			// The autoscaler shrank it away first.
+		_, alive := d.svc.Attachment(id)
+		var err error
+		if alive {
+			err = d.svc.Detach(id)
+		}
+		if controlplane.IsCrash(err) {
+			return err
+		}
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		switch {
+		case !alive: // the autoscaler shrank it away first
 			delete(d.live, ev.Ref)
 			delete(d.known, id)
 			d.rep.DepartsSkipped++
-			return nil
-		}
-		if err := d.svc.Detach(id); err != nil {
-			if controlplane.IsCrash(err) {
-				return err
-			}
+		case err != nil:
 			d.rep.DetachErrors++
-			return nil
+		default:
+			delete(d.live, ev.Ref)
+			delete(d.known, id)
+			d.rep.DetachesOK++
 		}
-		delete(d.live, ev.Ref)
-		delete(d.known, id)
-		d.rep.DetachesOK++
 
 	case dctrace.ChurnFlap:
-		d.w.faulty.CrashAgent(d.w.hosts[ev.Host]) //nolint:errcheck // host is always registered
+		d.w.Faulty.CrashAgent(d.w.Hosts[ev.Host]) //nolint:errcheck // host is always registered
 		if ev.StormEnd {
 			passes, _ := d.svc.ReconcileUntilClean(8)
 			d.rep.Reconciler.StormReconciles++
@@ -649,94 +483,40 @@ func (d *replayDriver) apply(ev dctrace.ChurnEvent) error {
 	return nil
 }
 
-// applyConcurrent performs one attach/depart event from a pool issuer. The
-// saga call itself runs outside the driver lock — admission and execution
-// are the service's concern, and racing issuers against SetMaxInflightSagas
-// is exactly what this mode exists for — while driver bookkeeping happens
-// under d.mu. Crash errors cannot occur here (runConcurrent refuses crash
-// points), so every failure is a tally.
-func (d *replayDriver) applyConcurrent(ev dctrace.ChurnEvent) {
-	switch ev.Kind {
-	case dctrace.ChurnAttach:
-		rec, err := d.svc.Attach(controlplane.AttachRequest{
-			ComputeHost: d.w.hosts[ev.Compute], DonorHost: d.w.hosts[ev.Donor],
-			Bytes: ev.Bytes, Channels: 1,
-		})
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if err != nil {
-			d.rep.AttachErrors++
-			return
-		}
-		d.live[ev.Seq] = rec.ID
-		d.known[rec.ID] = true
-		d.rep.AttachesOK++
-
-	case dctrace.ChurnDepart:
-		d.mu.Lock()
-		id, ok := d.live[ev.Ref]
-		d.mu.Unlock()
-		if !ok {
-			d.mu.Lock()
-			d.rep.DepartsSkipped++ // its attach failed or was shed
-			d.mu.Unlock()
-			return
-		}
-		if _, alive := d.svc.Attachment(id); !alive {
-			// The autoscaler shrank it away first.
-			d.mu.Lock()
-			delete(d.live, ev.Ref)
-			delete(d.known, id)
-			d.rep.DepartsSkipped++
-			d.mu.Unlock()
-			return
-		}
-		err := d.svc.Detach(id)
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if err != nil {
-			d.rep.DetachErrors++
-			return
-		}
-		delete(d.live, ev.Ref)
-		delete(d.known, id)
-		d.rep.DetachesOK++
-	}
-}
-
-// runConcurrent walks the trace with cfg.Workers goroutines issuing the
-// attach/depart sagas against the admission-controlled service. Events are
-// routed by attachment sequence, so each attachment's attach and depart
-// stay ordered on one issuer; everything that acts on global state — flap
-// storms, autoscaler evaluations, periodic reconciles — runs inline on the
-// dispatcher after draining the pool.
-func (d *replayDriver) runConcurrent(events []dctrace.ChurnEvent, reconcileEvery float64) {
+// run walks the trace. Attach and depart events go to the issuers, routed
+// by attachment sequence so each attachment's attach and depart stay
+// ordered on one issuer; everything that acts on global state — flap
+// storms, autoscaler evaluations, periodic reconciles — runs on the
+// dispatcher after draining them. Pressure only moves dispatcher-local
+// demand, which the autoscaler reads at those drains, so it needs none.
+func (d *replayDriver) run(events []dctrace.ChurnEvent) {
 	queues := make([]chan dctrace.ChurnEvent, d.cfg.Workers)
-	var issuers sync.WaitGroup
+	var pending, issuers sync.WaitGroup
 	for i := range queues {
+		// A short queue lets the dispatcher run ahead of a busy issuer
+		// between drains without buffering the whole trace.
 		queues[i] = make(chan dctrace.ChurnEvent, 64)
 		issuers.Add(1)
 		go func(ch chan dctrace.ChurnEvent) {
 			defer issuers.Done()
 			for ev := range ch {
-				d.applyConcurrent(ev)
-				d.pending.Done()
+				d.handle(ev)
+				pending.Done()
 			}
 		}(queues[i])
 	}
-	barrier := func() { d.pending.Wait() }
 	submit := func(ev dctrace.ChurnEvent, key int) {
-		d.pending.Add(1)
+		pending.Add(1)
 		queues[key%len(queues)] <- ev
 	}
 
-	nextReconcile := reconcileEvery
+	nextReconcile := d.cfg.ReconcileEverySec
 	for _, ev := range events {
 		for ev.At >= nextReconcile {
-			barrier()
+			pending.Wait()
 			d.svc.Reconcile()
 			d.rep.Reconciler.PeriodicSweeps++
-			nextReconcile += reconcileEvery
+			nextReconcile += d.cfg.ReconcileEverySec
 		}
 		switch ev.Kind {
 		case dctrace.ChurnAttach:
@@ -744,209 +524,17 @@ func (d *replayDriver) runConcurrent(events []dctrace.ChurnEvent, reconcileEvery
 		case dctrace.ChurnDepart:
 			submit(ev, ev.Ref)
 		case dctrace.ChurnPressure:
-			// Demand is dispatcher-local (the inspector only reads it at
-			// scale barriers), so no drain needed.
-			d.apply(ev) //nolint:errcheck // cannot crash: no crash points armed
+			d.handle(ev)
 		default: // flap, scale
-			barrier()
-			d.apply(ev) //nolint:errcheck // cannot crash: no crash points armed
+			pending.Wait()
+			d.handle(ev)
 		}
 	}
-	barrier()
+	pending.Wait()
 	for _, ch := range queues {
 		close(ch)
 	}
 	issuers.Wait()
-}
-
-// finalState builds the ID-free converged-state summary and checks the
-// end-state invariants.
-func (d *replayDriver) finalState() {
-	recs := d.svc.Attachments()
-	type key struct {
-		compute, donor string
-		bytes          int64
-	}
-	counts := make(map[key]int)
-	var order []key
-	pathVertices := 0
-	recBySaga := make(map[string]*controlplane.AttachmentRecord)
-	for _, rec := range recs {
-		k := key{rec.ComputeHost, rec.DonorHost, rec.Bytes}
-		if counts[k] == 0 {
-			order = append(order, k)
-		}
-		counts[k]++
-		d.rep.FinalState.TotalBytes += rec.Bytes
-		for _, n := range rec.PathLen {
-			pathVertices += n
-		}
-		recBySaga[rec.SagaID] = rec
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.compute != b.compute {
-			return a.compute < b.compute
-		}
-		if a.donor != b.donor {
-			return a.donor < b.donor
-		}
-		return a.bytes < b.bytes
-	})
-	for _, k := range order {
-		d.rep.FinalState.Attachments = append(d.rep.FinalState.Attachments, ReplayAttachment{
-			Compute: k.compute, Donor: k.donor, Bytes: k.bytes, Count: counts[k],
-		})
-	}
-	d.rep.FinalState.Count = len(recs)
-	d.rep.FinalState.ReservedVertices = len(d.w.model.ReservedIDs())
-	d.rep.FinalState.ParkedSagas = len(d.svc.ParkedSagas())
-
-	bad := func(format string, args ...interface{}) {
-		d.rep.Invariants = append(d.rep.Invariants, fmt.Sprintf(format, args...))
-	}
-
-	// Executor ground truth == records (no orphan datapaths, no dangling
-	// records).
-	clusterIDs := make(map[string]bool)
-	for _, a := range d.w.cluster.Attachments() {
-		clusterIDs[a.ID] = true
-	}
-	if len(clusterIDs) != len(recs) {
-		bad("executor holds %d attachments, records hold %d", len(clusterIDs), len(recs))
-	}
-	for _, rec := range recs {
-		if !clusterIDs[rec.ID] {
-			bad("record %s has no datapath attachment", rec.ID)
-		}
-	}
-
-	// Fabric reservations == union of record paths (no leaked vertices).
-	if d.rep.FinalState.ReservedVertices != pathVertices {
-		bad("%d vertices reserved, records imply %d", d.rep.FinalState.ReservedVertices, pathVertices)
-	}
-
-	// Agent ground truth: every held attachment belongs to a record on that
-	// host (no orphaned donor memory), every record is fully configured.
-	for _, h := range d.w.hosts {
-		a, _ := d.w.inner.Agent(h)
-		for _, att := range a.Status().Attachments {
-			d.rep.FinalState.AgentHeld++
-			rec, ok := recBySaga[att.ID]
-			if !ok {
-				bad("agent %s holds orphaned attachment %s", h, att.ID)
-				continue
-			}
-			switch h {
-			case rec.ComputeHost:
-				if !att.ComputeAttached {
-					bad("agent %s half-configured (compute) for %s", h, att.ID)
-				}
-			case rec.DonorHost:
-				if att.StolenBytes == 0 {
-					bad("agent %s half-configured (donor) for %s", h, att.ID)
-				}
-			default:
-				bad("agent %s holds %s but is neither side", h, att.ID)
-			}
-		}
-	}
-	for _, rec := range recs {
-		for _, h := range []string{rec.ComputeHost, rec.DonorHost} {
-			a, _ := d.w.inner.Agent(h)
-			if _, ok := a.Holds(rec.SagaID); !ok {
-				bad("agent %s missing desired attachment %s", h, rec.SagaID)
-			}
-		}
-	}
-
-	if d.rep.FinalState.ParkedSagas != 0 {
-		bad("%d sagas still parked after final reconcile", d.rep.FinalState.ParkedSagas)
-	}
-	if n := d.svc.InflightSagas(); n != 0 {
-		bad("%d sagas still admitted at end of trace", n)
-	}
-}
-
-// haFinal restarts any still-killed replica, ticks the replica set until
-// every running member has caught up to the leader's log, verifies the
-// committed journal is byte-identical on all replicas (zero committed-saga
-// loss across every failover), and fills the Raft report section.
-func (d *replayDriver) haFinal() {
-	w := d.w
-	bad := func(format string, args ...interface{}) {
-		d.rep.Invariants = append(d.rep.Invariants, fmt.Sprintf(format, args...))
-	}
-	if w.haDown != "" {
-		if err := w.rs.Restart(w.haDown); err != nil {
-			bad("restart %s: %v", w.haDown, err)
-		}
-		w.haDown = ""
-	}
-	caughtUp := func() bool {
-		lead := w.rs.Leader()
-		if lead == "" {
-			return false
-		}
-		st := w.rs.StatusFor(lead)
-		if st.CommitIndex != st.LastIndex {
-			return false
-		}
-		for _, m := range w.rs.Members() {
-			if m.Stopped {
-				continue
-			}
-			if m.Commit != st.CommitIndex || m.LastIndex != st.LastIndex {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < 800 && !caughtUp(); i++ {
-		if err := w.rs.Tick(1); err != nil {
-			bad("raft settle tick: %v", err)
-			break
-		}
-	}
-	if !caughtUp() {
-		bad("replicas never caught up to the leader's log")
-	}
-	if lead := w.rs.Leader(); lead != "" {
-		w.leader = lead
-	}
-	st := w.rs.StatusFor(w.leader)
-	summary := &ReplayRaft{
-		Nodes:           d.cfg.HANodes,
-		FinalLeader:     w.leader,
-		FinalTerm:       st.Term,
-		FinalCommit:     st.CommitIndex,
-		LeaderChanges:   w.rs.LeaderChanges(),
-		DroppedMessages: w.rs.DroppedMessages(),
-		Converged:       true,
-	}
-	want, err := w.rs.CommittedEntries(w.leader)
-	if err != nil {
-		bad("leader committed entries: %v", err)
-		summary.Converged = false
-	}
-	wantJSON, _ := json.Marshal(want)
-	for _, id := range w.rs.IDs() {
-		if id == w.leader {
-			continue
-		}
-		got, err := w.rs.CommittedEntries(id)
-		if err != nil {
-			bad("replica %s committed entries: %v", id, err)
-			summary.Converged = false
-			continue
-		}
-		if gotJSON, _ := json.Marshal(got); !bytes.Equal(gotJSON, wantJSON) {
-			bad("replica %s committed journal diverges from leader %s (%d vs %d entries)",
-				id, w.leader, len(got), len(want))
-			summary.Converged = false
-		}
-	}
-	d.rep.Raft = summary
 }
 
 // Replay runs the churn replay experiment and prints a summary table.
@@ -969,13 +557,9 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 		// successor, not just journal hand-off.
 		cfg.crashPoints = append(cfg.crashPoints, 43+93*i)
 	}
-	world, err := buildReplayWorld(cfg)
+	world, err := newReplayWorld(cfg)
 	if err != nil {
 		return ReplayReport{}, err
-	}
-	world.crash = controlplane.NewCrashableJournal(world.counting)
-	if len(cfg.crashPoints) > 0 {
-		world.crash.FailAfter(cfg.crashPoints[0])
 	}
 
 	rep := ReplayReport{
@@ -993,20 +577,15 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 	}
 
 	d := &replayDriver{
-		w:      world,
-		cfg:    cfg,
-		svc:    world.boot(),
-		demand: make([]int64, cfg.Hosts),
-		live:   make(map[int]string),
-		known:  make(map[string]bool),
-		rep:    &rep,
+		w:          world,
+		cfg:        cfg,
+		demand:     make([]int64, cfg.Hosts),
+		crashQueue: cfg.crashPoints,
+		live:       make(map[int]string),
+		known:      make(map[string]bool),
+		rep:        &rep,
 	}
-	if len(cfg.crashPoints) > 1 {
-		d.crashQueue = cfg.crashPoints[1:]
-	}
-	if !cfg.NoAutoscale {
-		d.scaler = controlplane.NewAutoscaler(d.svc, &replayInspector{d: d}, d.scalePolicy())
-	}
+	d.boot()
 
 	ch := dctrace.DefaultChurnConfig()
 	ch.Seed = cfg.Seed
@@ -1014,42 +593,38 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 	ch.Hosts = cfg.Hosts
 	ch.AttachPerMinute = cfg.RatePerMinute
 	ch.FlapStorms = cfg.Minutes // one flap storm per simulated minute
-	trace_ := dctrace.GenerateChurn(ch)
-	rep.Trace = dctrace.MixOf(trace_)
+	events := dctrace.GenerateChurn(ch)
+	rep.Trace = dctrace.MixOf(events)
+	d.run(events)
 
-	if cfg.Workers > 1 {
-		d.runConcurrent(trace_, cfg.ReconcileEverySec)
-	} else {
-		nextReconcile := cfg.ReconcileEverySec
-		for _, ev := range trace_ {
-			for ev.At >= nextReconcile {
-				d.svc.Reconcile()
-				rep.Reconciler.PeriodicSweeps++
-				nextReconcile += cfg.ReconcileEverySec
-			}
-			d.handle(ev)
-		}
-	}
-
-	// Settle: sweep until clean, then snapshot the converged state.
+	// Settle: sweep until clean, then check the converged state.
 	rep.Reconciler.FinalPasses, rep.Reconciler.FinalClean = d.svc.ReconcileUntilClean(8)
-	d.finalState()
-	if world.rs != nil {
-		d.haFinal()
+	res := world.Check(d.svc)
+	rep.FinalState = res.State
+	rep.Invariants = append(rep.Invariants, res.Violations...)
+	if world.Replicas != nil {
+		// Revive the killed replica, catch every replica up to the leader,
+		// and check that all hold the identical committed journal (zero
+		// committed-saga loss across every failover).
+		if err := world.Settle(); err != nil {
+			rep.Invariants = append(rep.Invariants, err.Error())
+		}
+		var bad []string
+		rep.Raft, bad = world.Raft()
+		rep.Invariants = append(rep.Invariants, bad...)
 	}
 
-	d.bank()
-	rep.Counters = d.banked
-	rep.Transport = world.faulty.Stats()
-	rep.Journal.Entries, rep.Journal.Bytes = world.counting.Stats()
-	rep.EventsRecorded = world.elog.Recorded()
-	rep.EventsDropped = world.elog.Dropped()
+	rep.Counters.Add(d.svc.Counters())
+	rep.Transport = world.Faulty.Stats()
+	rep.Journal.Entries, rep.Journal.Bytes = world.JournalStats()
+	rep.EventsRecorded = world.Events.Recorded()
+	rep.EventsDropped = world.Events.Dropped()
 
 	rep.SagasCommitted = rep.AttachesOK + rep.DetachesOK + rep.ScaleAttaches + rep.ScaleDetaches
 	rep.SagasPerSimMinute = float64(rep.SagasCommitted) / float64(cfg.Minutes)
 	rep.SagasPerSimSecond = rep.SagasPerSimMinute / 60
 
-	for _, p := range trace.ProfileSagas(trace.BuildSagaTraces(world.elog.Snapshot())) {
+	for _, p := range trace.ProfileSagas(res.Traces) {
 		if p.Op == "attach" || p.Op == "detach" {
 			rep.Profiles = append(rep.Profiles, p)
 		}

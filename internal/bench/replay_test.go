@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -156,5 +157,18 @@ func TestReplayPrometheusGolden(t *testing.T) {
 		if !strings.Contains(a.String(), line) {
 			t.Fatalf("exposition missing %q:\n%s", line, a.String())
 		}
+	}
+}
+
+// TestReplayPinnedHash pins the seed-7, one-minute single-node replay
+// report across commits: TestReplayReportByteIdentity only compares runs
+// within one build, so a refactor that changes a still-deterministic
+// report would pass it. A change that alters the report on purpose must
+// update this hash.
+func TestReplayPinnedHash(t *testing.T) {
+	const want = "7b744c561296933854138356695bdb44ce370463b45c9b6cc64a620eefcb1d96"
+	_, data, _ := runReplayOnce(t, ReplayConfig{Seed: 7, Minutes: 1})
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("seed-7 replay report hash = %s, want %s", got, want)
 	}
 }

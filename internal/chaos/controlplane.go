@@ -18,9 +18,9 @@ import (
 	"math/rand"
 	"sort"
 
-	"thymesisflow/internal/agent"
 	"thymesisflow/internal/controlplane"
 	"thymesisflow/internal/core"
+	"thymesisflow/internal/cpworld"
 	"thymesisflow/internal/timeseries"
 	"thymesisflow/internal/trace"
 )
@@ -46,12 +46,12 @@ type CPObserver struct {
 	rep *CPScenarioReport
 
 	svc *controlplane.Service
+	w   *cpworld.World
 
 	retries, repairs, parked, rejected, inflight *timeseries.Series
 
-	// cp.raft.* series, created only by observeRaft (HA scenarios), so the
+	// cp.raft.* series, created on the first boot of an HA world, so the
 	// single-node scenarios' snapshots keep their pre-HA series set.
-	raftStatus                       func() controlplane.RaftStatus
 	raftTerm, raftCommit, raftElects *timeseries.Series
 }
 
@@ -74,15 +74,11 @@ func (o *CPObserver) wrap(inner trace.WallClock) trace.WallClock {
 	return cs.Wrap(inner)
 }
 
-// observe points the tap at the current control-plane process (boot calls
-// it on every restart).
-func (o *CPObserver) observe(svc *controlplane.Service) { o.svc = svc }
-
-// observeRaft adds the cp.raft.* series to the recording, fed from status.
-// Only the HA scenarios call it, so single-node snapshots are unchanged.
-func (o *CPObserver) observeRaft(status func() controlplane.RaftStatus) {
-	o.raftStatus = status
-	if o.raftTerm == nil {
+// observe points the tap at the current control-plane process (the world
+// calls it on every boot) and, in an HA world, adds the cp.raft.* series.
+func (o *CPObserver) observe(svc *controlplane.Service) {
+	o.svc = svc
+	if o.w.Replicas != nil && o.raftTerm == nil {
 		o.raftTerm = o.rec.Series("cp.raft.term", timeseries.Gauge)
 		o.raftCommit = o.rec.Series("cp.raft.commit_index", timeseries.Counter)
 		o.raftElects = o.rec.Series("cp.raft.leader_changes", timeseries.Counter)
@@ -101,11 +97,11 @@ func (o *CPObserver) sample(ts int64) {
 	o.parked.Record(ts, float64(banked.SagasParked+cur.SagasParked))
 	o.rejected.Record(ts, float64(banked.SagasRejected+cur.SagasRejected))
 	o.inflight.Record(ts, float64(svc.InflightSagas()))
-	if o.raftStatus != nil {
-		st := o.raftStatus()
+	if o.raftTerm != nil {
+		st := o.w.Replicas.Status(o.w.Leader)
 		o.raftTerm.Record(ts, float64(st.Term))
-		o.raftCommit.Record(ts, float64(st.CommitIndex))
-		o.raftElects.Record(ts, float64(st.LeaderChanges))
+		o.raftCommit.Record(ts, float64(st.Commit))
+		o.raftElects.Record(ts, float64(o.w.Replicas.LeaderChanges()))
 	}
 }
 
@@ -135,7 +131,7 @@ type CPScenarioReport struct {
 
 	// Raft summarizes the replica set at scenario end. Only the HA scenarios
 	// set it (pointer + omitempty keeps single-node reports byte-identical).
-	Raft *CPRaftSummary `json:"raft,omitempty"`
+	Raft *cpworld.RaftSummary `json:"raft,omitempty"`
 
 	// Trace summarizes the scenario's saga traces. The event log lives in
 	// the world, not the Service, so traces span crash-restarts; timestamps
@@ -163,119 +159,77 @@ func (r *CPScenarioReport) fail(format string, args ...any) {
 	r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
 }
 
-// cpWorld is the durable world a control plane crashes and restarts over:
-// cluster, topology model, agents, transports, and journal all outlive any
-// single Service.
-type cpWorld struct {
-	cluster *core.Cluster
-	model   *controlplane.Model
-	inner   *controlplane.DirectTransport
-	faulty  *controlplane.FaultyTransport
-	journal *controlplane.CrashableJournal
-	hosts   []string
-
-	// elog and clock implement world-scoped saga tracing: the event log and
-	// the deterministic step clock survive orchestrator crash-restarts, so a
-	// saga that spans a crash keeps one coherent timeline across processes.
-	elog  *trace.EventLog
-	clock trace.WallClock
-
-	// obs, when non-nil, is the flight-recorder tap riding the clock.
-	obs *CPObserver
-}
-
-func newCPWorld(rep *CPScenarioReport, faults controlplane.TransportFaults, obs *CPObserver) *cpWorld {
-	c := core.NewCluster()
-	hosts := []string{"node0", "node1", "node2"}
-	m := controlplane.NewModel()
-	for _, n := range hosts {
-		cfg := core.DefaultHostConfig(n)
-		cfg.SectionSize = 1 << 20
-		cfg.RMMUSections = 64
-		if _, err := c.AddHost(cfg); err != nil {
-			rep.fail("add host: %v", err)
-			return nil
-		}
-		if err := m.AddHost(n, 4); err != nil {
-			rep.fail("model host: %v", err)
-			return nil
-		}
+// newWorld builds a scenario's world: three hosts with four transceivers
+// per endpoint, the scenario's transport faults seeded by seed, and, with
+// ha, a 3-node Raft replica set carrying the journal. On failure it
+// records the error and returns nil.
+func newWorld(rep *CPScenarioReport, obs *CPObserver, seed int64, faults controlplane.TransportFaults, ha bool) *cpworld.World {
+	faults.Seed = seed
+	cfg := cpworld.Config{
+		Hosts: []string{"node0", "node1", "node2"},
+		Host: func(n string) core.HostConfig {
+			hc := core.DefaultHostConfig(n)
+			hc.SectionSize = 1 << 20
+			hc.RMMUSections = 64
+			return hc
+		},
+		TransceiversPerEP: 4,
+		Token:             cpToken,
+		Faults:            faults,
+		Events:            1 << 14,
+		Seed:              seed,
 	}
-	for _, a := range hosts {
-		for _, b := range hosts {
-			if a == b {
-				continue
-			}
-			ca := m.Transceivers(a, controlplane.LabelComputeEP)
-			mb := m.Transceivers(b, controlplane.LabelMemoryEP)
-			for i := range ca {
-				if i < len(mb) {
-					if err := m.Cable(ca[i], mb[i]); err != nil {
-						rep.fail("cable: %v", err)
-						return nil
-					}
-				}
-			}
-		}
-	}
-	inner := controlplane.NewDirectTransport()
-	for _, n := range hosts {
-		inner.Register(agent.New(n, cpToken))
-	}
-	w := &cpWorld{
-		cluster: c,
-		model:   m,
-		inner:   inner,
-		faulty:  controlplane.NewFaultyTransport(inner, faults),
-		journal: controlplane.NewCrashableJournal(controlplane.NewMemJournal()),
-		hosts:   hosts,
-		elog:    trace.NewEventLog(1 << 14),
-		clock:   trace.StepClock(0, 25),
-		obs:     obs,
+	if ha {
+		cfg.Replicas = haReplicaIDs
 	}
 	if obs != nil {
 		obs.rep = rep
-		w.clock = obs.wrap(w.clock)
+		cfg.WrapClock = obs.wrap
+		cfg.OnBoot = obs.observe
+	}
+	w, err := cpworld.New(cfg)
+	if err != nil {
+		rep.fail("%v", err)
+		return nil
+	}
+	if obs != nil {
+		obs.w = w
 	}
 	return w
 }
 
-// boot starts a control-plane "process" over the world with zero-backoff
-// retries (campaigns measure in counters, not wall time).
-func (w *cpWorld) boot(tr controlplane.Transport) *controlplane.Service {
-	svc := controlplane.NewService(w.model, controlplane.ClusterExecutor{Cluster: w.cluster}, cpToken)
-	svc.SetJournal(w.journal)
-	svc.SetTransport(tr)
-	svc.SetRetryPolicy(controlplane.RetryPolicy{MaxAttempts: 6})
-	svc.SetSagaTracing(w.elog, w.clock)
-	if w.obs != nil {
-		w.obs.observe(svc)
+// restart replaces a control plane that died or was fenced mid-saga: bank
+// its counters, fail over to a successor leader in an HA world (stopping
+// the old leader's node when kill is set), then boot over the lossy
+// transport, recover from the journal, and reconcile once. It returns nil
+// after recording a failure.
+func restart(w *cpworld.World, rep *CPScenarioReport, old *controlplane.Service, kill bool) *controlplane.Service {
+	rep.Counters.Add(old.Counters())
+	rep.Crashes++
+	if w.Replicas != nil {
+		if err := w.Failover(kill); err != nil {
+			rep.fail("%v", err)
+			return nil
+		}
 	}
+	svc := w.Boot(w.Faulty)
+	rr, err := svc.Recover()
+	if err != nil {
+		rep.fail("recover after crash %d: %v", rep.Crashes, err)
+		return nil
+	}
+	rep.RecoveredSagas += rr.RolledForward + rr.Compensated + rr.Reparked
+	svc.Reconcile()
 	return svc
 }
 
-// addCounters folds one Service's fault-handling counters into the report;
-// counters are per-process, so every crash-restart must bank them before
-// the old Service is dropped.
-func addCounters(rep *CPScenarioReport, c controlplane.SagaCounters) {
-	rep.Counters.SagaRetries += c.SagaRetries
-	rep.Counters.SagaCompensations += c.SagaCompensations
-	rep.Counters.RecoveryReplays += c.RecoveryReplays
-	rep.Counters.ReconcileRepairs += c.ReconcileRepairs
-	rep.Counters.DetachAgentFailures += c.DetachAgentFailures
-	rep.Counters.SagasParked += c.SagasParked
-	rep.Counters.SagasRejected += c.SagasRejected
-}
-
-// heal banks the old process's counters, disarms the journal, restarts the
-// control plane over the reliable transport, replays the journal, and
-// reconciles to quiescence.
-func (w *cpWorld) heal(rep *CPScenarioReport, old *controlplane.Service) *controlplane.Service {
+// heal banks the old process's counters, boots the control plane over the
+// reliable transport, replays the journal, and reconciles to quiescence.
+func heal(w *cpworld.World, rep *CPScenarioReport, old *controlplane.Service) *controlplane.Service {
 	if old != nil {
-		addCounters(rep, old.Counters())
+		rep.Counters.Add(old.Counters())
 	}
-	w.journal.FailAfter(-1)
-	svc := w.boot(w.inner)
+	svc := w.Boot(w.Direct)
 	rr, err := svc.Recover()
 	if err != nil {
 		rep.fail("recover: %v", err)
@@ -287,116 +241,27 @@ func (w *cpWorld) heal(rep *CPScenarioReport, old *controlplane.Service) *contro
 			break
 		}
 	}
-	addCounters(rep, svc.Counters())
+	rep.Counters.Add(svc.Counters())
 	return svc
 }
 
-// verify asserts the orchestration invariants against ground truth.
-func (w *cpWorld) verify(rep *CPScenarioReport, svc *controlplane.Service) {
-	recs := svc.Attachments()
-	rep.FinalAttachments = len(recs)
+// verify checks the world's end-state invariants under svc and fills the
+// report's final tallies and saga-trace roll-up.
+func verify(w *cpworld.World, rep *CPScenarioReport, svc *controlplane.Service) {
+	res := w.Check(svc)
+	rep.FinalAttachments = res.State.Count
+	rep.Failures = append(rep.Failures, res.Violations...)
+	rep.Transport = w.Faulty.Stats()
 
-	// Executor diff: control-plane records == live datapath attachments.
-	recIDs := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		recIDs[r.ID] = true
-	}
-	clusterAtts := w.cluster.Attachments()
-	if len(clusterAtts) != len(recs) {
-		rep.fail("executor holds %d attachments, records say %d", len(clusterAtts), len(recs))
-	}
-	for _, a := range clusterAtts {
-		if !recIDs[a.ID] {
-			rep.fail("orphaned datapath attachment %s", a.ID)
-		}
-	}
-
-	// Reservation diff: planned paths are vertex-disjoint, so the reserved
-	// set must be exactly the sum of record path lengths.
-	wantReserved := 0
-	for _, r := range recs {
-		for _, n := range r.PathLen {
-			wantReserved += n
-		}
-	}
-	if got := len(w.model.ReservedIDs()); got != wantReserved {
-		rep.fail("fabric holds %d reservations, records imply %d", got, wantReserved)
-	}
-
-	// Agent diff: every agent holds exactly the state the records imply.
-	type side struct{ compute, donor bool }
-	desired := make(map[string]map[string]side)
-	for _, r := range recs {
-		if desired[r.ComputeHost] == nil {
-			desired[r.ComputeHost] = make(map[string]side)
-		}
-		s := desired[r.ComputeHost][r.SagaID]
-		s.compute = true
-		desired[r.ComputeHost][r.SagaID] = s
-		if desired[r.DonorHost] == nil {
-			desired[r.DonorHost] = make(map[string]side)
-		}
-		s = desired[r.DonorHost][r.SagaID]
-		s.donor = true
-		desired[r.DonorHost][r.SagaID] = s
-	}
-	for _, h := range w.hosts {
-		st, err := w.inner.Query(h)
-		if err != nil {
-			rep.fail("query %s: %v", h, err)
-			continue
-		}
-		for _, att := range st.Attachments {
-			d, ok := desired[h][att.ID]
-			if !ok {
-				rep.fail("agent %s holds orphaned attachment %s", h, att.ID)
-				continue
-			}
-			if d.compute && !att.ComputeAttached || d.donor && att.StolenBytes == 0 {
-				rep.fail("agent %s half-configured for %s", h, att.ID)
-			}
-		}
-		for id := range desired[h] {
-			held := false
-			for _, att := range st.Attachments {
-				if att.ID == id {
-					held = true
-				}
-			}
-			if !held {
-				rep.fail("agent %s missing desired attachment %s", h, id)
-			}
-		}
-	}
-
-	if parked := svc.ParkedSagas(); len(parked) != 0 {
-		rep.fail("parked sagas after heal+reconcile: %v", parked)
-	}
-	rep.Transport = w.faulty.Stats()
-
-	// Saga-trace roll-up plus the tiling invariant: the stage durations of
-	// every reconstructed trace (sagas and reconcile/recovery passes alike)
-	// must sum exactly to that trace's end-to-end wall time — the event
-	// timeline has no gaps and no double counting.
-	traces := trace.BuildSagaTraces(w.elog.Snapshot())
-	if len(traces) == 0 {
-		rep.fail("tracing recorded no saga traces")
-	}
 	byCat := map[string]int64{}
-	for _, t := range traces {
-		var sum int64
+	for _, t := range res.Traces {
 		for _, st := range t.Stages {
-			sum += st.DurNS
 			byCat[st.Name] += st.DurNS
-		}
-		if sum != t.TotalNS {
-			rep.fail("trace %d (saga %q): stages sum to %dns, wall time is %dns",
-				t.Trace, t.Saga, sum, t.TotalNS)
 		}
 		rep.Trace.TotalNS += t.TotalNS
 	}
-	rep.Trace.Sagas = len(traces)
-	rep.Trace.Events = w.elog.Recorded()
+	rep.Trace.Sagas = len(res.Traces)
+	rep.Trace.Events = w.Events.Recorded()
 	rep.Trace.Stages = make([]trace.StageSpan, 0, len(byCat))
 	for name, dur := range byCat {
 		s := trace.StageSpan{Name: name, DurNS: dur}
@@ -414,10 +279,56 @@ func (w *cpWorld) verify(rep *CPScenarioReport, svc *controlplane.Service) {
 	})
 }
 
-// hostPair rotates attach endpoints deterministically.
-func (w *cpWorld) hostPair(i int) (compute, donor string) {
-	n := len(w.hosts)
-	return w.hosts[i%n], w.hosts[(i+1)%n]
+// attach runs the i-th attach of a scenario between a rotating host pair,
+// tallying a success; it returns the record ID and the error.
+func attach(w *cpworld.World, rep *CPScenarioReport, svc *controlplane.Service, i int) (string, error) {
+	n := len(w.Hosts)
+	rec, err := svc.Attach(controlplane.AttachRequest{
+		ComputeHost: w.Hosts[i%n], DonorHost: w.Hosts[(i+1)%n], Bytes: 1 << 20, Channels: 1,
+	})
+	if err != nil {
+		return "", err
+	}
+	rep.Attaches++
+	return rec.ID, nil
+}
+
+// crashWorkload runs eight operations, alternating attaches with detaches
+// of the oldest attachment. Every even operation arms a journal crash a few
+// appends in (first on operation 0, then drawn from the seed), so the
+// process dies mid-saga and restart recovers it; odd operations run with
+// the journal healthy so the workload makes real progress.
+func crashWorkload(w *cpworld.World, rep *CPScenarioReport, svc *controlplane.Service, seed int64, first int) *controlplane.Service {
+	rng := rand.New(rand.NewSource(seed))
+	for op := 0; op < 8; op++ {
+		if op%2 == 0 {
+			crashPoint := first
+			if op > 0 {
+				crashPoint = rng.Intn(12)
+			}
+			w.Journal.FailAfter(crashPoint)
+		} else {
+			w.Journal.FailAfter(-1)
+		}
+
+		var err error
+		live := svc.Attachments()
+		if len(live) > 0 && op%3 == 2 {
+			if err = svc.Detach(live[0].ID); err == nil {
+				rep.Detaches++
+			}
+		} else {
+			_, err = attach(w, rep, svc, op)
+		}
+		if err != nil && controlplane.IsCrash(err) {
+			if svc = restart(w, rep, svc, true); svc == nil {
+				return nil
+			}
+		} else if err != nil {
+			rep.AttachErrors++
+		}
+	}
+	return svc
 }
 
 // CPCatalogue returns the control-plane scenario set: the single-node
@@ -446,30 +357,25 @@ func CPCatalogue() []CPScenario {
 }
 
 func runAgentFlap(seed int64, rep *CPScenarioReport, obs *CPObserver) {
-	w := newCPWorld(rep, controlplane.TransportFaults{
-		DropProb: 0.05, DupProb: 0.10, AmbiguousProb: 0.10, Seed: seed,
-	}, obs)
+	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
+		DropProb: 0.05, DupProb: 0.10, AmbiguousProb: 0.10,
+	}, false)
 	if w == nil {
 		return
 	}
-	svc := w.boot(w.faulty)
+	svc := w.Boot(w.Faulty)
 	rng := rand.New(rand.NewSource(seed))
 	var ids []string
 	for i := 0; i < 6; i++ {
-		compute, donor := w.hostPair(i)
-		rec, err := svc.Attach(controlplane.AttachRequest{
-			ComputeHost: compute, DonorHost: donor, Bytes: 1 << 20, Channels: 1,
-		})
-		if err != nil {
+		if id, err := attach(w, rep, svc, i); err != nil {
 			rep.AttachErrors++
 		} else {
-			rep.Attaches++
-			ids = append(ids, rec.ID)
+			ids = append(ids, id)
 		}
 		// Flap a random agent and let the reconciler repair it.
 		if i%2 == 1 {
-			host := w.hosts[rng.Intn(len(w.hosts))]
-			w.faulty.CrashAgent(host) //nolint:errcheck // hosts are registered
+			host := w.Hosts[rng.Intn(len(w.Hosts))]
+			w.Faulty.CrashAgent(host) //nolint:errcheck // hosts are registered
 			svc.Reconcile()
 		}
 	}
@@ -483,8 +389,8 @@ func runAgentFlap(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 			rep.Detaches++
 		}
 	}
-	svc = w.heal(rep, svc)
-	w.verify(rep, svc)
+	svc = heal(w, rep, svc)
+	verify(w, rep, svc)
 	if rep.Transport.Crashes == 0 {
 		rep.fail("no agent crash-restart was injected")
 	}
@@ -494,64 +400,19 @@ func runAgentFlap(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 }
 
 func runOrchestratorCrash(seed int64, rep *CPScenarioReport, obs *CPObserver) {
-	w := newCPWorld(rep, controlplane.TransportFaults{
-		DropProb: 0.05, DupProb: 0.10, AmbiguousProb: 0.10, Seed: seed,
-	}, obs)
+	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
+		DropProb: 0.05, DupProb: 0.10, AmbiguousProb: 0.10,
+	}, false)
 	if w == nil {
 		return
 	}
-	svc := w.boot(w.faulty)
-	rng := rand.New(rand.NewSource(seed))
-	for op := 0; op < 8; op++ {
-		// Even ops arm a crash a few journal appends into the saga (op 0
-		// always crashes mid-attach; later even ops draw the crash point,
-		// sometimes past the saga). Odd ops run with the journal healthy so
-		// the workload also makes real progress.
-		if op%2 == 0 {
-			crashPoint := 3
-			if op > 0 {
-				crashPoint = rng.Intn(12)
-			}
-			w.journal.FailAfter(crashPoint)
-		} else {
-			w.journal.FailAfter(-1)
-		}
-
-		var err error
-		live := svc.Attachments()
-		if len(live) > 0 && op%3 == 2 {
-			err = svc.Detach(live[0].ID)
-			if err == nil {
-				rep.Detaches++
-			}
-		} else {
-			compute, donor := w.hostPair(op)
-			_, err = svc.Attach(controlplane.AttachRequest{
-				ComputeHost: compute, DonorHost: donor, Bytes: 1 << 20, Channels: 1,
-			})
-			if err == nil {
-				rep.Attaches++
-			}
-		}
-		if err != nil && controlplane.IsCrash(err) {
-			// The process died mid-saga: restart from the journal.
-			rep.Crashes++
-			addCounters(rep, svc.Counters())
-			w.journal.FailAfter(-1)
-			svc = w.boot(w.faulty)
-			rr, rerr := svc.Recover()
-			if rerr != nil {
-				rep.fail("recover after crash %d: %v", rep.Crashes, rerr)
-				return
-			}
-			rep.RecoveredSagas += rr.RolledForward + rr.Compensated + rr.Reparked
-			svc.Reconcile()
-		} else if err != nil {
-			rep.AttachErrors++
-		}
+	// Operation 0 always crashes three appends into its attach.
+	svc := crashWorkload(w, rep, w.Boot(w.Faulty), seed, 3)
+	if svc == nil {
+		return
 	}
-	svc = w.heal(rep, svc)
-	w.verify(rep, svc)
+	svc = heal(w, rep, svc)
+	verify(w, rep, svc)
 	if rep.Crashes == 0 {
 		rep.fail("no orchestrator crash was exercised")
 	}
@@ -561,24 +422,19 @@ func runOrchestratorCrash(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 }
 
 func runDuplicateStorm(seed int64, rep *CPScenarioReport, obs *CPObserver) {
-	w := newCPWorld(rep, controlplane.TransportFaults{
-		DupProb: 0.90, AmbiguousProb: 0.40, Seed: seed,
-	}, obs)
+	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
+		DupProb: 0.90, AmbiguousProb: 0.40,
+	}, false)
 	if w == nil {
 		return
 	}
-	svc := w.boot(w.faulty)
+	svc := w.Boot(w.Faulty)
 	var ids []string
 	for i := 0; i < 4; i++ {
-		compute, donor := w.hostPair(i)
-		rec, err := svc.Attach(controlplane.AttachRequest{
-			ComputeHost: compute, DonorHost: donor, Bytes: 1 << 20, Channels: 1,
-		})
-		if err != nil {
+		if id, err := attach(w, rep, svc, i); err != nil {
 			rep.AttachErrors++
 		} else {
-			rep.Attaches++
-			ids = append(ids, rec.ID)
+			ids = append(ids, id)
 		}
 	}
 	for _, id := range ids {
@@ -588,8 +444,8 @@ func runDuplicateStorm(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 			rep.Detaches++
 		}
 	}
-	svc = w.heal(rep, svc)
-	w.verify(rep, svc)
+	svc = heal(w, rep, svc)
+	verify(w, rep, svc)
 	if rep.Transport.Dups == 0 {
 		rep.fail("no duplicate delivery was injected")
 	}

@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -116,5 +118,21 @@ func TestCPCampaignDeterministic(t *testing.T) {
 	b, _ := json.Marshal(RunCPCampaign(CPCatalogue(), testSeed+1))
 	if bytes.Equal(a, b) {
 		t.Fatal("different seeds produced identical reports")
+	}
+}
+
+// TestCPCampaignPinnedHash pins the seed-1 control-plane campaign report
+// (three single-node and five cp-ha-* scenarios) across commits: the
+// determinism tests above only compare runs within one build, so a
+// refactor that changes a still-deterministic report would pass them. A
+// change that alters the report on purpose must update this hash.
+func TestCPCampaignPinnedHash(t *testing.T) {
+	const want = "aea99206e16d9f32ea108582a2cf00f68640534f2c5bbeabfa8a21368dad63a1"
+	data, err := json.MarshalIndent(RunCPCampaign(CPCatalogue(), 1), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("seed-1 campaign report hash = %s, want %s", got, want)
 	}
 }

@@ -3,9 +3,9 @@
 // (internal/raft) through controlplane.ReplicaSet; scenarios kill leaders
 // mid-saga, partition minorities and majorities, drive split-brain with a
 // fenced stale leader, and lag a follower behind the commit frontier —
-// then assert both the orchestration invariants (via cpWorld.verify) and
-// the replication invariants (committed journals identical across
-// replicas, no committed saga lost to failover).
+// then assert both the orchestration invariants (via verify) and the
+// replication invariants (committed journals identical across replicas,
+// no committed saga lost to failover).
 //
 // The Raft cluster advances virtual time only inside Append calls and
 // explicit ticks, all driven from the scenario goroutine, so every report
@@ -14,264 +14,37 @@
 package chaos
 
 import (
-	"math/rand"
-
 	"thymesisflow/internal/controlplane"
+	"thymesisflow/internal/cpworld"
 )
 
 // haReplicaIDs are the control-plane node names of every HA scenario.
 var haReplicaIDs = []string{"cp-a", "cp-b", "cp-c"}
 
-// CPRaftSummary is the deterministic roll-up of the replica set at
-// scenario end, embedded in CPScenarioReport for HA scenarios.
-type CPRaftSummary struct {
-	Nodes           int    `json:"nodes"`
-	FinalLeader     string `json:"final_leader,omitempty"`
-	FinalTerm       uint64 `json:"final_term"`
-	FinalCommit     uint64 `json:"final_commit"`
-	LeaderChanges   uint64 `json:"leader_changes"`
-	DroppedMessages uint64 `json:"dropped_messages"`
-	// FencedWrites counts journal appends that died with ErrQuorumLost on a
-	// leader cut off from its quorum (the stale-leader fencing mechanism).
-	FencedWrites int `json:"fenced_writes,omitempty"`
-	// Converged reports whether every running replica ended the scenario
-	// with an identical committed journal.
-	Converged bool `json:"converged"`
+// settle heals and catches up the replica set, recording any failure.
+func settle(w *cpworld.World, rep *CPScenarioReport) {
+	if err := w.Settle(); err != nil {
+		rep.fail("%v", err)
+	}
 }
 
-// haWorld extends the durable control-plane world with a Raft replica set:
-// the journal every booted Service writes is the current leader's
-// replicated view, wrapped in the same CrashableJournal used to script
-// process kills.
-type haWorld struct {
-	*cpWorld
-	rs     *controlplane.ReplicaSet
-	leader string
-	fenced int
-	down   string // at most one raft node is kept stopped at a time
-}
-
-func newHAWorld(rep *CPScenarioReport, faults controlplane.TransportFaults, obs *CPObserver, seed int64) *haWorld {
-	w := newCPWorld(rep, faults, obs)
-	if w == nil {
-		return nil
-	}
-	rs, err := controlplane.NewReplicaSet(haReplicaIDs, seed)
-	if err != nil {
-		rep.fail("replica set: %v", err)
-		return nil
-	}
-	leader, err := rs.ElectLeader(400)
-	if err != nil {
-		rep.fail("initial election: %v", err)
-		return nil
-	}
-	h := &haWorld{cpWorld: w, rs: rs, leader: leader}
-	h.journal = controlplane.NewCrashableJournal(rs.Journal(leader))
-	return h
-}
-
-// bootLeader boots a control-plane process bound to the current leader:
-// its journal view, its leader gate, and its raft status surface.
-func (h *haWorld) bootLeader(tr controlplane.Transport) *controlplane.Service {
-	svc := h.cpWorld.boot(tr)
-	id := h.leader
-	svc.SetLeaderGate(h.rs.Gate(id))
-	svc.SetRaftStatus(func() controlplane.RaftStatus { return h.rs.StatusFor(id) })
-	if h.obs != nil {
-		h.obs.observeRaft(func() controlplane.RaftStatus { return h.rs.StatusFor(h.leader) })
-	}
-	return svc
-}
-
-// electOther ticks the replica set until a leader other than exclude holds
-// a fully committed log (a stale leader can linger as "leader" in its own
-// partition, so excluding it is what "the majority side elected" means).
-func (h *haWorld) electOther(rep *CPScenarioReport, exclude string) string {
-	for i := 0; i < 800; i++ {
-		if id := h.rs.Leader(); id != "" && id != exclude {
-			st := h.rs.StatusFor(id)
-			if st.CommitIndex == st.LastIndex {
-				return id
-			}
-		}
-		if err := h.rs.Tick(1); err != nil {
-			rep.fail("tick during election: %v", err)
-			return ""
-		}
-	}
-	rep.fail("no successor leader elected (excluding %s)", exclude)
-	return ""
-}
-
-// failover handles a dead or fenced leader: bank the dead process's
-// counters, optionally stop its raft node (process kill vs partition),
-// elect a successor, rebind the journal, and boot + recover a fresh
-// control plane on the new leader.
-func (h *haWorld) failover(rep *CPScenarioReport, old *controlplane.Service, stopOld bool) *controlplane.Service {
-	if old != nil {
-		addCounters(rep, old.Counters())
-	}
-	rep.Crashes++
-	stale := h.leader
-	if stopOld {
-		// Revive any previously killed node first so the quorum is never
-		// reduced below majority by stacking kills.
-		if h.down != "" {
-			if err := h.rs.Restart(h.down); err != nil {
-				rep.fail("restart %s: %v", h.down, err)
-				return nil
-			}
-			h.down = ""
-		}
-		h.rs.Stop(stale)
-		h.down = stale
-	}
-	next := h.electOther(rep, stale)
-	if next == "" {
-		return nil
-	}
-	h.leader = next
-	h.journal = controlplane.NewCrashableJournal(h.rs.Journal(next))
-	svc := h.bootLeader(h.faulty)
-	rr, err := svc.Recover()
-	if err != nil {
-		rep.fail("recover on new leader %s: %v", next, err)
-		return svc
-	}
-	rep.RecoveredSagas += rr.RolledForward + rr.Compensated + rr.Reparked
-	svc.Reconcile()
-	return svc
-}
-
-// heal shadows cpWorld.heal: same bank/recover/reconcile sequence, but the
-// fresh process is leader-bound.
-func (h *haWorld) heal(rep *CPScenarioReport, old *controlplane.Service) *controlplane.Service {
-	if old != nil {
-		addCounters(rep, old.Counters())
-	}
-	h.journal.FailAfter(-1)
-	svc := h.bootLeader(h.inner)
-	rr, err := svc.Recover()
-	if err != nil {
-		rep.fail("recover: %v", err)
-		return svc
-	}
-	rep.RecoveredSagas += rr.RolledForward + rr.Compensated + rr.Reparked
-	for i := 0; i < 5; i++ {
-		if r := svc.Reconcile(); r.Repairs() == 0 && r.Unrepaired == 0 {
-			break
-		}
-	}
-	addCounters(rep, svc.Counters())
-	return svc
-}
-
-// settle heals every raft partition, revives every stopped node, and ticks
-// until replication has caught every replica up to the leader's commit.
-func (h *haWorld) settle(rep *CPScenarioReport) {
-	h.rs.HealAll()
-	if h.down != "" {
-		if err := h.rs.Restart(h.down); err != nil {
-			rep.fail("restart %s: %v", h.down, err)
-		}
-		h.down = ""
-	}
-	for i := 0; i < 400; i++ {
-		if h.caughtUp() {
-			return
-		}
-		if err := h.rs.Tick(1); err != nil {
-			rep.fail("settle tick: %v", err)
-			return
-		}
-	}
-	rep.fail("replicas did not converge within the settle budget")
-}
-
-func (h *haWorld) caughtUp() bool {
-	members := h.rs.Members()
-	var commit uint64
-	for _, m := range members {
-		if m.Role == "leader" {
-			if m.Commit != m.LastIndex {
-				return false
-			}
-			commit = m.Commit
-		}
-	}
-	if commit == 0 {
-		return false
-	}
-	for _, m := range members {
-		if m.Stopped {
-			continue
-		}
-		if m.Commit != commit || m.LastIndex != commit {
-			return false
-		}
-	}
-	return true
-}
-
-// fillRaft writes the replication summary and checks the log-convergence
-// invariant: every running replica holds the identical committed journal.
-func (h *haWorld) fillRaft(rep *CPScenarioReport) {
-	st := h.rs.StatusFor(h.leader)
-	sum := &CPRaftSummary{
-		Nodes:           len(h.rs.IDs()),
-		FinalLeader:     h.rs.Leader(),
-		FinalTerm:       st.Term,
-		FinalCommit:     st.CommitIndex,
-		LeaderChanges:   h.rs.LeaderChanges(),
-		DroppedMessages: h.rs.DroppedMessages(),
-		FencedWrites:    h.fenced,
-		Converged:       true,
-	}
-	base, err := h.rs.CommittedEntries(h.leader)
-	if err != nil {
-		rep.fail("committed entries on %s: %v", h.leader, err)
-		sum.Converged = false
-	}
-	for _, m := range h.rs.Members() {
-		if m.Stopped || m.ID == h.leader {
-			continue
-		}
-		got, err := h.rs.CommittedEntries(m.ID)
-		if err != nil {
-			rep.fail("committed entries on %s: %v", m.ID, err)
-			sum.Converged = false
-			continue
-		}
-		if len(got) != len(base) {
-			rep.fail("replica %s holds %d committed entries, leader %s holds %d",
-				m.ID, len(got), h.leader, len(base))
-			sum.Converged = false
-			continue
-		}
-		for i := range got {
-			if got[i].Seq != base[i].Seq || got[i].SagaID != base[i].SagaID || got[i].Event != base[i].Event {
-				rep.fail("replica %s diverges from leader at committed entry %d", m.ID, i)
-				sum.Converged = false
-				break
-			}
-		}
-	}
+// fillRaft writes the replication summary, with fenced stale-leader
+// writes, and records every log-convergence violation.
+func fillRaft(w *cpworld.World, rep *CPScenarioReport, fenced int) {
+	sum, violations := w.Raft()
+	sum.FencedWrites = fenced
 	rep.Raft = sum
+	rep.Failures = append(rep.Failures, violations...)
 }
 
-// attachOne runs one attach, tallying the outcome; returns the record ID
-// ("" on failure) and the error.
-func (h *haWorld) attachOne(rep *CPScenarioReport, svc *controlplane.Service, i int) (string, error) {
-	compute, donor := h.hostPair(i)
-	rec, err := svc.Attach(controlplane.AttachRequest{
-		ComputeHost: compute, DonorHost: donor, Bytes: 1 << 20, Channels: 1,
-	})
-	if err != nil {
-		return "", err
+// follower returns the first replica (in ID order) that is not the leader.
+func follower(w *cpworld.World) string {
+	for _, id := range w.Replicas.IDs() {
+		if id != w.Leader {
+			return id
+		}
 	}
-	rep.Attaches++
-	return rec.ID, nil
+	return ""
 }
 
 // haCatalogue returns the HA control-plane scenario set.
@@ -311,51 +84,21 @@ func haCatalogue() []CPScenario {
 }
 
 func runHALeaderKill(seed int64, rep *CPScenarioReport, obs *CPObserver) {
-	h := newHAWorld(rep, controlplane.TransportFaults{
-		DropProb: 0.05, DupProb: 0.10, AmbiguousProb: 0.10, Seed: seed,
-	}, obs, seed)
-	if h == nil {
+	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
+		DropProb: 0.05, DupProb: 0.10, AmbiguousProb: 0.10,
+	}, true)
+	if w == nil {
 		return
 	}
-	svc := h.bootLeader(h.faulty)
-	rng := rand.New(rand.NewSource(seed))
-	for op := 0; op < 8; op++ {
-		// Even ops arm a kill a few quorum-committed appends into the saga
-		// (op 0 always kills mid-attach); odd ops run with the journal
-		// healthy so the workload makes real progress.
-		if op%2 == 0 {
-			kill := 2
-			if op > 0 {
-				kill = rng.Intn(12)
-			}
-			h.journal.FailAfter(kill)
-		} else {
-			h.journal.FailAfter(-1)
-		}
-
-		var err error
-		live := svc.Attachments()
-		if len(live) > 0 && op%3 == 2 {
-			if err = svc.Detach(live[0].ID); err == nil {
-				rep.Detaches++
-			}
-		} else {
-			_, err = h.attachOne(rep, svc, op)
-		}
-		if err != nil && controlplane.IsCrash(err) {
-			// The leader process died mid-saga: fail over to a successor.
-			svc = h.failover(rep, svc, true)
-			if svc == nil {
-				return
-			}
-		} else if err != nil {
-			rep.AttachErrors++
-		}
+	// Operation 0 always kills the leader two appends into its attach.
+	svc := crashWorkload(w, rep, w.Boot(w.Faulty), seed, 2)
+	if svc == nil {
+		return
 	}
-	h.settle(rep)
-	svc = h.heal(rep, svc)
-	h.verify(rep, svc)
-	h.fillRaft(rep)
+	settle(w, rep)
+	svc = heal(w, rep, svc)
+	verify(w, rep, svc)
+	fillRaft(w, rep, 0)
 	if rep.Crashes == 0 {
 		rep.fail("no leader kill was exercised")
 	}
@@ -365,39 +108,33 @@ func runHALeaderKill(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 }
 
 func runHAMinorityPartition(seed int64, rep *CPScenarioReport, obs *CPObserver) {
-	h := newHAWorld(rep, controlplane.TransportFaults{
-		DropProb: 0.05, DupProb: 0.10, Seed: seed,
-	}, obs, seed)
-	if h == nil {
+	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
+		DropProb: 0.05, DupProb: 0.10,
+	}, true)
+	if w == nil {
 		return
 	}
-	svc := h.bootLeader(h.faulty)
+	svc := w.Boot(w.Faulty)
 
 	// Cut one follower off from both peers: the leader still holds a 2/3
 	// quorum, so commits must keep flowing.
-	var minority string
-	for _, id := range h.rs.IDs() {
-		if id != h.leader {
-			minority = id
-			break
-		}
-	}
-	h.rs.Isolate(minority)
+	minority := follower(w)
+	w.Replicas.Isolate(minority)
 	// Also cut one control-plane -> agent link: partition drops surface in
 	// the transport stats and the sagas touching that host retry into
 	// failure and compensate cleanly.
-	h.faulty.Partition(controlplane.DefaultSource, "node2")
+	w.Faulty.Partition(controlplane.DefaultSource, "node2")
 
 	var ids []string
 	for i := 0; i < 6; i++ {
-		id, err := h.attachOne(rep, svc, i)
+		id, err := attach(w, rep, svc, i)
 		if err != nil {
 			rep.AttachErrors++
 			continue
 		}
 		ids = append(ids, id)
 	}
-	h.faulty.HealAllPartitions()
+	w.Faulty.HealAllPartitions()
 	for i, id := range ids {
 		if i%2 != 0 {
 			continue
@@ -409,10 +146,10 @@ func runHAMinorityPartition(seed int64, rep *CPScenarioReport, obs *CPObserver) 
 		}
 	}
 
-	h.settle(rep)
-	svc = h.heal(rep, svc)
-	h.verify(rep, svc)
-	h.fillRaft(rep)
+	settle(w, rep)
+	svc = heal(w, rep, svc)
+	verify(w, rep, svc)
+	fillRaft(w, rep, 0)
 	if rep.Attaches == 0 {
 		rep.fail("leader committed nothing despite holding a quorum")
 	}
@@ -425,51 +162,50 @@ func runHAMinorityPartition(seed int64, rep *CPScenarioReport, obs *CPObserver) 
 }
 
 func runHAMajorityPartition(seed int64, rep *CPScenarioReport, obs *CPObserver) {
-	h := newHAWorld(rep, controlplane.TransportFaults{
-		DropProb: 0.05, DupProb: 0.10, Seed: seed,
-	}, obs, seed)
-	if h == nil {
+	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
+		DropProb: 0.05, DupProb: 0.10,
+	}, true)
+	if w == nil {
 		return
 	}
-	svc := h.bootLeader(h.faulty)
+	svc := w.Boot(w.Faulty)
 
 	// Two clean sagas so the journal has committed history to protect.
 	for i := 0; i < 2; i++ {
-		if _, err := h.attachOne(rep, svc, i); err != nil {
+		if _, err := attach(w, rep, svc, i); err != nil {
 			rep.AttachErrors++
 		}
 	}
 
 	// Cut the leader off from both followers: the majority is on the other
 	// side. The in-flight saga's next append can never commit — fenced.
-	stale := h.leader
-	h.rs.Isolate(stale)
-	if _, err := h.attachOne(rep, svc, 2); err != nil {
+	fenced := 0
+	w.Replicas.Isolate(w.Leader)
+	if _, err := attach(w, rep, svc, 2); err != nil {
 		if !controlplane.IsCrash(err) {
 			rep.fail("fenced append surfaced as %v, want a crash", err)
 		}
-		h.fenced++
+		fenced++
 	} else {
 		rep.fail("attach committed through a leader with no quorum")
 	}
 
 	// Majority side elects a successor; a fresh control plane recovers the
 	// half-finished saga from the committed log and the workload continues.
-	svc = h.failover(rep, svc, false)
-	if svc == nil {
+	if svc = restart(w, rep, svc, false); svc == nil {
 		return
 	}
 	for i := 3; i < 6; i++ {
-		if _, err := h.attachOne(rep, svc, i); err != nil {
+		if _, err := attach(w, rep, svc, i); err != nil {
 			rep.AttachErrors++
 		}
 	}
 
-	h.settle(rep)
-	svc = h.heal(rep, svc)
-	h.verify(rep, svc)
-	h.fillRaft(rep)
-	if h.fenced == 0 {
+	settle(w, rep)
+	svc = heal(w, rep, svc)
+	verify(w, rep, svc)
+	fillRaft(w, rep, fenced)
+	if fenced == 0 {
 		rep.fail("quorum loss never fenced a write")
 	}
 	if rep.Raft.LeaderChanges == 0 {
@@ -478,58 +214,57 @@ func runHAMajorityPartition(seed int64, rep *CPScenarioReport, obs *CPObserver) 
 }
 
 func runHASplitBrain(seed int64, rep *CPScenarioReport, obs *CPObserver) {
-	h := newHAWorld(rep, controlplane.TransportFaults{
-		DupProb: 0.10, Seed: seed,
-	}, obs, seed)
-	if h == nil {
+	w := newWorld(rep, obs, seed, controlplane.TransportFaults{DupProb: 0.10}, true)
+	if w == nil {
 		return
 	}
-	staleSvc := h.bootLeader(h.faulty)
-	if _, err := h.attachOne(rep, staleSvc, 0); err != nil {
+	staleSvc := w.Boot(w.Faulty)
+	if _, err := attach(w, rep, staleSvc, 0); err != nil {
 		rep.AttachErrors++
 	}
 
 	// Split: the old leader alone on one side, both followers on the other.
 	// The stale side keeps accepting work — every write must die fenced.
-	stale := h.leader
-	h.rs.Isolate(stale)
-	if _, err := h.attachOne(rep, staleSvc, 1); err != nil && controlplane.IsCrash(err) {
-		h.fenced++
+	fenced := 0
+	stale := w.Leader
+	w.Replicas.Isolate(stale)
+	if _, err := attach(w, rep, staleSvc, 1); err != nil && controlplane.IsCrash(err) {
+		fenced++
 	} else if err == nil {
 		rep.fail("stale leader committed a write inside its own partition")
 	}
 
 	// Majority side: new leader, new control plane, new committed work —
 	// while the stale leader still believes it leads.
-	newSvc := h.failover(rep, staleSvc, false)
+	newSvc := restart(w, rep, staleSvc, false)
 	if newSvc == nil {
 		return
 	}
 	for i := 2; i < 4; i++ {
-		if _, err := h.attachOne(rep, newSvc, i); err != nil {
+		if _, err := attach(w, rep, newSvc, i); err != nil {
 			rep.AttachErrors++
 		}
 	}
 	// Second stale-side write attempt mid-split: still fenced (the stale
 	// leader cannot learn it was deposed until the partition heals).
-	if _, err := h.attachOne(rep, staleSvc, 4); err != nil && controlplane.IsCrash(err) {
-		h.fenced++
+	if _, err := attach(w, rep, staleSvc, 4); err != nil && controlplane.IsCrash(err) {
+		fenced++
 	} else if err == nil {
 		rep.fail("stale leader committed a second write inside its partition")
 	}
-	addCounters(rep, staleSvc.Counters())
+	rep.Counters.Add(staleSvc.Counters())
 
 	// Heal: the stale leader must step down, discard its uncommitted
 	// proposals, and converge on the majority's log.
-	h.settle(rep)
-	if st := h.rs.StatusFor(stale); st.Role != "follower" {
+	settle(w, rep)
+	if st := w.Replicas.Status(stale); st.Role != "follower" {
 		rep.fail("stale leader %s ended as %s, want follower", stale, st.Role)
 	}
-	newSvc = h.heal(rep, newSvc)
-	h.verify(rep, newSvc)
-	h.fillRaft(rep)
-	if h.fenced < 2 {
-		rep.fail("split-brain fenced %d writes, want 2", h.fenced)
+	newSvc = heal(w, rep, newSvc)
+	verify(w, rep, newSvc)
+	fillRaft(w, rep, fenced)
+	if fenced < 2 {
+		rep.fail("split-brain fenced %d writes, want 2", fenced)
 	}
 	if !rep.Raft.Converged {
 		rep.fail("logs did not converge after the split healed")
@@ -537,29 +272,25 @@ func runHASplitBrain(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 }
 
 func runHAFollowerLag(seed int64, rep *CPScenarioReport, obs *CPObserver) {
-	h := newHAWorld(rep, controlplane.TransportFaults{
-		DropProb: 0.05, DupProb: 0.10, Seed: seed,
-	}, obs, seed)
-	if h == nil {
+	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
+		DropProb: 0.05, DupProb: 0.10,
+	}, true)
+	if w == nil {
 		return
 	}
-	svc := h.bootLeader(h.faulty)
+	svc := w.Boot(w.Faulty)
 
 	// One follower is down for the whole workload; the leader commits
 	// through the remaining 2/3 quorum.
-	var lagger string
-	for _, id := range h.rs.IDs() {
-		if id != h.leader {
-			lagger = id
-			break
-		}
+	lagger := follower(w)
+	if err := w.Kill(lagger); err != nil {
+		rep.fail("%v", err)
+		return
 	}
-	h.rs.Stop(lagger)
-	h.down = lagger
 
 	var ids []string
 	for i := 0; i < 6; i++ {
-		id, err := h.attachOne(rep, svc, i)
+		id, err := attach(w, rep, svc, i)
 		if err != nil {
 			rep.AttachErrors++
 			continue
@@ -577,17 +308,16 @@ func runHAFollowerLag(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 		}
 	}
 
-	commitBefore := h.rs.StatusFor(h.leader).CommitIndex
+	commitBefore := w.Replicas.Status(w.Leader).Commit
 	// Restart the lagger far behind the frontier; settle replays it.
-	h.settle(rep)
-	st := h.rs.StatusFor(lagger)
-	if st.CommitIndex < commitBefore {
-		rep.fail("lagging follower %s caught up only to %d of %d", lagger, st.CommitIndex, commitBefore)
+	settle(w, rep)
+	if st := w.Replicas.Status(lagger); st.Commit < commitBefore {
+		rep.fail("lagging follower %s caught up only to %d of %d", lagger, st.Commit, commitBefore)
 	}
 
-	svc = h.heal(rep, svc)
-	h.verify(rep, svc)
-	h.fillRaft(rep)
+	svc = heal(w, rep, svc)
+	verify(w, rep, svc)
+	fillRaft(w, rep, 0)
 	if rep.Attaches == 0 {
 		rep.fail("no saga committed while the follower lagged")
 	}

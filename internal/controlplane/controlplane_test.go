@@ -40,23 +40,8 @@ func testServiceWith(t *testing.T, mutate func(*core.HostConfig)) (*Service, *co
 			t.Fatal(err)
 		}
 	}
-	// Direct-attach cabling: compute transceiver i of each host to memory
-	// transceiver i of each other host.
-	for _, a := range names {
-		for _, b := range names {
-			if a == b {
-				continue
-			}
-			ca := m.Transceivers(a, LabelComputeEP)
-			mb := m.Transceivers(b, LabelMemoryEP)
-			for i := range ca {
-				if i < len(mb) {
-					if err := m.Cable(ca[i], mb[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
+	if err := m.CableFullMesh(); err != nil {
+		t.Fatal(err)
 	}
 	svc := NewService(m, ClusterExecutor{Cluster: c}, testToken)
 	for _, n := range names {

@@ -36,11 +36,6 @@ type FlightSampler struct {
 	det *detect.Detector
 
 	retries, repairs, parked, rejected, inflight *timeseries.Series
-
-	// cp.raft.* series, created only by ObserveRaft so single-node
-	// recordings keep their pre-HA series set byte-identical.
-	rec                              *timeseries.Recorder
-	raftTerm, raftCommit, raftElects *timeseries.Series
 }
 
 // NewFlightSampler builds a sampler over svc recording into rec and
@@ -49,23 +44,12 @@ func NewFlightSampler(svc *Service, rec *timeseries.Recorder, det *detect.Detect
 	return &FlightSampler{
 		svc:      svc,
 		det:      det,
-		rec:      rec,
 		retries:  rec.Series("cp.saga_retries", timeseries.Counter),
 		repairs:  rec.Series("cp.reconcile_repairs", timeseries.Counter),
 		parked:   rec.Series("cp.sagas_parked", timeseries.Counter),
 		rejected: rec.Series("cp.sagas_rejected", timeseries.Counter),
 		inflight: rec.Series("cp.saga_inflight", timeseries.Gauge),
 	}
-}
-
-// ObserveRaft adds the cp.raft.* series (term, quorum-committed index,
-// leader changes) to the recording. Call it only on HA deployments — the
-// series are created here, not in the constructor, so existing single-node
-// snapshots stay unchanged.
-func (fs *FlightSampler) ObserveRaft() {
-	fs.raftTerm = fs.rec.Series("cp.raft.term", timeseries.Gauge)
-	fs.raftCommit = fs.rec.Series("cp.raft.commit_index", timeseries.Counter)
-	fs.raftElects = fs.rec.Series("cp.raft.leader_changes", timeseries.Counter)
 }
 
 // Sample records one reading of every cp.* series at ts (nanoseconds in
@@ -77,13 +61,6 @@ func (fs *FlightSampler) Sample(ts int64) {
 	fs.record(fs.parked, ts, float64(c.SagasParked))
 	fs.record(fs.rejected, ts, float64(c.SagasRejected))
 	fs.record(fs.inflight, ts, float64(fs.svc.InflightSagas()))
-	if fs.raftTerm != nil {
-		if st, ok := fs.svc.RaftStatusReport(); ok {
-			fs.record(fs.raftTerm, ts, float64(st.Term))
-			fs.record(fs.raftCommit, ts, float64(st.CommitIndex))
-			fs.record(fs.raftElects, ts, float64(st.LeaderChanges))
-		}
-	}
 }
 
 func (fs *FlightSampler) record(s *timeseries.Series, ts int64, v float64) {

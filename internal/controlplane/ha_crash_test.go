@@ -60,7 +60,7 @@ func TestLeaderKillCrashPointRecovery(t *testing.T) {
 
 				// Kill the leader node itself and fail over.
 				rs.Stop(leader)
-				next, err := rs.ElectLeader(800)
+				next, err := rs.ElectLeader(800, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +120,7 @@ func TestLeaderKillCrashPointDetach(t *testing.T) {
 					t.Fatal(err)
 				}
 				rs.Stop(leader)
-				next, err := rs.ElectLeader(800)
+				next, err := rs.ElectLeader(800, "")
 				if err != nil {
 					t.Fatal(err)
 				}

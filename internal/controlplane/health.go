@@ -19,12 +19,6 @@ type Readiness struct {
 	Reconciler        string   `json:"reconciler"` // running | disabled | stopped
 	AgentsTotal       int      `json:"agents_total"`
 	AgentsUnreachable []string `json:"agents_unreachable,omitempty"`
-	// HA fields, set only when this node runs under a ReplicaSet
-	// (SetRaftStatus): the Raft role so load balancers route writes to the
-	// leader, and quorum reachability — a node cut off from a majority
-	// cannot commit and reports not ready.
-	Role   string `json:"role,omitempty"`   // leader | follower | candidate
-	Quorum string `json:"quorum,omitempty"` // reachable | lost
 }
 
 // Readiness evaluates the dependency checks. Agent queries run outside the
@@ -61,17 +55,6 @@ func (s *Service) Readiness() Readiness {
 	}
 	if len(r.AgentsUnreachable) > 0 {
 		r.Ready = false
-	}
-	if st, ok := s.RaftStatusReport(); ok {
-		r.Role = st.Role
-		if st.QuorumReachable {
-			r.Quorum = "reachable"
-		} else {
-			// Severed from the majority: this node can neither commit (if a
-			// stale leader) nor serve fresh reads safely.
-			r.Quorum = "lost"
-			r.Ready = false
-		}
 	}
 	return r
 }

@@ -105,6 +105,32 @@ func (m *Model) Cable(a, b graphdb.ID) error {
 	return err
 }
 
+// CableFullMesh cables a point-to-point rack: compute transceiver i of
+// every host to memory transceiver i of every other host, in host
+// registration order.
+func (m *Model) CableFullMesh() error {
+	var hosts []string
+	for _, id := range m.g.VerticesByLabel(LabelHost) {
+		v, _ := m.g.Vertex(id)
+		hosts = append(hosts, v.Props["name"].(string))
+	}
+	for _, a := range hosts {
+		for _, b := range hosts {
+			if a == b {
+				continue
+			}
+			ct := m.Transceivers(a, LabelComputeEP)
+			mt := m.Transceivers(b, LabelMemoryEP)
+			for i := 0; i < len(ct) && i < len(mt); i++ {
+				if err := m.Cable(ct[i], mt[i]); err != nil {
+					return fmt.Errorf("controlplane: cable %s-%s: %w", a, b, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Transceivers returns the transceiver vertex IDs of a host endpoint role.
 func (m *Model) Transceivers(host, role string) []graphdb.ID {
 	var out []graphdb.ID

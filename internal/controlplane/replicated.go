@@ -11,8 +11,7 @@ import (
 
 // ErrNotLeader rejects a mutating control-plane request on a node that is
 // not the Raft leader. Like ErrOverloaded it fires before the saga mutex;
-// clients should retry against the leader hint (REST maps it to a
-// 421-style redirect with an X-Raft-Leader header).
+// callers should retry against the leader hint.
 var ErrNotLeader = errors.New("controlplane: not the leader")
 
 // NotLeaderError carries the last known leader as a redirect hint.
@@ -39,22 +38,6 @@ func (e *NotLeaderError) Is(target error) bool { return target == ErrNotLeader }
 // work.
 var ErrQuorumLost = errors.New("controlplane: journal append lost quorum")
 
-// RaftStatus is the control-plane view of one replica's Raft state, served
-// by /v1/raft/status and printed by tfctl raft.
-type RaftStatus struct {
-	ID               string              `json:"id"`
-	Role             string              `json:"role"`
-	Term             uint64              `json:"term"`
-	Leader           string              `json:"leader,omitempty"`
-	CommitIndex      uint64              `json:"commit_index"`
-	AppliedIndex     uint64              `json:"applied_index"`
-	LastIndex        uint64              `json:"last_index"`
-	QuorumReachable  bool                `json:"quorum_reachable"`
-	LeaderChanges    uint64              `json:"leader_changes"`
-	NotLeaderRejects int64               `json:"not_leader_rejects"`
-	Members          []raft.MemberStatus `json:"members"`
-}
-
 // ReplicaSet runs an embedded Raft cluster whose replicated log carries
 // the saga write-ahead journal across 3/5 control-plane nodes. Each node
 // exposes a ReplicatedJournal (Journal interface) whose appends commit
@@ -79,13 +62,7 @@ type ReplicaSet struct {
 
 // NewReplicaSet builds a replica set over in-memory Raft storage.
 func NewReplicaSet(ids []string, seed int64) (*ReplicaSet, error) {
-	return NewReplicaSetWithStorage(ids, seed, nil)
-}
-
-// NewReplicaSetWithStorage builds a replica set with per-node storage from
-// storageFn (nil yields fresh in-memory storage per node).
-func NewReplicaSetWithStorage(ids []string, seed int64, storageFn func(id string) raft.Storage) (*ReplicaSet, error) {
-	cluster, err := raft.NewCluster(ids, raft.DefaultConfig(), seed, storageFn)
+	cluster, err := raft.NewCluster(ids, raft.DefaultConfig(), seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,13 +77,15 @@ func NewReplicaSetWithStorage(ids []string, seed int64, storageFn func(id string
 // IDs returns the member IDs in sorted order.
 func (rs *ReplicaSet) IDs() []string { return append([]string(nil), rs.ids...) }
 
-// ElectLeader ticks the cluster until a leader exists AND its commit index
-// covers its whole log (the election no-op has committed, so every entry
-// inherited from prior terms is quorum-committed and visible to
-// Recover()). It returns the leader ID.
-func (rs *ReplicaSet) ElectLeader(maxTicks int) (string, error) {
+// ElectLeader ticks the cluster until a leader other than exclude exists
+// AND its commit index covers its whole log (the election no-op has
+// committed, so every entry inherited from prior terms is quorum-committed
+// and visible to Recover()). It returns the leader ID. A stale leader can
+// linger as "leader" in its own partition, so excluding it is what "the
+// majority side elected a successor" means; pass "" to accept any leader.
+func (rs *ReplicaSet) ElectLeader(maxTicks int, exclude string) (string, error) {
 	for i := 0; i < maxTicks; i++ {
-		if id := rs.cluster.Leader(); id != "" {
+		if id := rs.cluster.Leader(); id != "" && id != exclude {
 			st := rs.cluster.Status(id)
 			if st.Commit == st.LastIndex {
 				return id, nil
@@ -116,7 +95,7 @@ func (rs *ReplicaSet) ElectLeader(maxTicks int) (string, error) {
 			return "", err
 		}
 	}
-	return "", fmt.Errorf("controlplane: no leader with full committed log after %d ticks", maxTicks)
+	return "", fmt.Errorf("controlplane: no leader other than %q with full committed log after %d ticks", exclude, maxTicks)
 }
 
 // Leader returns the current leader ID, or "" if none.
@@ -152,23 +131,8 @@ func (rs *ReplicaSet) Gate(id string) func() error {
 	}
 }
 
-// StatusFor returns node id's RaftStatus (NotLeaderRejects is filled in by
-// the Service owning the counter).
-func (rs *ReplicaSet) StatusFor(id string) RaftStatus {
-	st := rs.cluster.Status(id)
-	return RaftStatus{
-		ID:              st.ID,
-		Role:            st.Role,
-		Term:            st.Term,
-		Leader:          st.Leader,
-		CommitIndex:     st.Commit,
-		AppliedIndex:    st.Applied,
-		LastIndex:       st.LastIndex,
-		QuorumReachable: rs.cluster.QuorumReachable(id),
-		LeaderChanges:   rs.cluster.LeaderChanges(),
-		Members:         rs.cluster.Members(),
-	}
-}
+// Status returns node id's Raft state.
+func (rs *ReplicaSet) Status(id string) raft.MemberStatus { return rs.cluster.Status(id) }
 
 // Tick advances the cluster n virtual ticks (heartbeats, elections,
 // catch-up replication happen only inside ticks).
@@ -180,26 +144,11 @@ func (rs *ReplicaSet) Stop(id string) { rs.cluster.Stop(id) }
 // Restart revives node id from its persistent storage.
 func (rs *ReplicaSet) Restart(id string) error { return rs.cluster.Restart(id) }
 
-// KillLeader stops the current leader and returns its ID ("" if none).
-func (rs *ReplicaSet) KillLeader() string {
-	id := rs.cluster.Leader()
-	if id != "" {
-		rs.cluster.Stop(id)
-	}
-	return id
-}
-
-// Partition cuts the Raft link between members a and b symmetrically.
-func (rs *ReplicaSet) Partition(a, b string) { rs.cluster.Partition(a, b) }
-
 // PartitionOneWay cuts only Raft messages flowing from -> to.
 func (rs *ReplicaSet) PartitionOneWay(from, to string) { rs.cluster.PartitionOneWay(from, to) }
 
 // Isolate cuts member id off from every peer.
 func (rs *ReplicaSet) Isolate(id string) { rs.cluster.Isolate(id) }
-
-// Heal removes cuts between a and b.
-func (rs *ReplicaSet) Heal(a, b string) { rs.cluster.Heal(a, b) }
 
 // HealAll removes every Raft partition cut.
 func (rs *ReplicaSet) HealAll() { rs.cluster.HealAll() }
@@ -245,9 +194,6 @@ type ReplicatedJournal struct {
 	cache   []JournalEntry
 	through uint64 // highest raft index folded into cache
 }
-
-// NodeID returns the replica this view belongs to.
-func (r *ReplicatedJournal) NodeID() string { return r.id }
 
 // Append implements Journal: marshal, propose, pump until quorum commit.
 // Success requires more than CommitIndex >= idx: under an asymmetric

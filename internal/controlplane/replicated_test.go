@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"errors"
-	"net/http"
 	"testing"
 
 	"thymesisflow/internal/agent"
@@ -14,7 +13,7 @@ func newTestReplicaSet(t *testing.T, seed int64) (*ReplicaSet, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader, err := rs.ElectLeader(400)
+	leader, err := rs.ElectLeader(400, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestAsymmetricPartitionLostAppendNotAcked(t *testing.T) {
 	if err := j.Append(JournalEntry{Seq: 1, SagaID: "saga-1", Op: OpAttach, Event: EvBegin}); err != nil {
 		t.Fatal(err)
 	}
-	lastBefore := rs.StatusFor(leader).LastIndex
+	lastBefore := rs.Status(leader).LastIndex
 	for _, id := range rs.IDs() {
 		if id != leader {
 			rs.PartitionOneWay(leader, id)
@@ -116,8 +115,8 @@ func TestAsymmetricPartitionLostAppendNotAcked(t *testing.T) {
 	// advanced past the doomed entry's index via incoming AppendEntries,
 	// which is exactly the state where a commit-index-only check acks.
 	doomed := lastBefore + 1
-	if st := rs.StatusFor(leader); st.CommitIndex < doomed {
-		t.Fatalf("commit index %d never passed doomed index %d — scenario did not exercise the overwrite", st.CommitIndex, doomed)
+	if st := rs.Status(leader); st.Commit < doomed {
+		t.Fatalf("commit index %d never passed doomed index %d — scenario did not exercise the overwrite", st.Commit, doomed)
 	}
 	// The lost entry must not appear in any replica's committed journal.
 	for _, id := range rs.IDs() {
@@ -148,7 +147,6 @@ func TestLeaderGateShedsBeforeSaga(t *testing.T) {
 	svc, _ := testService(t)
 	svc.SetJournal(rs.Journal(follower))
 	svc.SetLeaderGate(rs.Gate(follower))
-	svc.SetRaftStatus(func() RaftStatus { return rs.StatusFor(follower) })
 
 	_, err := svc.Attach(AttachRequest{ComputeHost: "node0", DonorHost: "node1", Bytes: 1 << 20, Channels: 1})
 	if !errors.Is(err, ErrNotLeader) {
@@ -163,13 +161,6 @@ func TestLeaderGateShedsBeforeSaga(t *testing.T) {
 	}
 	if n := len(svc.Sagas()); n != 0 {
 		t.Fatalf("%d sagas created on follower", n)
-	}
-	if got := svc.NotLeaderRejects(); got != 2 {
-		t.Fatalf("NotLeaderRejects = %d, want 2", got)
-	}
-	st, ok := svc.RaftStatusReport()
-	if !ok || st.Role != "follower" || st.NotLeaderRejects != 2 || st.Leader != leader {
-		t.Fatalf("RaftStatusReport = %+v ok=%v", st, ok)
 	}
 }
 
@@ -234,7 +225,7 @@ func TestFailoverRecoverOnNewLeader(t *testing.T) {
 	}
 
 	rs.Stop(leader)
-	next, err := rs.ElectLeader(800)
+	next, err := rs.ElectLeader(800, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,72 +254,6 @@ func TestFailoverRecoverOnNewLeader(t *testing.T) {
 	// And the new leader accepts writes.
 	if err := svc2.Detach(rec.ID); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReadyzReportsRoleAndQuorum: the readiness payload carries the Raft
-// role and quorum reachability, and quorum loss flips Ready off.
-func TestReadyzReportsRoleAndQuorum(t *testing.T) {
-	rs, leader := newTestReplicaSet(t, 7)
-	api, svc := restAPI(t)
-	svc.SetRaftStatus(func() RaftStatus { return rs.StatusFor(leader) })
-
-	code, rd := readyz(t, api, "reader-tok")
-	if code != http.StatusOK {
-		t.Fatalf("readyz = %d %+v", code, rd)
-	}
-	if rd.Role != "leader" || rd.Quorum != "reachable" {
-		t.Fatalf("readiness role/quorum = %q/%q", rd.Role, rd.Quorum)
-	}
-
-	rs.Isolate(leader)
-	code, rd = readyz(t, api, "reader-tok")
-	if code != http.StatusServiceUnavailable || rd.Quorum != "lost" || rd.Ready {
-		t.Fatalf("readyz under isolation = %d %+v", code, rd)
-	}
-}
-
-// TestRESTNotLeaderRedirect: POST/DELETE against a follower answer 421 with
-// the leader hint in X-Raft-Leader, and /v1/raft/status serves the member
-// table.
-func TestRESTNotLeaderRedirect(t *testing.T) {
-	rs, leader := newTestReplicaSet(t, 8)
-	var follower string
-	for _, id := range rs.IDs() {
-		if id != leader {
-			follower = id
-			break
-		}
-	}
-	api, svc := restAPI(t)
-	svc.SetLeaderGate(rs.Gate(follower))
-	svc.SetRaftStatus(func() RaftStatus { return rs.StatusFor(follower) })
-
-	w := doReq(t, api, http.MethodPost, "/v1/attachments", "admin-tok", AttachRequest{
-		ComputeHost: "node0", DonorHost: "node1", Bytes: 1 << 20, Channels: 1,
-	})
-	if w.Code != http.StatusMisdirectedRequest {
-		t.Fatalf("follower POST = %d body=%s", w.Code, w.Body.String())
-	}
-	if got := w.Header().Get("X-Raft-Leader"); got != leader {
-		t.Fatalf("X-Raft-Leader = %q, want %q", got, leader)
-	}
-	if w := doReq(t, api, http.MethodDelete, "/v1/attachments/att-1", "admin-tok", nil); w.Code != http.StatusMisdirectedRequest {
-		t.Fatalf("follower DELETE = %d", w.Code)
-	}
-
-	w = doReq(t, api, http.MethodGet, "/v1/raft/status", "reader-tok", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("raft status = %d body=%s", w.Code, w.Body.String())
-	}
-}
-
-// TestRaftStatusUnboundIs404: a single-node control plane has no raft
-// surface.
-func TestRaftStatusUnboundIs404(t *testing.T) {
-	api, _ := restAPI(t)
-	if w := doReq(t, api, http.MethodGet, "/v1/raft/status", "reader-tok", nil); w.Code != http.StatusNotFound {
-		t.Fatalf("unbound raft status = %d", w.Code)
 	}
 }
 

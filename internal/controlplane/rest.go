@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -64,42 +63,7 @@ func NewAPI(svc *Service, auth AuthConfig) *API {
 	a.mux.HandleFunc("/v1/anomalies", a.handleAnomalies)
 	a.mux.HandleFunc("/v1/healthz", a.handleHealthz)
 	a.mux.HandleFunc("/v1/readyz", a.handleReadyz)
-	a.mux.HandleFunc("/v1/raft/status", a.handleRaftStatus)
 	return a
-}
-
-// handleRaftStatus serves this replica's Raft state (role, term,
-// commit/applied indices, member table). 404 on a single-node control
-// plane with no replication bound.
-func (a *API) handleRaftStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	if !a.authorize(w, r, RoleReader) {
-		return
-	}
-	st, ok := a.svc.RaftStatusReport()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "control plane is not raft-replicated")
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// writeNotLeader maps ErrNotLeader to a 421 Misdirected Request with the
-// leader hint in both the X-Raft-Leader header and the body, so clients
-// (and tfctl) can re-aim writes at the leader.
-func writeNotLeader(w http.ResponseWriter, err error) {
-	var nl *NotLeaderError
-	leader := ""
-	if errors.As(err, &nl) {
-		leader = nl.Leader
-	}
-	if leader != "" {
-		w.Header().Set("X-Raft-Leader", leader)
-	}
-	writeJSON(w, http.StatusMisdirectedRequest, map[string]string{"error": err.Error(), "leader": leader})
 }
 
 // handleSagaSub routes /v1/sagas/{id}/trace.
@@ -160,10 +124,6 @@ func (a *API) handleAttachments(w http.ResponseWriter, r *http.Request) {
 		}
 		rec, err := a.svc.Attach(req)
 		if err != nil {
-			if errors.Is(err, ErrNotLeader) {
-				writeNotLeader(w, err)
-				return
-			}
 			writeErr(w, http.StatusConflict, err.Error())
 			return
 		}
@@ -227,10 +187,6 @@ func (a *API) handleAttachment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := a.svc.Detach(id); err != nil {
-			if errors.Is(err, ErrNotLeader) {
-				writeNotLeader(w, err)
-				return
-			}
 			writeErr(w, http.StatusNotFound, err.Error())
 			return
 		}

@@ -194,6 +194,19 @@ type SagaCounters struct {
 	SagasRejected       int64 `json:"sagas_rejected"`
 }
 
+// Add folds o into c. Counters are per-process, so a harness that
+// crash-restarts the control plane banks each incarnation's counters with
+// Add before dropping it.
+func (c *SagaCounters) Add(o SagaCounters) {
+	c.SagaRetries += o.SagaRetries
+	c.SagaCompensations += o.SagaCompensations
+	c.RecoveryReplays += o.RecoveryReplays
+	c.ReconcileRepairs += o.ReconcileRepairs
+	c.DetachAgentFailures += o.DetachAgentFailures
+	c.SagasParked += o.SagasParked
+	c.SagasRejected += o.SagasRejected
+}
+
 // SagaStatus is the externally visible progress of one saga, served under
 // GET /v1/sagas.
 type SagaStatus struct {
@@ -274,12 +287,9 @@ type Service struct {
 	flightDet atomic.Pointer[detect.Detector]
 
 	// HA replication (replicated.go): leaderGate rejects mutations on
-	// non-leader replicas before the saga mutex (mirroring admit), and
-	// raftStatus backs /v1/raft/status and the readyz role/quorum fields.
-	// Both nil on a single-node control plane.
-	leaderGate   atomic.Pointer[func() error]
-	raftStatus   atomic.Pointer[func() RaftStatus]
-	ctrNotLeader atomic.Int64
+	// non-leader replicas before the saga mutex (mirroring admit). nil on a
+	// single-node control plane.
+	leaderGate atomic.Pointer[func() error]
 }
 
 // parkedSaga is a saga whose datapath work is finished but whose agent
@@ -396,39 +406,8 @@ func (s *Service) checkLeader() error {
 	if g == nil {
 		return nil
 	}
-	if err := (*g)(); err != nil {
-		s.ctrNotLeader.Add(1)
-		return err
-	}
-	return nil
+	return (*g)()
 }
-
-// SetRaftStatus installs the replica-status source backing
-// /v1/raft/status and the readyz role/quorum fields (ReplicaSet.StatusFor
-// wrapped for this node). nil removes it.
-func (s *Service) SetRaftStatus(fn func() RaftStatus) {
-	if fn == nil {
-		s.raftStatus.Store(nil)
-		return
-	}
-	s.raftStatus.Store(&fn)
-}
-
-// RaftStatusReport returns this replica's Raft status with the service's
-// not-leader rejection counter folded in; ok is false on a single-node
-// control plane with no replication bound.
-func (s *Service) RaftStatusReport() (RaftStatus, bool) {
-	fn := s.raftStatus.Load()
-	if fn == nil {
-		return RaftStatus{}, false
-	}
-	st := (*fn)()
-	st.NotLeaderRejects = s.ctrNotLeader.Load()
-	return st, true
-}
-
-// NotLeaderRejects counts mutations shed by the leader gate.
-func (s *Service) NotLeaderRejects() int64 { return s.ctrNotLeader.Load() }
 
 // RegisterAgent attaches a node agent for a host (delegating to the
 // transport's registry when it has one).

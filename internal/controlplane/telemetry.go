@@ -74,21 +74,6 @@ func (s *Service) collectSagaCounters(reg *metrics.Registry) {
 			ctr.Add(int64(totals[class])) //nolint:gosec // event counts, far below int64
 		}
 	}
-	// HA replication state (absent on single-node deployments, so the
-	// instrument set only grows when raft is actually bound).
-	if st, ok := s.RaftStatusReport(); ok {
-		reg.Gauge("raft.term").Set(float64(st.Term))
-		reg.Gauge("raft.commit_index").Set(float64(st.CommitIndex))
-		reg.Gauge("raft.leader_changes").Set(float64(st.LeaderChanges))
-		isLeader := 0.0
-		if st.Role == "leader" {
-			isLeader = 1
-		}
-		reg.Gauge("raft.is_leader").Set(isLeader)
-		ctr := reg.Counter("raft.not_leader_rejects")
-		ctr.Reset()
-		ctr.Add(st.NotLeaderRejects)
-	}
 }
 
 // snakeClass maps a CamelCase anomaly class to its snake_case metric

@@ -8,9 +8,9 @@ import (
 	"sync"
 )
 
-// MemberStatus is one node's externally visible state, used by
-// /v1/raft/status, tfctl raft, and the chaos report summaries. Field order
-// and JSON tags are part of the deterministic report surface.
+// MemberStatus is one node's externally visible state, used by the chaos
+// and replay report summaries. Field order and JSON tags are part of the
+// deterministic report surface.
 type MemberStatus struct {
 	ID        string `json:"id"`
 	Role      string `json:"role"`
@@ -238,21 +238,6 @@ func (c *Cluster) Restart(id string) error {
 	return nil
 }
 
-// Stopped reports whether id is currently crashed.
-func (c *Cluster) Stopped(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stopped[id]
-}
-
-// Partition cuts the link between a and b in both directions.
-func (c *Cluster) Partition(a, b string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cut[[2]string{a, b}] = true
-	c.cut[[2]string{b, a}] = true
-}
-
 // PartitionOneWay cuts only messages flowing from -> to (asymmetric
 // partition: `to` still reaches `from`).
 func (c *Cluster) PartitionOneWay(from, to string) {
@@ -272,14 +257,6 @@ func (c *Cluster) Isolate(id string) {
 		c.cut[[2]string{id, p}] = true
 		c.cut[[2]string{p, id}] = true
 	}
-}
-
-// Heal removes cuts between a and b in both directions.
-func (c *Cluster) Heal(a, b string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.cut, [2]string{a, b})
-	delete(c.cut, [2]string{b, a})
 }
 
 // HealAll removes every partition cut.
@@ -362,35 +339,6 @@ func (c *Cluster) Members() []MemberStatus {
 		out = append(out, c.statusLocked(id))
 	}
 	return out
-}
-
-// QuorumReachable reports whether id has a direct bidirectional link (no
-// cut in either direction, peer running) to a majority of the cluster,
-// itself included. A stopped node reaches no one.
-//
-// This is a direct-link heuristic, not true Raft reachability: commit
-// quorum is counted at the leader, so a node whose only surviving link is
-// to the leader can still replicate and learn commits even when this
-// reports false (e.g. in a 5-node cluster, A cut off from C, D, and E but
-// still linked to leader B reports quorum lost yet keeps committing).
-// Treat a false here as "degraded, may still commit" — a readyz routing
-// hint, not a fencing signal.
-func (c *Cluster) QuorumReachable(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped[id] {
-		return false
-	}
-	reach := 1
-	for _, p := range c.ids {
-		if p == id || c.stopped[p] {
-			continue
-		}
-		if !c.blocked(id, p) && !c.blocked(p, id) {
-			reach++
-		}
-	}
-	return reach >= len(c.ids)/2+1
 }
 
 // LeaderChanges counts observed transitions to a different leader.

@@ -241,9 +241,6 @@ func TestSplitBrainStaleLeaderFenced(t *testing.T) {
 	if c.CommitIndex(old) != commitBefore {
 		t.Fatalf("isolated leader advanced commit without quorum")
 	}
-	if c.QuorumReachable(old) {
-		t.Fatalf("isolated leader still reports quorum reachable")
-	}
 
 	// The majority side elects a new leader and commits real work.
 	next := electLeader(t, c)
@@ -373,35 +370,6 @@ func TestTakeCommittedDrainsOnce(t *testing.T) {
 	st := c.Status(leader)
 	if st.Applied != st.Commit {
 		t.Fatalf("applied %d != commit %d after drain", st.Applied, st.Commit)
-	}
-}
-
-func TestQuorumReachable(t *testing.T) {
-	c := newTestCluster(t, 5, 31)
-	leader := electLeader(t, c)
-	if !c.QuorumReachable(leader) {
-		t.Fatalf("healthy leader should reach quorum")
-	}
-	// Stop two of five: quorum still holds for survivors.
-	stopped := 0
-	for _, id := range c.IDs() {
-		if id != leader && stopped < 2 {
-			c.Stop(id)
-			stopped++
-		}
-	}
-	if !c.QuorumReachable(leader) {
-		t.Fatalf("3/5 running should still be quorum")
-	}
-	// Stop a third: quorum lost.
-	for _, id := range c.IDs() {
-		if id != leader && !c.Stopped(id) {
-			c.Stop(id)
-			break
-		}
-	}
-	if c.QuorumReachable(leader) {
-		t.Fatalf("2/5 running should not be quorum")
 	}
 }
 

@@ -1,13 +1,5 @@
 package raft
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-)
-
 // Storage persists a node's Raft state: current term, vote, and the log.
 // Implementations must make SaveState/AppendEntries/TruncateEntries
 // durable before returning — the protocol sends messages that promise the
@@ -21,7 +13,7 @@ type Storage interface {
 
 // MemStorage keeps Raft state in memory. It survives a node Restart inside
 // a Cluster (the storage object is retained) but not process death; the
-// deterministic tests and chaos scenarios use it, tfd uses FileStorage.
+// deterministic tests, chaos scenarios and replay runs use it.
 type MemStorage struct {
 	term     uint64
 	votedFor string
@@ -57,163 +49,3 @@ func (m *MemStorage) Load() (uint64, string, []Entry, error) {
 	copy(out, m.log)
 	return m.term, m.votedFor, out, nil
 }
-
-// record is one line of a FileStorage log: a state save, an entry append,
-// or a truncation marker. Replaying the lines in order rebuilds the state.
-type record struct {
-	Kind     string `json:"kind"` // "state" | "entry" | "trunc"
-	Term     uint64 `json:"term,omitempty"`
-	VotedFor string `json:"voted_for,omitempty"`
-	Entry    *Entry `json:"entry,omitempty"`
-	From     uint64 `json:"from,omitempty"`
-}
-
-// FileStorage persists Raft state as a JSON-lines record log, one fsync'd
-// file per node. Like the control plane's FileJournal, Load tolerates a
-// torn tail: it replays the longest valid prefix of intact lines and
-// truncates the file there, so a crash mid-write loses at most the record
-// being written — which the protocol never promised.
-type FileStorage struct {
-	f    *os.File
-	path string
-}
-
-// OpenFileStorage opens (creating if needed) the record log at path and
-// recovers its valid prefix.
-func OpenFileStorage(path string) (*FileStorage, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("raft: open storage: %w", err)
-	}
-	st := &FileStorage{f: f, path: path}
-	if err := st.recover(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return st, nil
-}
-
-// recover truncates the file to its longest valid prefix of records.
-func (s *FileStorage) recover() error {
-	data, err := os.ReadFile(s.path)
-	if err != nil {
-		return fmt.Errorf("raft: read storage: %w", err)
-	}
-	valid := validRecordPrefix(data)
-	if valid < int64(len(data)) {
-		if err := s.f.Truncate(valid); err != nil {
-			return fmt.Errorf("raft: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := s.f.Seek(0, 2); err != nil {
-		return err
-	}
-	return nil
-}
-
-// validRecordPrefix scans complete, decodable lines and returns the byte
-// offset after the last good one.
-func validRecordPrefix(data []byte) int64 {
-	var off int64
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // incomplete tail line
-		}
-		var r record
-		if err := json.Unmarshal(data[:nl], &r); err != nil {
-			break
-		}
-		switch r.Kind {
-		case "state", "trunc":
-		case "entry":
-			if r.Entry == nil {
-				return off
-			}
-		default:
-			return off
-		}
-		off += int64(nl) + 1
-		data = data[nl+1:]
-	}
-	return off
-}
-
-func (s *FileStorage) write(recs ...record) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	if _, err := s.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("raft: write storage: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("raft: sync storage: %w", err)
-	}
-	return nil
-}
-
-// SaveState implements Storage.
-func (s *FileStorage) SaveState(term uint64, votedFor string) error {
-	return s.write(record{Kind: "state", Term: term, VotedFor: votedFor})
-}
-
-// AppendEntries implements Storage.
-func (s *FileStorage) AppendEntries(entries []Entry) error {
-	recs := make([]record, len(entries))
-	for i := range entries {
-		e := entries[i]
-		recs[i] = record{Kind: "entry", Entry: &e}
-	}
-	return s.write(recs...)
-}
-
-// TruncateEntries implements Storage.
-func (s *FileStorage) TruncateEntries(from uint64) error {
-	return s.write(record{Kind: "trunc", From: from})
-}
-
-// Load implements Storage.
-func (s *FileStorage) Load() (uint64, string, []Entry, error) {
-	if _, err := s.f.Seek(0, 0); err != nil {
-		return 0, "", nil, err
-	}
-	var (
-		term     uint64
-		votedFor string
-		log      []Entry
-	)
-	sc := bufio.NewScanner(s.f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		var r record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			break // torn tail already truncated on open; stop defensively
-		}
-		switch r.Kind {
-		case "state":
-			term, votedFor = r.Term, r.VotedFor
-		case "entry":
-			if r.Entry != nil {
-				log = append(log, *r.Entry)
-			}
-		case "trunc":
-			for len(log) > 0 && log[len(log)-1].Index >= r.From {
-				log = log[:len(log)-1]
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, "", nil, err
-	}
-	if _, err := s.f.Seek(0, 2); err != nil {
-		return 0, "", nil, err
-	}
-	return term, votedFor, log, nil
-}
-
-// Close releases the underlying file.
-func (s *FileStorage) Close() error { return s.f.Close() }

@@ -159,10 +159,13 @@ func (g *Group) Connect(src, dst *Shard, minDelay sim.Time) *Conduit {
 	return c
 }
 
-func (g *Group) worker() {
-	for s := range g.work {
+// worker runs shards handed to it until work closes. The channels are
+// parameters, not read from g, so a worker that starts late never picks up
+// the channels of a later RunUntil call.
+func (g *Group) worker(work <-chan *Shard, done chan<- struct{}) {
+	for s := range work {
 		s.k.RunBefore(g.horizon)
-		g.done <- struct{}{}
+		done <- struct{}{}
 	}
 }
 
@@ -243,7 +246,7 @@ func (g *Group) RunUntil(limit sim.Time) sim.Time {
 		g.work = make(chan *Shard, len(g.shards))
 		g.done = make(chan struct{}, len(g.shards))
 		for i := 0; i < g.workers; i++ {
-			go g.worker()
+			go g.worker(g.work, g.done)
 		}
 		defer func() {
 			close(g.work)
