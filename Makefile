@@ -2,7 +2,7 @@
 # build + race-enabled tests — the parallel experiment engine and the
 # sharded simulation runtime are real concurrency, so the race detector is
 # load-bearing). `make bench-quick` snapshots wall-clock and allocation
-# numbers into BENCH_PR10.json.
+# numbers into BENCH_PR15.json.
 
 GO ?= go
 
@@ -25,14 +25,15 @@ ci: check race chaos replay-smoke ha-smoke detect-smoke fuzz-smoke
 # cluster, the sharded simulation runtime (kernel stepping + conservative
 # window barriers), the telemetry surfaces (metrics registry, trace ring,
 # control-plane handlers) that are read while the simulation runs, and the
-# saga/journal/reconciler machinery plus the node agents it drives, and
-# the churn-trace replay driver that hammers the control plane.
+# saga/journal/reconciler machinery plus the node agents it drives, the
+# churn-trace replay driver that hammers the control plane, and the graph
+# store whose path searches run under its read lock beside writers.
 race:
 	$(GO) test -race -count=1 ./internal/llc/ ./internal/core/ \
 		./internal/sim/ ./internal/sim/shard/ ./internal/chaos/ \
 		./internal/metrics/ ./internal/trace/ ./internal/controlplane/ \
 		./internal/agent/ ./internal/dctrace/ ./internal/bench/ \
-		./internal/raft/ ./internal/timeseries/...
+		./internal/raft/ ./internal/timeseries/... ./internal/graphdb/
 
 # Run the fault-injection conformance campaigns (docs/RELIABILITY.md):
 # the datapath catalogue and the control-plane saga/recovery/reconciliation
@@ -93,10 +94,10 @@ bench:
 # (tfbench -experiment rack at 1/2/4/8 shards), the saga path with
 # tracing off vs on, the churn-replay saga throughput, the flight
 # recorder off vs on, the journal fsync group-commit sweep, and the
-# Raft quorum-commit append latency (3/5 nodes), written to
-# BENCH_PR10.json.
+# Raft quorum-commit append latency (3/5 nodes), and the fabric path
+# planner on the churn-shaped model, written to BENCH_PR15.json.
 bench-quick:
-	sh scripts/benchsnap.sh BENCH_PR10.json
+	sh scripts/benchsnap.sh BENCH_PR15.json
 
 # Produce a sample cross-layer trace (and metrics snapshot) from the quick
 # Figure 5 run: open trace_fig5.json in Perfetto (https://ui.perfetto.dev)

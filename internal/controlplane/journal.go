@@ -91,9 +91,46 @@ type Journal interface {
 // MemJournal is the in-memory journal backend: durable across a Service
 // restart within one process (the unit tests' crash model), lost with the
 // process.
+//
+// Records live in fixed-size blocks that are never reallocated, so an
+// append never copies the log and the log holds at most one partly filled
+// block of spare capacity.
 type MemJournal struct {
-	mu      sync.Mutex
-	entries []JournalEntry
+	mu     sync.Mutex
+	blocks [][]memEntry
+}
+
+// memJournalBlock is the number of records per MemJournal block.
+const memJournalBlock = 256
+
+// memEntry is how MemJournal holds a record. Most saga records are intent
+// and done markers that carry only the header fields; those are kept
+// inline in 88 bytes instead of a 240-byte JournalEntry, and a record with
+// any payload is kept whole behind a pointer.
+type memEntry struct {
+	seq, epoch              uint64
+	sagaID, op, event, step string
+	whole                   *JournalEntry // set when the record carries a payload
+}
+
+// packEntry must test every non-header field of JournalEntry;
+// TestMemJournalRoundTripsEveryField fails when one is missed.
+func packEntry(e JournalEntry) memEntry {
+	headerOnly := e.Compute == "" && e.Donor == "" && e.Bytes == 0 && e.Channels == 0 &&
+		e.NetID == 0 && e.Paths == nil && e.ExecID == "" && e.NUMA == 0 &&
+		e.AttID == "" && e.Err == "" && e.Parked == nil
+	if !headerOnly {
+		whole := e // copied here, so only records with a payload reach the heap
+		return memEntry{whole: &whole}
+	}
+	return memEntry{seq: e.Seq, epoch: e.Epoch, sagaID: e.SagaID, op: e.Op, event: e.Event, step: e.Step}
+}
+
+func (m memEntry) unpack() JournalEntry {
+	if m.whole != nil {
+		return *m.whole
+	}
+	return JournalEntry{Seq: m.seq, SagaID: m.sagaID, Op: m.op, Event: m.event, Step: m.step, Epoch: m.epoch}
 }
 
 // NewMemJournal returns an empty in-memory journal.
@@ -103,7 +140,12 @@ func NewMemJournal() *MemJournal { return &MemJournal{} }
 func (m *MemJournal) Append(e JournalEntry) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.entries = append(m.entries, e)
+	last := len(m.blocks) - 1
+	if last < 0 || len(m.blocks[last]) == memJournalBlock {
+		m.blocks = append(m.blocks, make([]memEntry, 0, memJournalBlock))
+		last++
+	}
+	m.blocks[last] = append(m.blocks[last], packEntry(e))
 	return nil
 }
 
@@ -111,7 +153,16 @@ func (m *MemJournal) Append(e JournalEntry) error {
 func (m *MemJournal) Entries() ([]JournalEntry, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]JournalEntry(nil), m.entries...), nil
+	var out []JournalEntry
+	if n := len(m.blocks); n > 0 {
+		out = make([]JournalEntry, 0, (n-1)*memJournalBlock+len(m.blocks[n-1]))
+	}
+	for _, b := range m.blocks {
+		for _, e := range b {
+			out = append(out, e.unpack())
+		}
+	}
+	return out, nil
 }
 
 // FileJournal is the durable journal backend: JSON lines appended to a

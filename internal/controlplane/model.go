@@ -8,6 +8,7 @@ package controlplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"thymesisflow/internal/graphdb"
@@ -32,11 +33,16 @@ const (
 type Model struct {
 	g     *graphdb.Graph
 	hosts map[string]graphdb.ID
+	xcvrs map[endpointKey][]graphdb.ID // transceivers per endpoint, in ID order
 }
+
+// endpointKey names one endpoint: a host and its compute or memory role.
+type endpointKey struct{ host, role string }
 
 // NewModel returns an empty topology model.
 func NewModel() *Model {
-	return &Model{g: graphdb.New(), hosts: make(map[string]graphdb.ID)}
+	return &Model{g: graphdb.New(), hosts: make(map[string]graphdb.ID),
+		xcvrs: make(map[endpointKey][]graphdb.ID)}
 }
 
 // Graph exposes the underlying store (read-mostly use by the REST layer).
@@ -50,12 +56,14 @@ func (m *Model) AddHost(name string, transceiversPerEndpoint int) error {
 	}
 	tx := m.g.Begin()
 	h := tx.AddVertex(LabelHost, map[string]any{"name": name})
+	xcvrs := make(map[endpointKey][]graphdb.ID, 2)
 	for _, role := range []string{LabelComputeEP, LabelMemoryEP} {
 		ep := tx.AddVertex(role, map[string]any{"host": name})
 		if _, err := tx.AddEdge(EdgeHas, h, ep, nil); err != nil {
 			tx.Rollback()
 			return err
 		}
+		key := endpointKey{name, role}
 		for i := 0; i < transceiversPerEndpoint; i++ {
 			t := tx.AddVertex(LabelTransceiver, map[string]any{
 				"host": name, "role": role, "index": i, "reserved": false,
@@ -64,10 +72,14 @@ func (m *Model) AddHost(name string, transceiversPerEndpoint int) error {
 				tx.Rollback()
 				return err
 			}
+			xcvrs[key] = append(xcvrs[key], t)
 		}
 	}
 	tx.Commit()
 	m.hosts[name] = h
+	for key, ids := range xcvrs {
+		m.xcvrs[key] = ids
+	}
 	return nil
 }
 
@@ -131,16 +143,10 @@ func (m *Model) CableFullMesh() error {
 	return nil
 }
 
-// Transceivers returns the transceiver vertex IDs of a host endpoint role.
+// Transceivers returns the transceiver vertex IDs of a host endpoint role,
+// in ID (and so index) order.
 func (m *Model) Transceivers(host, role string) []graphdb.ID {
-	var out []graphdb.ID
-	for _, id := range m.g.VerticesByLabel(LabelTransceiver) {
-		v, _ := m.g.Vertex(id)
-		if v.Props["host"] == host && v.Props["role"] == role {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.Clone(m.xcvrs[endpointKey{host, role}])
 }
 
 // Path is one reserved channel through the fabric.
@@ -156,16 +162,16 @@ func (m *Model) PlanChannels(computeHost, donorHost string, channels int) ([]Pat
 	if channels <= 0 {
 		return nil, fmt.Errorf("controlplane: %d channels requested", channels)
 	}
-	reservedNow := make(map[graphdb.ID]bool)
-	var paths []Path
+	// tentative holds the vertices of the channels planned so far in this
+	// call; it stays short, so a linear scan beats a map.
+	var tentative []graphdb.ID
+	paths := make([]Path, 0, channels)
 	for c := 0; c < channels; c++ {
-		path, err := m.findPath(computeHost, donorHost, reservedNow)
+		path, err := m.findPath(computeHost, donorHost, tentative)
 		if err != nil {
 			return nil, fmt.Errorf("controlplane: channel %d of %d: %w", c+1, channels, err)
 		}
-		for _, id := range path.Vertices {
-			reservedNow[id] = true
-		}
+		tentative = append(tentative, path.Vertices...)
 		paths = append(paths, path)
 	}
 	// Commit all reservations atomically.
@@ -182,35 +188,36 @@ func (m *Model) PlanChannels(computeHost, donorHost string, channels int) ([]Pat
 	return paths, nil
 }
 
-// findPath locates one unreserved transceiver-to-transceiver path.
-func (m *Model) findPath(computeHost, donorHost string, tentative map[graphdb.ID]bool) (Path, error) {
+// findPath locates one unreserved transceiver-to-transceiver path: one
+// search from each free compute transceiver in index order, to the first
+// free donor memory transceiver, in index order, that it reaches.
+func (m *Model) findPath(computeHost, donorHost string, tentative []graphdb.ID) (Path, error) {
 	free := func(id graphdb.ID) bool {
-		if tentative[id] {
-			return false
-		}
-		v, ok := m.g.Vertex(id)
-		if !ok {
-			return false
-		}
-		r, _ := v.Props["reserved"].(bool)
-		return !r
+		r, _ := m.g.VertexProp(id, "reserved")
+		return r != true && !slices.Contains(tentative, id)
 	}
-	for _, src := range m.Transceivers(computeHost, LabelComputeEP) {
-		if !free(src) {
-			continue
+	dsts := m.xcvrs[endpointKey{donorHost, LabelMemoryEP}]
+	targets := make([]graphdb.ID, 0, len(dsts))
+	for _, dst := range dsts {
+		if free(dst) {
+			targets = append(targets, dst)
 		}
-		for _, dst := range m.Transceivers(donorHost, LabelMemoryEP) {
-			if !free(dst) {
+	}
+	// The filter reads the stored vertices under the graph's read lock, so
+	// it checks the reservation flag itself instead of calling free.
+	freeVertex := func(v graphdb.Vertex) bool {
+		return v.Props["reserved"] != true && !slices.Contains(tentative, v.ID)
+	}
+	linkFree := func(e graphdb.Edge, a, b graphdb.Vertex) bool {
+		// Intermediate elements must be free too.
+		return e.Label == EdgeLink && freeVertex(a) && freeVertex(b)
+	}
+	if len(targets) > 0 {
+		for _, src := range m.xcvrs[endpointKey{computeHost, LabelComputeEP}] {
+			if !free(src) {
 				continue
 			}
-			path, ok := m.g.ShortestPath(src, dst, func(e graphdb.Edge) bool {
-				if e.Label != EdgeLink {
-					return false
-				}
-				// Intermediate elements must be free too.
-				return free(e.A) && free(e.B)
-			})
-			if ok {
+			if path, ok := m.g.ShortestPath(src, targets, linkFree); ok {
 				return Path{Vertices: path}, nil
 			}
 		}
@@ -249,8 +256,7 @@ func (m *Model) ReservedIDs() []graphdb.ID {
 	var out []graphdb.ID
 	for _, label := range []string{LabelTransceiver, LabelSwitchPort} {
 		for _, id := range m.g.VerticesByLabel(label) {
-			v, _ := m.g.Vertex(id)
-			if r, _ := v.Props["reserved"].(bool); r {
+			if r, _ := m.g.VertexProp(id, "reserved"); r == true {
 				out = append(out, id)
 			}
 		}
@@ -262,9 +268,8 @@ func (m *Model) ReservedIDs() []graphdb.ID {
 // FreeTransceivers counts unreserved transceivers on a host endpoint role.
 func (m *Model) FreeTransceivers(host, role string) int {
 	n := 0
-	for _, id := range m.Transceivers(host, role) {
-		v, _ := m.g.Vertex(id)
-		if r, _ := v.Props["reserved"].(bool); !r {
+	for _, id := range m.xcvrs[endpointKey{host, role}] {
+		if r, _ := m.g.VertexProp(id, "reserved"); r != true {
 			n++
 		}
 	}

@@ -5,12 +5,15 @@
 // switch ports, and whose edges are possible physical links.
 //
 // The store supports labeled vertices and edges with string-keyed
-// properties, undo-log transactions, and label/property indexes sufficient
-// for the control plane's path searches and reservations.
+// properties, undo-log transactions, a label index, and adjacency kept
+// sorted by neighbour ID so traversals are deterministic without sorting.
+// It is not durable: the control plane rebuilds it from its topology and
+// recovers reservations from the saga journal.
 package graphdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -39,8 +42,41 @@ type Graph struct {
 	nextID   ID
 	vertices map[ID]*Vertex
 	edges    map[ID]*Edge
-	adjacent map[ID]map[ID]ID // vertex -> neighbor vertex -> edge id
+	adjacent map[ID][]halfEdge // vertex -> incident edges, sorted by neighbour
 	byLabel  map[string]map[ID]struct{}
+}
+
+// halfEdge is one adjacency entry: the neighbour and the edge reaching it.
+type halfEdge struct {
+	n, e ID
+}
+
+// findHalf returns where neighbour n is, or would be inserted, in adj.
+func findHalf(adj []halfEdge, n ID) (int, bool) {
+	return slices.BinarySearchFunc(adj, n, func(h halfEdge, n ID) int {
+		switch {
+		case h.n < n:
+			return -1
+		case h.n > n:
+			return 1
+		}
+		return 0
+	})
+}
+
+// link records edge e between a and b in both adjacency lists.
+func (g *Graph) link(a, b, e ID) {
+	i, _ := findHalf(g.adjacent[a], b)
+	g.adjacent[a] = slices.Insert(g.adjacent[a], i, halfEdge{n: b, e: e})
+	j, _ := findHalf(g.adjacent[b], a)
+	g.adjacent[b] = slices.Insert(g.adjacent[b], j, halfEdge{n: a, e: e})
+}
+
+// unlinkHalf drops neighbour n from v's adjacency list.
+func (g *Graph) unlinkHalf(v, n ID) {
+	if i, ok := findHalf(g.adjacent[v], n); ok {
+		g.adjacent[v] = slices.Delete(g.adjacent[v], i, i+1)
+	}
 }
 
 // New returns an empty graph.
@@ -49,7 +85,7 @@ func New() *Graph {
 		nextID:   1,
 		vertices: make(map[ID]*Vertex),
 		edges:    make(map[ID]*Edge),
-		adjacent: make(map[ID]map[ID]ID),
+		adjacent: make(map[ID][]halfEdge),
 		byLabel:  make(map[string]map[ID]struct{}),
 	}
 }
@@ -65,7 +101,7 @@ func (g *Graph) addVertexLocked(label string, props map[string]any) ID {
 	id := g.nextID
 	g.nextID++
 	g.vertices[id] = &Vertex{ID: id, Label: label, Props: cloneProps(props)}
-	g.adjacent[id] = make(map[ID]ID)
+	g.adjacent[id] = nil
 	if g.byLabel[label] == nil {
 		g.byLabel[label] = make(map[ID]struct{})
 	}
@@ -90,14 +126,13 @@ func (g *Graph) addEdgeLocked(label string, a, b ID, props map[string]any) (ID, 
 	if a == b {
 		return 0, fmt.Errorf("graphdb: self-loop on vertex %d", a)
 	}
-	if _, dup := g.adjacent[a][b]; dup {
+	if _, dup := findHalf(g.adjacent[a], b); dup {
 		return 0, fmt.Errorf("graphdb: edge %d-%d already exists", a, b)
 	}
 	id := g.nextID
 	g.nextID++
 	g.edges[id] = &Edge{ID: id, Label: label, A: a, B: b, Props: cloneProps(props)}
-	g.adjacent[a][b] = id
-	g.adjacent[b][a] = id
+	g.link(a, b, id)
 	return id, nil
 }
 
@@ -110,6 +145,18 @@ func (g *Graph) Vertex(id ID) (Vertex, bool) {
 		return Vertex{}, false
 	}
 	return Vertex{ID: v.ID, Label: v.Label, Props: cloneProps(v.Props)}, true
+}
+
+// VertexProp reads one vertex property without copying the property map.
+func (g *Graph) VertexProp(id ID, key string) (any, bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	v, ok := g.vertices[id]
+	if !ok {
+		return nil, false
+	}
+	val, ok := v.Props[key]
+	return val, ok
 }
 
 // Edge returns a copy of the edge.
@@ -127,11 +174,11 @@ func (g *Graph) Edge(id ID) (Edge, bool) {
 func (g *Graph) EdgeBetween(a, b ID) (Edge, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	eid, ok := g.adjacent[a][b]
+	i, ok := findHalf(g.adjacent[a], b)
 	if !ok {
 		return Edge{}, false
 	}
-	e := g.edges[eid]
+	e := g.edges[g.adjacent[a][i].e]
 	return Edge{ID: e.ID, Label: e.Label, A: e.A, B: e.B, Props: cloneProps(e.Props)}, true
 }
 
@@ -139,11 +186,11 @@ func (g *Graph) EdgeBetween(a, b ID) (Edge, bool) {
 func (g *Graph) Neighbors(id ID) []ID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]ID, 0, len(g.adjacent[id]))
-	for n := range g.adjacent[id] {
-		out = append(out, n)
+	adj := g.adjacent[id]
+	out := make([]ID, len(adj))
+	for i, h := range adj {
+		out[i] = h.n
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -209,8 +256,8 @@ func (g *Graph) RemoveEdge(id ID) error {
 	if !ok {
 		return fmt.Errorf("graphdb: edge %d not found", id)
 	}
-	delete(g.adjacent[e.A], e.B)
-	delete(g.adjacent[e.B], e.A)
+	g.unlinkHalf(e.A, e.B)
+	g.unlinkHalf(e.B, e.A)
 	delete(g.edges, id)
 	return nil
 }
@@ -223,9 +270,9 @@ func (g *Graph) RemoveVertex(id ID) error {
 	if !ok {
 		return fmt.Errorf("graphdb: vertex %d not found", id)
 	}
-	for n, eid := range g.adjacent[id] {
-		delete(g.adjacent[n], id)
-		delete(g.edges, eid)
+	for _, h := range g.adjacent[id] {
+		g.unlinkHalf(h.n, id)
+		delete(g.edges, h.e)
 	}
 	delete(g.adjacent, id)
 	delete(g.byLabel[v.Label], id)
@@ -240,52 +287,74 @@ func (g *Graph) Counts() (int, int) {
 	return len(g.vertices), len(g.edges)
 }
 
-// ShortestPath returns the minimum-hop path between two vertices,
-// considering only edges accepted by the filter (nil accepts all). The
-// returned slice includes both endpoints; ok is false when no path exists.
-// Ties are broken toward lower vertex IDs, keeping results deterministic.
-func (g *Graph) ShortestPath(from, to ID, filter func(Edge) bool) (path []ID, ok bool) {
+// EdgeFilter decides whether a search may cross edge e, whose endpoints
+// are a (e.A) and b (e.B). It runs under the graph's read lock and gets the
+// stored vertices and edge without copying their property maps, so it must
+// not modify them, keep them past the call, or call back into the Graph.
+type EdgeFilter func(e Edge, a, b Vertex) bool
+
+// bfsScratch is the reusable working set of one ShortestPath call.
+type bfsScratch struct {
+	prev  map[ID]ID
+	queue []ID
+}
+
+var bfsPool = sync.Pool{New: func() any { return &bfsScratch{prev: make(map[ID]ID)} }}
+
+// ShortestPath runs one breadth-first search from `from` over the edges the
+// filter accepts (nil accepts all) and returns the minimum-hop path to the
+// first vertex of targets, in the caller's order, that the search reaches.
+// The path includes both endpoints; ok is false when no target is reachable.
+// Neighbours are visited in ID order and every vertex keeps the parent it
+// was first discovered from, so ties break toward lower vertex IDs and the
+// path to each target is the one a search for that target alone would find.
+func (g *Graph) ShortestPath(from ID, targets []ID, filter EdgeFilter) (path []ID, ok bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if _, found := g.vertices[from]; !found {
+	if _, found := g.vertices[from]; !found || len(targets) == 0 {
 		return nil, false
 	}
-	if from == to {
-		return []ID{from}, true
+	s := bfsPool.Get().(*bfsScratch)
+	defer func() {
+		clear(s.prev)
+		s.queue = s.queue[:0]
+		bfsPool.Put(s)
+	}()
+	s.prev[from] = from
+	s.queue = append(s.queue, from)
+	for head := 0; head < len(s.queue); head++ {
+		cur := s.queue[head]
+		for _, h := range g.adjacent[cur] {
+			if _, seen := s.prev[h.n]; seen {
+				continue
+			}
+			if filter != nil {
+				e := g.edges[h.e]
+				if !filter(*e, *g.vertices[e.A], *g.vertices[e.B]) {
+					continue
+				}
+			}
+			s.prev[h.n] = cur
+			s.queue = append(s.queue, h.n)
+		}
 	}
-	prev := map[ID]ID{from: from}
-	queue := []ID{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		// Deterministic neighbor order.
-		ns := make([]ID, 0, len(g.adjacent[cur]))
-		for n := range g.adjacent[cur] {
-			ns = append(ns, n)
+	for _, to := range targets {
+		if _, reached := s.prev[to]; !reached {
+			continue
 		}
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		for _, n := range ns {
-			if _, seen := prev[n]; seen {
-				continue
-			}
-			e := g.edges[g.adjacent[cur][n]]
-			if filter != nil && !filter(*e) {
-				continue
-			}
-			prev[n] = cur
-			if n == to {
-				var rev []ID
-				for at := to; at != from; at = prev[at] {
-					rev = append(rev, at)
-				}
-				rev = append(rev, from)
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				return rev, true
-			}
-			queue = append(queue, n)
+		n := 1
+		for at := to; at != from; at = s.prev[at] {
+			n++
 		}
+		path = make([]ID, n)
+		for at := to; ; at = s.prev[at] {
+			n--
+			path[n] = at
+			if at == from {
+				break
+			}
+		}
+		return path, true
 	}
 	return nil, false
 }

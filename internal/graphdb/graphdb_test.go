@@ -97,22 +97,39 @@ func TestShortestPath(t *testing.T) {
 	g.AddEdge("l", c, d, nil)
 	g.AddEdge("l", a, x, nil)
 	g.AddEdge("l", x, d, nil)
-	path, ok := g.ShortestPath(a, d, nil)
+	path, ok := g.ShortestPath(a, []ID{d}, nil)
 	if !ok || len(path) != 3 || path[1] != x {
 		t.Fatalf("path = %v", path)
 	}
 	// Filter out the shortcut: must take the long way.
-	path, ok = g.ShortestPath(a, d, func(e Edge) bool { return !(e.A == x || e.B == x) })
+	path, ok = g.ShortestPath(a, []ID{d}, func(e Edge, _, _ Vertex) bool { return !(e.A == x || e.B == x) })
 	if !ok || len(path) != 4 {
 		t.Fatalf("filtered path = %v", path)
 	}
 	// No path when everything is filtered.
-	if _, ok := g.ShortestPath(a, d, func(Edge) bool { return false }); ok {
+	if _, ok := g.ShortestPath(a, []ID{d}, func(Edge, Vertex, Vertex) bool { return false }); ok {
 		t.Fatal("found path through fully filtered graph")
 	}
 	// Self path.
-	if p, ok := g.ShortestPath(a, a, nil); !ok || len(p) != 1 {
+	if p, ok := g.ShortestPath(a, []ID{a}, nil); !ok || len(p) != 1 {
 		t.Fatalf("self path = %v", p)
+	}
+	// Several targets: the first reachable one in the caller's order wins,
+	// even when a later one is nearer.
+	lone := g.AddVertex("v", nil)
+	if p, ok := g.ShortestPath(a, []ID{lone, c, b}, nil); !ok || len(p) != 3 || p[2] != c {
+		t.Fatalf("multi-target path = %v", p)
+	}
+	if _, ok := g.ShortestPath(a, []ID{lone}, nil); ok {
+		t.Fatal("found path to an isolated vertex")
+	}
+	// The filter sees the stored endpoint vertices.
+	g.SetVertexProp(x, "blocked", true)
+	path, ok = g.ShortestPath(a, []ID{d}, func(_ Edge, u, v Vertex) bool {
+		return u.Props["blocked"] == nil && v.Props["blocked"] == nil
+	})
+	if !ok || len(path) != 4 {
+		t.Fatalf("vertex-filtered path = %v", path)
 	}
 }
 

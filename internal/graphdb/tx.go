@@ -39,8 +39,8 @@ func (t *Tx) AddEdge(label string, a, b ID, props map[string]any) (ID, error) {
 		return 0, err
 	}
 	t.undo = append(t.undo, func() {
-		delete(t.g.adjacent[a], b)
-		delete(t.g.adjacent[b], a)
+		t.g.unlinkHalf(a, b)
+		t.g.unlinkHalf(b, a)
 		delete(t.g.edges, id)
 	})
 	return id, nil

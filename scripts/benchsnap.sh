@@ -29,11 +29,14 @@
 #     clusters — each append proposes through the leader and pumps the
 #     virtual network until a majority acks, so the number is the HA
 #     analogue of the journal_append group-commit rows
+#   * plan channels: one fabric path planned and released on the churn
+#     benchmark's 8-host x 32-transceiver full mesh with half of it
+#     reserved (ns/op, allocs/op)
 # The parallel and sequential suites print byte-identical output (asserted
 # by internal/bench tests); only wall-clock may differ.
 set -eu
 
-out=${1:-BENCH_PR10.json}
+out=${1:-BENCH_PR15.json}
 bin=$(mktemp -t tfbench.XXXXXX)
 trap 'rm -f "$bin"' EXIT
 
@@ -117,6 +120,12 @@ raft_3_allocs=$(echo "$raft" | awk '$1 ~ /^BenchmarkRaftQuorumAppend(-[0-9]+)?$/
 raft_5_ns=$(echo "$raft" | awk '$1 ~ /^BenchmarkRaftQuorumAppend5(-[0-9]+)?$/ {print $3}')
 raft_5_allocs=$(echo "$raft" | awk '$1 ~ /^BenchmarkRaftQuorumAppend5(-[0-9]+)?$/ {print $7}')
 
+plan=$(go test -run xxx -bench 'BenchmarkPlanChannels$' -benchmem \
+	-benchtime 2000x ./internal/controlplane/ | \
+	awk '$1 ~ /^BenchmarkPlanChannels(-[0-9]+)?$/ {print $3, $7}')
+plan_ns=$(echo "$plan" | awk '{print $1}')
+plan_allocs=$(echo "$plan" | awk '{print $2}')
+
 # Churn replay: 2 simulated minutes of seeded datacenter load through the
 # real control plane (sagas over a lossy transport, journal, reconciler,
 # autoscaler). The stdout line reads
@@ -138,7 +147,7 @@ cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 
 cat > "$out" <<EOF
 {
-  "snapshot": "quick-suite wall clock + kernel/placement/attribution micro-benchmarks + sharded rack scaling + churn-replay saga throughput + flight-recorder overhead + journal group-commit sweep + raft quorum-commit append",
+  "snapshot": "quick-suite wall clock + kernel/placement/attribution micro-benchmarks + sharded rack scaling + churn-replay saga throughput + flight-recorder overhead + journal group-commit sweep + raft quorum-commit append + fabric path planning",
   "date": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
   "host_cores": $cores,
   "quick_suite_wall_seconds": {
@@ -191,6 +200,11 @@ $rack_rows
     "note": "quorum-commit append through the embedded Raft leader: each op proposes one saga journal record and ticks the virtual cluster until a majority acks (the HA write path behind ReplicatedJournal.Append); compare against journal_append for the single-node fsync cost it replaces",
     "nodes_3": { "ns_per_op": $raft_3_ns, "allocs_per_op": $raft_3_allocs },
     "nodes_5": { "ns_per_op": $raft_5_ns, "allocs_per_op": $raft_5_allocs }
+  },
+  "plan_channels": {
+    "note": "Model.PlanChannels + ReleasePaths for one channel on an 8-host x 32-transceiver full mesh with a seeded half of the transceivers reserved, cycling through the ordered host pairs: one search per free source over sorted adjacency",
+    "ns_per_op": $plan_ns,
+    "allocs_per_op": $plan_allocs
   }
 }
 EOF
