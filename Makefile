@@ -82,10 +82,10 @@ test:
 	$(GO) test ./...
 
 # Micro-benchmarks for the sim kernel (including the run-to-horizon
-# windowed stepping), the shard group barrier, and the dcsim placement
-# index.
+# windowed stepping), simulated-process switching and spawning, the shard
+# group barrier, and the dcsim placement index.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkGroup|BenchmarkDcsim' \
+	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkProc|BenchmarkGroup|BenchmarkDcsim' \
 		-benchmem -benchtime 5x ./internal/sim/ ./internal/sim/shard/ \
 		./internal/dcsim/
 

@@ -55,7 +55,6 @@ type Kernel struct {
 	pq              []*Event
 	seq             uint64
 	executed        uint64 // events fired (excludes cancelled)
-	procs           int    // live processes (for leak detection)
 	stopped         bool
 	cancelledQueued int      // cancelled events still in pq (lazy deletion)
 	free            []*Event // recycled Event structs

@@ -67,3 +67,33 @@ func BenchmarkKernelCancel(b *testing.B) {
 		k.Run()
 	}
 }
+
+// BenchmarkProcSwitch measures one park/resume round trip: a process
+// sleeps, the kernel fires its wakeup event and switches back into it.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	k.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Nanosecond)
+		}
+	})
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcSpawn measures one process's whole life: spawn, one park
+// and resume, finish. Processes run in batches so that only a batch's
+// worth of process stacks is live at once.
+func BenchmarkProcSpawn(b *testing.B) {
+	const batch = 1024
+	b.ReportAllocs()
+	k := NewKernel()
+	body := func(p *Proc) { p.Sleep(Nanosecond) }
+	for i := 0; i < b.N; i += batch {
+		for j := i; j < b.N && j < i+batch; j++ {
+			k.Go("p", body)
+		}
+		k.Run()
+	}
+}

@@ -1,59 +1,51 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a cooperative simulated process. A Proc runs on its own goroutine,
-// but the kernel guarantees that at most one process goroutine executes at a
-// time: the kernel resumes a process and then blocks until the process either
-// yields (by calling a blocking primitive such as Sleep or Wait) or returns.
-// This keeps simulations deterministic without locks in model code.
+// Proc is a cooperative simulated process. Its body runs as a coroutine
+// (iter.Pull): an event resumes it, and that event does not return until
+// the body parks in a blocking primitive such as Sleep or Wait, or returns.
+// Control passes between kernel and process by a direct coroutine switch,
+// never through the goroutine scheduler, so at most one process runs at a
+// time and never alongside the kernel. This keeps simulations deterministic
+// without locks in model code.
 //
-// All Proc methods must be called from the process's own goroutine.
+// A panic or runtime.Goexit in a process body surfaces on the goroutine
+// that resumed it: the caller of the kernel's Run.
+//
+// All Proc methods must be called from within the process body.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
-	done   bool
+	k    *Kernel
+	name string
+	// yield parks the body; it is set when the body first runs.
+	yield func(struct{}) bool
+	// wake resumes the process until it parks or finishes (a no-op once
+	// it has finished). It is bound once at spawn, so every wakeup
+	// schedules the same func value and allocates nothing.
+	wake func()
 }
 
 // Go spawns a new simulated process executing fn. The process starts at the
 // current virtual time (after already-queued events for this instant).
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	k.procs++
-	go func() {
-		<-p.resume
+	p := &Proc{k: k, name: name}
+	next, _ := iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
-		p.done = true
-		k.procs--
-		p.yield <- struct{}{}
-	}()
-	k.Schedule(0, func() { p.step() })
+	})
+	p.wake = func() { next() }
+	k.Schedule(0, p.wake)
 	return p
 }
 
-// step hands control to the process goroutine and waits for it to block or
-// finish. It must only be called from kernel (event) context.
-func (p *Proc) step() {
-	if p.done {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-}
-
 // park yields control back to the kernel; the process stays blocked until
-// another event calls step again.
-func (p *Proc) park() {
-	p.yield <- struct{}{}
-	<-p.resume
-}
+// an event runs its wake.
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -70,7 +62,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.Schedule(d, func() { p.step() })
+	p.k.Schedule(d, p.wake)
 	p.park()
 }
 
@@ -79,7 +71,7 @@ func (p *Proc) Sleep(d Time) {
 // The zero value is unusable; construct with NewSignal.
 type Signal struct {
 	k       *Kernel
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewSignal returns a Signal bound to kernel k.
@@ -90,33 +82,28 @@ func (s *Signal) Wait(p *Proc) {
 	if p.k != s.k {
 		panic("sim: Signal.Wait with process from a different kernel")
 	}
-	s.waiters = append(s.waiters, p)
+	s.waiters.push(p)
 	p.park()
 }
 
 // Waiters reports the number of processes currently blocked on s.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int { return s.waiters.len() }
 
 // Broadcast wakes every waiting process. Wakeups are delivered as events at
 // the current instant, in FIFO order.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w := w
-		s.k.Schedule(0, func() { w.step() })
+	for s.waiters.len() > 0 {
+		s.k.Schedule(0, s.waiters.pop().wake)
 	}
 }
 
 // Wake wakes the longest-waiting process, if any, and reports whether a
 // process was woken.
 func (s *Signal) Wake() bool {
-	if len(s.waiters) == 0 {
+	if s.waiters.len() == 0 {
 		return false
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.k.Schedule(0, func() { w.step() })
+	s.k.Schedule(0, s.waiters.pop().wake)
 	return true
 }
 
@@ -152,3 +139,40 @@ func (wg *WaitGroup) Wait(p *Proc) {
 }
 
 func (wg *WaitGroup) String() string { return fmt.Sprintf("WaitGroup(%d)", wg.count) }
+
+// fifo is a FIFO queue that reuses its backing array: it rewinds to the
+// front whenever it drains, so a steady wait/wake cycle allocates nothing.
+// When full it compacts instead of growing if at least half the array is
+// already popped, which keeps both paths amortized O(1).
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// peek returns the oldest element; the queue must not be empty.
+func (q *fifo[T]) peek() T { return q.buf[q.head] }
+
+// pop removes and returns the oldest element; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestProcSleep(t *testing.T) {
 	k := NewKernel()
@@ -130,5 +134,89 @@ func TestWaitGroupAlreadyZero(t *testing.T) {
 	k.Run()
 	if !passed {
 		t.Fatal("Wait on zero WaitGroup blocked forever")
+	}
+}
+
+// TestProcPanicSurfacesInRun checks that a panic in a process body unwinds
+// through the kernel into the goroutine that called Run, where it can be
+// recovered.
+func TestProcPanicSurfacesInRun(t *testing.T) {
+	k := NewKernel()
+	k.Go("boom", func(p *Proc) {
+		p.Sleep(Nanosecond)
+		panic("boom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		k.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v around Run, want the process's panic", got)
+	}
+	if k.Now() != Nanosecond {
+		t.Fatalf("clock at %v after the panic, want 1ns", k.Now())
+	}
+}
+
+// TestProcGoexitEndsRunner checks that runtime.Goexit in a process body
+// (as t.FailNow does) ends the goroutine that called Run, running its
+// deferred calls, instead of hanging it.
+func TestProcGoexitEndsRunner(t *testing.T) {
+	k := NewKernel()
+	k.Go("quitter", func(p *Proc) {
+		p.Sleep(Nanosecond)
+		runtime.Goexit()
+	})
+	returned := make(chan bool, 1)
+	go func() {
+		ran := false
+		defer func() { returned <- ran }()
+		k.Run()
+		ran = true
+	}()
+	select {
+	case ran := <-returned:
+		if ran {
+			t.Fatal("Run returned normally after the process called Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Goexit in a process hung the goroutine running the kernel")
+	}
+}
+
+// TestFifoOrder drives the wait-queue FIFO through growth, rewinds on
+// drain and compaction before growth, checking order against a slice.
+func TestFifoOrder(t *testing.T) {
+	var q fifo[int]
+	var ref []int
+	next := 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < round%7+1; i++ {
+			q.push(next)
+			ref = append(ref, next)
+			next++
+		}
+		for i := 0; i < round%5+1 && len(ref) > 0; i++ {
+			if got := q.peek(); got != ref[0] {
+				t.Fatalf("round %d: peek = %d, want %d", round, got, ref[0])
+			}
+			if got := q.pop(); got != ref[0] {
+				t.Fatalf("round %d: pop = %d, want %d", round, got, ref[0])
+			}
+			ref = ref[1:]
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("round %d: len = %d, want %d", round, q.len(), len(ref))
+		}
+	}
+	for len(ref) > 0 {
+		if got := q.pop(); got != ref[0] {
+			t.Fatalf("drain: pop = %d, want %d", got, ref[0])
+		}
+		ref = ref[1:]
+	}
+	if q.len() != 0 || q.head != 0 || len(q.buf) != 0 {
+		t.Fatalf("drained queue not rewound: len %d head %d buf %d", q.len(), q.head, len(q.buf))
 	}
 }

@@ -13,7 +13,7 @@ type Resource struct {
 	capacity int
 	inUse    int
 
-	waiters []resWaiter
+	waiters fifo[resWaiter]
 
 	lastChange Time
 	busyPS     float64 // integral of inUse over time, in unit*ps
@@ -56,12 +56,12 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n > r.capacity {
 		panic("sim: Acquire exceeds resource capacity")
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
 		r.accountTo(r.k.now)
 		r.inUse += n
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	r.waiters.push(resWaiter{p: p, n: n})
 	p.park()
 }
 
@@ -71,7 +71,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 {
 		return true
 	}
-	if len(r.waiters) > 0 || r.inUse+n > r.capacity {
+	if r.waiters.len() > 0 || r.inUse+n > r.capacity {
 		return false
 	}
 	r.accountTo(r.k.now)
@@ -93,21 +93,20 @@ func (r *Resource) Release(n int) {
 }
 
 func (r *Resource) dispatch() {
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.len() > 0 {
+		w := r.waiters.peek()
 		if r.inUse+w.n > r.capacity {
 			return
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters.pop()
 		r.accountTo(r.k.now)
 		r.inUse += w.n
-		p := w.p
-		r.k.Schedule(0, func() { p.step() })
+		r.k.Schedule(0, w.p.wake)
 	}
 }
 
 // QueueLen reports the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // ResetStats restarts the utilization integral at the current time.
 func (r *Resource) ResetStats() {

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"thymesisflow/internal/sim"
@@ -336,5 +337,84 @@ func BenchmarkGroupBarrierOverhead(b *testing.B) {
 		}
 		g.Run()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/windows, "ns/window")
+	}
+}
+
+// procNode is one side of procExchange: a kernel, its processes' shared
+// state, and a way to send an event to the peer node at an absolute time.
+type procNode struct {
+	k      *sim.Kernel
+	send   func(at sim.Time, fn func())
+	res    *sim.Resource
+	tokens int
+	arrive *sim.Signal
+	log    []string
+}
+
+// procExchange builds a two-node process model: on each node, workers
+// contend for a one-unit Resource and mail a token to the peer after each
+// hold, and a consumer waits on a Signal for the peer's tokens. Local
+// sleeps never equal hop, so no local event ties a delivery on both its
+// time and its send time. It returns each node's log after run.
+func procExchange(nodes [2]*procNode, run func()) [2][]string {
+	const workers, rounds = 3, 40
+	for i, n := range nodes {
+		n.res = sim.NewResource(n.k, 1)
+		n.arrive = sim.NewSignal(n.k)
+		peer := nodes[1-i]
+		for w := 0; w < workers; w++ {
+			n.k.Go(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
+				for r := 0; r < rounds; r++ {
+					p.Sleep(sim.Time(7+3*w+i) * sim.Nanosecond)
+					n.res.Acquire(p, 1)
+					p.Sleep(11 * sim.Nanosecond)
+					n.res.Release(1)
+					n.send(p.Now()+hop, func() {
+						peer.tokens++
+						peer.arrive.Broadcast()
+					})
+				}
+			})
+		}
+		n.k.Go("consumer", func(p *sim.Proc) {
+			for got := 0; got < workers*rounds; got++ {
+				for n.tokens == 0 {
+					n.arrive.Wait(p)
+				}
+				n.tokens--
+				n.log = append(n.log, fmt.Sprintf("%v token%d queue%d", p.Now(), got, n.res.QueueLen()))
+				p.Sleep(5 * sim.Nanosecond)
+			}
+		})
+	}
+	run()
+	return [2][]string{nodes[0].log, nodes[1].log}
+}
+
+// TestProcsAcrossShardsMatchSequential spawns processes on the test
+// goroutine, on two kernels, and lets the group's worker goroutines step
+// them: each coroutine is resumed from goroutines other than the one that
+// created it. The logs must equal the same model on one shared kernel.
+func TestProcsAcrossShardsMatchSequential(t *testing.T) {
+	k := sim.NewKernel()
+	local := func(at sim.Time, fn func()) { k.ScheduleAt(at, fn) }
+	want := procExchange([2]*procNode{{k: k, send: local}, {k: k, send: local}}, func() { k.Run() })
+
+	// Two workers even on a one-core host, so that windows in which both
+	// shards have work really are stepped off the test goroutine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := NewGroup(2, hop)
+	a, b := g.Shard(0), g.Shard(1)
+	ab, ba := g.Connect(a, b, hop), g.Connect(b, a, hop)
+	got := procExchange([2]*procNode{
+		{k: a.Kernel(), send: ab.Send},
+		{k: b.Kernel(), send: ba.Send},
+	}, func() { g.Run() })
+
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded process logs diverge\n got: %v\nwant: %v", got, want)
+	}
+	if len(got[0]) != 120 || len(got[1]) != 120 {
+		t.Fatalf("consumers logged %d and %d tokens, want 120 each", len(got[0]), len(got[1]))
 	}
 }

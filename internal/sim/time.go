@@ -6,9 +6,10 @@
 // cooperative processes with SimPy-like blocking primitives (Sleep, Signal,
 // Resource, Pipe). Determinism is a hard requirement — given the same seed
 // and the same sequence of API calls, a simulation produces bit-identical
-// results. To that end only one process goroutine ever runs at a time, and
-// ties between events scheduled for the same instant are broken by insertion
-// order.
+// results. To that end each process body runs as a coroutine that only the
+// event resuming it can run, so at most one process runs at a time and only
+// while the kernel waits for it to park; ties between events scheduled for
+// the same instant are broken by insertion order.
 package sim
 
 import "fmt"
