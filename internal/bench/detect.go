@@ -19,8 +19,9 @@ import (
 // labels the scenario's own fault script exports. The scorecard — per-class
 // precision/recall plus a detection-latency histogram — is a pure function
 // of the seed: series timestamps are virtual (datapath) or step-clock
-// (control plane), the non-deterministic shard.* runtime series are filtered
-// out before analysis, and every table sorts deterministically.
+// (control plane), the shard.* and sim.* runtime series — which differ by
+// shard count — are filtered out before analysis, and every table sorts
+// deterministically.
 
 // Acceptance thresholds for the scorecard.
 const (
@@ -121,10 +122,13 @@ func Detect(w io.Writer, cfg DetectConfig) (DetectReport, error) {
 		srep, snap := chaos.RunRecorded(s, cfg.Seed, cfg.Shards, core.FlightOptions{
 			Capacity: detectCapacity,
 		})
-		// The shard.* series measure the parallel runtime's wall-clock
-		// barrier stalls — real telemetry, but not reproducible input.
+		// The runtime series describe how the run was sharded, not the
+		// simulated fabric: shard.* exist only on sharded runs, and sim.*
+		// read kernel 0's clock and pending events summed over the shards,
+		// so both differ by shard count. Deterministic, but not input to a
+		// shard-count-invariant scorecard.
 		snap = snap.Filter(func(name string) bool {
-			return !strings.HasPrefix(name, "shard.")
+			return !strings.HasPrefix(name, "shard.") && !strings.HasPrefix(name, "sim.")
 		})
 		if cfg.SnapshotOut != nil {
 			if _, err := cfg.SnapshotOut.Write(timeseries.EncodeSnapshot(snap)); err != nil {

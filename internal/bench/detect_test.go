@@ -2,9 +2,18 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
+	"regexp"
+	"strings"
 	"testing"
+
+	"thymesisflow/internal/chaos"
+	"thymesisflow/internal/core"
+	"thymesisflow/internal/timeseries"
+	"thymesisflow/internal/timeseries/detect"
 )
 
 func detectJSON(t *testing.T, cfg DetectConfig) []byte {
@@ -93,4 +102,83 @@ func TestDetectScenarioFilter(t *testing.T) {
 	if _, err := Detect(io.Discard, DetectConfig{Scenario: "no-such-scenario"}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
+}
+
+// TestDetectPinnedHash pins the seed-1 full-catalogue scorecard — the
+// bytes tfbench -experiment detect -seed 1 -detect-out writes — across
+// commits: the determinism tests above only compare runs within one build,
+// so a telemetry refactor that shifts a still-deterministic event or series
+// count would pass them. A change that alters the scorecard on purpose must
+// update this hash.
+func TestDetectPinnedHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full catalogue")
+	}
+	const want = "4b2005b4e4f6880c2192dd030a2ca8fd5ea99b23839ba34a6549c142def5b518"
+	rep, err := Detect(io.Discard, DetectConfig{Seed: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(append(data, '\n'))); got != want {
+		t.Fatalf("seed-1 detect scorecard hash = %s, want %s", got, want)
+	}
+}
+
+// TestDetectRulesBindSeries: on recorded datapath and control-plane runs,
+// every detector rule's suffix matches at least one series, and only series
+// of the family the rule was written for — so a rename cannot silently
+// disable a rule, and a new instrument cannot silently feed one (no
+// llc.*.link_down_events under the .down rule).
+func TestDetectRulesBindSeries(t *testing.T) {
+	port := `^llc\.att-\d+\.[pq]\d+\.`
+	wire := `^phy\.att-\d+\.c\d+\.(fwd|rev)\.`
+	family := map[string]*regexp.Regexp{
+		".credit_stalls":       regexp.MustCompile(port + `credit_stalls$`),
+		".replay_depth":        regexp.MustCompile(port + `replay_depth$`),
+		".tx_replayed":         regexp.MustCompile(port + `tx_replayed$`),
+		".down":                regexp.MustCompile(port + `down$`),
+		".dropped":             regexp.MustCompile(wire + `dropped$`),
+		".corrupted":           regexp.MustCompile(wire + `corrupted$`),
+		"cp.saga_retries":      regexp.MustCompile(`^cp\.saga_retries$`),
+		"cp.reconcile_repairs": regexp.MustCompile(`^cp\.reconcile_repairs$`),
+	}
+	dp, ok := chaos.Find("crc-burst")
+	if !ok {
+		t.Fatal("no crc-burst scenario")
+	}
+	_, dpSnap := chaos.RunRecorded(dp, 1, 1, core.FlightOptions{})
+	cp, ok := chaos.FindCP("cp-agent-flap")
+	if !ok {
+		t.Fatal("no cp-agent-flap scenario")
+	}
+	_, cpSnap := chaos.RunCPRecorded(cp, 1, 0)
+
+	check := func(snap timeseries.Snapshot, rules []detect.Rule) {
+		for _, r := range rules {
+			fam, ok := family[r.Suffix]
+			if !ok {
+				t.Errorf("rule %s/%s has no declared series family", r.Class, r.Suffix)
+				continue
+			}
+			matched := 0
+			for _, ss := range snap.Series {
+				if !strings.HasSuffix(ss.Name, r.Suffix) {
+					continue
+				}
+				matched++
+				if !fam.MatchString(ss.Name) {
+					t.Errorf("rule %s/%s matches %s outside its family", r.Class, r.Suffix, ss.Name)
+				}
+			}
+			if matched == 0 {
+				t.Errorf("rule %s/%s matches no recorded series", r.Class, r.Suffix)
+			}
+		}
+	}
+	check(dpSnap, detect.DatapathRules())
+	check(cpSnap, detect.ControlPlaneRules())
 }

@@ -21,6 +21,7 @@ import (
 	"thymesisflow/internal/controlplane"
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/cpworld"
+	"thymesisflow/internal/instrument"
 	"thymesisflow/internal/timeseries"
 	"thymesisflow/internal/trace"
 )
@@ -36,11 +37,11 @@ type CPScenario struct {
 
 // CPObserver is the control-plane flight-recorder tap: the scenario world's
 // deterministic step clock is wrapped with a timeseries.ClockSampler, so
-// every few clock readings the observer records the service's saga counters
-// and inflight gauge into cp.* series. It reads only atomic counters — the
-// clock fires while the saga engine holds its own locks — and folds in the
-// counters banked across crash-restarts so the series stay cumulative over
-// the whole scenario, not one process lifetime.
+// every few clock readings the observer records controlplane.Instruments
+// into the cp.* series. It reads only atomic counters — the clock fires
+// while the saga engine holds its own locks — and folds in the counters
+// banked across crash-restarts so the series stay cumulative over the whole
+// scenario, not one process lifetime.
 type CPObserver struct {
 	rec *timeseries.Recorder
 	rep *CPScenarioReport
@@ -48,24 +49,34 @@ type CPObserver struct {
 	svc *controlplane.Service
 	w   *cpworld.World
 
-	retries, repairs, parked, rejected, inflight *timeseries.Series
+	cp instrument.Sampler
+	// raft holds the HA-only cp.raft.* series, added on the first boot of an
+	// HA world, so the single-node scenarios keep their series set.
+	raft instrument.Sampler
+}
 
-	// cp.raft.* series, created on the first boot of an HA world, so the
-	// single-node scenarios' snapshots keep their pre-HA series set.
-	raftTerm, raftCommit, raftElects *timeseries.Series
+// raftInstruments are the replica set's cp.raft.* series: the leader's
+// term and quorum-committed journal index, and observed leader changes.
+var raftInstruments = []instrument.Def[*cpworld.World]{
+	instrument.Gauge("cp.raft.term", func(w *cpworld.World) float64 { return float64(w.Replicas.Status(w.Leader).Term) }),
+	instrument.Counter("cp.raft.commit_index", func(w *cpworld.World) float64 { return float64(w.Replicas.Status(w.Leader).Commit) }),
+	instrument.Counter("cp.raft.leader_changes", func(w *cpworld.World) float64 { return float64(w.Replicas.LeaderChanges()) }),
 }
 
 // NewCPObserver builds an observer recording into rec (which must be
 // non-nil); pass it to RunCPRecorded.
 func NewCPObserver(rec *timeseries.Recorder) *CPObserver {
-	return &CPObserver{
-		rec:      rec,
-		retries:  rec.Series("cp.saga_retries", timeseries.Counter),
-		repairs:  rec.Series("cp.reconcile_repairs", timeseries.Counter),
-		parked:   rec.Series("cp.sagas_parked", timeseries.Counter),
-		rejected: rec.Series("cp.sagas_rejected", timeseries.Counter),
-		inflight: rec.Series("cp.saga_inflight", timeseries.Gauge),
-	}
+	o := &CPObserver{rec: rec}
+	o.cp.Add(rec, instrument.BindFunc("", controlplane.Instruments, o.reading))
+	return o
+}
+
+// reading is the live service's reading plus the counters banked from the
+// processes that crashed before it.
+func (o *CPObserver) reading() controlplane.Reading {
+	r := o.svc.Reading()
+	r.SagaCounters.Add(o.rep.Counters)
+	return r
 }
 
 // wrap installs the sampling tap on the world clock.
@@ -77,32 +88,18 @@ func (o *CPObserver) wrap(inner trace.WallClock) trace.WallClock {
 // observe points the tap at the current control-plane process (the world
 // calls it on every boot) and, in an HA world, adds the cp.raft.* series.
 func (o *CPObserver) observe(svc *controlplane.Service) {
-	o.svc = svc
-	if o.w.Replicas != nil && o.raftTerm == nil {
-		o.raftTerm = o.rec.Series("cp.raft.term", timeseries.Gauge)
-		o.raftCommit = o.rec.Series("cp.raft.commit_index", timeseries.Counter)
-		o.raftElects = o.rec.Series("cp.raft.leader_changes", timeseries.Counter)
+	if o.svc == nil && o.w.Replicas != nil {
+		o.raft.Add(o.rec, instrument.Bind("", raftInstruments, o.w))
 	}
+	o.svc = svc
 }
 
 func (o *CPObserver) sample(ts int64) {
-	svc := o.svc
-	if svc == nil {
+	if o.svc == nil {
 		return
 	}
-	cur := svc.Counters()
-	banked := o.rep.Counters
-	o.retries.Record(ts, float64(banked.SagaRetries+cur.SagaRetries))
-	o.repairs.Record(ts, float64(banked.ReconcileRepairs+cur.ReconcileRepairs))
-	o.parked.Record(ts, float64(banked.SagasParked+cur.SagasParked))
-	o.rejected.Record(ts, float64(banked.SagasRejected+cur.SagasRejected))
-	o.inflight.Record(ts, float64(svc.InflightSagas()))
-	if o.raftTerm != nil {
-		st := o.w.Replicas.Status(o.w.Leader)
-		o.raftTerm.Record(ts, float64(st.Term))
-		o.raftCommit.Record(ts, float64(st.Commit))
-		o.raftElects.Record(ts, float64(o.w.Replicas.LeaderChanges()))
-	}
+	o.cp.Sample(ts, nil)
+	o.raft.Sample(ts, nil)
 }
 
 // CPScenarioReport is one control-plane scenario's outcome. Every field is

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strings"
 
+	"thymesisflow/internal/instrument"
 	"thymesisflow/internal/timeseries"
 	"thymesisflow/internal/timeseries/detect"
 )
@@ -26,49 +27,30 @@ func (s *Service) FlightRecorder() *timeseries.Recorder { return s.flightRec.Loa
 // FlightDetector returns the attached detector (nil when unconfigured).
 func (s *Service) FlightDetector() *detect.Detector { return s.flightDet.Load() }
 
-// FlightSampler records the service's saga counters into the cp.* flight-
-// recorder series schema (docs/OBSERVABILITY.md) and streams every sample
-// through the anomaly detector — the wall-clock tick-domain counterpart of
-// the datapath grid sampler. It reads only atomic counters, so it is safe
-// to call from a timer goroutine while sagas execute.
+// FlightSampler records the service's cp.* instruments (Instruments) into
+// the flight recorder and streams every sample through the anomaly
+// detector — the wall-clock tick-domain counterpart of the datapath grid
+// sampler. It reads only atomic counters, so it is safe to call from a
+// timer goroutine while sagas execute.
 type FlightSampler struct {
-	svc *Service
-	det *detect.Detector
-
-	retries, repairs, parked, rejected, inflight *timeseries.Series
+	set     instrument.Sampler
+	observe func(name string, ts int64, v float64)
 }
 
 // NewFlightSampler builds a sampler over svc recording into rec and
 // feeding det (det may be nil for record-only operation).
 func NewFlightSampler(svc *Service, rec *timeseries.Recorder, det *detect.Detector) *FlightSampler {
-	return &FlightSampler{
-		svc:      svc,
-		det:      det,
-		retries:  rec.Series("cp.saga_retries", timeseries.Counter),
-		repairs:  rec.Series("cp.reconcile_repairs", timeseries.Counter),
-		parked:   rec.Series("cp.sagas_parked", timeseries.Counter),
-		rejected: rec.Series("cp.sagas_rejected", timeseries.Counter),
-		inflight: rec.Series("cp.saga_inflight", timeseries.Gauge),
+	fs := &FlightSampler{}
+	fs.set.Add(rec, instrument.BindFunc("", Instruments, svc.Reading))
+	if det != nil {
+		fs.observe = det.Observe
 	}
+	return fs
 }
 
 // Sample records one reading of every cp.* series at ts (nanoseconds in
 // the caller's wall domain).
-func (fs *FlightSampler) Sample(ts int64) {
-	c := fs.svc.Counters()
-	fs.record(fs.retries, ts, float64(c.SagaRetries))
-	fs.record(fs.repairs, ts, float64(c.ReconcileRepairs))
-	fs.record(fs.parked, ts, float64(c.SagasParked))
-	fs.record(fs.rejected, ts, float64(c.SagasRejected))
-	fs.record(fs.inflight, ts, float64(fs.svc.InflightSagas()))
-}
-
-func (fs *FlightSampler) record(s *timeseries.Series, ts int64, v float64) {
-	s.Record(ts, v)
-	if fs.det != nil {
-		fs.det.Observe(s.Name(), ts, v)
-	}
-}
+func (fs *FlightSampler) Sample(ts int64) { fs.set.Sample(ts, fs.observe) }
 
 // handleTimeseries serves a frozen snapshot of the flight-recorder series.
 // Reader-visible like the aggregate metrics. ?format=binary streams the

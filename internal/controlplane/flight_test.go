@@ -159,7 +159,8 @@ func TestFlightSamplerRecordsCounters(t *testing.T) {
 	fs.Sample(200)
 
 	want := []string{
-		"cp.reconcile_repairs", "cp.saga_inflight", "cp.saga_retries",
+		"cp.detach_agent_failures", "cp.reconcile_repairs", "cp.recovery_replays",
+		"cp.saga_compensations", "cp.saga_inflight", "cp.saga_retries",
 		"cp.sagas_parked", "cp.sagas_rejected",
 	}
 	snap := rec.Snapshot()

@@ -442,13 +442,16 @@ func TestSagaCountersInMetrics(t *testing.T) {
 	if !ok {
 		t.Fatal("no metrics snapshot")
 	}
-	for _, name := range []string{"saga_retries", "saga_compensations", "recovery_replays", "reconcile_repairs"} {
+	for _, name := range []string{"cp.saga_retries", "cp.saga_compensations", "cp.recovery_replays", "cp.reconcile_repairs"} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Fatalf("metrics missing %q: %v", name, snap.Counters)
 		}
 	}
-	if snap.Counters["saga_retries"] < 1 {
-		t.Fatalf("saga_retries = %d", snap.Counters["saga_retries"])
+	if snap.Counters["cp.saga_retries"] < 1 {
+		t.Fatalf("cp.saga_retries = %d", snap.Counters["cp.saga_retries"])
+	}
+	if _, ok := snap.Gauges["cp.saga_inflight"]; !ok {
+		t.Fatalf("metrics missing cp.saga_inflight: %v", snap.Gauges)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"thymesisflow/internal/core"
+	"thymesisflow/internal/instrument"
 	"thymesisflow/internal/metrics"
 	"thymesisflow/internal/timeseries/detect"
 	"thymesisflow/internal/trace"
@@ -17,6 +18,37 @@ type LatencyReporter interface {
 	LatencyReport() core.LatencyReport
 }
 
+// Reading is the control plane's scalar state at one instant: the saga
+// counters and the number of sagas in flight.
+type Reading struct {
+	SagaCounters
+	Inflight int
+}
+
+// Reading samples the service's atomic counters. It takes no lock, so it is
+// safe from a timer goroutine or a clock tap while sagas execute.
+func (s *Service) Reading() Reading {
+	return Reading{SagaCounters: s.Counters(), Inflight: s.InflightSagas()}
+}
+
+// Instruments is the control plane's cp.* instrument table. The metrics
+// registry (SetTelemetry), FlightSampler and the chaos campaign's
+// CPObserver all bind it, so every surface carries the same names.
+var Instruments = []instrument.Def[Reading]{
+	counter("cp.saga_retries", func(r Reading) int64 { return r.SagaRetries }),
+	counter("cp.saga_compensations", func(r Reading) int64 { return r.SagaCompensations }),
+	counter("cp.recovery_replays", func(r Reading) int64 { return r.RecoveryReplays }),
+	counter("cp.reconcile_repairs", func(r Reading) int64 { return r.ReconcileRepairs }),
+	counter("cp.detach_agent_failures", func(r Reading) int64 { return r.DetachAgentFailures }),
+	counter("cp.sagas_parked", func(r Reading) int64 { return r.SagasParked }),
+	counter("cp.sagas_rejected", func(r Reading) int64 { return r.SagasRejected }),
+	instrument.Gauge("cp.saga_inflight", func(r Reading) float64 { return float64(r.Inflight) }),
+}
+
+func counter(name string, field func(Reading) int64) instrument.Def[Reading] {
+	return instrument.Counter(name, func(r Reading) float64 { return float64(field(r)) })
+}
+
 // SetTelemetry attaches the live metrics registry and trace ring the REST
 // layer serves under GET /v1/metrics and GET /v1/trace/snapshot. Either may
 // be nil; unconfigured telemetry endpoints answer 404.
@@ -26,29 +58,14 @@ func (s *Service) SetTelemetry(reg *metrics.Registry, ring *trace.Ring) {
 	s.metrics = reg
 	s.ring = ring
 	if reg != nil {
-		reg.AddCollector(s.collectSagaCounters)
+		instrument.Register(reg, "", instrument.BindFunc("", Instruments, s.Reading))
+		reg.AddCollector(s.collectHealth)
 	}
 }
 
-// collectSagaCounters pulls the fault-handling counters into the registry at
-// snapshot time, so saga_retries, saga_compensations, recovery_replays,
-// reconcile_repairs (and friends) appear under GET /v1/metrics alongside the
-// datapath instruments.
-func (s *Service) collectSagaCounters(reg *metrics.Registry) {
-	c := s.Counters()
-	for name, v := range map[string]int64{
-		"saga_retries":          c.SagaRetries,
-		"saga_compensations":    c.SagaCompensations,
-		"recovery_replays":      c.RecoveryReplays,
-		"reconcile_repairs":     c.ReconcileRepairs,
-		"detach_agent_failures": c.DetachAgentFailures,
-		"sagas_parked":          c.SagasParked,
-		"sagas_rejected":        c.SagasRejected,
-	} {
-		ctr := reg.Counter(name)
-		ctr.Reset()
-		ctr.Add(v)
-	}
+// collectHealth pulls the registry-only health gauges in at snapshot time:
+// event-log, flight-recorder and anomaly-detector state.
+func (s *Service) collectHealth(reg *metrics.Registry) {
 	// Event-log health: how much of the saga timeline the bounded log still
 	// holds. A growing dropped count means the capacity is too small for the
 	// saga rate.

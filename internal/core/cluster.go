@@ -37,8 +37,11 @@ type Cluster struct {
 	// lat is the cluster-wide latency-attribution sink (nil = disabled).
 	lat *latency.Sink
 
-	// flight is the fabric flight recorder (nil = disabled).
-	flight *flightRecorder
+	// registries are the RegisterMetrics targets and flight the fabric
+	// flight recorder (nil = disabled); both receive the instruments of
+	// every host and attachment added later.
+	registries []registration
+	flight     *flightRecorder
 
 	// Sharded execution (nil group = classic single-kernel cluster; the
 	// single-kernel code paths are byte-identical to the pre-sharding ones).
@@ -206,7 +209,7 @@ func (c *Cluster) runSampled(limit sim.Time) sim.Time {
 			// Drained (or stopped) short of the grid instant.
 			break
 		}
-		fr.sampleAll(c, int64(next))
+		fr.sampleAll(int64(next))
 		if !c.pendingEvents() {
 			break
 		}
@@ -215,7 +218,7 @@ func (c *Cluster) runSampled(limit sim.Time) sim.Time {
 	// off-grid, but the virtual end time is shard-invariant, and it captures
 	// terminal transitions — a port fencing itself moments before the run
 	// drains — that land after the last grid instant.
-	fr.sampleAll(c, int64(now))
+	fr.sampleAll(int64(now))
 	return now
 }
 
@@ -269,8 +272,8 @@ func (c *Cluster) AddHost(cfg HostConfig) (*Host, error) {
 	if c.hostShard != nil {
 		c.hostShard[cfg.Name] = si
 	}
-	if c.flight != nil {
-		c.flight.addHost(si, h)
+	if c.observed() {
+		c.hostProbes(h, c.publish)
 	}
 	return h, nil
 }
@@ -709,8 +712,8 @@ func (c *Cluster) Attach(spec AttachSpec) (*Attachment, error) {
 	}
 
 	c.attachments[id] = att
-	if c.flight != nil {
-		c.flight.addAttachment(c, att)
+	if c.observed() {
+		c.attachmentProbes(att, c.publish)
 	}
 	return att, nil
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
-	"thymesisflow/internal/llc"
-	"thymesisflow/internal/phy"
+	"thymesisflow/internal/instrument"
 	"thymesisflow/internal/sim"
 	"thymesisflow/internal/timeseries"
 )
@@ -24,38 +22,12 @@ type FlightOptions struct {
 	Tick sim.Time
 }
 
-// portSeries samples one LLC port (credit occupancy, replay depth, fenced
-// state, stall/replay counters). Series handles are resolved once at
-// registration so the per-tick path is lookup- and allocation-free.
-type portSeries struct {
-	port                                 *llc.Port
-	credits, depth, down, stalls, replay *timeseries.Series
-}
-
-// chanSeries samples one phy channel direction (wire counters plus
-// utilization derived from pipe byte deltas).
-type chanSeries struct {
-	ch                             *phy.Channel
-	sent, dropped, corrupted, util *timeseries.Series
-	prevBytes                      int64
-	prevTS                         int64
-}
-
-// hostSeries samples one host's compute endpoint in-flight depth.
-type hostSeries struct {
-	h           *Host
-	outstanding *timeseries.Series
-}
-
-// shardSampler is the per-shard target set: targets grouped by the shard
-// whose kernel owns their state, which keeps the per-shard barrier-stall
-// series wired to the right shard and the registration order deterministic.
+// shardSampler is the probe set of one shard: the instruments whose state
+// that shard's kernel owns, so registration from inside a window takes only
+// its own shard's lock.
 type shardSampler struct {
-	mu    sync.Mutex
-	ports []*portSeries
-	chans []*chanSeries
-	hosts []*hostSeries
-	stall *timeseries.Series // shard.<i>.barrier_stall_ns (nil unsharded)
+	mu  sync.Mutex
+	set instrument.Sampler
 }
 
 // flightRecorder is the cluster-wide recorder state.
@@ -68,13 +40,14 @@ type flightRecorder struct {
 
 // EnableFlightRecorder switches on the fabric flight recorder: subsequent
 // Cluster.Run/RunUntil calls advance the simulation in opts.Tick grid steps
-// and record phy/llc/capi series for every host and attachment (plus a
-// per-shard barrier-stall series when sharded) at each grid instant, while
-// the shards are parked between conservative windows. Hosts and attachments
-// added later are picked up automatically. Subsequent calls return the same
-// recorder. A cluster that never calls this samples nothing and stays on
-// the zero-overhead datapath — the recorder adds no simulation events
-// either way, so a recorded run reproduces the unrecorded timeline exactly.
+// and record the datapath instrument catalogue (metrics.go) — every sim,
+// shard, capi, backend, llc and phy instrument, under the names the metrics
+// registry uses — at each grid instant, while the shards are parked between
+// conservative windows. Hosts and attachments added later are picked up
+// automatically. Subsequent calls return the same recorder. A cluster that
+// never calls this samples nothing and stays on the zero-overhead datapath —
+// the recorder adds no simulation events either way, so a recorded run
+// reproduces the unrecorded timeline exactly.
 func (c *Cluster) EnableFlightRecorder(opts FlightOptions) *timeseries.Recorder {
 	if c.flight != nil {
 		return c.flight.rec
@@ -83,40 +56,34 @@ func (c *Cluster) EnableFlightRecorder(opts FlightOptions) *timeseries.Recorder 
 	if tick <= 0 {
 		tick = DefaultFlightTick
 	}
-	kernels := c.Kernels()
 	fr := &flightRecorder{
 		rec:      timeseries.NewRecorder(opts.Capacity),
 		tick:     tick,
-		samplers: make([]*shardSampler, len(kernels)),
+		samplers: make([]*shardSampler, c.Shards()),
 	}
 	for si := range fr.samplers {
 		fr.samplers[si] = &shardSampler{}
-		if c.group != nil {
-			fr.samplers[si].stall = fr.rec.Series(
-				fmt.Sprintf("shard.%d.barrier_stall_ns", si), timeseries.Counter)
-		}
 	}
 	c.flight = fr
-	for _, name := range c.hostOrder {
-		fr.addHost(c.ShardOf(name), c.hosts[name])
-	}
-	for _, id := range c.attachmentIDs() {
-		fr.addAttachment(c, c.attachments[id])
-	}
+	c.eachProbe(fr.add)
 	return fr.rec
 }
 
-// sampleAll records one instant across every shard's target set. The caller
-// (runSampled) guarantees the cluster is quiescent. Instants that do not
-// advance past the newest sample are dropped — repeated RunUntil calls on a
-// drained cluster would otherwise duplicate the boundary sample.
-func (fr *flightRecorder) sampleAll(c *Cluster, now int64) {
+// sampleAll records one instant across every shard's probe set. The caller
+// (runSampled) guarantees the cluster is quiescent, so the reads observe a
+// globally consistent, race-free state. Instants that do not advance past
+// the newest sample are dropped — repeated RunUntil calls on a drained
+// cluster would otherwise duplicate the boundary sample.
+func (fr *flightRecorder) sampleAll(now int64) {
 	if now <= fr.lastTS {
 		return
 	}
 	fr.lastTS = now
-	for si := range fr.samplers {
-		fr.sample(c, si, now)
+	for _, s := range fr.samplers {
+		s.mu.Lock()
+		set := s.set
+		s.mu.Unlock()
+		set.Sample(now, nil)
 	}
 }
 
@@ -128,109 +95,11 @@ func (c *Cluster) FlightRecorder() *timeseries.Recorder {
 	return c.flight.rec
 }
 
-func (fr *flightRecorder) addHost(si int, h *Host) {
-	s := fr.samplers[si]
-	hs := &hostSeries{
-		h:           h,
-		outstanding: fr.rec.Series("capi."+h.Name+".outstanding", timeseries.Gauge),
-	}
-	s.mu.Lock()
-	s.hosts = append(s.hosts, hs)
-	s.mu.Unlock()
-}
-
-// addAttachment registers the attachment's ports and channels with the
-// shards that own each side: compute-side port state and the forward
-// channel live on the compute host's kernel, the peer port and reverse
-// channel on the donor's.
-func (fr *flightRecorder) addAttachment(c *Cluster, att *Attachment) {
-	csi, dsi := c.ShardOf(att.ComputeHost), c.ShardOf(att.DonorHost)
-	for i, p := range att.computePorts {
-		if p == nil {
-			continue
-		}
-		fr.addPort(csi, p, fmt.Sprintf("llc.%s.p%d", att.ID, i))
-		fr.addChan(csi, p.Channel(), fmt.Sprintf("phy.%s.c%d.fwd", att.ID, i))
-		if peer := p.Peer(); peer != nil {
-			fr.addPort(dsi, peer, fmt.Sprintf("llc.%s.q%d", att.ID, i))
-			fr.addChan(dsi, peer.Channel(), fmt.Sprintf("phy.%s.c%d.rev", att.ID, i))
-		}
-	}
-}
-
-func (fr *flightRecorder) addPort(si int, p *llc.Port, prefix string) {
-	ps := &portSeries{
-		port:    p,
-		credits: fr.rec.Series(prefix+".credits", timeseries.Gauge),
-		depth:   fr.rec.Series(prefix+".replay_depth", timeseries.Gauge),
-		down:    fr.rec.Series(prefix+".down", timeseries.Gauge),
-		stalls:  fr.rec.Series(prefix+".credit_stalls", timeseries.Counter),
-		replay:  fr.rec.Series(prefix+".tx_replayed", timeseries.Counter),
-	}
+// add registers probes with the sampler of shard si, the shard that owns
+// their state.
+func (fr *flightRecorder) add(si int, probes []instrument.Probe) {
 	s := fr.samplers[si]
 	s.mu.Lock()
-	s.ports = append(s.ports, ps)
+	s.set.Add(fr.rec, probes)
 	s.mu.Unlock()
-}
-
-func (fr *flightRecorder) addChan(si int, ch *phy.Channel, prefix string) {
-	if ch == nil {
-		return
-	}
-	cs := &chanSeries{
-		ch:        ch,
-		sent:      fr.rec.Series(prefix+".sent", timeseries.Counter),
-		dropped:   fr.rec.Series(prefix+".dropped", timeseries.Counter),
-		corrupted: fr.rec.Series(prefix+".corrupted", timeseries.Counter),
-		util:      fr.rec.Series(prefix+".util", timeseries.Gauge),
-	}
-	s := fr.samplers[si]
-	s.mu.Lock()
-	s.chans = append(s.chans, cs)
-	s.mu.Unlock()
-}
-
-// sample records one grid instant's worth of series for one shard. Targets
-// are snapshotted under the registration lock; the reads run while every
-// shard is parked at the grid instant, so they observe a globally
-// consistent, race-free state.
-func (fr *flightRecorder) sample(c *Cluster, si int, now int64) {
-	s := fr.samplers[si]
-	s.mu.Lock()
-	ports, chans, hosts := s.ports, s.chans, s.hosts
-	s.mu.Unlock()
-	for _, ps := range ports {
-		ps.credits.Record(now, float64(ps.port.Credits()))
-		ps.depth.Record(now, float64(ps.port.ReplayDepth()))
-		down := 0.0
-		if ps.port.Down() {
-			down = 1
-		}
-		ps.down.Record(now, down)
-		st := ps.port.Stats()
-		ps.stalls.Record(now, float64(st.CreditStalls))
-		ps.replay.Record(now, float64(st.TxReplayed))
-	}
-	for _, cs := range chans {
-		sent, dropped, corrupted := cs.ch.Stats()
-		cs.sent.Record(now, float64(sent))
-		cs.dropped.Record(now, float64(dropped))
-		cs.corrupted.Record(now, float64(corrupted))
-		util := 0.0
-		total := cs.ch.Pipe().TotalBytes()
-		if dt := float64(now-cs.prevTS) * 1e-12; dt > 0 && cs.ch.Rate() > 0 {
-			util = float64(total-cs.prevBytes) / (cs.ch.Rate() * dt)
-		}
-		cs.util.Record(now, util)
-		cs.prevBytes, cs.prevTS = total, now
-	}
-	for _, hs := range hosts {
-		hs.outstanding.Record(now, float64(hs.h.Compute.Outstanding()))
-	}
-	if s.stall != nil && c.group != nil {
-		h := c.group.Health()
-		if si < len(h.Shards) {
-			s.stall.Record(now, float64(h.Shards[si].StallPS)/1e3)
-		}
-	}
 }

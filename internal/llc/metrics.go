@@ -1,43 +1,40 @@
 package llc
 
-import "thymesisflow/internal/metrics"
+import "thymesisflow/internal/instrument"
 
-// Registry adapter: Port keeps its protocol counters in the plain Stats
-// struct (no per-increment synchronization on the simulation hot path) and
-// this file bridges them into a metrics.Registry at snapshot time, turning
-// absolute snapshots into counter increments via Stats.Sub.
-
-// AddTo adds the counters of s — normally an interval delta produced by
-// Stats.Sub — to registry counters named prefix + counter.
-func (s Stats) AddTo(reg *metrics.Registry, prefix string) {
-	reg.Counter(prefix + "tx_frames").Add(s.TxFrames)
-	reg.Counter(prefix + "tx_control").Add(s.TxControl)
-	reg.Counter(prefix + "tx_replayed").Add(s.TxReplayed)
-	reg.Counter(prefix + "rx_frames").Add(s.RxFrames)
-	reg.Counter(prefix + "rx_crc_errors").Add(s.RxCRCErrors)
-	reg.Counter(prefix + "rx_gaps").Add(s.RxGaps)
-	reg.Counter(prefix + "rx_duplicates").Add(s.RxDuplicates)
-	reg.Counter(prefix + "tx_transactions").Add(s.TxTransactions)
-	reg.Counter(prefix + "rx_transactions").Add(s.RxTransactions)
-	reg.Counter(prefix + "padding_flits").Add(s.PaddingFlits)
-	reg.Counter(prefix + "credit_stalls").Add(s.CreditStalls)
-	reg.Counter(prefix + "credit_probes").Add(s.CreditProbes)
-	reg.Counter(prefix + "replay_exhausted").Add(s.ReplayExhausted)
-	reg.Counter(prefix + "replay_overflows").Add(s.ReplayOverflows)
-	reg.Counter(prefix + "tx_abandoned").Add(s.TxAbandoned)
-	reg.Counter(prefix + "link_down_events").Add(s.LinkDownEvents)
+// Instruments is the port's scalar instrument table: credit, replay and
+// fenced state plus every protocol counter in Stats. The cluster binds it
+// to each attachment port as llc.<att>.p<i>. (compute side) and
+// llc.<att>.q<i>. (donor side); the metrics registry and the flight
+// recorder both read it.
+var Instruments = []instrument.Def[*Port]{
+	instrument.Gauge("credits", func(p *Port) float64 { return float64(p.Credits()) }),
+	instrument.Gauge("replay_depth", func(p *Port) float64 { return float64(p.ReplayDepth()) }),
+	instrument.Gauge("down", func(p *Port) float64 {
+		if p.Down() {
+			return 1
+		}
+		return 0
+	}),
+	stat("tx_frames", func(s *Stats) int64 { return s.TxFrames }),
+	stat("tx_control", func(s *Stats) int64 { return s.TxControl }),
+	stat("tx_replayed", func(s *Stats) int64 { return s.TxReplayed }),
+	stat("rx_frames", func(s *Stats) int64 { return s.RxFrames }),
+	stat("rx_crc_errors", func(s *Stats) int64 { return s.RxCRCErrors }),
+	stat("rx_gaps", func(s *Stats) int64 { return s.RxGaps }),
+	stat("rx_duplicates", func(s *Stats) int64 { return s.RxDuplicates }),
+	stat("tx_transactions", func(s *Stats) int64 { return s.TxTransactions }),
+	stat("rx_transactions", func(s *Stats) int64 { return s.RxTransactions }),
+	stat("padding_flits", func(s *Stats) int64 { return s.PaddingFlits }),
+	stat("credit_stalls", func(s *Stats) int64 { return s.CreditStalls }),
+	stat("credit_probes", func(s *Stats) int64 { return s.CreditProbes }),
+	stat("replay_exhausted", func(s *Stats) int64 { return s.ReplayExhausted }),
+	stat("replay_overflows", func(s *Stats) int64 { return s.ReplayOverflows }),
+	stat("tx_abandoned", func(s *Stats) int64 { return s.TxAbandoned }),
+	stat("link_down_events", func(s *Stats) int64 { return s.LinkDownEvents }),
 }
 
-// RegisterMetrics registers a collector that publishes p's protocol
-// counters into reg under prefix (e.g. "llc.att-0.port0.") on every
-// registry snapshot. Each collection adds only the activity since the
-// previous one, so registry counters track the port exactly.
-func RegisterMetrics(reg *metrics.Registry, prefix string, p *Port) {
-	var prev Stats
-	reg.AddCollector(func(r *metrics.Registry) {
-		cur := p.Stats()
-		cur.Sub(prev).AddTo(r, prefix)
-		prev = cur
-	})
-	reg.GaugeFunc(prefix+"credits", func() float64 { return float64(p.Credits()) })
+// stat declares a counter over one Stats field.
+func stat(name string, field func(*Stats) int64) instrument.Def[*Port] {
+	return instrument.Counter(name, func(p *Port) float64 { return float64(field(&p.stats)) })
 }

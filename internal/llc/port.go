@@ -149,37 +149,8 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the port's counters: a value copy taken at
-// call time. The snapshot does not track later protocol activity — take a
-// second snapshot and diff with Sub to measure an interval:
-//
-//	before := p.Stats()
-//	// ... run traffic ...
-//	window := p.Stats().Sub(before)
+// call time that does not track later protocol activity.
 func (p *Port) Stats() Stats { return p.stats }
-
-// Sub returns the counter-wise difference s - prev: the protocol activity
-// between the two snapshots. The registry adapter (RegisterMetrics) uses it
-// to convert absolute snapshots into counter increments.
-func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		TxFrames:        s.TxFrames - prev.TxFrames,
-		TxControl:       s.TxControl - prev.TxControl,
-		TxReplayed:      s.TxReplayed - prev.TxReplayed,
-		RxFrames:        s.RxFrames - prev.RxFrames,
-		RxCRCErrors:     s.RxCRCErrors - prev.RxCRCErrors,
-		RxGaps:          s.RxGaps - prev.RxGaps,
-		RxDuplicates:    s.RxDuplicates - prev.RxDuplicates,
-		TxTransactions:  s.TxTransactions - prev.TxTransactions,
-		RxTransactions:  s.RxTransactions - prev.RxTransactions,
-		PaddingFlits:    s.PaddingFlits - prev.PaddingFlits,
-		CreditStalls:    s.CreditStalls - prev.CreditStalls,
-		CreditProbes:    s.CreditProbes - prev.CreditProbes,
-		ReplayExhausted: s.ReplayExhausted - prev.ReplayExhausted,
-		ReplayOverflows: s.ReplayOverflows - prev.ReplayOverflows,
-		TxAbandoned:     s.TxAbandoned - prev.TxAbandoned,
-		LinkDownEvents:  s.LinkDownEvents - prev.LinkDownEvents,
-	}
-}
 
 // NewPair wires two ports over a bidirectional phy link and returns
 // (a, b): a transmits on link.AtoB and receives from link.BtoA; b is the

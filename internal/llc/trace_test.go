@@ -4,24 +4,10 @@ import (
 	"testing"
 
 	"thymesisflow/internal/capi"
-	"thymesisflow/internal/metrics"
 	"thymesisflow/internal/phy"
 	"thymesisflow/internal/sim"
 	"thymesisflow/internal/trace"
 )
-
-func TestStatsSub(t *testing.T) {
-	a := Stats{TxFrames: 10, RxFrames: 8, TxReplayed: 2, CreditStalls: 5, PaddingFlits: 100}
-	b := Stats{TxFrames: 25, RxFrames: 20, TxReplayed: 2, CreditStalls: 9, PaddingFlits: 160}
-	d := b.Sub(a)
-	want := Stats{TxFrames: 15, RxFrames: 12, TxReplayed: 0, CreditStalls: 4, PaddingFlits: 60}
-	if d != want {
-		t.Fatalf("Sub = %+v, want %+v", d, want)
-	}
-	if z := a.Sub(a); z != (Stats{}) {
-		t.Fatalf("self-Sub = %+v, want zero", z)
-	}
-}
 
 // TestPortTraceEvents drives a lossy link with a tracer attached and checks
 // the protocol's trace vocabulary shows up: per-frame tx instants, gap
@@ -75,44 +61,5 @@ func TestPortTraceEvents(t *testing.T) {
 	}
 	if openReplay != 0 {
 		t.Fatalf("%d replay spans left open after in-order delivery resumed", openReplay)
-	}
-}
-
-// TestRegisterMetrics checks the registry adapter: snapshot counters track
-// the port's cumulative stats across multiple collections, and the credit
-// gauge reports the live value.
-func TestRegisterMetrics(t *testing.T) {
-	k := sim.NewKernel()
-	a, b := newTestPair(k, phy.FaultConfig{}, DefaultConfig())
-	b.OnReceive = func(*capi.Transaction) {}
-	reg := metrics.NewRegistry()
-	RegisterMetrics(reg, "llc.a.", a)
-
-	send := func(count int) {
-		k.Go("tx", func(p *sim.Proc) {
-			for i := 0; i < count; i++ {
-				a.SendFrom(p, readReq(uint32(i)))
-				p.Sleep(10 * sim.Nanosecond)
-			}
-		})
-		k.RunUntil(k.Now() + sim.Millisecond)
-	}
-
-	send(10)
-	s1 := reg.Snapshot()
-	if got := s1.Counters["llc.a.tx_transactions"]; got != a.Stats().TxTransactions {
-		t.Fatalf("tx_transactions = %d, want %d", got, a.Stats().TxTransactions)
-	}
-	send(5)
-	s2 := reg.Snapshot()
-	if got := s2.Counters["llc.a.tx_transactions"]; got != a.Stats().TxTransactions {
-		t.Fatalf("after second interval: tx_transactions = %d, want %d (cumulative)",
-			got, a.Stats().TxTransactions)
-	}
-	if s2.Counters["llc.a.tx_transactions"] <= s1.Counters["llc.a.tx_transactions"] {
-		t.Fatal("second snapshot did not advance")
-	}
-	if g := s2.Gauges["llc.a.credits"]; g != float64(a.Credits()) {
-		t.Fatalf("credits gauge = %v, want %d", g, a.Credits())
 	}
 }

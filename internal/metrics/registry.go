@@ -23,10 +23,11 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Registry aggregates named counters, gauges, and histograms behind one
 // snapshot interface, replacing per-component ad-hoc stat structs as the way
 // telemetry leaves the simulation. Components either hold instruments
-// obtained from Counter/Gauge/Histogram and update them inline, or register
-// a collector (AddCollector) that pulls their internal counters into the
-// registry at snapshot time — the adapter pattern used for llc.Stats via
-// Stats.Sub deltas.
+// obtained from Counter/Gauge/Histogram and update them inline, register
+// read functions (CounterFunc/GaugeFunc) evaluated at snapshot time — how
+// the instrument tables of internal/instrument publish llc, phy, core and
+// control-plane state — or register a collector (AddCollector) that pulls
+// values in at snapshot time.
 //
 // Registry is safe for concurrent use. Snapshot consistency is per
 // instrument, not global: a snapshot taken while the simulation runs sees
@@ -34,6 +35,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
+	counterFns map[string]func() float64
 	gauges     map[string]*Gauge
 	gaugeFns   map[string]func() float64
 	hists      map[string]*Histogram
@@ -44,11 +46,12 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		gaugeFns: make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
-		histFns:  make(map[string]func() HistogramSummary),
+		counters:   make(map[string]*Counter),
+		counterFns: make(map[string]func() float64),
+		gauges:     make(map[string]*Gauge),
+		gaugeFns:   make(map[string]func() float64),
+		hists:      make(map[string]*Histogram),
+		histFns:    make(map[string]func() HistogramSummary),
 	}
 }
 
@@ -74,6 +77,15 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// CounterFunc registers a counter whose cumulative value is read at
+// snapshot time (truncated to int64) — for components that keep their own
+// monotonic totals. Re-registering a name replaces the function.
+func (r *Registry) CounterFunc(name string, fn func() float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counterFns[name] = fn
 }
 
 // GaugeFunc registers a gauge whose value is computed at snapshot time
@@ -160,12 +172,15 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
+		Counters:   make(map[string]int64, len(r.counters)+len(r.counterFns)),
 		Gauges:     make(map[string]float64, len(r.gauges)+len(r.gaugeFns)),
 		Histograms: make(map[string]HistogramSummary, len(r.hists)+len(hsums)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
+	}
+	for name, fn := range r.counterFns {
+		s.Counters[name] = int64(fn())
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()

@@ -372,25 +372,47 @@ type Health struct {
 // goroutines reading stale-but-consistent counters; kernels' executed counts
 // are read without synchronization and may lag mid-window.
 func (g *Group) Health() Health {
+	return g.health(make([]ShardStat, len(g.shards)))
+}
+
+// Summary is Health without the per-shard split: the group totals, read
+// without allocating (the flight recorder samples them every tick).
+func (g *Group) Summary() Health { return g.health(nil) }
+
+// ShardStat returns shard i's slice of Health without allocating.
+func (g *Group) ShardStat(i int) ShardStat {
 	g.statMu.Lock()
+	defer g.statMu.Unlock()
+	return g.stat(i)
+}
+
+// stat reads shard i's counters; the caller holds statMu.
+func (g *Group) stat(i int) ShardStat {
+	return ShardStat{
+		Shard:   i,
+		Windows: g.shardWindows[i],
+		Events:  g.shards[i].k.Executed(),
+		StallPS: int64(g.shardStall[i]),
+	}
+}
+
+// health fills a Health snapshot, storing the per-shard counters in shards
+// when it is non-nil (len(g.shards) long).
+func (g *Group) health(shards []ShardStat) Health {
+	g.statMu.Lock()
+	defer g.statMu.Unlock()
 	h := Health{
-		Shards:        make([]ShardStat, len(g.shards)),
+		Shards:        shards,
 		Windows:       g.windows,
 		Flushed:       g.flushed,
 		MaxFlushDepth: g.maxFlush,
 	}
-	for i, s := range g.shards {
-		h.Shards[i] = ShardStat{
-			Shard:   i,
-			Windows: g.shardWindows[i],
-			Events:  s.k.Executed(),
-			StallPS: int64(g.shardStall[i]),
-		}
-	}
-	g.statMu.Unlock()
-
 	var total, max uint64
-	for _, st := range h.Shards {
+	for i := range g.shards {
+		st := g.stat(i)
+		if shards != nil {
+			shards[i] = st
+		}
 		total += st.Events
 		if st.Events > max {
 			max = st.Events
@@ -400,7 +422,7 @@ func (g *Group) Health() Health {
 		h.EventsPerWindow = float64(total) / float64(h.Windows)
 	}
 	if total > 0 {
-		mean := float64(total) / float64(len(h.Shards))
+		mean := float64(total) / float64(len(g.shards))
 		h.Imbalance = float64(max) / mean
 	}
 	return h

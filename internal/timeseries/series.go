@@ -1,9 +1,10 @@
 // Package timeseries is the fabric flight recorder: fixed-capacity
-// ring-buffer time series sampled from the live telemetry surfaces of the
-// stack (phy channel counters, llc credit/replay state, capi in-flight
-// depth, control-plane saga counters, shard runtime health) on a periodic
-// tick. Two tick domains exist side by side: datapath series are sampled at
-// a fixed grid of virtual (simulated) instants while the cluster steps
+// ring-buffer time series sampled on a periodic tick from the same
+// instrument tables the metrics registry publishes (internal/instrument:
+// llc, phy, capi, backend, sim and shard instruments on the datapath, the
+// cp.* saga counters on the control plane), under the same names and
+// kinds. Two tick domains exist side by side: datapath series are sampled
+// at a fixed grid of virtual (simulated) instants while the cluster steps
 // between conservative windows, and control-plane series are sampled on a
 // trace.WallClock (deterministic StepClock in seeded harnesses, monotonic
 // in tfd).
@@ -205,8 +206,8 @@ func (r *Recorder) Snapshot() Snapshot {
 }
 
 // Filter returns a sub-snapshot holding only series accepted by keep.
-// Detect harnesses use it to strip the non-deterministic shard.* runtime
-// series before scoring.
+// Detect harnesses use it to strip the shard.* and sim.* runtime series,
+// which differ by shard count, before scoring.
 func (s Snapshot) Filter(keep func(name string) bool) Snapshot {
 	out := Snapshot{}
 	for _, ss := range s.Series {
