@@ -127,7 +127,7 @@ func TestCPCampaignDeterministic(t *testing.T) {
 // refactor that changes a still-deterministic report would pass them. A
 // change that alters the report on purpose must update this hash.
 func TestCPCampaignPinnedHash(t *testing.T) {
-	const want = "aea99206e16d9f32ea108582a2cf00f68640534f2c5bbeabfa8a21368dad63a1"
+	const want = "87bffe7df45afe3656d2a47a95fa17a87e2e14b1be7239925923842aeb642a37"
 	data, err := json.MarshalIndent(RunCPCampaign(CPCatalogue(), 1), "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 // HA control-plane chaos: fault campaigns against a 3-node replicated
 // control plane. The saga write-ahead journal rides an embedded Raft log
-// (internal/raft) through controlplane.ReplicaSet; scenarios kill leaders
-// mid-saga, partition minorities and majorities, drive split-brain with a
-// fenced stale leader, and lag a follower behind the commit frontier —
-// then assert both the orchestration invariants (via verify) and the
+// (internal/raft) through controlplane.ReplicaSet, which embeds the
+// raft.Cluster: scenarios cut links and read member status on it directly,
+// and kill and revive nodes through cpworld. They kill leaders mid-saga,
+// partition minorities and majorities, drive split-brain with a fenced
+// stale leader, and lag a follower behind the commit frontier — then
+// assert both the orchestration invariants (via verify) and the
 // replication invariants (committed journals identical across replicas,
 // no committed saga lost to failover).
 //
@@ -283,10 +285,7 @@ func runHAFollowerLag(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 	// One follower is down for the whole workload; the leader commits
 	// through the remaining 2/3 quorum.
 	lagger := follower(w)
-	if err := w.Kill(lagger); err != nil {
-		rep.fail("%v", err)
-		return
-	}
+	w.Kill(lagger)
 
 	var ids []string
 	for i := 0; i < 6; i++ {

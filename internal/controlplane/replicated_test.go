@@ -37,9 +37,7 @@ func TestReplicatedJournalQuorumAppend(t *testing.T) {
 	}
 	// Commit index propagates with the next heartbeats; then every replica
 	// sees the identical committed journal.
-	if err := rs.Tick(10); err != nil {
-		t.Fatal(err)
-	}
+	rs.TickN(10)
 	for _, id := range rs.IDs() {
 		ents, err := rs.CommittedEntries(id)
 		if err != nil {
@@ -180,9 +178,7 @@ func TestLeaderBoundServiceCommitsThroughQuorum(t *testing.T) {
 	if err := svc.Detach(rec.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Tick(10); err != nil {
-		t.Fatal(err)
-	}
+	rs.TickN(10)
 	want, err := rs.CommittedEntries(leader)
 	if err != nil {
 		t.Fatal(err)

@@ -175,9 +175,7 @@ func (w *World) JournalStats() (entries, bytes int64) {
 func (w *World) Failover(kill bool) error {
 	old := w.Leader
 	if kill {
-		if err := w.Kill(old); err != nil {
-			return err
-		}
+		w.Kill(old)
 	}
 	next, err := w.Replicas.ElectLeader(electTicks, old)
 	if err != nil {
@@ -189,24 +187,17 @@ func (w *World) Failover(kill bool) error {
 
 // Kill stops replica id's node, after reviving any previously killed one
 // so the quorum never shrinks below a majority. Settle revives it.
-func (w *World) Kill(id string) error {
-	if err := w.revive(); err != nil {
-		return err
-	}
+func (w *World) Kill(id string) {
+	w.revive()
 	w.Replicas.Stop(id)
 	w.down = id
-	return nil
 }
 
-func (w *World) revive() error {
-	if w.down == "" {
-		return nil
+func (w *World) revive() {
+	if w.down != "" {
+		w.Replicas.Restart(w.down)
+		w.down = ""
 	}
-	if err := w.Replicas.Restart(w.down); err != nil {
-		return fmt.Errorf("cpworld: restart %s: %w", w.down, err)
-	}
-	w.down = ""
-	return nil
 }
 
 // Settle heals every Raft partition, revives the killed replica, and
@@ -214,13 +205,9 @@ func (w *World) revive() error {
 // then names the settled leader.
 func (w *World) Settle() error {
 	w.Replicas.HealAll()
-	if err := w.revive(); err != nil {
-		return err
-	}
+	w.revive()
 	for i := 0; i < electTicks && !w.caughtUp(); i++ {
-		if err := w.Replicas.Tick(1); err != nil {
-			return fmt.Errorf("cpworld: settle tick: %w", err)
-		}
+		w.Replicas.Tick()
 	}
 	if !w.caughtUp() {
 		return errors.New("cpworld: replicas never caught up to the leader's log")

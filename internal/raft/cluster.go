@@ -3,23 +3,21 @@ package raft
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 )
 
-// MemberStatus is one node's externally visible state, used by the chaos
-// and replay report summaries. Field order and JSON tags are part of the
-// deterministic report surface.
+// MemberStatus is one node's externally visible state: the leader gate,
+// the settle and convergence checks, and the chaos assertions read it.
 type MemberStatus struct {
-	ID        string `json:"id"`
-	Role      string `json:"role"`
-	Term      uint64 `json:"term"`
-	Commit    uint64 `json:"commit"`
-	Applied   uint64 `json:"applied"`
-	LastIndex uint64 `json:"last_index"`
-	Leader    string `json:"leader,omitempty"`
-	Stopped   bool   `json:"stopped,omitempty"`
+	ID        string
+	Role      string
+	Term      uint64
+	Commit    uint64
+	Applied   uint64
+	LastIndex uint64
+	Leader    string // last known leader
+	Stopped   bool
 }
 
 // Cluster owns a set of Raft nodes and a virtual-time message network.
@@ -32,55 +30,36 @@ type MemberStatus struct {
 type Cluster struct {
 	mu    sync.Mutex
 	ids   []string
-	cfg   Config
 	seed  int64
 	nodes map[string]*node
-	store map[string]Storage
 
 	queue   []Message          // in flight, delivered next Tick
 	cut     map[[2]string]bool // [from,to] directed partition cuts
 	stopped map[string]bool
 	dropped uint64 // messages discarded by cuts or stopped nodes
-	now     uint64 // ticks elapsed
 
 	lastLeader    string
 	leaderChanges uint64
 }
 
-// NewCluster builds a cluster of len(ids) nodes with per-node storage from
-// storageFn (nil means fresh MemStorage per node). Node RNGs derive from
-// seed and the node ID, so two clusters with the same seed and IDs elect
-// identically.
-func NewCluster(ids []string, cfg Config, seed int64, storageFn func(id string) Storage) (*Cluster, error) {
+// NewCluster builds a cluster of len(ids) fresh nodes. Node RNGs derive
+// from seed and the node ID, so two clusters with the same seed and IDs
+// elect identically.
+func NewCluster(ids []string, seed int64) (*Cluster, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("raft: cluster needs at least one member")
 	}
-	cfg.defaults()
 	sorted := append([]string(nil), ids...)
 	sort.Strings(sorted)
 	c := &Cluster{
 		ids:     sorted,
-		cfg:     cfg,
 		seed:    seed,
 		nodes:   make(map[string]*node, len(sorted)),
-		store:   make(map[string]Storage, len(sorted)),
 		cut:     make(map[[2]string]bool),
 		stopped: make(map[string]bool),
 	}
 	for _, id := range sorted {
-		var st Storage
-		if storageFn != nil {
-			st = storageFn(id)
-		}
-		if st == nil {
-			st = NewMemStorage()
-		}
-		c.store[id] = st
-		n, err := newNode(id, sorted, cfg, st, rand.New(rand.NewSource(nodeSeed(seed, id))))
-		if err != nil {
-			return nil, err
-		}
-		c.nodes[id] = n
+		c.nodes[id] = newNode(id, sorted, nodeSeed(seed, id))
 	}
 	return c, nil
 }
@@ -99,25 +78,22 @@ func (c *Cluster) blocked(from, to string) bool { return c.cut[[2]string{from, t
 
 // Tick advances virtual time one step: deliver last tick's messages in
 // send order, then tick every running node in ID order.
-func (c *Cluster) Tick() error {
+func (c *Cluster) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.tickLocked()
+	c.tickLocked()
 }
 
 // TickN runs n ticks.
-func (c *Cluster) TickN(n int) error {
+func (c *Cluster) TickN(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := 0; i < n; i++ {
-		if err := c.tickLocked(); err != nil {
-			return err
-		}
+		c.tickLocked()
 	}
-	return nil
 }
 
-func (c *Cluster) tickLocked() error {
+func (c *Cluster) tickLocked() {
 	inflight := c.queue
 	c.queue = nil
 	for _, m := range inflight {
@@ -125,26 +101,20 @@ func (c *Cluster) tickLocked() error {
 			c.dropped++
 			continue
 		}
-		if err := c.nodes[m.To].step(m, c.send); err != nil {
-			return err
-		}
+		c.nodes[m.To].step(m, c.send)
 	}
 	for _, id := range c.ids {
 		if c.stopped[id] {
 			continue
 		}
-		if err := c.nodes[id].tick(c.send); err != nil {
-			return err
-		}
+		c.nodes[id].tick(c.send)
 	}
-	c.now++
 	if cur, ok := c.leaderLocked(); ok && cur != c.lastLeader {
 		if c.lastLeader != "" {
 			c.leaderChanges++
 		}
 		c.lastLeader = cur
 	}
-	return nil
 }
 
 // leaderLocked returns the highest-term running leader, if any.
@@ -211,7 +181,7 @@ func (c *Cluster) TermAt(id string, index uint64) (uint64, bool) {
 }
 
 // Stop crashes a node: it stops ticking and all its traffic drops. Its
-// storage is retained for Restart.
+// term, vote and log are retained for Restart.
 func (c *Cluster) Stop(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -221,21 +191,16 @@ func (c *Cluster) Stop(id string) {
 	// restarted old leader winning again does not.
 }
 
-// Restart revives a stopped node from its persistent storage; volatile
+// Restart revives a stopped node from its term, vote and log; volatile
 // state (role, commit index, timers) is rebuilt by the protocol.
-func (c *Cluster) Restart(id string) error {
+func (c *Cluster) Restart(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.stopped[id] {
-		return nil
+		return
 	}
-	n, err := newNode(id, c.ids, c.cfg, c.store[id], rand.New(rand.NewSource(nodeSeed(c.seed, id))))
-	if err != nil {
-		return err
-	}
-	c.nodes[id] = n
+	c.nodes[id].restart(nodeSeed(c.seed, id))
 	delete(c.stopped, id)
-	return nil
 }
 
 // PartitionOneWay cuts only messages flowing from -> to (asymmetric
@@ -353,13 +318,6 @@ func (c *Cluster) DroppedMessages() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped
-}
-
-// Now returns the number of elapsed virtual ticks.
-func (c *Cluster) Now() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
 }
 
 // IDs returns the member IDs in sorted order.

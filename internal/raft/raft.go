@@ -1,10 +1,11 @@
 // Package raft is a small, deterministic, embedded Raft: leader election
 // with randomized timeouts on a virtual tick clock, log replication with
-// follower catch-up, quorum commit, and persistent term/vote/log through a
-// pluggable Storage. It exists to replicate the control plane's write-ahead
-// saga journal across 3/5 orchestrator nodes (controlplane.ReplicaSet); the
-// whole protocol runs single-threaded under the owning Cluster, so chaos
-// campaigns and crash-point tests reproduce byte-identically from a seed.
+// follower catch-up, and quorum commit. Term, vote and log live on the node
+// and survive a crash (Cluster.Stop/Restart). It exists to replicate the
+// control plane's write-ahead saga journal across 3/5 orchestrator nodes
+// (controlplane.ReplicaSet); the whole protocol runs single-threaded under
+// the owning Cluster, so chaos campaigns and crash-point tests reproduce
+// byte-identically from a seed.
 //
 // The implementation follows the Raft paper (Ongaro & Ousterhout, 2014)
 // restricted to what a replicated journal needs: no membership changes, no
@@ -49,9 +50,9 @@ func (r Role) String() string {
 // entries). A nil Data marks a leader no-op appended on election win so the
 // new leader can commit inherited entries immediately (§5.4.2).
 type Entry struct {
-	Index uint64 `json:"index"`
-	Term  uint64 `json:"term"`
-	Data  []byte `json:"data,omitempty"`
+	Index uint64
+	Term  uint64
+	Data  []byte
 }
 
 // MsgKind discriminates protocol messages.
@@ -90,38 +91,15 @@ type Message struct {
 	MatchIndex uint64
 }
 
-// Config bounds the protocol timers, all in virtual ticks.
-type Config struct {
-	// ElectionTimeoutMin/Max bracket the randomized election timeout; each
-	// reset draws uniformly from [Min, Max).
-	ElectionTimeoutMin int
-	ElectionTimeoutMax int
-	// HeartbeatEvery is the leader's idle append cadence.
-	HeartbeatEvery int
-	// MaxAppendEntries caps one replication batch.
-	MaxAppendEntries int
-}
-
-// DefaultConfig returns the standard timer set: 10-20 tick elections, 3
-// tick heartbeats.
-func DefaultConfig() Config {
-	return Config{ElectionTimeoutMin: 10, ElectionTimeoutMax: 20, HeartbeatEvery: 3, MaxAppendEntries: 64}
-}
-
-func (c *Config) defaults() {
-	if c.ElectionTimeoutMin <= 0 {
-		c.ElectionTimeoutMin = 10
-	}
-	if c.ElectionTimeoutMax <= c.ElectionTimeoutMin {
-		c.ElectionTimeoutMax = 2 * c.ElectionTimeoutMin
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 3
-	}
-	if c.MaxAppendEntries <= 0 {
-		c.MaxAppendEntries = 64
-	}
-}
+// Protocol timers and batch size, in virtual ticks and entries. Each
+// election-timer reset draws uniformly from [electionTimeoutMin,
+// electionTimeoutMax); a leader heartbeats every heartbeatEvery idle ticks.
+const (
+	electionTimeoutMin = 10
+	electionTimeoutMax = 20
+	heartbeatEvery     = 3
+	maxAppendEntries   = 64
+)
 
 // ErrNotLeader is returned by Propose on a non-leader node. Use errors.As
 // with *NotLeaderError to extract the leader hint.
@@ -146,17 +124,14 @@ func (e *NotLeaderError) Is(target error) bool { return target == ErrNotLeader }
 type node struct {
 	id      string
 	members []string // all member IDs including self, sorted by the Cluster
-	cfg     Config
-	storage Storage
 	rng     *rand.Rand
 
-	// Persistent state (mirrored to storage before any message that
-	// depends on it leaves the node).
+	// Persistent state: survives restart.
 	term     uint64
 	votedFor string
 	log      []Entry // log[i].Index == i+1
 
-	// Volatile state.
+	// Volatile state: rebuilt by restart.
 	role    Role
 	leader  string // last known leader (redirect hint)
 	commit  uint64
@@ -164,30 +139,32 @@ type node struct {
 	votes   map[string]bool
 	next    map[string]uint64
 	match   map[string]uint64
+	sent    map[string]uint64 // highest index sent per peer (one stream each)
 
 	elapsed int // ticks since last election-timer reset
 	timeout int // current randomized election timeout
 }
 
-// newNode restores a node from storage (a fresh storage yields term 0 and
-// an empty log).
-func newNode(id string, members []string, cfg Config, st Storage, rng *rand.Rand) (*node, error) {
-	term, votedFor, log, err := st.Load()
-	if err != nil {
-		return nil, fmt.Errorf("raft: load %s: %w", id, err)
-	}
-	n := &node{
-		id:       id,
-		members:  members,
-		cfg:      cfg,
-		storage:  st,
-		rng:      rng,
-		term:     term,
-		votedFor: votedFor,
-		log:      log,
+// newNode returns a fresh node: term 0, no vote, empty log.
+func newNode(id string, members []string, seed int64) *node {
+	n := &node{id: id, members: members}
+	n.restart(seed)
+	return n
+}
+
+// restart keeps term, vote and log, resets every volatile field, and
+// re-seeds the election RNG — a crashed node coming back from its
+// persisted state.
+func (n *node) restart(seed int64) {
+	*n = node{
+		id:       n.id,
+		members:  n.members,
+		rng:      rand.New(rand.NewSource(seed)),
+		term:     n.term,
+		votedFor: n.votedFor,
+		log:      n.log,
 	}
 	n.resetTimer()
-	return n, nil
 }
 
 func (n *node) majority() int { return len(n.members)/2 + 1 }
@@ -204,43 +181,36 @@ func (n *node) termAt(index uint64) uint64 {
 // resetTimer re-arms the randomized election timeout.
 func (n *node) resetTimer() {
 	n.elapsed = 0
-	span := n.cfg.ElectionTimeoutMax - n.cfg.ElectionTimeoutMin
-	n.timeout = n.cfg.ElectionTimeoutMin + n.rng.Intn(span)
+	n.timeout = electionTimeoutMin + n.rng.Intn(electionTimeoutMax-electionTimeoutMin)
 }
-
-// persistState mirrors term/vote to storage.
-func (n *node) persistState() error { return n.storage.SaveState(n.term, n.votedFor) }
 
 // tick advances virtual time by one tick: followers and candidates count
 // toward an election timeout, leaders heartbeat.
-func (n *node) tick(send func(Message)) error {
+func (n *node) tick(send func(Message)) {
 	n.elapsed++
 	if n.role == Leader {
-		if n.elapsed >= n.cfg.HeartbeatEvery {
+		if n.elapsed >= heartbeatEvery {
 			n.elapsed = 0
 			n.broadcastAppend(send)
 		}
-		return nil
+		return
 	}
 	if n.elapsed >= n.timeout {
-		return n.startElection(send)
+		n.startElection(send)
 	}
-	return nil
 }
 
 // startElection begins a new term as candidate (§5.2).
-func (n *node) startElection(send func(Message)) error {
+func (n *node) startElection(send func(Message)) {
 	n.term++
 	n.role = Candidate
 	n.votedFor = n.id
 	n.leader = ""
 	n.votes = map[string]bool{n.id: true}
 	n.resetTimer()
-	if err := n.persistState(); err != nil {
-		return err
-	}
 	if len(n.votes) >= n.majority() { // single-node cluster
-		return n.becomeLeader(send)
+		n.becomeLeader(send)
+		return
 	}
 	for _, p := range n.members {
 		if p == n.id {
@@ -251,45 +221,35 @@ func (n *node) startElection(send func(Message)) error {
 			LastLogIndex: n.lastIndex(), LastLogTerm: n.termAt(n.lastIndex()),
 		})
 	}
-	return nil
 }
 
 // becomeLeader initializes leader state and appends the no-op entry that
 // lets this term commit everything inherited from prior terms (§5.4.2).
-func (n *node) becomeLeader(send func(Message)) error {
+func (n *node) becomeLeader(send func(Message)) {
 	n.role = Leader
 	n.leader = n.id
 	n.elapsed = 0
 	n.next = make(map[string]uint64, len(n.members))
 	n.match = make(map[string]uint64, len(n.members))
+	n.sent = make(map[string]uint64, len(n.members))
 	for _, p := range n.members {
 		n.next[p] = n.lastIndex() + 1
 		n.match[p] = 0
 	}
-	noop := Entry{Index: n.lastIndex() + 1, Term: n.term}
-	n.log = append(n.log, noop)
-	if err := n.storage.AppendEntries([]Entry{noop}); err != nil {
-		return err
-	}
+	n.log = append(n.log, Entry{Index: n.lastIndex() + 1, Term: n.term})
 	n.match[n.id] = n.lastIndex()
 	n.maybeCommit()
 	n.broadcastAppend(send)
-	return nil
 }
 
 // stepDown converts to follower in term (which must be >= n.term).
-func (n *node) stepDown(term uint64) error {
-	changed := term != n.term
-	n.term = term
-	if changed {
+func (n *node) stepDown(term uint64) {
+	if term != n.term {
+		n.term = term
 		n.votedFor = ""
 	}
 	n.role = Follower
 	n.resetTimer()
-	if changed {
-		return n.persistState()
-	}
-	return nil
 }
 
 // propose appends one entry to the leader's log and starts replication.
@@ -299,9 +259,6 @@ func (n *node) propose(data []byte, send func(Message)) (uint64, error) {
 	}
 	e := Entry{Index: n.lastIndex() + 1, Term: n.term, Data: data}
 	n.log = append(n.log, e)
-	if err := n.storage.AppendEntries([]Entry{e}); err != nil {
-		return 0, err
-	}
 	n.match[n.id] = n.lastIndex()
 	n.maybeCommit() // a single-node cluster commits on its own vote
 	n.broadcastAppend(send)
@@ -323,12 +280,10 @@ func (n *node) sendAppend(to string, send func(Message)) {
 	prev := n.next[to] - 1
 	var batch []Entry
 	if n.next[to] <= n.lastIndex() {
-		hi := n.lastIndex()
-		if hi-prev > uint64(n.cfg.MaxAppendEntries) {
-			hi = prev + uint64(n.cfg.MaxAppendEntries)
-		}
+		hi := min(n.lastIndex(), prev+maxAppendEntries)
 		batch = append(batch, n.log[prev:hi]...)
 	}
+	n.sent[to] = prev + uint64(len(batch))
 	send(Message{
 		Kind: MsgApp, From: n.id, To: to, Term: n.term,
 		PrevLogIndex: prev, PrevLogTerm: n.termAt(prev),
@@ -357,28 +312,25 @@ func (n *node) maybeCommit() {
 }
 
 // step processes one incoming message.
-func (n *node) step(m Message, send func(Message)) error {
+func (n *node) step(m Message, send func(Message)) {
 	if m.Term > n.term {
-		if err := n.stepDown(m.Term); err != nil {
-			return err
-		}
+		n.stepDown(m.Term)
 	}
 	switch m.Kind {
 	case MsgVote:
-		return n.onVote(m, send)
+		n.onVote(m, send)
 	case MsgVoteResp:
-		return n.onVoteResp(m, send)
+		n.onVoteResp(m, send)
 	case MsgApp:
-		return n.onApp(m, send)
+		n.onApp(m, send)
 	case MsgAppResp:
 		n.onAppResp(m, send)
 	}
-	return nil
 }
 
 // onVote applies the voting rules: one vote per term, candidates with stale
 // logs rejected (§5.4.1).
-func (n *node) onVote(m Message, send func(Message)) error {
+func (n *node) onVote(m Message, send func(Message)) {
 	grant := false
 	if m.Term >= n.term && (n.votedFor == "" || n.votedFor == m.From) {
 		last := n.lastIndex()
@@ -388,40 +340,32 @@ func (n *node) onVote(m Message, send func(Message)) error {
 			grant = true
 			n.votedFor = m.From
 			n.resetTimer()
-			if err := n.persistState(); err != nil {
-				return err
-			}
 		}
 	}
 	send(Message{Kind: MsgVoteResp, From: n.id, To: m.From, Term: n.term, Granted: grant})
-	return nil
 }
 
-func (n *node) onVoteResp(m Message, send func(Message)) error {
+func (n *node) onVoteResp(m Message, send func(Message)) {
 	if n.role != Candidate || m.Term != n.term || !m.Granted {
-		return nil
+		return
 	}
 	n.votes[m.From] = true
 	if len(n.votes) >= n.majority() {
-		return n.becomeLeader(send)
+		n.becomeLeader(send)
 	}
-	return nil
 }
 
 // onApp applies a replication batch: consistency check against the
 // previous entry, conflict truncation, append, commit advance (§5.3).
-func (n *node) onApp(m Message, send func(Message)) error {
+func (n *node) onApp(m Message, send func(Message)) {
 	if m.Term < n.term {
 		send(Message{Kind: MsgAppResp, From: n.id, To: m.From, Term: n.term, Success: false, MatchIndex: n.lastIndex()})
-		return nil
+		return
+	}
+	if n.role != Follower {
+		n.stepDown(m.Term)
 	}
 	n.leader = m.From
-	if n.role != Follower {
-		if err := n.stepDown(m.Term); err != nil {
-			return err
-		}
-		n.leader = m.From
-	}
 	n.resetTimer()
 
 	if m.PrevLogIndex > n.lastIndex() || n.termAt(m.PrevLogIndex) != m.PrevLogTerm {
@@ -431,7 +375,7 @@ func (n *node) onApp(m Message, send func(Message)) error {
 			hint = m.PrevLogIndex - 1
 		}
 		send(Message{Kind: MsgAppResp, From: n.id, To: m.From, Term: n.term, Success: false, MatchIndex: hint})
-		return nil
+		return
 	}
 
 	// Append, truncating any conflicting suffix first.
@@ -441,26 +385,16 @@ func (n *node) onApp(m Message, send func(Message)) error {
 				continue // already have it
 			}
 			n.log = n.log[:e.Index-1]
-			if err := n.storage.TruncateEntries(e.Index); err != nil {
-				return err
-			}
 		}
 		n.log = append(n.log, m.Entries[i:]...)
-		if err := n.storage.AppendEntries(m.Entries[i:]); err != nil {
-			return err
-		}
 		break
 	}
 
 	lastNew := m.PrevLogIndex + uint64(len(m.Entries))
 	if m.Commit > n.commit {
-		n.commit = m.Commit
-		if lastNew < n.commit {
-			n.commit = lastNew
-		}
+		n.commit = min(m.Commit, lastNew)
 	}
 	send(Message{Kind: MsgAppResp, From: n.id, To: m.From, Term: n.term, Success: true, MatchIndex: lastNew})
-	return nil
 }
 
 func (n *node) onAppResp(m Message, send func(Message)) {
@@ -473,19 +407,14 @@ func (n *node) onAppResp(m Message, send func(Message)) {
 		}
 		n.next[m.From] = n.match[m.From] + 1
 		n.maybeCommit()
-		if n.next[m.From] <= n.lastIndex() {
-			n.sendAppend(m.From, send) // follower catch-up: keep streaming
+		// Follower catch-up: stream the next batch once this ack covers
+		// everything sent, so each follower has one stream in flight.
+		if n.next[m.From] <= n.lastIndex() && n.match[m.From] >= n.sent[m.From] {
+			n.sendAppend(m.From, send)
 		}
 		return
 	}
 	// Rejected: back next off to the follower's hint and retry.
-	next := m.MatchIndex + 1
-	if next >= n.next[m.From] {
-		next = n.next[m.From] - 1
-	}
-	if next < 1 {
-		next = 1
-	}
-	n.next[m.From] = next
-	n.sendAppend(m.From, send)
+	n.next[m.From] = max(min(m.MatchIndex+1, n.next[m.From]-1), 1)
+	n.sendAppend(m.From, send) // restarts the stream: sent drops to the retry
 }

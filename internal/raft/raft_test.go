@@ -13,7 +13,7 @@ func newTestCluster(t *testing.T, n int, seed int64) *Cluster {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("cp-%c", 'a'+i)
 	}
-	c, err := NewCluster(ids, DefaultConfig(), seed, nil)
+	c, err := NewCluster(ids, seed)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -24,9 +24,7 @@ func newTestCluster(t *testing.T, n int, seed int64) *Cluster {
 func electLeader(t *testing.T, c *Cluster) string {
 	t.Helper()
 	for i := 0; i < 400; i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatalf("tick: %v", err)
-		}
+		c.Tick()
 		if id := c.Leader(); id != "" {
 			return id
 		}
@@ -47,9 +45,7 @@ func proposeAndCommit(t *testing.T, c *Cluster, leader string, data []byte) uint
 		if c.CommitIndex(leader) >= idx {
 			return idx
 		}
-		if err := c.Tick(); err != nil {
-			t.Fatalf("tick: %v", err)
-		}
+		c.Tick()
 	}
 	t.Fatalf("entry %d not committed in 200 ticks", idx)
 	return 0
@@ -59,9 +55,7 @@ func TestElectionSingleLeader(t *testing.T) {
 	c := newTestCluster(t, 3, 1)
 	leader := electLeader(t, c)
 	// Settle and confirm exactly one leader at a stable term.
-	if err := c.TickN(50); err != nil {
-		t.Fatal(err)
-	}
+	c.TickN(50)
 	leaders := 0
 	var term uint64
 	for _, m := range c.Members() {
@@ -89,9 +83,7 @@ func TestReplicationCommitsEverywhere(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		proposeAndCommit(t, c, leader, []byte(fmt.Sprintf("op-%d", i)))
 	}
-	if err := c.TickN(20); err != nil { // let commit index propagate
-		t.Fatal(err)
-	}
+	c.TickN(20) // let commit index propagate
 	want := c.Entries(leader)
 	if len(want) < 20 {
 		t.Fatalf("leader committed %d entries, want >= 20", len(want))
@@ -106,9 +98,7 @@ func TestReplicationCommitsEverywhere(t *testing.T) {
 func TestProposeOnFollowerRejected(t *testing.T) {
 	c := newTestCluster(t, 3, 3)
 	leader := electLeader(t, c)
-	if err := c.TickN(10); err != nil {
-		t.Fatal(err)
-	}
+	c.TickN(10)
 	for _, id := range c.IDs() {
 		if id == leader {
 			continue
@@ -147,9 +137,7 @@ func TestLeaderFailoverPreservesCommitted(t *testing.T) {
 	}
 	// New leader's no-op must commit, covering the inherited tail.
 	for i := 0; i < 200 && c.CommitIndex(next) < uint64(len(before)); i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		c.Tick()
 	}
 	after := c.Entries(next)
 	if len(after) < len(before) {
@@ -171,9 +159,7 @@ func TestRestartRecoversFromStorage(t *testing.T) {
 
 	c.Stop(leader)
 	next := electLeader(t, c)
-	if err := c.Restart(leader); err != nil {
-		t.Fatalf("restart: %v", err)
-	}
+	c.Restart(leader)
 	proposeAndCommit(t, c, next, []byte("after-restart"))
 	// The restarted node catches up to the full committed log.
 	var want []Entry
@@ -183,9 +169,7 @@ func TestRestartRecoversFromStorage(t *testing.T) {
 		if len(got) >= len(committed)+1 && reflect.DeepEqual(got, want[:len(got)]) && len(got) == len(want) {
 			return
 		}
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		c.Tick()
 	}
 	t.Fatalf("restarted node did not catch up: %d vs %d entries", len(c.Entries(leader)), len(want))
 }
@@ -211,9 +195,7 @@ func TestMinorityPartitionStillCommits(t *testing.T) {
 	// Heal: the laggard catches up without disturbing the leader.
 	c.HealAll()
 	for i := 0; i < 300 && c.CommitIndex(lag) < c.CommitIndex(leader); i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		c.Tick()
 	}
 	if !reflect.DeepEqual(c.Entries(lag), c.Entries(leader)) {
 		t.Fatalf("healed follower log diverges")
@@ -234,9 +216,7 @@ func TestSplitBrainStaleLeaderFenced(t *testing.T) {
 	}
 	commitBefore := c.CommitIndex(old)
 	for i := 0; i < 100; i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		c.Tick()
 	}
 	if c.CommitIndex(old) != commitBefore {
 		t.Fatalf("isolated leader advanced commit without quorum")
@@ -253,9 +233,7 @@ func TestSplitBrainStaleLeaderFenced(t *testing.T) {
 	// truncated away in favor of the majority log.
 	c.HealAll()
 	for i := 0; i < 300; i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		c.Tick()
 		if c.Status(old).Role == "follower" && c.CommitIndex(old) == c.CommitIndex(next) {
 			break
 		}
@@ -300,9 +278,7 @@ func TestAsymmetricPartitionDropsOneDirection(t *testing.T) {
 	c.PartitionOneWay(leader, peer)
 	deposed := false
 	for i := 0; i < 200; i++ {
-		if err := c.Tick(); err != nil {
-			t.Fatal(err)
-		}
+		c.Tick()
 		if c.Status(leader).Role != "leader" {
 			deposed = true
 			break
@@ -331,8 +307,7 @@ func TestDeterministicReplay(t *testing.T) {
 			Log     []Entry
 			Changes uint64
 			Dropped uint64
-			Now     uint64
-		}{c.Members(), c.Entries(next), c.LeaderChanges(), c.DroppedMessages(), c.Now()})
+		}{c.Members(), c.Entries(next), c.LeaderChanges(), c.DroppedMessages()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +349,7 @@ func TestTakeCommittedDrainsOnce(t *testing.T) {
 }
 
 func TestSingleNodeClusterCommitsAlone(t *testing.T) {
-	c, err := NewCluster([]string{"solo"}, DefaultConfig(), 5, nil)
+	c, err := NewCluster([]string{"solo"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,4 +358,101 @@ func TestSingleNodeClusterCommitsAlone(t *testing.T) {
 		t.Fatalf("leader %q", leader)
 	}
 	proposeAndCommit(t, c, leader, []byte("only"))
+}
+
+// inflightBound is the most replication messages an n-node cluster may
+// have in flight with one append stream per follower: an append and its
+// ack each.
+func inflightBound(n int) int { return 2 * (n - 1) }
+
+// appendsInFlight counts the queued replication messages (appends and
+// their acks), leaving out election traffic.
+func appendsInFlight(c *Cluster) int {
+	n := 0
+	for _, m := range c.queue {
+		if m.Kind == MsgApp || m.Kind == MsgAppResp {
+			n++
+		}
+	}
+	return n
+}
+
+// proposeEveryTick proposes one entry through leader and ticks, count
+// times. It returns the most messages ever in flight after a tick, and the
+// most replication messages.
+func proposeEveryTick(t *testing.T, c *Cluster, leader string, count int) (all, appends int) {
+	t.Helper()
+	for i := 0; i < count; i++ {
+		if _, _, err := c.Propose(leader, []byte(fmt.Sprintf("op-%d", i))); err != nil {
+			t.Fatalf("propose %d: %v", i, err)
+		}
+		c.Tick()
+		all = max(all, len(c.queue))
+		appends = max(appends, appendsInFlight(c))
+	}
+	return all, appends
+}
+
+// TestSteadyProposalsBoundInflight: under one proposal per tick the leader
+// keeps one append stream per follower, so in-flight messages stay within
+// two per follower (an append and its ack) instead of growing with the log.
+func TestSteadyProposalsBoundInflight(t *testing.T) {
+	for _, n := range []int{3, 5} {
+		t.Run(fmt.Sprintf("%dnodes", n), func(t *testing.T) {
+			c := newTestCluster(t, n, 1)
+			leader := electLeader(t, c)
+			peak, _ := proposeEveryTick(t, c, leader, 4000)
+			if peak > inflightBound(n) {
+				t.Fatalf("%d messages in flight, want <= %d", peak, inflightBound(n))
+			}
+			if c.Leader() != leader {
+				t.Fatalf("leader changed from %s to %s under steady load", leader, c.Leader())
+			}
+		})
+	}
+}
+
+// TestLaggingFollowerCatchUpTicks: a follower isolated through 2,000
+// proposals catches up with the idle leader after healing within a pinned
+// tick budget, with replication messages in flight bounded throughout (the
+// isolated follower's own election traffic is not replication). Streaming a
+// batch per acknowledged round trip moves 64 entries a round trip; a
+// leader that only repaired lag on heartbeats would move 64 entries every
+// three ticks and blow the budget. The budgets are what a leader that
+// opened a new stream on every ack needed at seed 1.
+func TestLaggingFollowerCatchUpTicks(t *testing.T) {
+	for _, tc := range []struct{ nodes, budget int }{{3, 100}, {5, 87}} {
+		t.Run(fmt.Sprintf("%dnodes", tc.nodes), func(t *testing.T) {
+			c := newTestCluster(t, tc.nodes, 1)
+			leader := electLeader(t, c)
+			var lag string
+			for _, id := range c.IDs() {
+				if id != leader {
+					lag = id
+					break
+				}
+			}
+			c.Isolate(lag)
+			_, peak := proposeEveryTick(t, c, leader, 2000)
+			c.HealAll()
+			caughtUp := func() bool {
+				lead := c.Leader()
+				if lead == "" {
+					return false
+				}
+				want, got := c.Status(lead), c.Status(lag)
+				return got.LastIndex == want.LastIndex && got.Commit == want.Commit && want.Commit == want.LastIndex
+			}
+			for ticks := 0; !caughtUp(); ticks++ {
+				if ticks == tc.budget {
+					t.Fatalf("follower %s not caught up after %d ticks", lag, tc.budget)
+				}
+				c.Tick()
+				peak = max(peak, appendsInFlight(c))
+			}
+			if peak > inflightBound(tc.nodes) {
+				t.Fatalf("%d replication messages in flight, want <= %d", peak, inflightBound(tc.nodes))
+			}
+		})
+	}
 }
