@@ -2,18 +2,14 @@ package bench
 
 import "thymesisflow/internal/chaos"
 
-// Chaos runs a fault-injection campaign across the worker pool, one
+// ChaosShards runs a fault-injection campaign across the worker pool, one
 // scenario per cell. Every scenario builds its own sim.Kernel and derives
 // its PRNG seeds from (campaign seed, scenario name), so the assembled
 // report is byte-identical to a sequential run regardless of worker count
-// or completion order — the same guarantee the figure runners give.
-func (r *Runner) Chaos(scenarios []chaos.Scenario, seed int64) chaos.Report {
-	return r.ChaosShards(scenarios, seed, 1)
-}
-
-// ChaosShards is Chaos with each scenario's cluster partitioned into the
-// given number of simulation shards (stacking intra-scenario parallelism on
-// top of the scenario-level worker pool).
+// or completion order — the same guarantee the figure runners give. Each
+// scenario's cluster is partitioned into the given number of simulation
+// shards (stacking intra-scenario parallelism on top of the scenario-level
+// worker pool).
 func (r *Runner) ChaosShards(scenarios []chaos.Scenario, seed int64, shards int) chaos.Report {
 	rep := chaos.Report{Seed: seed, Passed: true}
 	rep.Scenarios = make([]chaos.ScenarioReport, len(scenarios))

@@ -14,11 +14,11 @@ func TestChaosGoldenAcrossParallelism(t *testing.T) {
 	const seed = 20260806
 	cat := chaos.Catalogue()
 
-	serial, err := NewRunner(1).Chaos(cat, seed).JSON()
+	serial, err := NewRunner(1).ChaosShards(cat, seed, 1).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewRunner(4).Chaos(cat, seed).JSON()
+	parallel, err := NewRunner(4).ChaosShards(cat, seed, 1).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func TestChaosGoldenAcrossParallelism(t *testing.T) {
 
 	// The parallel path must agree with the chaos package's own serial
 	// campaign runner too.
-	direct, err := chaos.RunCampaign(cat, seed).JSON()
+	direct, err := chaos.RunCampaignSharded(cat, seed, 1).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial, direct) {
-		t.Fatal("bench campaign report differs from chaos.RunCampaign")
+		t.Fatal("bench campaign report differs from chaos.RunCampaignSharded")
 	}
 }

@@ -16,22 +16,17 @@ import (
 // experiment drives through the datapath.
 const latencyAttrProbes = 200
 
-// LatencyAttr reproduces the paper's Section V latency budget as a measured
-// per-stage breakdown: it drives cacheline loads and stores through a
+// LatencyAttrShards reproduces the paper's Section V latency budget as a
+// measured per-stage breakdown: it drives cacheline loads and stores through a
 // single-disaggregated testbed with attribution enabled and prints the
 // stage-by-stage RTT decomposition, checking that (a) the stage sum
 // reconciles with the measured end-to-end latency and (b) the fixed crossing
 // stages reconstruct the ~950 ns flit RTT. jsonOut, when non-empty, also
 // writes the breakdown as JSON. The returned error is non-nil when a
-// reconciliation check fails.
-func LatencyAttr(w io.Writer, jsonOut string) error {
-	return LatencyAttrShards(w, jsonOut, 1)
-}
-
-// LatencyAttrShards is LatencyAttr on a cluster partitioned into the given
-// number of simulation shards. Attribution records complete on the compute
-// host's kernel in virtual-time order, so the breakdown is byte-identical at
-// every shard count.
+// reconciliation check fails. The testbed cluster runs on the given number
+// of simulation shards; attribution records complete on the compute host's
+// kernel in virtual-time order, so the breakdown is byte-identical at every
+// shard count.
 func LatencyAttrShards(w io.Writer, jsonOut string, shards int) error {
 	b, err := MeasureLatencyAttrShards(shards)
 	if err != nil {
@@ -51,14 +46,9 @@ func LatencyAttrShards(w io.Writer, jsonOut string, shards int) error {
 	return checkBreakdown(b)
 }
 
-// MeasureLatencyAttr runs the attribution experiment and returns the raw
-// breakdown (shared by the CLI path and the tests).
-func MeasureLatencyAttr() (latency.Breakdown, error) {
-	return MeasureLatencyAttrShards(1)
-}
-
-// MeasureLatencyAttrShards is MeasureLatencyAttr with the testbed cluster
-// partitioned into the given number of simulation shards.
+// MeasureLatencyAttrShards runs the attribution experiment with the testbed
+// cluster partitioned into the given number of simulation shards and returns
+// the raw breakdown (shared by the CLI path and the tests).
 func MeasureLatencyAttrShards(shards int) (latency.Breakdown, error) {
 	tb, err := core.NewTestbedSpec(core.TestbedSpec{
 		Config: core.ConfigSingleDisaggregated, RemoteBytes: 64 << 20, Shards: shards,

@@ -12,7 +12,7 @@ import (
 // (within 1%, zero skewed records) and the fixed crossing stages must
 // reconstruct the paper-calibrated ~950 ns flit RTT.
 func TestLatencyAttrReconciles(t *testing.T) {
-	b, err := MeasureLatencyAttr()
+	b, err := MeasureLatencyAttrShards(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestLatencyAttrReconciles(t *testing.T) {
 
 func TestLatencyAttrOutput(t *testing.T) {
 	var buf bytes.Buffer
-	if err := LatencyAttr(&buf, ""); err != nil {
+	if err := LatencyAttrShards(&buf, "", 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

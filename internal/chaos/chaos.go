@@ -110,14 +110,9 @@ type ackedLine struct {
 	pat  uint64
 }
 
-// Run executes one scenario under the campaign seed and returns its report.
-func Run(s Scenario, campaignSeed int64) ScenarioReport {
-	return RunSharded(s, campaignSeed, 1)
-}
-
-// RunSharded is Run on a cluster partitioned into the given number of
-// simulation shards (one kernel per host, conservative lookahead windows).
-// Reports carry only virtual-time measurements, so the shard count never
+// RunSharded executes one scenario under the campaign seed and returns its
+// report, on a cluster partitioned into the given number of simulation
+// shards (one kernel per host, conservative lookahead windows). Reports carry only virtual-time measurements, so the shard count never
 // changes a simulation result: shards=1 executes the exact sequential path,
 // and the sharded runtime's deterministic merge reproduces it event for
 // event. The one shard-count-dependent section is ShardHealth, which
@@ -423,14 +418,9 @@ func runScenario(s Scenario, campaignSeed int64, shards int, fopts *core.FlightO
 	return rep, snap
 }
 
-// RunCampaign executes the scenarios serially in order and assembles the
-// campaign report.
-func RunCampaign(scenarios []Scenario, seed int64) Report {
-	return RunCampaignSharded(scenarios, seed, 1)
-}
-
-// RunCampaignSharded is RunCampaign with each scenario's cluster partitioned
-// into the given number of simulation shards.
+// RunCampaignSharded executes the scenarios serially in order, each on a
+// cluster partitioned into the given number of simulation shards, and
+// assembles the campaign report.
 func RunCampaignSharded(scenarios []Scenario, seed int64, shards int) Report {
 	rep := Report{Seed: seed, Passed: true}
 	for _, s := range scenarios {

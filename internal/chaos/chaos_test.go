@@ -19,7 +19,7 @@ func TestCatalogueSize(t *testing.T) {
 // TestCampaignPasses runs the full standard campaign: every scenario must
 // satisfy its losslessness, replay, credit, and escalation invariants.
 func TestCampaignPasses(t *testing.T) {
-	rep := RunCampaign(Catalogue(), testSeed)
+	rep := RunCampaignSharded(Catalogue(), testSeed, 1)
 	for _, sr := range rep.Scenarios {
 		if !sr.Passed {
 			t.Errorf("scenario %s failed: %s", sr.Name, strings.Join(sr.Failures, "; "))
@@ -37,7 +37,7 @@ func TestCampaignPasses(t *testing.T) {
 // drove the paths it claims to: faults were injected, replays happened,
 // escalation latched, detaches completed.
 func TestScenarioExpectationsExercised(t *testing.T) {
-	rep := RunCampaign(Catalogue(), testSeed)
+	rep := RunCampaignSharded(Catalogue(), testSeed, 1)
 	byName := map[string]ScenarioReport{}
 	for _, sr := range rep.Scenarios {
 		byName[sr.Name] = sr
@@ -71,18 +71,18 @@ func TestScenarioExpectationsExercised(t *testing.T) {
 // TestCampaignDeterministic requires byte-identical reports for the same
 // seed, and different protocol activity for a different seed.
 func TestCampaignDeterministic(t *testing.T) {
-	a, err := RunCampaign(Catalogue(), testSeed).JSON()
+	a, err := RunCampaignSharded(Catalogue(), testSeed, 1).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(Catalogue(), testSeed).JSON()
+	b, err := RunCampaignSharded(Catalogue(), testSeed, 1).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different campaign reports")
 	}
-	c, err := RunCampaign(Catalogue(), testSeed+1).JSON()
+	c, err := RunCampaignSharded(Catalogue(), testSeed+1, 1).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestCampaignDeterministic(t *testing.T) {
 // campaign seed and requires the identical per-scenario report — the
 // property `tfbench -chaos -scenario <name>` relies on.
 func TestSingleScenarioReproducesFromSeed(t *testing.T) {
-	full := RunCampaign(Catalogue(), testSeed)
+	full := RunCampaignSharded(Catalogue(), testSeed, 1)
 	for _, name := range []string{"crc-burst", "replay-storm", "link-down-escalation"} {
 		s, ok := Find(name)
 		if !ok {
 			t.Fatalf("scenario %q missing from catalogue", name)
 		}
-		alone := Run(s, testSeed)
+		alone := RunSharded(s, testSeed, 1)
 		var inFull ScenarioReport
 		for _, sr := range full.Scenarios {
 			if sr.Name == name {

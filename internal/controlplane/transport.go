@@ -131,10 +131,6 @@ type TransportFaults struct {
 	// to the sender — the classic "did my write land?" ambiguity that
 	// forces idempotent retries.
 	AmbiguousProb float64
-	// CrashProb crash-restarts the destination agent *before* delivery,
-	// losing its volatile state (the command then applies to the fresh
-	// incarnation).
-	CrashProb float64
 	// Seed seeds the transport's private PRNG.
 	Seed int64
 }
@@ -308,15 +304,8 @@ func (f *FaultyTransport) sendFrom(src, host, token string, cmd agent.Command) e
 	drop := f.faults.DropProb > 0 && f.rng.Float64() < f.faults.DropProb
 	dup := f.faults.DupProb > 0 && f.rng.Float64() < f.faults.DupProb
 	ambig := f.faults.AmbiguousProb > 0 && f.rng.Float64() < f.faults.AmbiguousProb
-	crash := f.faults.CrashProb > 0 && f.rng.Float64() < f.faults.CrashProb
 	f.mu.Unlock()
 
-	if crash {
-		if a, ok := f.inner.Agent(host); ok {
-			a.Restart()
-			f.crashes.Add(1)
-		}
-	}
 	if drop {
 		f.drops.Add(1)
 		return Transient(fmt.Errorf("%w (host %s)", ErrTransportDrop, host))

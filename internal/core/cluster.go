@@ -11,7 +11,6 @@ import (
 	"thymesisflow/internal/mem"
 	"thymesisflow/internal/numa"
 	"thymesisflow/internal/phy"
-	"thymesisflow/internal/route"
 	"thymesisflow/internal/sim"
 	"thymesisflow/internal/sim/shard"
 )
@@ -47,66 +46,43 @@ type Cluster struct {
 	// single-kernel code paths are byte-identical to the pre-sharding ones).
 	group     *shard.Group
 	hostShard map[string]int            // host name -> shard index
-	shardIdx  map[*sim.Kernel]int       // kernel -> shard index
 	ctrl      map[[2]int]*shard.Conduit // eager control-plane conduit mesh
 	nextShard int
 }
 
-// ClusterOpts parameterizes cluster construction.
-type ClusterOpts struct {
-	// Shards > 1 partitions the cluster across that many simulation
-	// kernels, advanced in conservative lookahead windows (see
-	// internal/sim/shard and docs/PARALLEL_SIM.md). Hosts are placed
-	// round-robin over shards in registration order. 0 or 1 selects the
-	// classic single-kernel cluster.
-	Shards int
-	// Lookahead overrides the conservative window bound. It defaults to
-	// phy.SerdesCrossing — the minimum one-way crossing of any link — and
-	// must never exceed the smallest cross-shard link latency.
-	Lookahead sim.Time
-}
-
 // NewCluster returns an empty cluster on a fresh kernel.
 func NewCluster() *Cluster {
-	return NewClusterOpts(ClusterOpts{})
+	return NewClusterShards(1)
 }
 
-// NewClusterShards returns a cluster partitioned over n simulation kernels
-// (n <= 1 is the classic single-kernel cluster).
+// NewClusterShards returns a cluster partitioned over n simulation kernels,
+// advanced in conservative lookahead windows of phy.SerdesCrossing — the
+// minimum one-way crossing of any link (see internal/sim/shard and
+// docs/PARALLEL_SIM.md). Hosts are placed round-robin over shards in
+// registration order. n <= 1 is the classic single-kernel cluster.
 func NewClusterShards(n int) *Cluster {
-	return NewClusterOpts(ClusterOpts{Shards: n})
-}
-
-// NewClusterOpts builds a cluster with explicit options.
-func NewClusterOpts(opts ClusterOpts) *Cluster {
 	c := &Cluster{
 		hosts:       make(map[string]*Host),
 		attachments: make(map[string]*Attachment),
 		nextNetID:   1,
 	}
-	if opts.Shards > 1 {
-		la := opts.Lookahead
-		if la <= 0 {
-			la = phy.SerdesCrossing
-		}
-		c.group = shard.NewGroup(opts.Shards, la)
-		c.K = c.group.Shard(0).Kernel()
-		c.hostShard = make(map[string]int)
-		c.shardIdx = make(map[*sim.Kernel]int)
-		// Control-plane conduit mesh, created eagerly so conduit IDs (part
-		// of the deterministic merge order) don't depend on which lifecycle
-		// event happens to cross shards first.
-		c.ctrl = make(map[[2]int]*shard.Conduit)
-		for i := 0; i < opts.Shards; i++ {
-			c.shardIdx[c.group.Shard(i).Kernel()] = i
-			for j := 0; j < opts.Shards; j++ {
-				if i != j {
-					c.ctrl[[2]int{i, j}] = c.group.Connect(c.group.Shard(i), c.group.Shard(j), la)
-				}
+	if n <= 1 {
+		c.K = sim.NewKernel()
+		return c
+	}
+	c.group = shard.NewGroup(n, phy.SerdesCrossing)
+	c.K = c.group.Shard(0).Kernel()
+	c.hostShard = make(map[string]int)
+	// Control-plane conduit mesh, created eagerly so conduit IDs (part of
+	// the deterministic merge order) don't depend on which lifecycle event
+	// happens to cross shards first.
+	c.ctrl = make(map[[2]int]*shard.Conduit)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				c.ctrl[[2]int{i, j}] = c.group.Connect(c.group.Shard(i), c.group.Shard(j), phy.SerdesCrossing)
 			}
 		}
-	} else {
-		c.K = sim.NewKernel()
 	}
 	return c
 }
@@ -238,7 +214,7 @@ func (c *Cluster) pendingEvents() bool {
 // (link-down fan-out, detach rollback). Same-shard calls run synchronously,
 // preserving the single-kernel behavior exactly.
 func (c *Cluster) injectFrom(src, dst int, fn func()) {
-	if c.group == nil || src == dst {
+	if src == dst {
 		fn()
 		return
 	}
@@ -414,16 +390,7 @@ type Attachment struct {
 
 	computePorts []*llc.Port
 	state        AttachState
-	// qos shapes this flow when it shares channels with other attachments;
-	// sharers counts attachments reusing this one's channels.
-	qos        *route.QoS
-	sharedBase string
-	sharers    int
 }
-
-// QoS returns the shaping arbiter of the attachment's channel group (nil
-// when the channels are dedicated).
-func (a *Attachment) QoS() *route.QoS { return a.qos }
 
 // State returns the attachment's lifecycle state.
 func (a *Attachment) State() AttachState { return a.state }
@@ -480,14 +447,6 @@ type AttachSpec struct {
 	// caching layer on the compute endpoint: that much on-card HBM caches
 	// remote lines in front of the network.
 	HBMCacheBytes int64
-	// ShareChannelsWith names an existing attachment (same compute and
-	// donor hosts) whose physical channels this flow reuses instead of
-	// bringing up new links — the channel sharing of Section IV-A3. The
-	// two active thymesisflows then contend on the shared wire.
-	ShareChannelsWith string
-	// QoSWeight assigns this flow's bandwidth weight within the shared
-	// channel group (default 1). Only meaningful with sharing.
-	QoSWeight int
 	// LLC overrides the protocol parameters of newly created links (nil
 	// selects llc.DefaultConfig). Campaigns shrink the credit window or the
 	// escalation budget to provoke starvation and link-down paths quickly.
@@ -552,95 +511,48 @@ func (c *Cluster) Attach(spec AttachSpec) (*Attachment, error) {
 		Region:      region,
 	}
 
-	var base *Attachment
-	if spec.ShareChannelsWith != "" {
-		// Channel sharing (Section IV-A3): reuse an existing flow's links.
-		base = c.attachments[spec.ShareChannelsWith]
-		if base == nil {
-			c.rollbackDonor(dh, region, bytes)
-			return nil, fmt.Errorf("core: share target %q not found", spec.ShareChannelsWith)
+	// Network bring-up: one LLC/phy link per channel. When compute and
+	// donor live on different shards the link is the shard boundary: each
+	// direction's channel runs on its transmit side's kernel and deliveries
+	// cross on a dedicated conduit, so the wire latency (>= the group
+	// lookahead) hides the synchronization window.
+	csi, dsi := c.ShardOf(ch.Name), c.ShardOf(dh.Name)
+	llcCfg := llc.DefaultConfig()
+	if spec.LLC != nil {
+		llcCfg = *spec.LLC
+	}
+	for i := 0; i < spec.Channels; i++ {
+		f := c.Faults
+		f.Seed += int64(i) * 7919
+		name := fmt.Sprintf("%s-%s.ch%d", ch.Name, dh.Name, i)
+		link := phy.NewLinkSplit(ch.K, dh.K, name, phy.LanesPerChannel, phy.SerdesCrossing, f)
+		if csi != dsi {
+			link.AtoB.SetRemote(c.group.Connect(c.group.Shard(csi), c.group.Shard(dsi), phy.SerdesCrossing))
+			link.BtoA.SetRemote(c.group.Connect(c.group.Shard(dsi), c.group.Shard(csi), phy.SerdesCrossing))
 		}
-		if base.ComputeHost != ch.Name || base.DonorHost != dh.Name {
-			c.rollbackDonor(dh, region, bytes)
-			return nil, fmt.Errorf("core: share target %q joins %s->%s, not %s->%s",
-				base.ID, base.ComputeHost, base.DonorHost, ch.Name, dh.Name)
-		}
-		att.computePorts = base.computePorts
-		att.Channels = base.Channels
-		att.Bonded = base.Bonded
-		bonded = base.Bonded
-	} else {
-		// Network bring-up: one LLC/phy link per channel. When compute and
-		// donor live on different shards the link is the shard boundary:
-		// each direction's channel runs on its transmit side's kernel and
-		// deliveries cross on a dedicated conduit, so the wire latency
-		// (>= the group lookahead) hides the synchronization window.
-		split := c.group != nil && c.hostShard[ch.Name] != c.hostShard[dh.Name]
-		csi, dsi := c.ShardOf(ch.Name), c.ShardOf(dh.Name)
-		llcCfg := llc.DefaultConfig()
-		if spec.LLC != nil {
-			llcCfg = *spec.LLC
-		}
-		for i := 0; i < spec.Channels; i++ {
-			f := c.Faults
-			f.Seed += int64(i) * 7919
-			name := fmt.Sprintf("%s-%s.ch%d", ch.Name, dh.Name, i)
-			var link *phy.Link
-			if split {
-				link = phy.NewLinkSplit(ch.K, dh.K, name, phy.LanesPerChannel, phy.SerdesCrossing, f)
-				link.AtoB.SetRemote(c.group.Connect(c.group.Shard(csi), c.group.Shard(dsi), phy.SerdesCrossing))
-				link.BtoA.SetRemote(c.group.Connect(c.group.Shard(dsi), c.group.Shard(csi), phy.SerdesCrossing))
-			} else {
-				link = phy.NewLink(ch.K, name, phy.LanesPerChannel, phy.SerdesCrossing, f)
+		cp, mp := llc.NewPairOn(ch.K, dh.K, fmt.Sprintf("%s.llc%d", id, i), link, llcCfg)
+		ch.Compute.AttachPort(cp)
+		dh.Memory.AttachPort(mp)
+		// Either side escalating fences the whole attachment: outstanding
+		// transactions are faulted instead of hanging, and the state is
+		// surfaced through the control plane. The donor-side escalation
+		// reaches the compute side after one wire crossing — as a
+		// timestamped control message when the hosts live on different
+		// shards, and as a same-delay scheduled event on one kernel, so the
+		// notification instant is identical at every shard count.
+		cp.OnLinkDown = func() { c.onLinkDown(ch, cp) }
+		mp.OnLinkDown = func() {
+			if dsi != csi {
+				c.injectFrom(dsi, csi, func() { c.onLinkDown(ch, cp) })
+				return
 			}
-			cp, mp := llc.NewPairOn(ch.K, dh.K, fmt.Sprintf("%s.llc%d", id, i), link, llcCfg)
-			ch.Compute.AttachPort(cp)
-			dh.Memory.AttachPort(mp)
-			// Either side escalating fences the whole attachment: outstanding
-			// transactions are faulted instead of hanging, and the state is
-			// surfaced through the control plane. The donor-side escalation
-			// reaches the compute side after one wire crossing — as a
-			// timestamped control message when the hosts live on different
-			// shards, and as a same-delay scheduled event on one kernel, so
-			// the notification instant is identical at every shard count.
-			cp.OnLinkDown = func() { c.onLinkDown(ch, cp) }
-			mp.OnLinkDown = func() {
-				if c.group != nil && dsi != csi {
-					c.injectFrom(dsi, csi, func() { c.onLinkDown(ch, cp) })
-					return
-				}
-				dh.K.Schedule(phy.SerdesCrossing, func() { c.onLinkDown(ch, cp) })
-			}
-			att.computePorts = append(att.computePorts, cp)
+			dh.K.Schedule(phy.SerdesCrossing, func() { c.onLinkDown(ch, cp) })
 		}
+		att.computePorts = append(att.computePorts, cp)
 	}
 	if err := ch.Compute.Router().AddFlow(netID, att.computePorts...); err != nil {
 		c.rollbackDonor(dh, region, bytes)
 		return nil, err
-	}
-	if base != nil {
-		// Shared channels are arbitrated by a per-group QoS: weights shape
-		// each flow's share of the common wire.
-		if base.qos == nil {
-			var rate float64
-			for _, p := range base.Backend.Channels() {
-				rate += p.Rate()
-			}
-			base.qos = route.NewQoS(ch.K, rate)
-			base.qos.SetWeight(base.NetworkID, 1) //nolint:errcheck
-		}
-		weight := spec.QoSWeight
-		if weight <= 0 {
-			weight = 1
-		}
-		if err := base.qos.SetWeight(netID, weight); err != nil {
-			ch.Compute.Router().RemoveFlow(netID) //nolint:errcheck
-			c.rollbackDonor(dh, region, bytes)
-			return nil, err
-		}
-		att.qos = base.qos
-		att.sharedBase = base.ID
-		base.sharers++
 	}
 
 	// Compute side: map one RMMU section per hotplug section.
@@ -654,10 +566,6 @@ func (c *Cluster) Attach(spec AttachSpec) (*Attachment, error) {
 				ch.Compute.RMMU().Unmap(firstSection + j) //nolint:errcheck
 			}
 			ch.Compute.Router().RemoveFlow(netID) //nolint:errcheck
-			if base != nil {
-				base.qos.SetWeight(netID, 0) //nolint:errcheck
-				base.sharers--
-			}
 			c.rollbackDonor(dh, region, bytes)
 			return nil, err
 		}
@@ -671,18 +579,11 @@ func (c *Cluster) Attach(spec AttachSpec) (*Attachment, error) {
 	// instead (same rate, no cross-attachment donor contention — see
 	// docs/PARALLEL_SIM.md for this modelling divergence).
 	donorC1 := dh.Memory.C1Pipe()
-	if c.group != nil && c.ShardOf(ch.Name) != c.ShardOf(dh.Name) {
+	if csi != dsi {
 		donorC1 = nil
 	}
-	if base != nil {
-		// The analytic backend contends on the base flow's channel pipes,
-		// exactly as the flows contend on the shared wire.
-		att.Backend = endpoint.NewRemoteBackendWithPipes(ch.K, id+".backend",
-			base.Backend.Channels(), donorC1, dh.Cfg.DRAMLatency)
-	} else {
-		att.Backend = endpoint.NewRemoteBackend(ch.K, id+".backend", spec.Channels,
-			donorC1, dh.Cfg.DRAMLatency)
-	}
+	att.Backend = endpoint.NewRemoteBackend(ch.K, id+".backend", spec.Channels,
+		donorC1, dh.Cfg.DRAMLatency)
 	if spec.HBMCacheBytes > 0 {
 		hc := endpoint.DefaultHBMConfig()
 		hc.SizeBytes = spec.HBMCacheBytes
@@ -823,9 +724,6 @@ func (c *Cluster) Detach(id string) error {
 	if !ok {
 		return fmt.Errorf("core: unknown attachment %q", id)
 	}
-	if att.sharers > 0 {
-		return fmt.Errorf("core: attachment %q still shares its channels with %d flows", id, att.sharers)
-	}
 	ch := c.hosts[att.ComputeHost]
 	dh := c.hosts[att.DonorHost]
 
@@ -850,12 +748,6 @@ func (c *Cluster) Detach(id string) error {
 	}
 	if err := ch.Compute.Router().RemoveFlow(att.NetworkID); err != nil {
 		return err
-	}
-	if att.sharedBase != "" {
-		att.qos.SetWeight(att.NetworkID, 0) //nolint:errcheck
-		if b, ok := c.attachments[att.sharedBase]; ok {
-			b.sharers--
-		}
 	}
 	if csi, dsi := c.ShardOf(att.ComputeHost), c.ShardOf(att.DonorHost); csi != dsi {
 		// The donor lives on another shard: release its pinned memory there,
@@ -928,9 +820,6 @@ func (c *Cluster) Load(p *sim.Proc, att *Attachment, off int64, size int32) ([]b
 	if off < 0 || off+int64(size) > att.Bytes {
 		return nil, fmt.Errorf("core: load offset %d+%d outside attachment of %d", off, size, att.Bytes)
 	}
-	if att.qos != nil {
-		att.qos.Admit(p, att.NetworkID, int64(size))
-	}
 	ch := c.hosts[att.ComputeHost]
 	return ch.Compute.Load(p, att.DeviceBase+uint64(off), size)
 }
@@ -942,9 +831,6 @@ func (c *Cluster) Store(p *sim.Proc, att *Attachment, off int64, data []byte) er
 	}
 	if off < 0 || off+int64(len(data)) > att.Bytes {
 		return fmt.Errorf("core: store offset %d+%d outside attachment of %d", off, len(data), att.Bytes)
-	}
-	if att.qos != nil {
-		att.qos.Admit(p, att.NetworkID, int64(len(data)))
 	}
 	ch := c.hosts[att.ComputeHost]
 	return ch.Compute.Store(p, att.DeviceBase+uint64(off), data)

@@ -85,6 +85,19 @@ func TestAttachValidation(t *testing.T) {
 	if _, err := c.Attach(AttachSpec{ComputeHost: "hostA", DonorHost: "hostB", Bytes: 1 << 40}); err == nil {
 		t.Fatal("attach beyond donor capacity accepted")
 	}
+	// 65 sections overflow the 64-section RMMU after the donor steal: the
+	// failed attach must give the donor capacity back and unmap what it
+	// mapped, so the full 64 sections still attach afterwards.
+	if _, err := c.Attach(AttachSpec{ComputeHost: "hostA", DonorHost: "hostB", Bytes: 65 << 20}); err == nil {
+		t.Fatal("attach beyond the RMMU section table accepted")
+	}
+	hb, _ := c.Host("hostB")
+	if got := hb.Mem.Node(hb.LocalNode(0)).Capacity; got != 4<<30 {
+		t.Fatalf("donor capacity leaked by failed attach: %d", got)
+	}
+	if _, err := c.Attach(AttachSpec{ComputeHost: "hostA", DonorHost: "hostB", Bytes: 64 << 20}); err != nil {
+		t.Fatalf("attach after failed attach: %v", err)
+	}
 }
 
 func TestFunctionalLoadStoreThroughDatapath(t *testing.T) {

@@ -13,24 +13,20 @@ import (
 // crossings, ~950 ns.
 const DatapathRTT = 4*phy.FPGAStackCrossing + 6*phy.SerdesCrossing
 
-// CongestionConfig models the efficiency loss of the network-facing stack
-// near saturation (Section VI-C: "performance decreases because the network
-// facing stack gets closer to the saturation threshold"). When the
-// channel's committed backlog exceeds Window, a fraction of bandwidth is
-// wasted on credit stalls and frame replays, reducing goodput.
-type CongestionConfig struct {
-	Window sim.Time // backlog above which overload waste kicks in
-	Alpha  float64  // maximum fraction of bandwidth wasted at full overload
-}
-
-// DefaultCongestion matches the ~10% goodput decline the paper observes
-// when moving from 8 to 16 STREAM threads on one channel. The window is
-// sized so that the backlog of ~8 blocked streaming threads produces mild
-// waste and ~16 threads substantially more, mirroring the Rx-queue credit
-// pressure of the prototype.
-func DefaultCongestion() CongestionConfig {
-	return CongestionConfig{Window: 6 * sim.Millisecond, Alpha: 0.13}
-}
+// The congestion model prices the efficiency loss of the network-facing
+// stack near saturation (Section VI-C: "performance decreases because the
+// network facing stack gets closer to the saturation threshold"): as the
+// channel's committed backlog approaches congestionWindow, up to
+// congestionAlpha of the bandwidth is wasted on credit stalls and frame
+// replays, reducing goodput. The values match the ~10% goodput decline the
+// paper observes when moving from 8 to 16 STREAM threads on one channel:
+// the backlog of ~8 blocked streaming threads produces mild waste and ~16
+// threads substantially more, mirroring the Rx-queue credit pressure of the
+// prototype.
+const (
+	congestionWindow = 6 * sim.Millisecond
+	congestionAlpha  = 0.13
+)
 
 // RemoteBackend is the mem.Backend adapter for a disaggregated NUMA node:
 // it prices memory accesses through the ThymesisFlow datapath analytically
@@ -48,7 +44,6 @@ type RemoteBackend struct {
 	channels []*sim.Pipe
 	c1       *sim.Pipe
 	dramLat  sim.Time
-	cong     CongestionConfig
 	rr       int
 	// hbm is the optional Section VII caching layer (see hbm.go).
 	hbm *hbmCache
@@ -65,17 +60,6 @@ func NewRemoteBackend(k *sim.Kernel, name string, channels int, c1 *sim.Pipe, do
 	for i := range pipes {
 		pipes[i] = sim.NewPipe(k, phy.ChannelBytesPerSec)
 	}
-	return NewRemoteBackendWithPipes(k, name, pipes, c1, donorDRAMLat)
-}
-
-// NewRemoteBackendWithPipes builds a backend over caller-provided channel
-// pipes, letting several active thymesisflows share the same physical
-// channels (Section IV-A3) — their traffic then contends on the shared
-// pipes exactly as it would on the shared wire.
-func NewRemoteBackendWithPipes(k *sim.Kernel, name string, pipes []*sim.Pipe, c1 *sim.Pipe, donorDRAMLat sim.Time) *RemoteBackend {
-	if len(pipes) == 0 {
-		panic("endpoint: remote backend needs at least one channel pipe")
-	}
 	if c1 == nil {
 		c1 = sim.NewPipe(k, C1BytesPerSec)
 	}
@@ -85,12 +69,8 @@ func NewRemoteBackendWithPipes(k *sim.Kernel, name string, pipes []*sim.Pipe, c1
 		channels: pipes,
 		c1:       c1,
 		dramLat:  donorDRAMLat,
-		cong:     DefaultCongestion(),
 	}
 }
-
-// SetCongestion overrides the congestion model (ablation benches).
-func (b *RemoteBackend) SetCongestion(c CongestionConfig) { b.cong = c }
 
 // Name implements mem.Backend.
 func (b *RemoteBackend) Name() string { return b.name }
@@ -109,14 +89,11 @@ func (b *RemoteBackend) StreamBandwidth() float64 {
 
 // inflate applies the congestion waste factor for a transfer on channel ch.
 func (b *RemoteBackend) inflate(ch *sim.Pipe, n int64) int64 {
-	if b.cong.Alpha <= 0 || b.cong.Window <= 0 {
-		return n
-	}
-	overload := float64(ch.Backlog()) / float64(b.cong.Window)
+	overload := float64(ch.Backlog()) / float64(congestionWindow)
 	if overload > 1 {
 		overload = 1
 	}
-	waste := b.cong.Alpha * overload
+	waste := congestionAlpha * overload
 	return int64(float64(n) * (1 + waste))
 }
 

@@ -140,17 +140,7 @@ func (s *Switch) retransmit(out *phy.Channel, d phy.Delivery) {
 			return
 		}
 	}
-	out.Transmit(d.Payload, d.Bytes)
-}
-
-// ConnectDuplex wires both directions of two links through the switch:
-// a.fwd -> b-side, b.rev path etc. Given host-side links la (host A to
-// switch) and lb (switch to host B), frames from A reach B and vice versa.
-func (s *Switch) ConnectDuplex(la, lb *phy.Link) error {
-	if err := s.Connect(la.AtoB, lb.AtoB); err != nil {
-		return err
-	}
-	return s.Connect(lb.BtoA, la.BtoA)
+	out.TransmitAux(d.Payload, d.Bytes, d.Aux)
 }
 
 // Stats returns (frames forwarded, bytes forwarded).

@@ -233,21 +233,6 @@ func (g *Graph) SetVertexProp(id ID, key string, value any) error {
 	return nil
 }
 
-// SetEdgeProp updates one edge property.
-func (g *Graph) SetEdgeProp(id ID, key string, value any) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e, ok := g.edges[id]
-	if !ok {
-		return fmt.Errorf("graphdb: edge %d not found", id)
-	}
-	if e.Props == nil {
-		e.Props = make(map[string]any)
-	}
-	e.Props[key] = value
-	return nil
-}
-
 // RemoveEdge deletes an edge.
 func (g *Graph) RemoveEdge(id ID) error {
 	g.mu.Lock()

@@ -68,50 +68,6 @@ func (t *Tx) SetVertexProp(id ID, key string, value any) error {
 	return nil
 }
 
-// SetEdgeProp updates an edge property within the transaction.
-func (t *Tx) SetEdgeProp(id ID, key string, value any) error {
-	t.check()
-	e, ok := t.g.edges[id]
-	if !ok {
-		return fmt.Errorf("graphdb: edge %d not found", id)
-	}
-	old, had := e.Props[key]
-	if e.Props == nil {
-		e.Props = make(map[string]any)
-	}
-	e.Props[key] = value
-	t.undo = append(t.undo, func() {
-		if had {
-			e.Props[key] = old
-		} else {
-			delete(e.Props, key)
-		}
-	})
-	return nil
-}
-
-// VertexProp reads a property through the transaction's view.
-func (t *Tx) VertexProp(id ID, key string) (any, bool) {
-	t.check()
-	v, ok := t.g.vertices[id]
-	if !ok {
-		return nil, false
-	}
-	val, ok := v.Props[key]
-	return val, ok
-}
-
-// EdgeProp reads an edge property through the transaction's view.
-func (t *Tx) EdgeProp(id ID, key string) (any, bool) {
-	t.check()
-	e, ok := t.g.edges[id]
-	if !ok {
-		return nil, false
-	}
-	val, ok := e.Props[key]
-	return val, ok
-}
-
 // Commit makes the transaction's mutations permanent.
 func (t *Tx) Commit() {
 	t.check()

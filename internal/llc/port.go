@@ -57,11 +57,6 @@ type Port struct {
 	out  *phy.Channel
 	peer *Port
 
-	// split marks a pair whose two ends live on different simulation
-	// kernels (shard boundary). A split port never touches its peer's
-	// state at event time: latency-attribution records travel in-band as
-	// delivery aux data instead of being pulled from the peer's stash.
-	split bool
 	// inCrossing caches the inbound channel's crossing latency (the
 	// peer's out.CrossingPS()), captured at pair time so the receive path
 	// needs no cross-kernel read.
@@ -88,10 +83,10 @@ type Port struct {
 	// encode/decode boundary: frames serialize to bytes, so the receiver's
 	// decoded transactions cannot carry the Lat pointer in-band. The
 	// transmitter keeps the records here, aligned with the frame's
-	// transaction order, and the paired receiver re-attaches them on the
-	// frame's single in-order delivery (replays retransmit bytes; the
-	// records survive here until that delivery happens). nil until a frame
-	// actually carries a record, so disabled runs never allocate it.
+	// transaction order, and sends them as delivery aux data with every
+	// copy of the frame until the peer's CumAck prunes them; the receiver
+	// re-attaches them on the frame's single in-order delivery. nil until a
+	// frame actually carries a record, so disabled runs never allocate it.
 	latBySeq      map[uint64][]*latency.Record
 	probeTimer    *sim.Event
 	probeAttempts int
@@ -159,19 +154,17 @@ func NewPair(k *sim.Kernel, name string, link *phy.Link, cfg Config) (*Port, *Po
 	return NewPairOn(k, k, name, link, cfg)
 }
 
-// NewPairOn wires a pair whose ends run on different kernels: a on ka, b on
-// kb (a shard boundary; the link must have been built with the matching
-// kernels, e.g. phy.NewLinkSplit(ka, kb, ...)). With ka == kb this is
-// NewPair. On a split pair the transmit side attaches latency-attribution
-// records to the delivery itself (Delivery.Aux) — replayed frames carry
-// them again, so a record still arrives exactly once, on the frame's single
-// in-order delivery.
+// NewPairOn wires a pair whose ends may run on different kernels: a on ka,
+// b on kb (a shard boundary when they differ; the link must have been built
+// with the matching kernels, phy.NewLinkSplit(ka, kb, ...)). With ka == kb
+// this is NewPair. Neither end touches the other's state at event time:
+// the transmit side attaches latency-attribution records to the delivery
+// itself (Delivery.Aux), and replayed frames carry them again, so a record
+// still arrives exactly once, on the frame's single in-order delivery.
 func NewPairOn(ka, kb *sim.Kernel, name string, link *phy.Link, cfg Config) (*Port, *Port) {
 	a := newPort(ka, name+".a", link.AtoB, cfg)
 	b := newPort(kb, name+".b", link.BtoA, cfg)
 	a.peer, b.peer = b, a
-	a.split = ka != kb
-	b.split = a.split
 	a.inCrossing = link.BtoA.CrossingPS()
 	b.inCrossing = link.AtoB.CrossingPS()
 	link.AtoB.OnDeliver(b.receive)
@@ -342,16 +335,14 @@ func (p *Port) transmitFrame(f *Frame) {
 	p.armTxTimer(f.Seq, 0)
 }
 
-// transmitWire puts an encoded data frame on the channel. On a split pair
-// the stashed attribution records ride along as delivery aux data; the
-// stash itself is still kept until the peer's CumAck prunes it, so a
-// replayed frame carries the records again if the first copy was lost.
+// transmitWire puts an encoded data frame on the channel. The stashed
+// attribution records ride along as delivery aux data; the stash itself is
+// kept until the peer's CumAck prunes it, so a replayed frame carries the
+// records again if the first copy was lost.
 func (p *Port) transmitWire(seq uint64, wire []byte) {
-	if p.split {
-		if recs, ok := p.latBySeq[seq]; ok {
-			p.out.TransmitAux(wire, len(wire), recs)
-			return
-		}
+	if recs, ok := p.latBySeq[seq]; ok {
+		p.out.TransmitAux(wire, len(wire), recs)
+		return
 	}
 	p.out.Transmit(wire, len(wire))
 }
@@ -377,19 +368,6 @@ func (p *Port) stashLatRecords(f *Frame) {
 		p.latBySeq = make(map[uint64][]*latency.Record)
 	}
 	p.latBySeq[f.Seq] = recs
-}
-
-// takeLatRecords consumes the records stashed for seq (nil if none).
-func (p *Port) takeLatRecords(seq uint64) []*latency.Record {
-	if p.latBySeq == nil {
-		return nil
-	}
-	recs, ok := p.latBySeq[seq]
-	if !ok {
-		return nil
-	}
-	delete(p.latBySeq, seq)
-	return recs
 }
 
 // armTxTimer covers tail loss: if a frame is still unacknowledged after the
@@ -553,9 +531,8 @@ func (p *Port) handleControl(f *Frame) {
 		// cumulative state immediately (idempotent, so always safe).
 		p.scheduleCreditReturn()
 	}
-	// Prune the replay buffer up to the peer's cumulative ack. Stashed
-	// attribution records are normally consumed by the receiver's in-order
-	// delivery; pruning covers receivers that never take them.
+	// Prune the replay buffer, and the attribution records that ride with
+	// its frames, up to the peer's cumulative ack.
 	for del := p.oldestKept; del < f.CumAck; del++ {
 		delete(p.replayBuf, del)
 		if p.latBySeq != nil {
@@ -589,16 +566,10 @@ func (p *Port) handleData(f *Frame, aux any) {
 	p.stats.RxFrames++
 	switch {
 	case f.Seq == p.expected:
-		var recs []*latency.Record
-		if p.split {
-			// Shard boundary: the records came in-band with this delivery
-			// (duplicates are filtered by the sequence check above, so a
-			// record is attached exactly once).
-			recs, _ = aux.([]*latency.Record)
-		} else if p.peer != nil {
-			recs = p.peer.takeLatRecords(f.Seq)
-		}
-		if recs != nil {
+		// The records came in-band with this delivery (duplicates are
+		// filtered by the sequence check, so a record is attached exactly
+		// once).
+		if recs, _ := aux.([]*latency.Record); recs != nil {
 			now := p.k.NowPS()
 			flight := p.inCrossing
 			for i, t := range f.Txns {

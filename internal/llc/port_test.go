@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"thymesisflow/internal/capi"
+	"thymesisflow/internal/latency"
 	"thymesisflow/internal/phy"
 	"thymesisflow/internal/sim"
 )
@@ -223,5 +224,48 @@ func TestPortDeterminism(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("simulation is nondeterministic")
+	}
+}
+
+// Attribution records cross a same-kernel pair as delivery aux data, exactly
+// as on a shard boundary: under drops and CRC errors every delivered
+// transaction gets the record its sender attached, once.
+func TestPortAttributionRecordsUnderLoss(t *testing.T) {
+	k := sim.NewKernel()
+	a, b := newTestPair(k, phy.FaultConfig{DropProb: 1e-2, CorruptProb: 1e-2, Seed: 11}, DefaultConfig())
+	const n = 2000
+	sent := make([]*latency.Record, n)
+	seen := make(map[*latency.Record]int)
+	b.OnReceive = func(txn *capi.Transaction) {
+		if txn.Lat != sent[txn.Tag] {
+			t.Errorf("transaction %d delivered with record %p, want %p", txn.Tag, txn.Lat, sent[txn.Tag])
+		}
+		seen[txn.Lat]++
+	}
+	k.Go("tx", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			txn := readReq(uint32(i))
+			txn.Lat = latency.NewRecord(k.NowPS())
+			sent[i] = txn.Lat
+			a.SendFrom(p, txn)
+			p.Sleep(100 * sim.Nanosecond)
+		}
+	})
+	k.RunUntil(100 * sim.Millisecond)
+	delivered := b.Stats().RxTransactions
+	if st := a.Stats(); st.TxReplayed == 0 || b.Stats().RxCRCErrors == 0 || delivered < n/2 {
+		t.Fatalf("run did not exercise delivery under replay: a=%+v b=%+v", st, b.Stats())
+	}
+	// Delivery is in order, so the first `delivered` transactions are the
+	// delivered ones; any others were abandoned when a port escalated to
+	// link-down.
+	for i, r := range sent {
+		want := 0
+		if int64(i) < delivered {
+			want = 1
+		}
+		if seen[r] != want {
+			t.Fatalf("record of transaction %d attached %d times, want %d", i, seen[r], want)
+		}
 	}
 }

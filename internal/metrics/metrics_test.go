@@ -205,15 +205,6 @@ func TestPerfSampleAdd(t *testing.T) {
 	}
 }
 
-func TestMeterRate(t *testing.T) {
-	m := NewMeter(0)
-	m.Add(500, 5e11)  // 500 ops by 0.5s
-	m.Add(500, 10e11) // 1000 ops by 1.0s
-	if r := m.RatePerSec(); math.Abs(r-1000) > 1e-6 {
-		t.Fatalf("rate = %v, want 1000", r)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()

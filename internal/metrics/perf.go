@@ -86,48 +86,8 @@ func (s *PerfSample) BackendStallFraction() float64 {
 	return float64(s.StallBackend) / float64(s.Cycles)
 }
 
-// FrontendStallFraction returns the fraction of busy cycles stalled in the
-// frontend.
-func (s *PerfSample) FrontendStallFraction() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.StallFrontend) / float64(s.Cycles)
-}
-
 // String renders the derived metrics.
 func (s *PerfSample) String() string {
 	return fmt.Sprintf("IPC(thread)=%.2f IPC(pkg)=%.2f UCC=%.2f backend-stall=%.1f%%",
 		s.ThreadIPC(), s.PackageIPC(), s.UtilizedCores(), 100*s.BackendStallFraction())
-}
-
-// Meter tracks a quantity over a time window to report a rate (for
-// throughput in ops/sec or bytes/sec).
-type Meter struct {
-	total   float64
-	startPS int64
-	nowPS   int64
-}
-
-// NewMeter returns a meter whose window starts at startPS picoseconds.
-func NewMeter(startPS int64) *Meter { return &Meter{startPS: startPS, nowPS: startPS} }
-
-// Add records d units at time nowPS picoseconds.
-func (m *Meter) Add(d float64, nowPS int64) {
-	m.total += d
-	if nowPS > m.nowPS {
-		m.nowPS = nowPS
-	}
-}
-
-// Total returns the accumulated quantity.
-func (m *Meter) Total() float64 { return m.total }
-
-// RatePerSec returns units per second over the observed window.
-func (m *Meter) RatePerSec() float64 {
-	window := m.nowPS - m.startPS
-	if window <= 0 {
-		return 0
-	}
-	return m.total / (float64(window) / 1e12)
 }

@@ -91,9 +91,9 @@ type Delivery struct {
 	Bytes     int
 	Corrupted bool
 	// Aux rides along with the frame for sender-side metadata the receiver
-	// needs when the two ends live on different simulation kernels (the LLC
-	// carries latency-attribution records here on split links). Nil on
-	// same-kernel channels.
+	// cannot decode from the payload bytes (the LLC carries
+	// latency-attribution records here, on split and same-kernel links
+	// alike). Nil when the sender attached none.
 	Aux any
 }
 

@@ -1,6 +1,6 @@
 // Package detect is the online anomaly detector over flight-recorder
-// series: an EWMA baseline per (rule, series) pair plus threshold rules
-// with onset/clear hysteresis, emitting typed anomaly events. The detector
+// series: threshold rules with onset/clear hysteresis, evaluated per
+// (rule, series) pair, emitting typed anomaly events. The detector
 // is deliberately rules-based and allocation-light — it runs inline in tfd
 // and inside seeded chaos scoring, where every emitted event (class, onset,
 // clear, evidence) must be a pure function of the input points.
@@ -47,12 +47,6 @@ type Rule struct {
 
 	// Threshold is the absolute trigger level (after delta).
 	Threshold float64
-	// EWMAFactor, when > 0, additionally requires the reading to exceed
-	// EWMAFactor times the EWMA baseline of previous readings, so a level
-	// that is merely "normal-high" for the series does not trigger.
-	EWMAFactor float64
-	// Alpha is the EWMA smoothing factor (0 selects 0.2).
-	Alpha float64
 
 	// OnsetCount triggering readings in a row open an event (0 selects 1);
 	// ClearCount quiet readings in a row close it (0 selects 3). Latch
@@ -81,8 +75,6 @@ type ruleState struct {
 
 	havePrev bool
 	prev     float64 // previous raw value (delta rules)
-	ewma     float64
-	haveEwma bool
 
 	hot   int // consecutive triggering readings
 	quiet int // consecutive quiet readings while open
@@ -153,23 +145,6 @@ func (d *Detector) step(st *ruleState, series string, ts int64, v float64) {
 	}
 
 	trigger := reading >= r.Threshold
-	if trigger && r.EWMAFactor > 0 && st.haveEwma {
-		trigger = reading > r.EWMAFactor*st.ewma
-	}
-
-	// Baseline tracks quiet readings only, so a long anomaly does not
-	// teach the detector that the anomaly is normal.
-	alpha := r.Alpha
-	if alpha <= 0 {
-		alpha = 0.2
-	}
-	if !trigger {
-		if !st.haveEwma {
-			st.ewma, st.haveEwma = reading, true
-		} else {
-			st.ewma += alpha * (reading - st.ewma)
-		}
-	}
 
 	onsetNeed := r.OnsetCount
 	if onsetNeed <= 0 {

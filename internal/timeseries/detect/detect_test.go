@@ -86,26 +86,6 @@ func TestDeltaRuleAndCounterReset(t *testing.T) {
 	}
 }
 
-func TestEWMAGateSuppressesNormalHigh(t *testing.T) {
-	rules := []Rule{{
-		Class: CreditStarvation, Suffix: ".stalls",
-		Threshold: 1, EWMAFactor: 3, OnsetCount: 1, ClearCount: 2,
-	}}
-	d := New(rules)
-	// Quiet readings teach a baseline of ~0.5; a reading of 1.2 crosses the
-	// absolute threshold but not 3x the baseline, so no event fires.
-	feed(d, "s.stalls", 0.5, 0.5, 0.5, 0.5, 1.2, 1.2, 0.5, 0.5)
-	if events := d.Events(); len(events) != 0 {
-		t.Fatalf("events = %+v, want none (EWMA-gated)", events)
-	}
-	// A 10x excursion over the learned baseline fires.
-	d2 := New(rules)
-	feed(d2, "s.stalls", 0.5, 0.5, 0.5, 0.5, 5, 5, 0.5, 0.5)
-	if events := d2.Events(); len(events) != 1 {
-		t.Fatalf("events = %+v, want 1", events)
-	}
-}
-
 func TestPerSeriesIndependentState(t *testing.T) {
 	d := New(gaugeRule(2, 2))
 	// Interleaved series: a storms, b stays quiet; b must not dilute a's
