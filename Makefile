@@ -26,10 +26,11 @@ ci: check race chaos replay-smoke ha-smoke detect-smoke fuzz-smoke
 # window barriers), the telemetry surfaces (metrics registry, trace ring,
 # control-plane handlers) that are read while the simulation runs, and the
 # saga/journal/reconciler machinery plus the node agents it drives, the
-# churn-trace replay driver that hammers the control plane, and the graph
-# store whose path searches run under its read lock beside writers.
+# churn-trace replay driver that hammers the control plane, the graph
+# store whose path searches run under its read lock beside writers, and
+# the phy channels whose counters collectors snapshot mid-run.
 race:
-	$(GO) test -race -count=1 ./internal/llc/ ./internal/core/ \
+	$(GO) test -race -count=1 ./internal/llc/ ./internal/core/ ./internal/phy/ \
 		./internal/sim/ ./internal/sim/shard/ ./internal/chaos/ \
 		./internal/metrics/ ./internal/trace/ ./internal/controlplane/ \
 		./internal/agent/ ./internal/dctrace/ ./internal/bench/ \

@@ -27,7 +27,8 @@ package agent
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"thymesisflow/internal/trace"
@@ -278,11 +279,14 @@ func (a *Agent) Status() Status {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := Status{Host: a.host, Incarnation: a.incarnation}
+	if len(a.state) > 0 {
+		st.Attachments = make([]AttachmentStatus, 0, len(a.state))
+	}
 	for _, s := range a.state {
 		st.Attachments = append(st.Attachments, *s)
 	}
-	sort.Slice(st.Attachments, func(i, j int) bool {
-		return st.Attachments[i].ID < st.Attachments[j].ID
+	slices.SortFunc(st.Attachments, func(x, y AttachmentStatus) int {
+		return strings.Compare(x.ID, y.ID)
 	})
 	return st
 }

@@ -49,7 +49,7 @@ func (s *Service) Readiness() Readiness {
 	hosts := transport.Hosts()
 	r.AgentsTotal = len(hosts)
 	for _, h := range hosts {
-		if _, err := transport.Query(h); err != nil {
+		if err := transport.Reach(h); err != nil {
 			r.AgentsUnreachable = append(r.AgentsUnreachable, h)
 		}
 	}

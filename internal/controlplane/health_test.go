@@ -99,13 +99,17 @@ func TestReadyzReconcilerLifecycle(t *testing.T) {
 	}
 }
 
-// deadQueryTransport fails every status query, simulating unreachable agent
-// daemons while commands still flow.
+// deadQueryTransport fails every status query and reachability check,
+// simulating unreachable agent daemons while commands still flow.
 type deadQueryTransport struct{ Transport }
 
+var errDaemonDown = errors.New("agent daemon unreachable")
+
 func (d deadQueryTransport) Query(string) (agent.Status, error) {
-	return agent.Status{}, errors.New("agent daemon unreachable")
+	return agent.Status{}, errDaemonDown
 }
+
+func (d deadQueryTransport) Reach(string) error { return errDaemonDown }
 
 func TestReadyzUnreachableAgents(t *testing.T) {
 	svc, _ := testService(t)

@@ -494,7 +494,7 @@ func (s *Service) Attach(req AttachRequest) (*AttachmentRecord, error) {
 		return nil, fmt.Errorf("controlplane: attach of %d bytes", req.Bytes)
 	}
 	for _, h := range []string{req.ComputeHost, req.DonorHost} {
-		if _, err := s.transport.Query(h); err != nil {
+		if err := s.transport.Reach(h); err != nil {
 			return nil, fmt.Errorf("controlplane: no agent registered for host %q", h)
 		}
 	}

@@ -22,6 +22,10 @@ type Transport interface {
 	// Query returns the agent's ground-truth status (incarnation and
 	// materialized configuration).
 	Query(host string) (agent.Status, error)
+	// Reach fails exactly when Query would, without building the agent's
+	// status: the check for callers that only need to know the agent can
+	// be reached.
+	Reach(host string) error
 	// Hosts lists the reachable agent hosts, sorted.
 	Hosts() []string
 }
@@ -74,22 +78,37 @@ func (d *DirectTransport) Agent(host string) (*agent.Agent, bool) {
 	return a, ok
 }
 
-// Send implements Transport.
-func (d *DirectTransport) Send(host, token string, cmd agent.Command) error {
+// reach returns the registered agent for a host, or ErrAgentUnknown.
+func (d *DirectTransport) reach(host string) (*agent.Agent, error) {
 	a, ok := d.Agent(host)
 	if !ok {
-		return fmt.Errorf("%w %q", ErrAgentUnknown, host)
+		return nil, fmt.Errorf("%w %q", ErrAgentUnknown, host)
+	}
+	return a, nil
+}
+
+// Send implements Transport.
+func (d *DirectTransport) Send(host, token string, cmd agent.Command) error {
+	a, err := d.reach(host)
+	if err != nil {
+		return err
 	}
 	return a.Apply(token, cmd)
 }
 
 // Query implements Transport.
 func (d *DirectTransport) Query(host string) (agent.Status, error) {
-	a, ok := d.Agent(host)
-	if !ok {
-		return agent.Status{}, fmt.Errorf("%w %q", ErrAgentUnknown, host)
+	a, err := d.reach(host)
+	if err != nil {
+		return agent.Status{}, err
 	}
 	return a.Status(), nil
+}
+
+// Reach implements Transport.
+func (d *DirectTransport) Reach(host string) error {
+	_, err := d.reach(host)
+	return err
 }
 
 // Hosts implements Transport.
@@ -255,7 +274,8 @@ func (s *sourcedTransport) Send(host, token string, cmd agent.Command) error {
 func (s *sourcedTransport) Query(host string) (agent.Status, error) {
 	return s.f.queryFrom(s.src, host)
 }
-func (s *sourcedTransport) Hosts() []string { return s.f.Hosts() }
+func (s *sourcedTransport) Reach(host string) error { return s.f.reachFrom(s.src, host) }
+func (s *sourcedTransport) Hosts() []string         { return s.f.Hosts() }
 
 // Register delegates to the inner registry so Service.RegisterAgent works
 // transparently through a faulty transport.
@@ -289,10 +309,9 @@ func (f *FaultyTransport) Send(host, token string, cmd agent.Command) error {
 
 func (f *FaultyTransport) sendFrom(src, host, token string, cmd agent.Command) error {
 	f.sends.Add(1)
-	if f.partitioned(src, host) {
+	if err := f.cut(src, host); err != nil {
 		f.drops.Add(1)
-		f.partitionDrops.Add(1)
-		return Transient(fmt.Errorf("%w (partitioned, %s -> %s)", ErrTransportDrop, src, host))
+		return err
 	}
 	f.mu.Lock()
 	if n := f.failNext[host]; n > 0 {
@@ -332,11 +351,32 @@ func (f *FaultyTransport) Query(host string) (agent.Status, error) {
 }
 
 func (f *FaultyTransport) queryFrom(src, host string) (agent.Status, error) {
-	if f.partitioned(src, host) {
-		f.partitionDrops.Add(1)
-		return agent.Status{}, Transient(fmt.Errorf("%w (partitioned, %s -> %s)", ErrTransportDrop, src, host))
+	if err := f.cut(src, host); err != nil {
+		return agent.Status{}, err
 	}
 	return f.inner.Query(host)
+}
+
+// Reach implements Transport with Query's partition check.
+func (f *FaultyTransport) Reach(host string) error {
+	return f.reachFrom(DefaultSource, host)
+}
+
+func (f *FaultyTransport) reachFrom(src, host string) error {
+	if err := f.cut(src, host); err != nil {
+		return err
+	}
+	return f.inner.Reach(host)
+}
+
+// cut counts and returns the transient failure of a send, query or reach
+// across a partition cut, or nil when src can see host.
+func (f *FaultyTransport) cut(src, host string) error {
+	if !f.partitioned(src, host) {
+		return nil
+	}
+	f.partitionDrops.Add(1)
+	return Transient(fmt.Errorf("%w (partitioned, %s -> %s)", ErrTransportDrop, src, host))
 }
 
 // Hosts implements Transport.

@@ -49,7 +49,8 @@ type FaultConfig struct {
 	// DropProb is the probability that a frame is lost entirely (triggering
 	// a sequence-gap replay at the receiver).
 	DropProb float64
-	// Seed seeds the channel's private PRNG.
+	// Seed seeds the channel's private PRNG. The PRNG is built on the
+	// first draw, so a fault-free channel never pays for it.
 	Seed int64
 }
 
@@ -66,9 +67,10 @@ type Window struct {
 // FaultSchedule lays time-windowed fault regimes over a base configuration.
 // The schedule is evaluated at each frame's transmit instant, so campaigns
 // can script "clean -> burst -> clean -> flap" timelines on a live channel
-// without touching it mid-run. The channel's PRNG is seeded once from
-// Base.Seed; window boundaries change probabilities, never the random
-// stream, which keeps a scheduled run reproducible from its seed alone.
+// without touching it mid-run. The channel's PRNG is seeded from Base.Seed
+// on the first draw after the schedule is installed; window boundaries
+// change probabilities, never the random stream, which keeps a scheduled
+// run reproducible from its seed alone.
 type FaultSchedule struct {
 	Base    FaultConfig
 	Windows []Window
@@ -116,7 +118,7 @@ type Channel struct {
 	oneWay   sim.Time
 	faults   FaultConfig
 	schedule *FaultSchedule
-	rng      *rand.Rand
+	rng      *rand.Rand // nil until the first fault draw; see draw
 	deliver  func(Delivery)
 	remote   Injector // non-nil when the receiver lives on another kernel
 
@@ -143,7 +145,6 @@ func NewChannel(k *sim.Kernel, name string, lanes int, oneWay sim.Time, faults F
 		lanes:  lanes,
 		oneWay: oneWay,
 		faults: faults,
-		rng:    rand.New(rand.NewSource(faults.Seed)),
 	}
 }
 
@@ -192,14 +193,14 @@ func (c *Channel) TransmitAux(payload any, n int, aux any) {
 	}
 	_, done := c.pipe.Reserve(int64(n))
 	tr := c.k.Tracer()
-	if faults.DropProb > 0 && c.rng.Float64() < faults.DropProb {
+	if faults.DropProb > 0 && c.draw() < faults.DropProb {
 		c.dropped.Add(1)
 		if tr != nil {
 			tr.Instant(trace.LayerPhy, "drop", c.k.NowPS())
 		}
 		return
 	}
-	corrupt := faults.CorruptProb > 0 && c.rng.Float64() < faults.CorruptProb
+	corrupt := faults.CorruptProb > 0 && c.draw() < faults.CorruptProb
 	if corrupt {
 		c.corrupted.Add(1)
 		if tr != nil {
@@ -219,6 +220,17 @@ func (c *Channel) TransmitAux(payload any, n int, aux any) {
 	c.k.ScheduleAt(done+c.oneWay, func() { c.deliver(d) })
 }
 
+// draw returns the next fault draw, seeding the PRNG from c.faults.Seed on
+// the first draw since construction or the last SetFaults/SetSchedule.
+// c.faults changes only at those points, so the stream depends on the
+// seed and the draws since the reset, never on when the first draw came.
+func (c *Channel) draw() float64 {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.faults.Seed))
+	}
+	return c.rng.Float64()
+}
+
 // Stats reports frames sent, dropped, and corrupted since creation. The
 // counters are read atomically, so a metrics collector may snapshot a
 // channel while its simulation goroutine is still transmitting.
@@ -227,20 +239,22 @@ func (c *Channel) Stats() (sent, dropped, corrupted int64) {
 }
 
 // SetFaults replaces the fault configuration (used by ablation benches to
-// sweep loss rates mid-run). It clears any installed schedule.
+// sweep loss rates mid-run). It clears any installed schedule and resets
+// the PRNG: the first draw after the call is seeded from f.Seed.
 func (c *Channel) SetFaults(f FaultConfig) {
 	c.faults = f
 	c.schedule = nil
-	c.rng = rand.New(rand.NewSource(f.Seed))
+	c.rng = nil
 }
 
 // SetSchedule installs a time-windowed fault schedule, replacing the static
-// configuration. The PRNG is reseeded from the schedule's base seed so a
-// campaign is reproducible regardless of traffic sent before installation.
+// configuration. It resets the PRNG, and the first draw after the call is
+// seeded from the schedule's base seed, so a campaign is reproducible
+// regardless of traffic sent before installation.
 func (c *Channel) SetSchedule(s FaultSchedule) {
 	c.schedule = &s
 	c.faults = s.Base
-	c.rng = rand.New(rand.NewSource(s.Base.Seed))
+	c.rng = nil
 }
 
 // Link is a bidirectional point-to-point connection: one channel per

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math/rand"
 	"testing"
 
 	"thymesisflow/internal/sim"
@@ -174,5 +175,153 @@ func TestLatencyBudgetMatchesPaper(t *testing.T) {
 	total := 4*FPGAStackCrossing + 6*SerdesCrossing
 	if total != 950*sim.Nanosecond {
 		t.Fatalf("latency budget = %v, want 950ns", total)
+	}
+}
+
+// eagerFaults is a reference fault model that builds its PRNG at
+// construction and rebuilds it at every reset, rather than on first draw.
+type eagerFaults struct {
+	faults   FaultConfig
+	schedule *FaultSchedule
+	rng      *rand.Rand
+}
+
+func newEagerFaults(f FaultConfig) *eagerFaults {
+	return &eagerFaults{faults: f, rng: rand.New(rand.NewSource(f.Seed))}
+}
+
+func (e *eagerFaults) setFaults(f FaultConfig) {
+	e.faults, e.schedule = f, nil
+	e.rng = rand.New(rand.NewSource(f.Seed))
+}
+
+func (e *eagerFaults) setSchedule(s FaultSchedule) {
+	e.faults, e.schedule = s.Base, &s
+	e.rng = rand.New(rand.NewSource(s.Base.Seed))
+}
+
+// outcome draws one frame's fate exactly as TransmitAux does.
+func (e *eagerFaults) outcome(now sim.Time) frameOutcome {
+	f := e.faults
+	if e.schedule != nil {
+		f = e.schedule.At(now)
+	}
+	if f.DropProb > 0 && e.rng.Float64() < f.DropProb {
+		return frameDropped
+	}
+	if f.CorruptProb > 0 && e.rng.Float64() < f.CorruptProb {
+		return frameCorrupted
+	}
+	return frameClean
+}
+
+type frameOutcome int
+
+const (
+	frameDropped frameOutcome = iota
+	frameClean
+	frameCorrupted
+)
+
+// TestLazyFaultStreamMatchesEager sends a seeded frame sequence through a
+// channel whose fault regime is reset mid-traffic, and requires every
+// frame's drop and corrupt outcome to match the eager reference.
+func TestLazyFaultStreamMatchesEager(t *testing.T) {
+	const frames = 1000
+	const gap = 10 * sim.Nanosecond // frame i leaves at i*gap
+	sched := FaultSchedule{
+		Base: FaultConfig{DropProb: 0.05, CorruptProb: 0.1, Seed: 11},
+		Windows: []Window{
+			{From: 650 * gap, To: 700 * gap, DropProb: 0.6, CorruptProb: 0.5},
+			{From: 900 * gap, To: 950 * gap, DropProb: 1},
+		},
+	}
+	type reset struct {
+		at    int // frame index the reset precedes
+		apply func(*Channel, *eagerFaults)
+	}
+	setFaults := func(f FaultConfig) func(*Channel, *eagerFaults) {
+		return func(c *Channel, e *eagerFaults) { c.SetFaults(f); e.setFaults(f) }
+	}
+	setSchedule := func(s FaultSchedule) func(*Channel, *eagerFaults) {
+		return func(c *Channel, e *eagerFaults) { c.SetSchedule(s); e.setSchedule(s) }
+	}
+	cases := []struct {
+		name    string
+		initial FaultConfig
+		resets  []reset
+	}{
+		{"static", FaultConfig{DropProb: 0.2, CorruptProb: 0.2, Seed: 5}, nil},
+		{"mid-traffic", FaultConfig{DropProb: 0.2, CorruptProb: 0.2, Seed: 5}, []reset{
+			{300, setFaults(FaultConfig{DropProb: 0.1, CorruptProb: 0.4, Seed: 9})},
+			{500, setFaults(FaultConfig{Seed: 9})}, // fault-free stretch, no draws
+			{550, setFaults(FaultConfig{DropProb: 0.3, Seed: 9})},
+			{600, setSchedule(sched)},
+			{800, setSchedule(sched)}, // same schedule again restarts its stream
+		}},
+		{"schedule-before-first-frame", FaultConfig{Seed: 3}, []reset{
+			{0, setSchedule(sched)},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			c := NewChannel(k, "c", LanesPerChannel, 0, tc.initial)
+			ref := newEagerFaults(tc.initial)
+			got := make([]frameOutcome, frames) // zero value: dropped
+			want := make([]frameOutcome, frames)
+			c.OnDeliver(func(d Delivery) {
+				got[d.Payload.(int)] = frameClean
+				if d.Corrupted {
+					got[d.Payload.(int)] = frameCorrupted
+				}
+			})
+			for i := 0; i < frames; i++ {
+				k.ScheduleAt(sim.Time(i)*gap, func() {
+					for _, r := range tc.resets {
+						if r.at == i {
+							r.apply(c, ref)
+						}
+					}
+					want[i] = ref.outcome(k.Now())
+					c.Transmit(i, 64)
+				})
+			}
+			k.Run()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("frame %d: outcome %d, eager reference %d", i, got[i], want[i])
+				}
+			}
+			_, dropped, corrupted := c.Stats()
+			if dropped == 0 || corrupted == 0 {
+				t.Fatalf("dropped %d, corrupted %d: the sequence exercises no faults", dropped, corrupted)
+			}
+		})
+	}
+}
+
+// TestFaultFreeChannelDrawsNothing checks that a link configured without
+// faults never builds its PRNG.
+func TestFaultFreeChannelDrawsNothing(t *testing.T) {
+	k := sim.NewKernel()
+	c := NewChannel(k, "c", LanesPerChannel, 0, FaultConfig{Seed: 7})
+	c.OnDeliver(func(Delivery) {})
+	for i := 0; i < 1000; i++ {
+		c.Transmit(i, 64)
+	}
+	k.Run()
+	if c.rng != nil {
+		t.Fatal("fault-free channel built its PRNG")
+	}
+}
+
+// BenchmarkNewLink measures the construction cost of one bidirectional
+// link (two channels), which every attach pays.
+func BenchmarkNewLink(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel()
+	for i := 0; i < b.N; i++ {
+		NewLink(k, "l", LanesPerChannel, SerdesCrossing, FaultConfig{Seed: int64(i)})
 	}
 }
