@@ -27,14 +27,18 @@ ci: check race chaos replay-smoke ha-smoke detect-smoke fuzz-smoke
 # control-plane handlers) that are read while the simulation runs, and the
 # saga/journal/reconciler machinery plus the node agents it drives, the
 # churn-trace replay driver that hammers the control plane, the graph
-# store whose path searches run under its read lock beside writers, and
-# the phy channels whose counters collectors snapshot mid-run.
+# store whose path searches run under its read lock beside writers, the
+# phy channels whose counters collectors snapshot mid-run and whose
+# delivery queues the LLC feeds, and the endpoints and fabric switches
+# whose request pools and forwarded frames ride the same kernel-local
+# queues.
 race:
 	$(GO) test -race -count=1 ./internal/llc/ ./internal/core/ ./internal/phy/ \
 		./internal/sim/ ./internal/sim/shard/ ./internal/chaos/ \
 		./internal/metrics/ ./internal/trace/ ./internal/controlplane/ \
 		./internal/agent/ ./internal/dctrace/ ./internal/bench/ \
-		./internal/raft/ ./internal/timeseries/... ./internal/graphdb/
+		./internal/raft/ ./internal/timeseries/... ./internal/graphdb/ \
+		./internal/endpoint/ ./internal/fabric/
 
 # Run the fault-injection conformance campaigns (docs/RELIABILITY.md):
 # the datapath catalogue and the control-plane saga/recovery/reconciliation
@@ -84,11 +88,17 @@ test:
 
 # Micro-benchmarks for the sim kernel (including the run-to-horizon
 # windowed stepping), simulated-process switching and spawning, the shard
-# group barrier, and the dcsim placement index.
+# group barrier, and the dcsim placement index; then the datapath: one
+# LLC frame and its credit return on a lossless port pair, and one
+# cacheline load through the whole stack with attribution off, on, and
+# with the flight recorder. The datapath runs 20,000 iterations, so its
+# allocs/op is the steady-state cost rather than setup.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkProc|BenchmarkGroup|BenchmarkDcsim' \
 		-benchmem -benchtime 5x ./internal/sim/ ./internal/sim/shard/ \
 		./internal/dcsim/
+	$(GO) test -run xxx -bench 'BenchmarkPortFrame|BenchmarkClusterLoad' \
+		-benchmem -benchtime 20000x ./internal/llc/ ./internal/core/
 
 # Wall-clock / allocation snapshot: sequential vs parallel quick suite,
 # kernel/placement micro-benchmarks, the sharded rack-scaling sweep

@@ -32,15 +32,17 @@ func TestTransactionFlits(t *testing.T) {
 }
 
 func TestResponseMatchesRequest(t *testing.T) {
-	req := &Transaction{Op: OpReadReq, Addr: 0x1000, Size: 128, Tag: 42, NetworkID: 7}
 	data := make([]byte, 128)
-	resp := req.Response(data)
-	if resp.Op != OpReadResp || resp.Tag != 42 || resp.NetworkID != 7 || resp.Size != 128 {
+	resp := &Transaction{Op: OpReadReq, Addr: 0x1000, Size: 128, Tag: 42, NetworkID: 7, Bonded: true, PASID: 3}
+	resp.Respond(data)
+	want := Transaction{Op: OpReadResp, Addr: 0x1000, Size: 128, Tag: 42, NetworkID: 7}
+	if resp.Op != want.Op || resp.Addr != want.Addr || resp.Size != want.Size || resp.Tag != want.Tag ||
+		resp.NetworkID != want.NetworkID || resp.Bonded || resp.PASID != 0 || len(resp.Data) != 128 {
 		t.Fatalf("bad read response: %+v", resp)
 	}
-	wr := &Transaction{Op: OpWriteReq, Addr: 0x2000, Size: 128, Tag: 9}
-	wresp := wr.Response(nil)
-	if wresp.Op != OpWriteResp || wresp.Tag != 9 || wresp.Size != 0 {
+	wresp := &Transaction{Op: OpWriteReq, Addr: 0x2000, Size: 128, Tag: 9, Data: data}
+	wresp.Respond(nil)
+	if wresp.Op != OpWriteResp || wresp.Tag != 9 || wresp.Size != 0 || wresp.Data != nil {
 		t.Fatalf("bad write response: %+v", wresp)
 	}
 }
@@ -48,10 +50,10 @@ func TestResponseMatchesRequest(t *testing.T) {
 func TestResponseOnResponsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Response on a response did not panic")
+			t.Fatal("Respond on a response did not panic")
 		}
 	}()
-	(&Transaction{Op: OpReadResp}).Response(nil)
+	(&Transaction{Op: OpReadResp}).Respond(nil)
 }
 
 func TestValidate(t *testing.T) {

@@ -44,6 +44,13 @@ type ComputeEndpoint struct {
 
 	nextTag uint32
 	waiting map[uint32]*pendingReq
+	// free recycles completed requests together with their signals.
+	free []*pendingReq
+	// egress holds responses crossing the compute-side attachment
+	// hardware. Each crossing takes SideLatency, so they complete in
+	// arrival order, and completeNext, bound once, serves the oldest.
+	egress       sim.FIFO[completion]
+	completeNext func()
 
 	// linkDown fences the issue path after LLC escalation or forced detach.
 	linkDown bool
@@ -63,6 +70,12 @@ type pendingReq struct {
 	err  error
 }
 
+// completion is a response on its way to the request that waits for it.
+type completion struct {
+	w    *pendingReq
+	resp *capi.Transaction
+}
+
 // ErrLinkDown is the error outstanding and subsequent requests complete with
 // after the endpoint's link has been fenced (LLC escalation or forced
 // detach). Callers distinguish it from RMMU translation faults to decide
@@ -76,13 +89,19 @@ func NewCompute(k *sim.Kernel, name string, sections int, sectionSize int64) (*C
 		return nil, err
 	}
 	m.Instrument(k) // per-translation trace instants, once a tracer attaches
-	return &ComputeEndpoint{
+	ce := &ComputeEndpoint{
 		k:       k,
 		name:    name,
 		rmmu:    m,
 		router:  route.NewRouter(name + ".router"),
 		waiting: make(map[uint32]*pendingReq),
-	}, nil
+	}
+	ce.completeNext = func() {
+		c := ce.egress.Pop()
+		c.w.resp = c.resp
+		c.w.sig.Broadcast()
+	}
+	return ce, nil
 }
 
 // Name returns the endpoint name.
@@ -117,10 +136,26 @@ func (ce *ComputeEndpoint) handleResponse(t *capi.Transaction) {
 	delete(ce.waiting, t.Tag)
 	// Egress through the compute-side attachment hardware before the CPU
 	// sees the data.
-	ce.k.Schedule(SideLatency, func() {
-		w.resp = t
-		w.sig.Broadcast()
-	})
+	ce.egress.Push(completion{w: w, resp: t})
+	ce.k.Schedule(SideLatency, ce.completeNext)
+}
+
+// newReq takes a request record from the free list, or builds one.
+func (ce *ComputeEndpoint) newReq() *pendingReq {
+	if n := len(ce.free); n > 0 {
+		w := ce.free[n-1]
+		ce.free = ce.free[:n-1]
+		return w
+	}
+	return &pendingReq{sig: sim.NewSignal(ce.k)}
+}
+
+// freeReq recycles a request record once its issuer has read it. By then
+// no table or queue refers to it: it left waiting when it was answered or
+// faulted, or when its forward failed.
+func (ce *ComputeEndpoint) freeReq(w *pendingReq) {
+	*w = pendingReq{sig: w.sig}
+	ce.free = append(ce.free, w)
 }
 
 // Outstanding returns the number of requests issued but not yet completed.
@@ -183,7 +218,7 @@ func (ce *ComputeEndpoint) issue(p *sim.Proc, t *capi.Transaction) (*capi.Transa
 	}
 	ce.nextTag++
 	t.Tag = ce.nextTag
-	w := &pendingReq{sig: sim.NewSignal(ce.k)}
+	w := ce.newReq()
 	ce.waiting[t.Tag] = w
 	// Ingress through the compute-side attachment hardware.
 	p.Sleep(SideLatency)
@@ -192,6 +227,7 @@ func (ce *ComputeEndpoint) issue(p *sim.Proc, t *capi.Transaction) (*capi.Transa
 	}
 	if err := ce.router.ForwardFrom(p, t); err != nil {
 		delete(ce.waiting, t.Tag)
+		ce.freeReq(w)
 		if tr != nil {
 			tr.End(tok, ce.k.NowPS())
 		}
@@ -201,17 +237,19 @@ func (ce *ComputeEndpoint) issue(p *sim.Proc, t *capi.Transaction) (*capi.Transa
 	if tr != nil {
 		tr.End(tok, ce.k.NowPS())
 	}
-	if w.err != nil {
-		return nil, w.err
+	resp, err := w.resp, w.err
+	ce.freeReq(w)
+	if err != nil {
+		return nil, err
 	}
 	// The response record is the one issued above when the round trip
 	// stayed on a paired link; topologies that cannot carry the record
 	// end-to-end deliver a bare response, which is simply not attributed.
-	if ce.lat != nil && w.resp.Lat != nil {
-		ce.lat.Done(w.resp.Lat, ce.k.NowPS())
-		w.resp.Lat = nil
+	if ce.lat != nil && resp.Lat != nil {
+		ce.lat.Done(resp.Lat, ce.k.NowPS())
+		resp.Lat = nil
 	}
-	return w.resp, nil
+	return resp, nil
 }
 
 // Load reads size bytes at the device-internal address, returning the data

@@ -41,20 +41,42 @@ type MemoryEndpoint struct {
 	c1      *sim.Pipe // 128B-transaction C1 ceiling (~16 GiB/s)
 	dramLat sim.Time  // donor DRAM access latency behind the C1 master
 
+	// service and egress hold the requests in the C1 master and in the
+	// memory-side egress hardware. Both stages fire in arrival order: a
+	// request leaves service at its C1 reservation's end plus the fixed
+	// DRAM latency, and C1 reservations end in the order they are made;
+	// egress is a fixed SideLatency. So one callback per stage, bound
+	// once, serves the oldest entry.
+	service, egress       sim.FIFO[c1Access]
+	serveNext, egressNext func()
+
 	served   int64
 	rejected int64
+}
+
+// c1Access is one request in the donor's C1 pipeline; the decoded request
+// becomes its own response in place when service completes.
+type c1Access struct {
+	port *llc.Port
+	t    *capi.Transaction
+	reg  *StolenRegion
+	tr   trace.Tracer
+	tok  trace.SpanToken
 }
 
 // NewMemory builds a memory-stealing endpoint. dramLat is the donor DRAM
 // latency the C1 master experiences per access.
 func NewMemory(k *sim.Kernel, name string, dramLat sim.Time) *MemoryEndpoint {
-	return &MemoryEndpoint{
+	me := &MemoryEndpoint{
 		k:       k,
 		name:    name,
 		pasids:  capi.NewPASIDRegistry(),
 		c1:      sim.NewPipe(k, C1BytesPerSec),
 		dramLat: dramLat,
 	}
+	me.serveNext = me.serve
+	me.egressNext = me.respond
+	return me
 }
 
 // Name returns the endpoint name.
@@ -147,30 +169,42 @@ func (me *MemoryEndpoint) handleRequest(port *llc.Port, t *capi.Transaction) {
 		t.Lat.Add(latency.StageC1Ingress, int64(SideLatency))
 		t.Lat.Add(latency.StageC1Service, int64((c1done-me.k.Now())+me.dramLat))
 	}
-	me.k.Schedule(delay, func() {
-		var data []byte
-		if t.Op == capi.OpReadReq && reg.Data != nil {
-			off := t.Addr - reg.Base
-			data = append([]byte(nil), reg.Data[off:off+uint64(t.Size)]...)
-		}
-		if t.Op == capi.OpWriteReq && reg.Data != nil && t.Data != nil {
-			off := t.Addr - reg.Base
-			copy(reg.Data[off:], t.Data)
-		}
-		resp := t.Response(data)
-		me.served++
-		// Egress through the memory-side attachment hardware, then out on
-		// the arrival channel.
-		me.k.Schedule(SideLatency, func() {
-			if tr != nil {
-				tr.End(tok, me.k.NowPS())
-			}
-			if resp.Lat != nil {
-				resp.Lat.Add(latency.StageC1Egress, int64(SideLatency))
-			}
-			port.Send(resp)
-		})
-	})
+	me.service.Push(c1Access{port: port, t: t, reg: reg, tr: tr, tok: tok})
+	me.k.Schedule(delay, me.serveNext)
+}
+
+// serve completes the oldest request's donor memory access and turns it
+// into its response.
+func (me *MemoryEndpoint) serve() {
+	a := me.service.Pop()
+	t, reg := a.t, a.reg
+	var data []byte
+	if t.Op == capi.OpReadReq && reg.Data != nil {
+		off := t.Addr - reg.Base
+		data = append([]byte(nil), reg.Data[off:off+uint64(t.Size)]...)
+	}
+	if t.Op == capi.OpWriteReq && reg.Data != nil && t.Data != nil {
+		off := t.Addr - reg.Base
+		copy(reg.Data[off:], t.Data)
+	}
+	t.Respond(data)
+	me.served++
+	// Egress through the memory-side attachment hardware, then out on the
+	// arrival channel.
+	me.egress.Push(a)
+	me.k.Schedule(SideLatency, me.egressNext)
+}
+
+// respond sends the oldest response out on the port its request came from.
+func (me *MemoryEndpoint) respond() {
+	a := me.egress.Pop()
+	if a.tr != nil {
+		a.tr.End(a.tok, me.k.NowPS())
+	}
+	if a.t.Lat != nil {
+		a.t.Lat.Add(latency.StageC1Egress, int64(SideLatency))
+	}
+	a.port.Send(a.t)
 }
 
 func (me *MemoryEndpoint) regionFor(addr uint64, size int32) *StolenRegion {

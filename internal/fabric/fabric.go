@@ -120,27 +120,11 @@ func (s *Switch) Connect(in, out *phy.Channel) error {
 			_, done := s.crossbar.Reserve(int64(d.Bytes))
 			delay += done - s.k.Now()
 		}
-		s.k.Schedule(delay, func() {
-			// Preserve corruption markers through the switch: a frame
-			// mangled on the first hop stays mangled.
-			s.retransmit(out, d)
-		})
+		// Forward keeps the corruption marker: a frame mangled on the
+		// first hop stays mangled.
+		s.k.Schedule(delay, func() { out.Forward(d) })
 	})
 	return nil
-}
-
-func (s *Switch) retransmit(out *phy.Channel, d phy.Delivery) {
-	if d.Corrupted {
-		// Re-inject as an already-corrupted payload: flip the CRC by
-		// transmitting a mangled copy so the far LLC sees the error.
-		if wire, ok := d.Payload.([]byte); ok {
-			mangled := append([]byte(nil), wire...)
-			mangled[len(mangled)-1] ^= 0xFF
-			out.Transmit(mangled, d.Bytes)
-			return
-		}
-	}
-	out.TransmitAux(d.Payload, d.Bytes, d.Aux)
 }
 
 // Stats returns (frames forwarded, bytes forwarded).

@@ -56,7 +56,7 @@ func TestRxReplayStallEscalates(t *testing.T) {
 	f := &Frame{Kind: kindData, Seq: 5, Txns: []*capi.Transaction{readReq(9)}}
 	wire := f.Encode()
 	k.Go("inject", func(p *sim.Proc) {
-		b.Deliver(phy.Delivery{Payload: wire, Bytes: len(wire)})
+		b.Deliver(phy.Delivery{Payload: (*[FrameBytes]byte)(wire), Bytes: len(wire)})
 	})
 	k.RunUntil(5 * sim.Millisecond)
 	if !b.Down() {

@@ -14,10 +14,22 @@
 //     numbers and a CRC. A receiver that observes a sequence gap or a CRC
 //     error sends an in-band replay request; the transmitter then replays
 //     the frame sequence in order from its replay buffer.
+//
+// Ownership. A port encodes each frame once, into a fresh fixed-size array
+// (*[FrameBytes]byte or *[ControlFrameBytes]byte) that is the phy
+// delivery's payload. The array is immutable once transmitted and is never
+// reused: a replayed copy, or a copy queued in a fabric switch, can still be
+// in flight after the peer's CumAck prunes the frame's replay slot, so the
+// array lives as long as its last in-flight copy. A receiver decodes into a
+// transaction array it reuses, but every transaction it hands to OnReceive
+// is freshly allocated, with its own copy of the data, and belongs to the
+// upper layer from then on: the donor endpoint turns a request into its
+// response in place and sends it back.
 package llc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -68,17 +80,6 @@ type Frame struct {
 	// but no acknowledgement traffic left to piggy-back returns on.
 	Probe  bool
 	CumAck uint64 // highest in-order sequence received + 1 (prunes replay buffer)
-
-	crc uint32
-}
-
-// flits returns the number of flits the frame's transactions occupy.
-func (f *Frame) flits() int {
-	n := 0
-	for _, t := range f.Txns {
-		n += t.Flits()
-	}
-	return n
 }
 
 // WireBytes returns the frame's on-wire size.
@@ -89,134 +90,168 @@ func (f *Frame) WireBytes() int {
 	return FrameBytes
 }
 
+// Wire layout. Every frame starts with its kind byte and ends with a CRC-32
+// trailer over everything before it; data frames are nop-padded to
+// FrameBytes, control frames to ControlFrameBytes.
+const (
+	// controlBody is kind, replay-valid, replay-from, probe, cum-freed and
+	// cum-ack.
+	controlBody = 1 + 1 + 8 + 1 + 8 + 8
+	// dataHeader is kind, sequence number and transaction count.
+	dataHeader = 1 + 8 + 2
+	// txnHeader is one transaction's op, address, size, tag, network id,
+	// bonded flag, PASID and has-data flag; the data bytes follow it.
+	txnHeader = 1 + 8 + 4 + 4 + 2 + 1 + 4 + 1
+)
+
+var le = binary.LittleEndian
+
+// bodyBytes returns the encoded size of the frame before padding.
+func (f *Frame) bodyBytes() int {
+	switch f.Kind {
+	case kindControl:
+		return controlBody
+	case kindData:
+		n := dataHeader
+		for _, t := range f.Txns {
+			n += txnHeader + len(t.Data)
+		}
+		return n
+	}
+	panic(fmt.Sprintf("llc: encode of unknown frame kind %d", f.Kind))
+}
+
 // Encode serializes the frame to its wire representation, padding data
 // frames to the full frame size and appending a CRC-32 in the trailer.
 func (f *Frame) Encode() []byte {
-	var buf []byte
-	put8 := func(v uint8) { buf = append(buf, v) }
-	put16 := func(v uint16) { buf = binary.LittleEndian.AppendUint16(buf, v) }
-	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	buf := make([]byte, f.WireBytes())
+	f.encodeTo(buf)
+	return buf
+}
 
-	put8(uint8(f.Kind))
-	switch f.Kind {
-	case kindControl:
+// encodeTo writes the frame's wire image into buf, which must be zeroed and
+// exactly WireBytes long: the padding is left as it is. The port encodes
+// straight into a fresh fixed-size array, so a frame costs one allocation
+// and boxing the array's pointer in a phy delivery costs none.
+func (f *Frame) encodeTo(buf []byte) {
+	want := len(buf) - 4 // the CRC trailer follows the padded body
+	if n := f.bodyBytes(); n > want {
+		panic(fmt.Sprintf("llc: frame payload %dB exceeds wire size %dB", n, want))
+	}
+	buf[0] = uint8(f.Kind)
+	if f.Kind == kindControl {
 		// Control frames carry no sequence number: they are idempotent and
 		// outside the replay window, which keeps them within a single flit.
-		if f.ReplayValid {
-			put8(1)
-		} else {
-			put8(0)
-		}
-		put64(f.ReplayFrom)
-		if f.Probe {
-			put8(1)
-		} else {
-			put8(0)
-		}
-		put64(f.CumFreed)
-		put64(f.CumAck)
-	case kindData:
-		put64(f.Seq)
-		put16(uint16(len(f.Txns)))
+		buf[1] = flag(f.ReplayValid)
+		le.PutUint64(buf[2:], f.ReplayFrom)
+		buf[10] = flag(f.Probe)
+		le.PutUint64(buf[11:], f.CumFreed)
+		le.PutUint64(buf[19:], f.CumAck)
+	} else {
+		le.PutUint64(buf[1:], f.Seq)
+		le.PutUint16(buf[9:], uint16(len(f.Txns)))
+		pos := dataHeader
 		for _, t := range f.Txns {
-			put8(uint8(t.Op))
-			put64(t.Addr)
-			put32(uint32(t.Size))
-			put32(t.Tag)
-			put16(t.NetworkID)
-			if t.Bonded {
-				put8(1)
-			} else {
-				put8(0)
-			}
-			put32(t.PASID)
-			if t.Data != nil {
-				put8(1)
-				buf = append(buf, t.Data...)
-			} else {
-				put8(0)
-			}
+			h := buf[pos : pos+txnHeader]
+			h[0] = uint8(t.Op)
+			le.PutUint64(h[1:], t.Addr)
+			le.PutUint32(h[9:], uint32(t.Size))
+			le.PutUint32(h[13:], t.Tag)
+			le.PutUint16(h[17:], t.NetworkID)
+			h[19] = flag(t.Bonded)
+			le.PutUint32(h[20:], t.PASID)
+			h[24] = flag(t.Data != nil)
+			pos += txnHeader
+			pos += copy(buf[pos:], t.Data)
 		}
-	default:
-		panic(fmt.Sprintf("llc: encode of unknown frame kind %d", f.Kind))
 	}
-	// Pad to the fixed wire size minus the 4-byte CRC trailer.
-	want := f.WireBytes() - 4
-	if len(buf) > want {
-		panic(fmt.Sprintf("llc: frame payload %dB exceeds wire size %dB", len(buf), want))
-	}
-	for len(buf) < want {
-		buf = append(buf, 0)
-	}
-	crc := crc32.ChecksumIEEE(buf)
-	f.crc = crc
-	return binary.LittleEndian.AppendUint32(buf, crc)
+	le.PutUint32(buf[want:], crc32.ChecksumIEEE(buf[:want]))
 }
+
+func flag(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// errShort reports a frame whose body ends before its header says it does.
+var errShort = errors.New("llc: truncated frame body")
 
 // Decode parses a wire frame, verifying the CRC. A CRC mismatch returns
 // ErrCRC; the caller reacts by requesting a replay.
 func Decode(wire []byte) (*Frame, error) {
+	f := &Frame{}
+	if err := f.decode(wire); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// decode parses wire into f, reusing f.Txns' backing array; the port
+// decodes every delivery into one array this way. Each decoded
+// transaction, and its data, is freshly allocated: the receiver's upper
+// layer owns it. On error f holds no usable frame.
+func (f *Frame) decode(wire []byte) error {
 	if len(wire) < 5 {
-		return nil, fmt.Errorf("llc: short frame (%dB)", len(wire))
+		return fmt.Errorf("llc: short frame (%dB)", len(wire))
 	}
 	body, trailer := wire[:len(wire)-4], wire[len(wire)-4:]
-	want := binary.LittleEndian.Uint32(trailer)
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, ErrCRC
+	if crc32.ChecksumIEEE(body) != le.Uint32(trailer) {
+		return ErrCRC
 	}
-	// Bounds-checked readers: a frame can pass the CRC and still carry an
+	// Bounds-checked reads: a frame can pass the CRC and still carry an
 	// inconsistent header (e.g. forged by a misbehaving switch), so every
-	// read is validated rather than trusted.
-	pos := 0
-	errShort := fmt.Errorf("llc: truncated frame body")
-	need := func(n int) bool { return pos+n <= len(body) }
-	get8 := func() uint8 { v := body[pos]; pos++; return v }
-	get16 := func() uint16 { v := binary.LittleEndian.Uint16(body[pos:]); pos += 2; return v }
-	get32 := func() uint32 { v := binary.LittleEndian.Uint32(body[pos:]); pos += 4; return v }
-	get64 := func() uint64 { v := binary.LittleEndian.Uint64(body[pos:]); pos += 8; return v }
-
-	f := &Frame{}
-	if !need(1) {
-		return nil, errShort
-	}
-	f.Kind = frameKind(get8())
+	// read is validated rather than trusted. The length check above leaves
+	// at least the kind byte.
+	clear(f.Txns)
+	*f = Frame{Kind: frameKind(body[0]), Txns: f.Txns[:0]}
 	switch f.Kind {
 	case kindControl:
-		if !need(1 + 8 + 1 + 8 + 8) {
-			return nil, errShort
+		if len(body) < controlBody {
+			return errShort
 		}
-		f.ReplayValid = get8() == 1
-		f.ReplayFrom = get64()
-		f.Probe = get8() == 1
-		f.CumFreed = get64()
-		f.CumAck = get64()
+		f.ReplayValid = body[1] == 1
+		f.ReplayFrom = le.Uint64(body[2:])
+		f.Probe = body[10] == 1
+		f.CumFreed = le.Uint64(body[11:])
+		f.CumAck = le.Uint64(body[19:])
 	case kindData:
-		if !need(8 + 2) {
-			return nil, errShort
+		if len(body) < dataHeader {
+			return errShort
 		}
-		f.Seq = get64()
-		n := int(get16())
-		f.Txns = make([]*capi.Transaction, 0, n)
+		f.Seq = le.Uint64(body[1:])
+		n := int(le.Uint16(body[9:]))
+		pos := dataHeader
+		// Every transaction needs at least a header, so a count the body
+		// cannot hold is rejected before anything is sized from it.
+		if n > (len(body)-pos)/txnHeader {
+			return errShort
+		}
+		if cap(f.Txns) < n {
+			f.Txns = make([]*capi.Transaction, 0, n)
+		}
 		for i := 0; i < n; i++ {
-			const txnHeader = 1 + 8 + 4 + 4 + 2 + 1 + 4 + 1
-			if !need(txnHeader) {
-				return nil, errShort
+			if len(body)-pos < txnHeader {
+				return errShort
 			}
-			t := &capi.Transaction{}
-			t.Op = capi.Op(get8())
-			t.Addr = get64()
-			t.Size = int32(get32())
-			t.Tag = get32()
-			t.NetworkID = get16()
-			t.Bonded = get8() == 1
-			t.PASID = get32()
+			h := body[pos : pos+txnHeader]
+			pos += txnHeader
+			t := &capi.Transaction{
+				Op:        capi.Op(h[0]),
+				Addr:      le.Uint64(h[1:]),
+				Size:      int32(le.Uint32(h[9:])),
+				Tag:       le.Uint32(h[13:]),
+				NetworkID: le.Uint16(h[17:]),
+				Bonded:    h[19] == 1,
+				PASID:     le.Uint32(h[20:]),
+			}
 			if t.Size < 0 || t.Size > capi.Cacheline {
-				return nil, fmt.Errorf("llc: frame carries invalid size %d", t.Size)
+				return fmt.Errorf("llc: frame carries invalid size %d", t.Size)
 			}
-			if get8() == 1 {
-				if !need(int(t.Size)) {
-					return nil, errShort
+			if h[24] == 1 {
+				if len(body)-pos < int(t.Size) {
+					return errShort
 				}
 				t.Data = append([]byte(nil), body[pos:pos+int(t.Size)]...)
 				pos += int(t.Size)
@@ -224,9 +259,9 @@ func Decode(wire []byte) (*Frame, error) {
 			f.Txns = append(f.Txns, t)
 		}
 	default:
-		return nil, fmt.Errorf("llc: unknown frame kind %d", f.Kind)
+		return fmt.Errorf("llc: unknown frame kind %d", f.Kind)
 	}
-	return f, nil
+	return nil
 }
 
 // ErrCRC indicates a frame failed its CRC check.

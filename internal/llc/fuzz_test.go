@@ -122,6 +122,15 @@ func TestDecodeForgedCountDoesNotPanic(t *testing.T) {
 	if _, err := Decode(wire); err == nil {
 		t.Fatal("forged frame decoded successfully")
 	}
+	// The count is checked against the body before anything is sized from
+	// it, so rejecting the frame costs only Decode's Frame, not a 512 KiB
+	// transaction table.
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Decode(wire) }); allocs > 1 {
+		t.Fatalf("rejecting a forged count allocated %.0f times, want at most 1", allocs)
+	}
 }
 
 func TestDecodeForgedSizeRejected(t *testing.T) {

@@ -74,20 +74,16 @@ type Port struct {
 	// Tx state.
 	credits     int
 	freedSeen   uint64 // highest cumulative slots-freed total seen from the peer
-	pending     []*capi.Transaction
+	pending     sim.FIFO[*capi.Transaction]
 	flushQueued bool
 	nextSeq     uint64
-	replayBuf   map[uint64][]byte // seq -> encoded wire frame
-	oldestKept  uint64
-	// latBySeq carries latency-attribution records across the wire
-	// encode/decode boundary: frames serialize to bytes, so the receiver's
-	// decoded transactions cannot carry the Lat pointer in-band. The
-	// transmitter keeps the records here, aligned with the frame's
-	// transaction order, and sends them as delivery aux data with every
-	// copy of the frame until the peer's CumAck prunes them; the receiver
-	// re-attaches them on the frame's single in-order delivery. nil until a
-	// frame actually carries a record, so disabled runs never allocate it.
-	latBySeq      map[uint64][]*latency.Record
+	// kept holds every unacknowledged frame, [oldestKept, nextSeq), in a
+	// ring indexed by sequence number modulo its power-of-two length. It
+	// grows on demand, up to the credit window, rather than being sized to
+	// ReplayBuffer up front: a rack builds hundreds of ports that each keep
+	// only a few frames in flight.
+	kept          []replaySlot
+	oldestKept    uint64
 	probeTimer    *sim.Event
 	probeAttempts int
 
@@ -99,6 +95,9 @@ type Port struct {
 	rxStalls     int // consecutive replay timeouts without forward progress
 	credQueued   bool
 	creditWaiter *sim.Signal
+
+	// t holds what only a port that carries frames needs; bind builds it.
+	t *traffic
 
 	// down latches once the port escalates: replay attempts, replay
 	// requests, or credit probes exhausted MaxReplayAttempts. A down port
@@ -192,9 +191,49 @@ func newPort(k *sim.Kernel, name string, out *phy.Channel, cfg Config) *Port {
 		cfg:          cfg,
 		out:          out,
 		credits:      cfg.Credits,
-		replayBuf:    make(map[uint64][]byte),
 		creditWaiter: sim.NewSignal(k),
 	}
+}
+
+// traffic is the per-frame state of a port: the recurring callbacks,
+// bound once so that scheduling one allocates nothing, the armed tail-loss
+// timers, and the arrays that frame packing and decoding reuse.
+type traffic struct {
+	flush, credit, txTimer func()
+	txTimers               sim.FIFO[txTimer] // oldest first
+	txTxns, rxTxns         []*capi.Transaction
+}
+
+// bind builds the port's traffic state once. Every event a port schedules
+// follows a Send or a delivery, so those two bind on first use, and a port
+// that never carries a frame (attach/detach churn builds many) pays
+// nothing for it.
+func (p *Port) bind() {
+	if p.t == nil {
+		p.t = &traffic{flush: p.flush, credit: p.sendCreditReturn, txTimer: p.txTimeout}
+	}
+}
+
+// replaySlot is one unacknowledged frame: its wire image and the
+// attribution records that ride with every copy of it. Pruning a slot
+// drops the port's reference to the wire array but never reuses the array
+// (see the package doc): copies of it may still be in flight.
+type replaySlot struct {
+	wire *[FrameBytes]byte
+	// aux carries the frame's latency-attribution records, aligned with
+	// its transactions, as phy delivery aux data. Frames serialize to
+	// bytes, so the receiver's decoded transactions cannot carry the Lat
+	// pointer in-band; every copy of the frame carries the records, and
+	// the receiver re-attaches them on the frame's single in-order
+	// delivery. nil when no transaction carries a record.
+	aux any
+}
+
+// txTimer is one armed tail-loss timer: the frame it guards and how many
+// timeout-driven retransmissions that frame has had.
+type txTimer struct {
+	seq     uint64
+	attempt int
 }
 
 // Name returns the port name.
@@ -216,7 +255,30 @@ func (p *Port) Down() bool { return p.down }
 // ReplayDepth returns the number of transmitted frames held in the replay
 // buffer awaiting acknowledgement — the flight recorder's gauge of how far
 // behind its ack horizon the link is running.
-func (p *Port) ReplayDepth() int { return len(p.replayBuf) }
+func (p *Port) ReplayDepth() int {
+	if p.nextSeq > p.oldestKept {
+		return int(p.nextSeq - p.oldestKept)
+	}
+	return 0
+}
+
+// slot returns the replay ring slot of seq.
+func (p *Port) slot(seq uint64) *replaySlot {
+	return &p.kept[seq&uint64(len(p.kept)-1)]
+}
+
+// keep stores the frame about to take sequence number nextSeq, doubling the
+// ring first when every slot holds an unacknowledged frame.
+func (p *Port) keep(s replaySlot) {
+	if p.nextSeq-p.oldestKept >= uint64(len(p.kept)) {
+		old := p.kept
+		p.kept = make([]replaySlot, max(8, 2*len(old)))
+		for seq := p.oldestKept; seq < p.nextSeq; seq++ {
+			*p.slot(seq) = old[seq&uint64(len(old)-1)]
+		}
+	}
+	*p.slot(p.nextSeq) = s
+}
 
 // Send queues a transaction for transmission. Transactions arriving within
 // the same event cascade are packed into common frames. If the transmitter
@@ -230,7 +292,8 @@ func (p *Port) Send(t *capi.Transaction) {
 		p.stats.TxAbandoned++
 		return
 	}
-	p.pending = append(p.pending, t)
+	p.bind()
+	p.pending.Push(t)
 	p.scheduleFlush()
 }
 
@@ -265,7 +328,7 @@ func (p *Port) scheduleFlush() {
 		return
 	}
 	p.flushQueued = true
-	p.k.Schedule(0, p.flush)
+	p.k.Schedule(0, p.t.flush)
 }
 
 // flush packs pending transactions into frames and transmits as many as
@@ -276,7 +339,8 @@ func (p *Port) flush() {
 	if p.down {
 		return
 	}
-	for len(p.pending) > 0 && p.credits > 0 {
+	f := Frame{Kind: kindData, Txns: p.t.txTxns}
+	for p.pending.Len() > 0 && p.credits > 0 {
 		if p.nextSeq-p.oldestKept >= uint64(p.cfg.ReplayBuffer) {
 			// Replay window full: the peer has stopped acknowledging.
 			// Transmitting would force an unacked frame out of the replay
@@ -286,16 +350,15 @@ func (p *Port) flush() {
 			p.escalateDown()
 			return
 		}
-		f := &Frame{Kind: kindData, Seq: p.nextSeq}
+		f.Seq, f.Txns = p.nextSeq, f.Txns[:0]
 		flitsLeft := FrameFlits
-		for len(p.pending) > 0 && p.credits > 0 {
-			t := p.pending[0]
+		for p.pending.Len() > 0 && p.credits > 0 {
+			t := p.pending.Peek()
 			fl := t.Flits()
 			if fl > flitsLeft {
 				break
 			}
-			f.Txns = append(f.Txns, t)
-			p.pending = p.pending[1:]
+			f.Txns = append(f.Txns, p.pending.Pop())
 			flitsLeft -= fl
 			p.credits--
 			p.stats.TxTransactions++
@@ -313,9 +376,11 @@ func (p *Port) flush() {
 			break // head transaction blocked on credits
 		}
 		p.stats.PaddingFlits += int64(flitsLeft)
-		p.transmitFrame(f)
+		p.transmitFrame(&f)
+		clear(f.Txns) // the reused array must not keep sent transactions alive
 	}
-	if len(p.pending) > 0 && p.credits <= 0 {
+	p.t.txTxns = f.Txns
+	if p.pending.Len() > 0 && p.credits <= 0 {
 		// Starved with pending traffic: if the credit returns were lost there
 		// is no data flowing to piggy-back repairs on, so probe explicitly.
 		p.armProbeTimer()
@@ -323,34 +388,31 @@ func (p *Port) flush() {
 }
 
 func (p *Port) transmitFrame(f *Frame) {
-	wire := f.Encode()
+	wire := new([FrameBytes]byte)
+	f.encodeTo(wire[:])
+	s := replaySlot{wire: wire, aux: latRecords(f)}
+	p.keep(s)
 	p.nextSeq++
-	p.replayBuf[f.Seq] = wire
-	p.stashLatRecords(f)
 	p.stats.TxFrames++
 	if tr := p.k.Tracer(); tr != nil {
 		tr.Instant(trace.LayerLLC, "tx_frame", p.k.NowPS())
 	}
-	p.transmitWire(f.Seq, wire)
+	p.transmitWire(s)
 	p.armTxTimer(f.Seq, 0)
 }
 
-// transmitWire puts an encoded data frame on the channel. The stashed
-// attribution records ride along as delivery aux data; the stash itself is
-// kept until the peer's CumAck prunes it, so a replayed frame carries the
-// records again if the first copy was lost.
-func (p *Port) transmitWire(seq uint64, wire []byte) {
-	if recs, ok := p.latBySeq[seq]; ok {
-		p.out.TransmitAux(wire, len(wire), recs)
-		return
-	}
-	p.out.Transmit(wire, len(wire))
+// transmitWire puts a kept data frame on the channel, its attribution
+// records riding along as delivery aux data. The slot itself is kept until
+// the peer's CumAck prunes it, so a replayed frame carries the records
+// again if the first copy was lost.
+func (p *Port) transmitWire(s replaySlot) {
+	p.out.TransmitAux(s.wire, FrameBytes, s.aux)
 }
 
-// stashLatRecords retains the frame's latency-attribution records (aligned
-// with f.Txns) for the receiver to re-attach after decode. Only called for
-// frames that carry at least one record; no-op otherwise.
-func (p *Port) stashLatRecords(f *Frame) {
+// latRecords returns the frame's latency-attribution records, aligned with
+// f.Txns and boxed once for every copy of the frame, or nil when no
+// transaction carries one.
+func latRecords(f *Frame) any {
 	var recs []*latency.Record
 	for i, t := range f.Txns {
 		if t.Lat == nil {
@@ -362,37 +424,36 @@ func (p *Port) stashLatRecords(f *Frame) {
 		recs[i] = t.Lat
 	}
 	if recs == nil {
-		return
+		return nil
 	}
-	if p.latBySeq == nil {
-		p.latBySeq = make(map[uint64][]*latency.Record)
-	}
-	p.latBySeq[f.Seq] = recs
+	return recs
 }
 
 // armTxTimer covers tail loss: if a frame is still unacknowledged after the
 // replay timeout (e.g. it was the last frame of a burst and was dropped, so
 // the receiver never saw a sequence gap), retransmit it proactively. After
 // MaxReplayAttempts consecutive timeouts for the same frame the port
-// declares the link dead and escalates.
+// declares the link dead and escalates. Every timer has the same delay, so
+// timers fire in the order they were armed and txTimeout serves them from
+// a FIFO.
 func (p *Port) armTxTimer(seq uint64, attempt int) {
-	p.k.Schedule(p.cfg.ReplayTimeout, func() {
-		if p.down || p.oldestKept > seq {
-			return // link fenced, or frame acknowledged
-		}
-		if _, ok := p.replayBuf[seq]; !ok {
-			return
-		}
-		if attempt >= p.cfg.MaxReplayAttempts {
-			p.stats.ReplayExhausted++
-			p.escalateDown()
-			return
-		}
-		wire := p.replayBuf[seq]
-		p.stats.TxReplayed++
-		p.transmitWire(seq, wire)
-		p.armTxTimer(seq, attempt+1)
-	})
+	p.t.txTimers.Push(txTimer{seq: seq, attempt: attempt})
+	p.k.Schedule(p.cfg.ReplayTimeout, p.t.txTimer)
+}
+
+func (p *Port) txTimeout() {
+	t := p.t.txTimers.Pop()
+	if p.down || p.oldestKept > t.seq {
+		return // link fenced, or frame acknowledged
+	}
+	if t.attempt >= p.cfg.MaxReplayAttempts {
+		p.stats.ReplayExhausted++
+		p.escalateDown()
+		return
+	}
+	p.stats.TxReplayed++
+	p.transmitWire(*p.slot(t.seq))
+	p.armTxTimer(t.seq, t.attempt+1)
 }
 
 // sendControl emits an in-band single-flit control frame. Every control
@@ -402,7 +463,7 @@ func (p *Port) armTxTimer(seq uint64, attempt int) {
 // credits are conserved under arbitrary control-frame loss. Control frames
 // bypass credits and the replay buffer.
 func (p *Port) sendControl(replayValid bool, replayFrom uint64, probe bool) {
-	f := &Frame{
+	f := Frame{
 		Kind:        kindControl,
 		ReplayValid: replayValid,
 		ReplayFrom:  replayFrom,
@@ -410,9 +471,10 @@ func (p *Port) sendControl(replayValid bool, replayFrom uint64, probe bool) {
 		CumFreed:    p.freedTotal,
 		CumAck:      p.expected,
 	}
-	wire := f.Encode()
+	wire := new([ControlFrameBytes]byte)
+	f.encodeTo(wire[:])
 	p.stats.TxControl++
-	p.out.Transmit(wire, len(wire))
+	p.out.Transmit(wire, ControlFrameBytes)
 }
 
 // armProbeTimer starts the credit-probe cycle; probes repeat every replay
@@ -421,22 +483,24 @@ func (p *Port) armProbeTimer() {
 	if p.probeTimer != nil || p.down {
 		return
 	}
-	p.probeTimer = p.k.Schedule(p.cfg.ReplayTimeout, func() {
-		p.probeTimer = nil
-		if p.down || p.credits > 0 || len(p.pending) == 0 {
-			p.probeAttempts = 0
-			return
-		}
-		if p.probeAttempts >= p.cfg.MaxReplayAttempts {
-			p.stats.ReplayExhausted++
-			p.escalateDown()
-			return
-		}
-		p.probeAttempts++
-		p.stats.CreditProbes++
-		p.sendControl(false, 0, true)
-		p.armProbeTimer()
-	})
+	p.probeTimer = p.k.Schedule(p.cfg.ReplayTimeout, p.probeTimeout)
+}
+
+func (p *Port) probeTimeout() {
+	p.probeTimer = nil
+	if p.down || p.credits > 0 || p.pending.Len() == 0 {
+		p.probeAttempts = 0
+		return
+	}
+	if p.probeAttempts >= p.cfg.MaxReplayAttempts {
+		p.stats.ReplayExhausted++
+		p.escalateDown()
+		return
+	}
+	p.probeAttempts++
+	p.stats.CreditProbes++
+	p.sendControl(false, 0, true)
+	p.armProbeTimer()
 }
 
 // escalateDown latches the port into the link-down state: recovery has
@@ -463,9 +527,8 @@ func (p *Port) escalateDown() {
 			p.replaySpan = 0
 		}
 	}
-	p.stats.TxAbandoned += int64(len(p.pending))
-	p.pending = nil
-	p.latBySeq = nil // abandoned records are never observed
+	p.stats.TxAbandoned += int64(p.pending.Len())
+	p.pending = sim.FIFO[*capi.Transaction]{}
 	p.creditWaiter.Broadcast()
 	if p.OnLinkDown != nil {
 		cb := p.OnLinkDown
@@ -483,16 +546,25 @@ func (p *Port) receive(d phy.Delivery) {
 	if p.down {
 		return // fenced: late deliveries are ignored
 	}
-	wire, ok := d.Payload.([]byte)
-	if !ok {
+	p.bind()
+	var wire []byte
+	switch w := d.Payload.(type) {
+	case *[FrameBytes]byte:
+		wire = w[:]
+	case *[ControlFrameBytes]byte:
+		wire = w[:]
+	default:
 		panic("llc: non-frame payload on channel")
 	}
 	if d.Corrupted {
-		// Emulate line corruption before the CRC check.
+		// Emulate line corruption before the CRC check. The wire image is
+		// shared with every other copy of the frame, so corrupt a copy.
 		wire = append([]byte(nil), wire...)
 		wire[0] ^= 0xFF
 	}
-	f, err := Decode(wire)
+	f := Frame{Txns: p.t.rxTxns}
+	err := f.decode(wire)
+	p.t.rxTxns = f.Txns
 	if err != nil {
 		p.stats.RxCRCErrors++
 		if tr := p.k.Tracer(); tr != nil {
@@ -505,9 +577,9 @@ func (p *Port) receive(d phy.Delivery) {
 	}
 	switch f.Kind {
 	case kindControl:
-		p.handleControl(f)
+		p.handleControl(&f)
 	case kindData:
-		p.handleData(f, d.Aux)
+		p.handleData(&f, d.Aux)
 	}
 }
 
@@ -533,11 +605,8 @@ func (p *Port) handleControl(f *Frame) {
 	}
 	// Prune the replay buffer, and the attribution records that ride with
 	// its frames, up to the peer's cumulative ack.
-	for del := p.oldestKept; del < f.CumAck; del++ {
-		delete(p.replayBuf, del)
-		if p.latBySeq != nil {
-			delete(p.latBySeq, del)
-		}
+	for seq := p.oldestKept; seq < f.CumAck && seq < p.nextSeq; seq++ {
+		*p.slot(seq) = replaySlot{}
 	}
 	if f.CumAck > p.oldestKept {
 		p.oldestKept = f.CumAck
@@ -553,12 +622,8 @@ func (p *Port) replay(from uint64) {
 		from = p.oldestKept
 	}
 	for seq := from; seq < p.nextSeq; seq++ {
-		wire, ok := p.replayBuf[seq]
-		if !ok {
-			continue // already acked by a newer CumAck
-		}
 		p.stats.TxReplayed++
-		p.transmitWire(seq, wire)
+		p.transmitWire(*p.slot(seq))
 	}
 }
 
@@ -642,19 +707,21 @@ func (p *Port) requestReplay() {
 
 func (p *Port) armReplayTimer() {
 	p.cancelReplayTimer()
-	p.replayTimer = p.k.Schedule(p.cfg.ReplayTimeout, func() {
-		p.replayTimer = nil
-		p.rxStalls++
-		if p.rxStalls > p.cfg.MaxReplayAttempts {
-			// Replay requests are going unanswered: the reverse path (or the
-			// peer) is dead. Fence the link instead of re-requesting forever.
-			p.stats.ReplayExhausted++
-			p.escalateDown()
-			return
-		}
-		p.replayAsked = false
-		p.requestReplay()
-	})
+	p.replayTimer = p.k.Schedule(p.cfg.ReplayTimeout, p.replayTimeout)
+}
+
+func (p *Port) replayTimeout() {
+	p.replayTimer = nil
+	p.rxStalls++
+	if p.rxStalls > p.cfg.MaxReplayAttempts {
+		// Replay requests are going unanswered: the reverse path (or the
+		// peer) is dead. Fence the link instead of re-requesting forever.
+		p.stats.ReplayExhausted++
+		p.escalateDown()
+		return
+	}
+	p.replayAsked = false
+	p.requestReplay()
 }
 
 func (p *Port) cancelReplayTimer() {
@@ -672,11 +739,13 @@ func (p *Port) scheduleCreditReturn() {
 		return
 	}
 	p.credQueued = true
-	p.k.Schedule(0, func() {
-		p.credQueued = false
-		if p.down {
-			return
-		}
-		p.sendControl(false, 0, false)
-	})
+	p.k.Schedule(0, p.t.credit)
+}
+
+func (p *Port) sendCreditReturn() {
+	p.credQueued = false
+	if p.down {
+		return
+	}
+	p.sendControl(false, 0, false)
 }

@@ -122,12 +122,25 @@ type Channel struct {
 	deliver  func(Delivery)
 	remote   Injector // non-nil when the receiver lives on another kernel
 
+	// queue holds same-kernel deliveries; built on the first one.
+	queue *deliveryQueue
+
 	// Counters are atomic: the simulation mutates them from the kernel
 	// goroutine while traced/parallel runs may snapshot Stats concurrently
 	// from a collector goroutine.
 	sent      atomic.Int64
 	dropped   atomic.Int64
 	corrupted atomic.Int64
+}
+
+// deliveryQueue holds a channel's same-kernel deliveries in transmit
+// order, and next, bound once, hands the oldest to the receiver. Every
+// delivery is due at its serialization end plus the fixed crossing, and
+// serialization ends never decrease, so deliveries fire in the order they
+// were scheduled and one bound callback replaces a closure per frame.
+type deliveryQueue struct {
+	inflight sim.FIFO[Delivery]
+	next     func()
 }
 
 // NewChannel creates a channel with the given number of bonded lanes. The
@@ -183,6 +196,13 @@ func (c *Channel) Transmit(payload any, n int) {
 // TransmitAux is Transmit with sender-side metadata attached to the
 // delivery (see Delivery.Aux).
 func (c *Channel) TransmitAux(payload any, n int, aux any) {
+	c.Forward(Delivery{Payload: payload, Bytes: n, Aux: aux})
+}
+
+// Forward transmits a delivery that arrived on another hop (a switch
+// forwarding a frame). A frame that arrived corrupted stays corrupted:
+// this hop's fault draws can add corruption but never clear it.
+func (c *Channel) Forward(d Delivery) {
 	if c.deliver == nil {
 		panic(fmt.Sprintf("phy: channel %s has no receiver", c.name))
 	}
@@ -191,7 +211,7 @@ func (c *Channel) TransmitAux(payload any, n int, aux any) {
 	if c.schedule != nil {
 		faults = c.schedule.At(c.k.Now())
 	}
-	_, done := c.pipe.Reserve(int64(n))
+	_, done := c.pipe.Reserve(int64(d.Bytes))
 	tr := c.k.Tracer()
 	if faults.DropProb > 0 && c.draw() < faults.DropProb {
 		c.dropped.Add(1)
@@ -200,8 +220,8 @@ func (c *Channel) TransmitAux(payload any, n int, aux any) {
 		}
 		return
 	}
-	corrupt := faults.CorruptProb > 0 && c.draw() < faults.CorruptProb
-	if corrupt {
+	if faults.CorruptProb > 0 && c.draw() < faults.CorruptProb {
+		d.Corrupted = true
 		c.corrupted.Add(1)
 		if tr != nil {
 			tr.Instant(trace.LayerPhy, "corrupt", c.k.NowPS())
@@ -212,12 +232,18 @@ func (c *Channel) TransmitAux(payload any, n int, aux any) {
 		// crossing latency, ending at the delivery instant.
 		tr.Span(trace.LayerPhy, "xmit", c.k.NowPS(), int64(done+c.oneWay))
 	}
-	d := Delivery{Payload: payload, Bytes: n, Corrupted: corrupt, Aux: aux}
 	if c.remote != nil {
 		c.remote.Send(done+c.oneWay, func() { c.deliver(d) })
 		return
 	}
-	c.k.ScheduleAt(done+c.oneWay, func() { c.deliver(d) })
+	q := c.queue
+	if q == nil {
+		q = &deliveryQueue{}
+		q.next = func() { c.deliver(q.inflight.Pop()) }
+		c.queue = q
+	}
+	q.inflight.Push(d)
+	c.k.ScheduleAt(done+c.oneWay, q.next)
 }
 
 // draw returns the next fault draw, seeding the PRNG from c.faults.Seed on

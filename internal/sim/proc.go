@@ -71,7 +71,7 @@ func (p *Proc) Sleep(d Time) {
 // The zero value is unusable; construct with NewSignal.
 type Signal struct {
 	k       *Kernel
-	waiters fifo[*Proc]
+	waiters FIFO[*Proc]
 }
 
 // NewSignal returns a Signal bound to kernel k.
@@ -82,28 +82,28 @@ func (s *Signal) Wait(p *Proc) {
 	if p.k != s.k {
 		panic("sim: Signal.Wait with process from a different kernel")
 	}
-	s.waiters.push(p)
+	s.waiters.Push(p)
 	p.park()
 }
 
 // Waiters reports the number of processes currently blocked on s.
-func (s *Signal) Waiters() int { return s.waiters.len() }
+func (s *Signal) Waiters() int { return s.waiters.Len() }
 
 // Broadcast wakes every waiting process. Wakeups are delivered as events at
 // the current instant, in FIFO order.
 func (s *Signal) Broadcast() {
-	for s.waiters.len() > 0 {
-		s.k.Schedule(0, s.waiters.pop().wake)
+	for s.waiters.Len() > 0 {
+		s.k.Schedule(0, s.waiters.Pop().wake)
 	}
 }
 
 // Wake wakes the longest-waiting process, if any, and reports whether a
 // process was woken.
 func (s *Signal) Wake() bool {
-	if s.waiters.len() == 0 {
+	if s.waiters.Len() == 0 {
 		return false
 	}
-	s.k.Schedule(0, s.waiters.pop().wake)
+	s.k.Schedule(0, s.waiters.Pop().wake)
 	return true
 }
 
@@ -139,40 +139,3 @@ func (wg *WaitGroup) Wait(p *Proc) {
 }
 
 func (wg *WaitGroup) String() string { return fmt.Sprintf("WaitGroup(%d)", wg.count) }
-
-// fifo is a FIFO queue that reuses its backing array: it rewinds to the
-// front whenever it drains, so a steady wait/wake cycle allocates nothing.
-// When full it compacts instead of growing if at least half the array is
-// already popped, which keeps both paths amortized O(1).
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
-
-func (q *fifo[T]) push(v T) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, v)
-}
-
-// peek returns the oldest element; the queue must not be empty.
-func (q *fifo[T]) peek() T { return q.buf[q.head] }
-
-// pop removes and returns the oldest element; the queue must not be empty.
-func (q *fifo[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return v
-}

@@ -188,35 +188,35 @@ func TestProcGoexitEndsRunner(t *testing.T) {
 // TestFifoOrder drives the wait-queue FIFO through growth, rewinds on
 // drain and compaction before growth, checking order against a slice.
 func TestFifoOrder(t *testing.T) {
-	var q fifo[int]
+	var q FIFO[int]
 	var ref []int
 	next := 0
 	for round := 0; round < 200; round++ {
 		for i := 0; i < round%7+1; i++ {
-			q.push(next)
+			q.Push(next)
 			ref = append(ref, next)
 			next++
 		}
 		for i := 0; i < round%5+1 && len(ref) > 0; i++ {
-			if got := q.peek(); got != ref[0] {
+			if got := q.Peek(); got != ref[0] {
 				t.Fatalf("round %d: peek = %d, want %d", round, got, ref[0])
 			}
-			if got := q.pop(); got != ref[0] {
+			if got := q.Pop(); got != ref[0] {
 				t.Fatalf("round %d: pop = %d, want %d", round, got, ref[0])
 			}
 			ref = ref[1:]
 		}
-		if q.len() != len(ref) {
-			t.Fatalf("round %d: len = %d, want %d", round, q.len(), len(ref))
+		if q.Len() != len(ref) {
+			t.Fatalf("round %d: len = %d, want %d", round, q.Len(), len(ref))
 		}
 	}
 	for len(ref) > 0 {
-		if got := q.pop(); got != ref[0] {
+		if got := q.Pop(); got != ref[0] {
 			t.Fatalf("drain: pop = %d, want %d", got, ref[0])
 		}
 		ref = ref[1:]
 	}
-	if q.len() != 0 || q.head != 0 || len(q.buf) != 0 {
-		t.Fatalf("drained queue not rewound: len %d head %d buf %d", q.len(), q.head, len(q.buf))
+	if q.Len() != 0 || q.head != 0 || len(q.buf) != 0 {
+		t.Fatalf("drained queue not rewound: len %d head %d buf %d", q.Len(), q.head, len(q.buf))
 	}
 }

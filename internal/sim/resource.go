@@ -13,7 +13,7 @@ type Resource struct {
 	capacity int
 	inUse    int
 
-	waiters fifo[resWaiter]
+	waiters FIFO[resWaiter]
 
 	lastChange Time
 	busyPS     float64 // integral of inUse over time, in unit*ps
@@ -56,12 +56,12 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n > r.capacity {
 		panic("sim: Acquire exceeds resource capacity")
 	}
-	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.accountTo(r.k.now)
 		r.inUse += n
 		return
 	}
-	r.waiters.push(resWaiter{p: p, n: n})
+	r.waiters.Push(resWaiter{p: p, n: n})
 	p.park()
 }
 
@@ -71,7 +71,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 {
 		return true
 	}
-	if r.waiters.len() > 0 || r.inUse+n > r.capacity {
+	if r.waiters.Len() > 0 || r.inUse+n > r.capacity {
 		return false
 	}
 	r.accountTo(r.k.now)
@@ -93,12 +93,12 @@ func (r *Resource) Release(n int) {
 }
 
 func (r *Resource) dispatch() {
-	for r.waiters.len() > 0 {
-		w := r.waiters.peek()
+	for r.waiters.Len() > 0 {
+		w := r.waiters.Peek()
 		if r.inUse+w.n > r.capacity {
 			return
 		}
-		r.waiters.pop()
+		r.waiters.Pop()
 		r.accountTo(r.k.now)
 		r.inUse += w.n
 		r.k.Schedule(0, w.p.wake)
@@ -106,7 +106,7 @@ func (r *Resource) dispatch() {
 }
 
 // QueueLen reports the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // ResetStats restarts the utilization integral at the current time.
 func (r *Resource) ResetStats() {
