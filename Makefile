@@ -69,10 +69,13 @@ detect-smoke:
 	$(GO) run ./cmd/tfbench -experiment detect -detect-scenario replay-storm -seed 1 >/dev/null
 
 # Brief coverage-guided fuzz of the LLC frame decoder and the flight-
-# recorder snapshot decoder against corrupted and truncated wire images.
+# recorder snapshot decoder against corrupted and truncated wire images,
+# and of the sim kernel's event lanes against plain events (same firing
+# order and counters under any mix of schedules, cancels and windows).
 fuzz-smoke:
 	$(GO) test ./internal/llc/ -fuzz FuzzDecodeCorrupted -fuzztime 10s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzSeriesDecode -fuzztime 10s
+	$(GO) test ./internal/sim/ -fuzz FuzzLaneOrder -fuzztime 10s
 
 vet:
 	$(GO) vet ./...
@@ -87,7 +90,8 @@ test:
 	$(GO) test ./...
 
 # Micro-benchmarks for the sim kernel (including the run-to-horizon
-# windowed stepping), simulated-process switching and spawning, the shard
+# windowed stepping and a 2,000-timer backlog on plain events against
+# one lane), simulated-process switching and spawning, the shard
 # group barrier, and the dcsim placement index; then the datapath: one
 # LLC frame and its credit return on a lossless port pair, and one
 # cacheline load through the whole stack with attribution off, on, and

@@ -556,7 +556,7 @@ func (c *Cluster) Attach(spec AttachSpec) (*Attachment, error) {
 	}
 
 	// Compute side: map one RMMU section per hotplug section.
-	firstSection := ch.nextSection
+	firstSection := ch.takeSections(sections)
 	att.DeviceBase = uint64(firstSection) * uint64(secSize)
 	for i := 0; i < sections; i++ {
 		sec := firstSection + i
@@ -565,12 +565,12 @@ func (c *Cluster) Attach(spec AttachSpec) (*Attachment, error) {
 			for j := 0; j < i; j++ {
 				ch.Compute.RMMU().Unmap(firstSection + j) //nolint:errcheck
 			}
+			ch.releaseSections(firstSection, sections)
 			ch.Compute.Router().RemoveFlow(netID) //nolint:errcheck
 			c.rollbackDonor(dh, region, bytes)
 			return nil, err
 		}
 	}
-	ch.nextSection += sections
 
 	// OS side: CPU-less NUMA node + hotplug probe/online per section. The
 	// analytic backend is compute-side bandwidth pricing; it reserves donor
@@ -746,6 +746,7 @@ func (c *Cluster) Detach(id string) error {
 			return err
 		}
 	}
+	ch.releaseSections(firstSection, len(att.Sections))
 	if err := ch.Compute.Router().RemoveFlow(att.NetworkID); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"thymesisflow/internal/mem"
@@ -287,6 +288,57 @@ func TestAppNodesPerConfig(t *testing.T) {
 			n := tb.AppNodes(tb.Donor)
 			if len(n) != 1 || tb.Donor.Mem.Node(n[0]).CPULess {
 				t.Fatalf("scale-out donor instance nodes = %v", n)
+			}
+		}
+	}
+}
+
+// TestSectionsReusedAcrossDetach churns attachments on a 512-section host:
+// Detach returns its RMMU sections, so a thousand attach/detach cycles fit
+// in the table, and the device ranges of live attachments never overlap.
+func TestSectionsReusedAcrossDetach(t *testing.T) {
+	c := NewCluster()
+	cfg := smallHostConfig("hostA")
+	cfg.RMMUSections = 512
+	if _, err := c.AddHost(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddHost(smallHostConfig("hostB")); err != nil {
+		t.Fatal(err)
+	}
+	attach := func(mib int64) *Attachment {
+		t.Helper()
+		att, err := c.Attach(AttachSpec{ComputeHost: "hostA", DonorHost: "hostB", Bytes: mib << 20, Channels: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return att
+	}
+	for i := 0; i < 1000; i++ {
+		att := attach(1)
+		if err := c.Detach(att.ID); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	// Mixed sizes with several attachments live fragment the table; every
+	// live range must stay disjoint.
+	rng := rand.New(rand.NewSource(1))
+	var live []*Attachment
+	for i := 0; i < 1000; i++ {
+		if len(live) == 8 {
+			j := rng.Intn(len(live))
+			if err := c.Detach(live[j].ID); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:j], live[j+1:]...)
+		}
+		live = append(live, attach(1+rng.Int63n(16)))
+		for x, a := range live {
+			for _, b := range live[x+1:] {
+				if a.DeviceBase < b.DeviceBase+uint64(b.Bytes) && b.DeviceBase < a.DeviceBase+uint64(a.Bytes) {
+					t.Fatalf("step %d: %s [%#x,+%d) overlaps %s [%#x,+%d)", i,
+						a.ID, a.DeviceBase, a.Bytes, b.ID, b.DeviceBase, b.Bytes)
+				}
 			}
 		}
 	}

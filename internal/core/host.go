@@ -8,6 +8,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"thymesisflow/internal/endpoint"
 	"thymesisflow/internal/hotplug"
@@ -78,8 +80,56 @@ type Host struct {
 	Compute *endpoint.ComputeEndpoint
 	Memory  *endpoint.MemoryEndpoint
 
-	nextSection   int    // next free RMMU section
+	// RMMU sections: a bump cursor plus the runs detached attachments
+	// returned, sorted by first section and coalesced. A host that never
+	// detaches only bumps; one that churns reuses its table first-fit.
+	nextSection int
+	freeRuns    []sectionRun
+
 	nextDonorBase uint64 // next donor effective address for stolen regions
+}
+
+// sectionRun is n consecutive RMMU sections starting at first.
+type sectionRun struct{ first, n int }
+
+// takeSections reserves n consecutive RMMU sections and returns the first:
+// the first free run that fits, else the bump cursor. Past the table's end
+// the cursor keeps counting and the RMMU rejects the mapping.
+func (h *Host) takeSections(n int) int {
+	for i, r := range h.freeRuns {
+		if r.n < n {
+			continue
+		}
+		if r.n == n {
+			h.freeRuns = slices.Delete(h.freeRuns, i, i+1)
+		} else {
+			h.freeRuns[i] = sectionRun{r.first + n, r.n - n}
+		}
+		return r.first
+	}
+	first := h.nextSection
+	h.nextSection += n
+	return first
+}
+
+// releaseSections returns a run that takeSections handed out, merging it
+// with its free neighbours; a run that ends at the cursor rewinds it.
+func (h *Host) releaseSections(first, n int) {
+	i := sort.Search(len(h.freeRuns), func(i int) bool { return h.freeRuns[i].first > first })
+	if i > 0 && h.freeRuns[i-1].first+h.freeRuns[i-1].n == first {
+		i--
+		first, n = h.freeRuns[i].first, h.freeRuns[i].n+n
+		h.freeRuns = slices.Delete(h.freeRuns, i, i+1)
+	}
+	if i < len(h.freeRuns) && first+n == h.freeRuns[i].first {
+		n += h.freeRuns[i].n
+		h.freeRuns = slices.Delete(h.freeRuns, i, i+1)
+	}
+	if first+n == h.nextSection {
+		h.nextSection = first
+		return
+	}
+	h.freeRuns = slices.Insert(h.freeRuns, i, sectionRun{first, n})
 }
 
 // NewHost builds a host on the given kernel.

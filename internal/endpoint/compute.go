@@ -46,11 +46,10 @@ type ComputeEndpoint struct {
 	waiting map[uint32]*pendingReq
 	// free recycles completed requests together with their signals.
 	free []*pendingReq
-	// egress holds responses crossing the compute-side attachment
-	// hardware. Each crossing takes SideLatency, so they complete in
-	// arrival order, and completeNext, bound once, serves the oldest.
-	egress       sim.FIFO[completion]
-	completeNext func()
+	// egress is the lane of responses crossing the compute-side
+	// attachment hardware. Each crossing takes SideLatency, so they
+	// complete in arrival order.
+	egress *sim.Lane[completion]
 
 	// linkDown fences the issue path after LLC escalation or forced detach.
 	linkDown bool
@@ -96,11 +95,10 @@ func NewCompute(k *sim.Kernel, name string, sections int, sectionSize int64) (*C
 		router:  route.NewRouter(name + ".router"),
 		waiting: make(map[uint32]*pendingReq),
 	}
-	ce.completeNext = func() {
-		c := ce.egress.Pop()
+	ce.egress = sim.NewLane(k, func(c completion) {
 		c.w.resp = c.resp
 		c.w.sig.Broadcast()
-	}
+	})
 	return ce, nil
 }
 
@@ -136,8 +134,7 @@ func (ce *ComputeEndpoint) handleResponse(t *capi.Transaction) {
 	delete(ce.waiting, t.Tag)
 	// Egress through the compute-side attachment hardware before the CPU
 	// sees the data.
-	ce.egress.Push(completion{w: w, resp: t})
-	ce.k.Schedule(SideLatency, ce.completeNext)
+	ce.egress.Schedule(SideLatency, completion{w: w, resp: t})
 }
 
 // newReq takes a request record from the free list, or builds one.
@@ -222,6 +219,17 @@ func (ce *ComputeEndpoint) issue(p *sim.Proc, t *capi.Transaction) (*capi.Transa
 	ce.waiting[t.Tag] = w
 	// Ingress through the compute-side attachment hardware.
 	p.Sleep(SideLatency)
+	if w.err != nil {
+		// Faulted during the crossing: FaultOutstanding already dropped
+		// the tag and found no waiter to wake, so forwarding now would
+		// wait for a response nobody delivers.
+		err := w.err
+		ce.freeReq(w)
+		if tr != nil {
+			tr.End(tok, ce.k.NowPS())
+		}
+		return nil, err
+	}
 	if t.Lat != nil {
 		t.Lat.MarkTo(latency.StageCapiCross, ce.k.NowPS())
 	}

@@ -12,9 +12,10 @@ import (
 // rig wires one compute endpoint to one memory endpoint over a single
 // bidirectional channel and maps one section.
 type rig struct {
-	k  *sim.Kernel
-	ce *ComputeEndpoint
-	me *MemoryEndpoint
+	k     *sim.Kernel
+	ce    *ComputeEndpoint
+	me    *MemoryEndpoint
+	cPort *llc.Port
 	// region stolen at the donor
 	reg *StolenRegion
 }
@@ -43,7 +44,7 @@ func newRig(t *testing.T, faults phy.FaultConfig) *rig {
 	if err := ce.Router().AddFlow(1, cPort); err != nil {
 		t.Fatal(err)
 	}
-	return &rig{k: k, ce: ce, me: me, reg: reg}
+	return &rig{k: k, ce: ce, me: me, cPort: cPort, reg: reg}
 }
 
 func TestLoadStoreRoundTrip(t *testing.T) {
@@ -123,6 +124,34 @@ func TestReadLatencyMatchesDatapathRTT(t *testing.T) {
 	}
 	if lat > DatapathRTT+300*sim.Nanosecond {
 		t.Fatalf("load latency %v too far above 950ns + DRAM", lat)
+	}
+}
+
+// TestFaultDuringIngressReturns covers a request faulted while its issuer
+// is still in the ingress crossing: FaultOutstanding finds no waiter then,
+// so the issuer must see the error when it wakes instead of forwarding the
+// request and waiting for a response that never comes.
+func TestFaultDuringIngressReturns(t *testing.T) {
+	r := newRig(t, phy.FaultConfig{})
+	var err error
+	returned := false
+	r.k.Go("app", func(p *sim.Proc) {
+		_, err = r.ce.Load(p, 0, 128)
+		returned = true
+	})
+	r.k.Schedule(SideLatency/2, func() { r.ce.FaultOutstanding(ErrLinkDown) })
+	r.k.RunUntil(sim.Millisecond)
+	if !returned {
+		t.Fatal("load faulted during ingress never returned")
+	}
+	if err != ErrLinkDown {
+		t.Fatalf("load returned %v, want ErrLinkDown", err)
+	}
+	if st := r.cPort.Stats(); st.TxTransactions != 0 || st.TxFrames != 0 {
+		t.Fatalf("faulted load was forwarded: %d transactions in %d frames", st.TxTransactions, st.TxFrames)
+	}
+	if n := r.ce.Outstanding(); n != 0 {
+		t.Fatalf("%d requests outstanding after the fault", n)
 	}
 }
 

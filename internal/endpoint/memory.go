@@ -41,14 +41,12 @@ type MemoryEndpoint struct {
 	c1      *sim.Pipe // 128B-transaction C1 ceiling (~16 GiB/s)
 	dramLat sim.Time  // donor DRAM access latency behind the C1 master
 
-	// service and egress hold the requests in the C1 master and in the
-	// memory-side egress hardware. Both stages fire in arrival order: a
-	// request leaves service at its C1 reservation's end plus the fixed
-	// DRAM latency, and C1 reservations end in the order they are made;
-	// egress is a fixed SideLatency. So one callback per stage, bound
-	// once, serves the oldest entry.
-	service, egress       sim.FIFO[c1Access]
-	serveNext, egressNext func()
+	// service and egress are the lanes of requests in the C1 master and
+	// in the memory-side egress hardware. Both stages fire in arrival
+	// order: a request leaves service at its C1 reservation's end plus the
+	// fixed DRAM latency, and C1 reservations end in the order they are
+	// made; egress is a fixed SideLatency.
+	service, egress *sim.Lane[c1Access]
 
 	served   int64
 	rejected int64
@@ -74,8 +72,8 @@ func NewMemory(k *sim.Kernel, name string, dramLat sim.Time) *MemoryEndpoint {
 		c1:      sim.NewPipe(k, C1BytesPerSec),
 		dramLat: dramLat,
 	}
-	me.serveNext = me.serve
-	me.egressNext = me.respond
+	me.service = sim.NewLane(k, me.serve)
+	me.egress = sim.NewLane(k, me.respond)
 	return me
 }
 
@@ -169,14 +167,12 @@ func (me *MemoryEndpoint) handleRequest(port *llc.Port, t *capi.Transaction) {
 		t.Lat.Add(latency.StageC1Ingress, int64(SideLatency))
 		t.Lat.Add(latency.StageC1Service, int64((c1done-me.k.Now())+me.dramLat))
 	}
-	me.service.Push(c1Access{port: port, t: t, reg: reg, tr: tr, tok: tok})
-	me.k.Schedule(delay, me.serveNext)
+	me.service.Schedule(delay, c1Access{port: port, t: t, reg: reg, tr: tr, tok: tok})
 }
 
-// serve completes the oldest request's donor memory access and turns it
-// into its response.
-func (me *MemoryEndpoint) serve() {
-	a := me.service.Pop()
+// serve completes a request's donor memory access and turns it into its
+// response.
+func (me *MemoryEndpoint) serve(a c1Access) {
 	t, reg := a.t, a.reg
 	var data []byte
 	if t.Op == capi.OpReadReq && reg.Data != nil {
@@ -191,13 +187,11 @@ func (me *MemoryEndpoint) serve() {
 	me.served++
 	// Egress through the memory-side attachment hardware, then out on the
 	// arrival channel.
-	me.egress.Push(a)
-	me.k.Schedule(SideLatency, me.egressNext)
+	me.egress.Schedule(SideLatency, a)
 }
 
-// respond sends the oldest response out on the port its request came from.
-func (me *MemoryEndpoint) respond() {
-	a := me.egress.Pop()
+// respond sends a response out on the port its request came from.
+func (me *MemoryEndpoint) respond(a c1Access) {
 	if a.tr != nil {
 		a.tr.End(a.tok, me.k.NowPS())
 	}

@@ -196,12 +196,12 @@ func newPort(k *sim.Kernel, name string, out *phy.Channel, cfg Config) *Port {
 }
 
 // traffic is the per-frame state of a port: the recurring callbacks,
-// bound once so that scheduling one allocates nothing, the armed tail-loss
-// timers, and the arrays that frame packing and decoding reuse.
+// bound once so that scheduling one allocates nothing, the lane of armed
+// tail-loss timers, and the arrays that frame packing and decoding reuse.
 type traffic struct {
-	flush, credit, txTimer func()
-	txTimers               sim.FIFO[txTimer] // oldest first
-	txTxns, rxTxns         []*capi.Transaction
+	flush, credit  func()
+	txTimers       *sim.Lane[txTimer]
+	txTxns, rxTxns []*capi.Transaction
 }
 
 // bind builds the port's traffic state once. Every event a port schedules
@@ -210,7 +210,7 @@ type traffic struct {
 // nothing for it.
 func (p *Port) bind() {
 	if p.t == nil {
-		p.t = &traffic{flush: p.flush, credit: p.sendCreditReturn, txTimer: p.txTimeout}
+		p.t = &traffic{flush: p.flush, credit: p.sendCreditReturn, txTimers: sim.NewLane(p.k, p.txTimeout)}
 	}
 }
 
@@ -434,15 +434,12 @@ func latRecords(f *Frame) any {
 // the receiver never saw a sequence gap), retransmit it proactively. After
 // MaxReplayAttempts consecutive timeouts for the same frame the port
 // declares the link dead and escalates. Every timer has the same delay, so
-// timers fire in the order they were armed and txTimeout serves them from
-// a FIFO.
+// timers fire in the order they were armed and wait in one lane.
 func (p *Port) armTxTimer(seq uint64, attempt int) {
-	p.t.txTimers.Push(txTimer{seq: seq, attempt: attempt})
-	p.k.Schedule(p.cfg.ReplayTimeout, p.t.txTimer)
+	p.t.txTimers.Schedule(p.cfg.ReplayTimeout, txTimer{seq: seq, attempt: attempt})
 }
 
-func (p *Port) txTimeout() {
-	t := p.t.txTimers.Pop()
+func (p *Port) txTimeout(t txTimer) {
 	if p.down || p.oldestKept > t.seq {
 		return // link fenced, or frame acknowledged
 	}

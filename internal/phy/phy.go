@@ -122,8 +122,11 @@ type Channel struct {
 	deliver  func(Delivery)
 	remote   Injector // non-nil when the receiver lives on another kernel
 
-	// queue holds same-kernel deliveries; built on the first one.
-	queue *deliveryQueue
+	// inflight holds same-kernel deliveries in transmit order; built on
+	// the first one. Every delivery is due at its serialization end plus
+	// the fixed crossing, and serialization ends never decrease, so
+	// deliveries fire in the order they were sent.
+	inflight *sim.Lane[Delivery]
 
 	// Counters are atomic: the simulation mutates them from the kernel
 	// goroutine while traced/parallel runs may snapshot Stats concurrently
@@ -131,16 +134,6 @@ type Channel struct {
 	sent      atomic.Int64
 	dropped   atomic.Int64
 	corrupted atomic.Int64
-}
-
-// deliveryQueue holds a channel's same-kernel deliveries in transmit
-// order, and next, bound once, hands the oldest to the receiver. Every
-// delivery is due at its serialization end plus the fixed crossing, and
-// serialization ends never decrease, so deliveries fire in the order they
-// were scheduled and one bound callback replaces a closure per frame.
-type deliveryQueue struct {
-	inflight sim.FIFO[Delivery]
-	next     func()
 }
 
 // NewChannel creates a channel with the given number of bonded lanes. The
@@ -236,14 +229,10 @@ func (c *Channel) Forward(d Delivery) {
 		c.remote.Send(done+c.oneWay, func() { c.deliver(d) })
 		return
 	}
-	q := c.queue
-	if q == nil {
-		q = &deliveryQueue{}
-		q.next = func() { c.deliver(q.inflight.Pop()) }
-		c.queue = q
+	if c.inflight == nil {
+		c.inflight = sim.NewLane(c.k, func(d Delivery) { c.deliver(d) })
 	}
-	q.inflight.Push(d)
-	c.k.ScheduleAt(done+c.oneWay, q.next)
+	c.inflight.ScheduleAt(done+c.oneWay, d)
 }
 
 // draw returns the next fault draw, seeding the PRNG from c.faults.Seed on

@@ -175,3 +175,36 @@ func TestProcWakeAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestLaneSteadyStateAllocs pins allocation-free lanes: once a lane's
+// queue has grown to its standing depth, pushing and firing entries
+// allocates nothing.
+func TestLaneSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	k := NewKernel()
+	fired := 0
+	var l *Lane[int]
+	l = NewLane(k, func(left int) {
+		fired++
+		if left > 0 {
+			l.Schedule(20*Nanosecond, left-1)
+		}
+	})
+	// 64 chains of fixed-delay entries keep 64 entries standing in the lane.
+	round := func() {
+		fired = 0
+		for i := 0; i < 64; i++ {
+			l.Schedule(Time(i)*Picosecond, 100)
+		}
+		k.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+		t.Fatalf("steady-state lane push and fire allocated %.0f times per round", allocs)
+	}
+	if want := 64 * 101; fired != want {
+		t.Fatalf("fired %d entries per round, want %d", fired, want)
+	}
+}

@@ -4,8 +4,7 @@ package sim
 // front whenever it drains, so a steady push/pop cycle allocates nothing.
 // When full it compacts instead of growing if at least half the array is
 // already popped, which keeps both paths amortized O(1). The zero value is
-// an empty queue. Process wait queues use it, and so do the datapath's
-// per-port and per-channel queues of events scheduled with a fixed delay.
+// an empty queue. Process wait queues and the entries of a Lane use it.
 type FIFO[T any] struct {
 	buf  []T
 	head int

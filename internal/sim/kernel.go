@@ -22,6 +22,7 @@ type Event struct {
 	fn        func()
 	heapPos   int32 // position in the 4-ary heap; -1 once popped
 	cancelled bool
+	lane      bool // a Lane's head: re-keyed in place, never recycled
 	k         *Kernel
 }
 
@@ -49,7 +50,10 @@ func (e *Event) At() Time { return e.at }
 // binary heap it halves the tree depth, touches fewer cache lines per
 // sift, and avoids the interface-boxed Push/Pop round trips. Fired events
 // are recycled through a free list, so steady-state scheduling does not
-// allocate.
+// allocate. The heap holds every plain event but only the oldest entry of
+// each Lane: a stream of events whose times never decrease (a fixed-delay
+// timer, a FIFO link) waits in its lane, so a thousand armed timers cost
+// one heap slot instead of a thousand.
 type Kernel struct {
 	now             Time
 	pq              []*Event
@@ -57,6 +61,7 @@ type Kernel struct {
 	executed        uint64 // events fired (excludes cancelled)
 	stopped         bool
 	cancelledQueued int      // cancelled events still in pq (lazy deletion)
+	backlog         int      // lane entries queued behind their lane's head
 	free            []*Event // recycled Event structs
 
 	// tracer, when non-nil, receives a dispatch span and a queue-depth
@@ -154,14 +159,28 @@ func (k *Kernel) Run() Time {
 // limit if any events remain beyond it (or leaves it at the last executed
 // event otherwise). It returns the final virtual time.
 func (k *Kernel) RunUntil(limit Time) Time {
+	end := limit + 1
+	if end < limit {
+		end = limit // saturate at the largest Time
+	}
+	k.run(end)
+	if !k.stopped && len(k.pq) > 0 {
+		k.now = limit
+	}
+	return k.now
+}
+
+// run fires events with timestamps strictly below end until the queue
+// drains or Stop is called.
+func (k *Kernel) run(end Time) {
 	k.stopped = false
 	for !k.stopped && len(k.pq) > 0 {
-		if k.pq[0].at > limit {
-			k.now = limit
-			return k.now
+		e := k.pq[0]
+		if e.at >= end {
+			break
 		}
-		e := k.heapPop()
 		if e.cancelled {
+			k.heapPop()
 			k.cancelledQueued--
 			k.recycle(e)
 			continue
@@ -170,16 +189,25 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		if tr := k.tracer; tr != nil {
 			// The dispatch span covers the event's queue residency
 			// (schedule -> fire); the counter samples queue depth as seen
-			// at the moment this event left the heap.
+			// at the moment this event left the queue, lane backlogs
+			// included, so it reads the same as with one event per entry.
 			tr.Span(trace.LayerSim, "dispatch", int64(e.schedAt), int64(e.at))
-			tr.Counter(trace.LayerSim, "queue_depth", int64(e.at), float64(len(k.pq)))
+			tr.Counter(trace.LayerSim, "queue_depth", int64(e.at), float64(len(k.pq)-1+k.backlog))
 		}
+		if e.lane {
+			// A lane's head stays at the root: its callback re-keys it to
+			// the lane's next entry and sifts it down, or pops it when the
+			// lane drains.
+			e.fn()
+			k.executed++
+			continue
+		}
+		k.heapPop()
 		fn := e.fn
 		fn()
 		k.executed++
 		k.recycle(e)
 	}
-	return k.now
 }
 
 // maxFree caps the free list. Steady-state simulations recycle through a
@@ -197,14 +225,15 @@ func (k *Kernel) recycle(e *Event) {
 	k.free = append(k.free, e)
 }
 
-// Pending reports the number of events still queued and due to fire.
-// Cancelled events awaiting lazy removal from the queue are not counted.
-func (k *Kernel) Pending() int { return len(k.pq) - k.cancelledQueued }
+// Pending reports the number of events still queued and due to fire, lane
+// entries included. Cancelled events awaiting lazy removal from the queue
+// are not counted.
+func (k *Kernel) Pending() int { return len(k.pq) - k.cancelledQueued + k.backlog }
 
 // Scheduled reports the total number of events ever scheduled on this
-// kernel (including cancelled ones). Summed across a shard group it equals
-// the sequential run's count, since a cross-kernel delivery costs one
-// scheduled event either way.
+// kernel, cancelled ones and lane entries included. Summed across a shard
+// group it equals the sequential run's count, since a cross-kernel
+// delivery costs one scheduled event either way.
 func (k *Kernel) Scheduled() uint64 { return k.seq }
 
 // Executed reports the number of events that have fired on this kernel
@@ -234,27 +263,7 @@ func (k *Kernel) NextAt() (t Time, ok bool) {
 // interleaved with injected deliveries that sort before them). It returns
 // the current virtual time.
 func (k *Kernel) RunBefore(limit Time) Time {
-	k.stopped = false
-	for !k.stopped && len(k.pq) > 0 {
-		if k.pq[0].at >= limit {
-			break
-		}
-		e := k.heapPop()
-		if e.cancelled {
-			k.cancelledQueued--
-			k.recycle(e)
-			continue
-		}
-		k.now = e.at
-		if tr := k.tracer; tr != nil {
-			tr.Span(trace.LayerSim, "dispatch", int64(e.schedAt), int64(e.at))
-			tr.Counter(trace.LayerSim, "queue_depth", int64(e.at), float64(len(k.pq)))
-		}
-		fn := e.fn
-		fn()
-		k.executed++
-		k.recycle(e)
-	}
+	k.run(limit)
 	return k.now
 }
 

@@ -97,3 +97,48 @@ func BenchmarkProcSpawn(b *testing.B) {
 		k.Run()
 	}
 }
+
+// BenchmarkKernelTimerBacklog models a saturated LLC port: a short event
+// every 10 ns arms a 20 µs tail-loss timer, so about 2,000 timers stand
+// armed at once. "plain" schedules each timer as its own event; "lane"
+// queues them on one Lane, which keeps the heap at a handful of entries.
+func BenchmarkKernelTimerBacklog(b *testing.B) {
+	const (
+		sends   = 100_000
+		gap     = 10 * Nanosecond
+		timeout = 20 * Microsecond
+	)
+	for _, lane := range []bool{false, true} {
+		name := "plain"
+		if lane {
+			name = "lane"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := NewKernel()
+				expired := 0
+				expire := func() { expired++ }
+				timers := NewLane(k, func(struct{}) { expired++ })
+				sent := 0
+				var send func()
+				send = func() {
+					sent++
+					if lane {
+						timers.Schedule(timeout, struct{}{})
+					} else {
+						k.Schedule(timeout, expire)
+					}
+					if sent < sends {
+						k.Schedule(gap, send)
+					}
+				}
+				k.Schedule(0, send)
+				k.Run()
+				if expired != sends {
+					b.Fatalf("%d of %d timers expired", expired, sends)
+				}
+			}
+		})
+	}
+}
