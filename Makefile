@@ -70,12 +70,15 @@ detect-smoke:
 
 # Brief coverage-guided fuzz of the LLC frame decoder and the flight-
 # recorder snapshot decoder against corrupted and truncated wire images,
-# and of the sim kernel's event lanes against plain events (same firing
-# order and counters under any mix of schedules, cancels and windows).
+# of the sim kernel's event lanes against plain events (same firing
+# order and counters under any mix of schedules, cancels and windows),
+# and of the flat-array cache against a slice-per-set LRU reference (same
+# lookup results, residency and counters under lookups and flushes).
 fuzz-smoke:
 	$(GO) test ./internal/llc/ -fuzz FuzzDecodeCorrupted -fuzztime 10s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzSeriesDecode -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzLaneOrder -fuzztime 10s
+	$(GO) test ./internal/mem/ -fuzz FuzzCacheLRU -fuzztime 10s
 
 vet:
 	$(GO) vet ./...
@@ -96,13 +99,18 @@ test:
 # LLC frame and its credit return on a lossless port pair, and one
 # cacheline load through the whole stack with attribution off, on, and
 # with the flight recorder. The datapath runs 20,000 iterations, so its
-# allocs/op is the steady-state cost rather than setup.
+# allocs/op is the steady-state cost rather than setup. Last, the figure
+# hot paths: one cache lookup (hit- and miss-heavy) and one Figure 9
+# quick-scale index build at 5 and 32 shards.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkProc|BenchmarkGroup|BenchmarkDcsim' \
 		-benchmem -benchtime 5x ./internal/sim/ ./internal/sim/shard/ \
 		./internal/dcsim/
 	$(GO) test -run xxx -bench 'BenchmarkPortFrame|BenchmarkClusterLoad' \
 		-benchmem -benchtime 20000x ./internal/llc/ ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkCacheLookup' -benchmem ./internal/mem/
+	$(GO) test -run xxx -bench 'BenchmarkNewEngine' -benchmem -benchtime 10x \
+		./internal/workloads/search/
 
 # Wall-clock / allocation snapshot: sequential vs parallel quick suite,
 # kernel/placement micro-benchmarks, the sharded rack-scaling sweep

@@ -9,20 +9,33 @@
 // 12.5 GiB/s per network channel, ~16 GiB/s OpenCAPI C1 ceiling).
 package mem
 
+import "fmt"
+
 // CachelineSize is the POWER9 cacheline size in bytes; it is also the
 // OpenCAPI transaction payload the ThymesisFlow prototype carries.
 const CachelineSize = 128
+
+// setBlock is the number of sets whose tag rows share one lazily allocated
+// block, so a large LLC that a run barely touches costs a slice header per
+// 64 sets and a fill byte per set.
+const setBlock = 64
+
+// maxWays is the largest associativity the per-set fill count can hold.
+const maxWays = 255
 
 // Cache is a set-associative cache with LRU replacement, tracked at
 // cacheline granularity. It is purely functional (hit/miss bookkeeping);
 // timing is applied by the caller using the cache's configured latency.
 type Cache struct {
-	name     string
 	sets     int
 	ways     int
 	lineBits uint
-	// lines[set] is an LRU-ordered slice: index 0 is most recently used.
-	lines [][]uint64
+	// blocks[set/setBlock] holds the tag rows of up to setBlock consecutive
+	// sets, ways tags per row, allocated on the first touch of any of them.
+	// A row is LRU-ordered: index 0 is most recently used, and only its
+	// first fill[set] tags are valid.
+	blocks [][]uint64
+	fill   []uint8
 
 	hits   int64
 	misses int64
@@ -30,10 +43,10 @@ type Cache struct {
 
 // NewCache builds a cache of the given total size and associativity.
 // size must be a multiple of ways*CachelineSize; sets are forced to a power
-// of two for cheap indexing.
+// of two for cheap indexing. The name labels the cache in panics only.
 func NewCache(name string, size int64, ways int) *Cache {
-	if ways <= 0 {
-		panic("mem: cache ways must be positive")
+	if ways <= 0 || ways > maxWays {
+		panic(fmt.Sprintf("mem: cache %s: ways %d outside [1,%d]", name, ways, maxWays))
 	}
 	sets := int(size / (int64(ways) * CachelineSize))
 	if sets <= 0 {
@@ -45,56 +58,69 @@ func NewCache(name string, size int64, ways int) *Cache {
 		p *= 2
 	}
 	sets = p
-	c := &Cache{
-		name:     name,
+	return &Cache{
 		sets:     sets,
 		ways:     ways,
 		lineBits: 7, // log2(CachelineSize)
-		lines:    make([][]uint64, sets),
+		blocks:   make([][]uint64, (sets+setBlock-1)/setBlock),
+		fill:     make([]uint8, sets),
 	}
-	return c
 }
-
-// Name returns the cache's configured name (e.g. "L1D").
-func (c *Cache) Name() string { return c.name }
 
 // SizeBytes returns the total capacity in bytes.
 func (c *Cache) SizeBytes() int64 { return int64(c.sets) * int64(c.ways) * CachelineSize }
 
-// lineAddr maps a byte address to its cacheline address (tag+set).
-func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineBits }
+// set returns the set index of line address la.
+func (c *Cache) set(la uint64) uint { return uint(la) & uint(c.sets-1) }
+
+// row returns the tag row of set, allocating its block on first touch.
+func (c *Cache) row(set uint) []uint64 {
+	blk := c.blocks[set/setBlock]
+	if blk == nil {
+		blk = make([]uint64, min(c.sets, setBlock)*c.ways)
+		c.blocks[set/setBlock] = blk
+	}
+	i := set % setBlock * uint(c.ways)
+	return blk[i : i+uint(c.ways)]
+}
 
 // Lookup probes the cache for the line containing addr and updates LRU
 // state. On a miss the line is installed, possibly evicting the LRU way.
 // It reports whether the access hit.
 func (c *Cache) Lookup(addr uint64) bool {
-	la := c.lineAddr(addr)
-	set := int(la) & (c.sets - 1)
-	ways := c.lines[set]
-	for i, tag := range ways {
+	la := addr >> c.lineBits
+	set := c.set(la)
+	row := c.row(set)
+	n := int(c.fill[set])
+	for i, tag := range row[:n] {
 		if tag == la {
 			// Move to front (MRU).
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = la
+			copy(row[1:i+1], row[:i])
+			row[0] = la
 			c.hits++
 			return true
 		}
 	}
 	c.misses++
-	if len(ways) < c.ways {
-		ways = append(ways, 0)
+	if n < c.ways {
+		n++
+		c.fill[set] = uint8(n)
 	}
-	copy(ways[1:], ways)
-	ways[0] = la
-	c.lines[set] = ways
+	copy(row[1:n], row[:n-1])
+	row[0] = la
 	return false
 }
 
 // Contains probes without updating LRU or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	la := c.lineAddr(addr)
-	set := int(la) & (c.sets - 1)
-	for _, tag := range c.lines[set] {
+	la := addr >> c.lineBits
+	set := c.set(la)
+	blk := c.blocks[set/setBlock]
+	if blk == nil {
+		return false
+	}
+	i := set % setBlock * uint(c.ways)
+	for _, tag := range blk[i : i+uint(c.fill[set])] {
 		if tag == la {
 			return true
 		}
@@ -102,43 +128,11 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// InvalidateRange drops all lines overlapping [addr, addr+size).
-func (c *Cache) InvalidateRange(addr uint64, size int64) {
-	first := c.lineAddr(addr)
-	last := c.lineAddr(addr + uint64(size) - 1)
-	for set := 0; set < c.sets; set++ {
-		ways := c.lines[set]
-		out := ways[:0]
-		for _, tag := range ways {
-			if tag < first || tag > last {
-				out = append(out, tag)
-			}
-		}
-		c.lines[set] = out
-	}
-}
-
 // Flush empties the cache.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = c.lines[i][:0]
-	}
-}
+func (c *Cache) Flush() { clear(c.fill) }
 
 // Hits returns the number of lookup hits since creation.
 func (c *Cache) Hits() int64 { return c.hits }
 
 // Misses returns the number of lookup misses since creation.
 func (c *Cache) Misses() int64 { return c.misses }
-
-// HitRatio returns hits/(hits+misses), or 0 with no lookups.
-func (c *Cache) HitRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
-// ResetStats zeroes hit/miss counters without touching contents.
-func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }

@@ -250,9 +250,3 @@ func (t *Thread) FlushCaches() {
 	t.l1.Flush()
 	t.l2.Flush()
 }
-
-// L1 returns the thread's private L1 cache (for tests and statistics).
-func (t *Thread) L1() *Cache { return t.l1 }
-
-// L2 returns the thread's private L2 cache.
-func (t *Thread) L2() *Cache { return t.l2 }

@@ -9,7 +9,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/mem"
@@ -53,15 +53,28 @@ type Shard struct {
 	arena *mem.Buffer
 
 	docs []docMeta
-	// postings maps tag -> local doc ordinals (ascending); the build-time
-	// truth the encoded form is verified against.
-	postings map[int][]int32
-	// postingEnc maps tag -> the varint-delta-encoded posting list (the
-	// bytes that actually live in the arena).
-	postingEnc map[int][]byte
-	// postingOff maps tag -> arena byte offset of its encoded posting list.
-	postingOff map[int]int64
+	// The posting slices are indexed by tag, one entry per tag of the
+	// corpus vocabulary; a tag no document carries has an empty list.
+	//
+	// postings[tag] holds the local doc ordinals (ascending): the
+	// build-time truth that TestShardEncodingMatchesTruth checks the
+	// encoded form against.
+	postings [][]int32
+	// postingEnc[tag] is the varint-delta-encoded posting list (the bytes
+	// that actually live in the arena).
+	postingEnc [][]byte
+	// postingOff[tag] is the arena byte offset of the encoded list.
+	postingOff []int64
 	metaOff    int64
+}
+
+// encoded returns a tag's encoded posting list and its arena offset; a tag
+// outside the vocabulary has an empty list.
+func (s *Shard) encoded(tag int) ([]byte, int64) {
+	if tag < 0 || tag >= len(s.postingEnc) {
+		return nil, 0
+	}
+	return s.postingEnc[tag], s.postingOff[tag]
 }
 
 // docMetaAddr returns the arena address of a document's stored metadata.
@@ -93,6 +106,9 @@ func NewEngine(host *core.Host, placer numa.Placer, corpus CorpusConfig, cfg Eng
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("search: no shards")
 	}
+	if corpus.Tags <= 0 {
+		return nil, fmt.Errorf("search: corpus has %d tags", corpus.Tags)
+	}
 	if cfg.PoolThreads <= 0 {
 		cfg.PoolThreads = 48
 	}
@@ -103,13 +119,21 @@ func NewEngine(host *core.Host, placer numa.Placer, corpus CorpusConfig, cfg Eng
 	if perShard == 0 {
 		return nil, fmt.Errorf("search: %d docs cannot fill %d shards", corpus.Docs, cfg.Shards)
 	}
+	// docTags holds one shard's tag draws, TagsPerDoc per document, with -1
+	// for a draw that repeats a tag of the same document. counts[tag]
+	// sizes each posting list, so a shard's lists share one backing array.
+	tagsPerDoc := max(corpus.TagsPerDoc, 0)
+	docTags := make([]int32, perShard*tagsPerDoc)
+	counts := make([]int, corpus.Tags)
 	for si := 0; si < cfg.Shards; si++ {
 		sh := &Shard{
 			id:         si,
-			postings:   make(map[int][]int32),
-			postingEnc: make(map[int][]byte),
-			postingOff: make(map[int]int64),
+			docs:       make([]docMeta, 0, perShard),
+			postings:   make([][]int32, corpus.Tags),
+			postingEnc: make([][]byte, corpus.Tags),
+			postingOff: make([]int64, corpus.Tags),
 		}
+		clear(counts)
 		for ord := 0; ord < perShard; ord++ {
 			d := docMeta{
 				id:      int32(si*perShard + ord),
@@ -117,7 +141,8 @@ func NewEngine(host *core.Host, placer numa.Placer, corpus CorpusConfig, cfg Eng
 				answers: int16(rng.Intn(160)),
 			}
 			sh.docs = append(sh.docs, d)
-			for t := 0; t < corpus.TagsPerDoc; t++ {
+			drawn := docTags[ord*tagsPerDoc : (ord+1)*tagsPerDoc]
+			for t := range drawn {
 				// Skewed tag popularity: squaring the uniform draw favors
 				// low tag IDs ~ 1/sqrt density.
 				u := rng.Float64()
@@ -125,42 +150,59 @@ func NewEngine(host *core.Host, placer numa.Placer, corpus CorpusConfig, cfg Eng
 				if tag >= corpus.Tags {
 					tag = corpus.Tags - 1
 				}
-				list := sh.postings[tag]
-				if len(list) > 0 && list[len(list)-1] == int32(ord) {
-					continue // duplicate tag on this doc
+				if slices.Contains(drawn[:t], int32(tag)) {
+					drawn[t] = -1 // duplicate tag on this doc
+					continue
 				}
-				sh.postings[tag] = append(list, int32(ord))
+				drawn[t] = int32(tag)
+				counts[tag]++
 			}
 		}
-		// Encode every posting list (Lucene-style varint deltas), verify
-		// the round trip, and lay lists out in tag order followed by the
-		// stored-fields region.
-		var postingBytes int64
-		tags := make([]int, 0, len(sh.postings))
-		for t := range sh.postings {
-			tags = append(tags, t)
+		// Fill the lists in document order, so each ascends.
+		total := 0
+		for _, c := range counts {
+			total += c
 		}
-		sort.Ints(tags)
-		for _, t := range tags {
-			enc, err := encodePostings(sh.postings[t])
+		backing := make([]int32, total)
+		for t, c := range counts {
+			sh.postings[t], backing = backing[:0:c], backing[c:]
+		}
+		for i, tag := range docTags {
+			if tag >= 0 {
+				sh.postings[tag] = append(sh.postings[tag], int32(i/tagsPerDoc))
+			}
+		}
+		// Encode every non-empty posting list (Lucene-style varint deltas;
+		// TestShardEncodingMatchesTruth checks the round trip) back to back
+		// in ascending tag order, the arena's layout, followed by the
+		// stored-fields region.
+		off := int64(0)
+		for t, list := range sh.postings {
+			if len(list) == 0 {
+				continue
+			}
+			n, err := encodedLen(list)
 			if err != nil {
 				return nil, fmt.Errorf("search: shard %d tag %d: %w", si, t, err)
 			}
-			sh.postingEnc[t] = enc
-			postingBytes += int64(len(enc))
+			sh.postingOff[t] = off
+			off += int64(n)
+		}
+		sh.metaOff = off
+		enc := make([]byte, 0, off)
+		for t, list := range sh.postings {
+			if len(list) == 0 {
+				continue
+			}
+			enc = appendPostings(enc, list)
+			sh.postingEnc[t] = enc[sh.postingOff[t]:len(enc):len(enc)]
 		}
 		metaBytes := int64(perShard) * DocMetaBytes
-		arena, err := host.Mem.Alloc(postingBytes+metaBytes+mem.CachelineSize, placer)
+		arena, err := host.Mem.Alloc(sh.metaOff+metaBytes+mem.CachelineSize, placer)
 		if err != nil {
 			return nil, fmt.Errorf("search: shard %d arena: %w", si, err)
 		}
 		sh.arena = arena
-		off := int64(0)
-		for _, t := range tags {
-			sh.postingOff[t] = off
-			off += int64(len(sh.postingEnc[t]))
-		}
-		sh.metaOff = off
 		e.shards = append(e.shards, sh)
 	}
 	for i := 0; i < cfg.PoolThreads; i++ {

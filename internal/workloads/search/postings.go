@@ -3,6 +3,7 @@ package search
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Posting lists are stored Lucene-style: ascending document ordinals,
@@ -12,19 +13,37 @@ import (
 
 // encodePostings serializes an ascending ordinal list.
 func encodePostings(list []int32) ([]byte, error) {
-	var out []byte
+	n, err := encodedLen(list)
+	if err != nil {
+		return nil, err
+	}
+	return appendPostings(make([]byte, 0, n), list), nil
+}
+
+// encodedLen returns the byte length of list's encoding, or an error if
+// the list is not strictly ascending.
+func encodedLen(list []int32) (int, error) {
+	n := 0
 	prev := int32(-1)
-	var tmp [binary.MaxVarintLen32]byte
 	for i, ord := range list {
 		if ord <= prev {
-			return nil, fmt.Errorf("search: posting list not strictly ascending at %d", i)
+			return 0, fmt.Errorf("search: posting list not strictly ascending at %d", i)
 		}
-		delta := uint64(ord - prev)
-		n := binary.PutUvarint(tmp[:], delta)
-		out = append(out, tmp[:n]...)
+		n += (bits.Len64(uint64(ord-prev)) + 6) / 7
 		prev = ord
 	}
-	return out, nil
+	return n, nil
+}
+
+// appendPostings appends the encoding of list, which encodedLen has
+// accepted, to dst.
+func appendPostings(dst []byte, list []int32) []byte {
+	prev := int32(-1)
+	for _, ord := range list {
+		dst = binary.AppendUvarint(dst, uint64(ord-prev))
+		prev = ord
+	}
+	return dst
 }
 
 // postingIterator decodes an encoded list incrementally.
@@ -114,7 +133,11 @@ func gallopSearch(b []int32, lo int, v int32) int {
 
 // decodePostings fully decodes a list (used by queries and tests).
 func decodePostings(data []byte) []int32 {
-	var out []int32
+	if len(data) == 0 {
+		return nil
+	}
+	// Every entry takes at least one byte, so this never regrows.
+	out := make([]int32, 0, len(data))
 	it := newPostingIterator(data)
 	for {
 		ord, ok := it.next()

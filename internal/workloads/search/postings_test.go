@@ -78,7 +78,9 @@ func TestPostingIteratorProgress(t *testing.T) {
 	}
 }
 
-// Property: any set of ordinals (deduplicated, sorted) round-trips.
+// Property: any set of ordinals (deduplicated, sorted) round-trips, and
+// encodedLen predicts the encoding's exact length (index builds size one
+// shared buffer by it).
 func TestQuickPostingsRoundTrip(t *testing.T) {
 	f := func(raw []uint32) bool {
 		seen := map[int32]bool{}
@@ -92,7 +94,7 @@ func TestQuickPostingsRoundTrip(t *testing.T) {
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
 		enc, err := encodePostings(list)
-		if err != nil {
+		if err != nil || cap(enc) != len(enc) {
 			return false
 		}
 		got := decodePostings(enc)

@@ -63,11 +63,10 @@ const (
 // remote memory latency is paid serially per block. The varint-delta
 // encoding is decoded for real, returning the local ordinals.
 func (sh *Shard) streamPostings(p *sim.Proc, th *mem.Thread, tag int) []int32 {
-	enc := sh.postingEnc[tag]
+	enc, base := sh.encoded(tag)
 	if len(enc) == 0 {
 		return nil
 	}
-	base := sh.postingOff[tag]
 	total := int64(len(enc))
 	for off := int64(0); off < total; off += postingChunkBytes {
 		n := int64(postingChunkBytes)

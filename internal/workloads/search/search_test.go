@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"testing"
 
 	"thymesisflow/internal/core"
@@ -44,13 +45,80 @@ func TestIndexStructure(t *testing.T) {
 					t.Fatalf("tag %d: posting list not strictly ascending", tag)
 				}
 			}
-			if _, ok := sh.postingOff[tag]; !ok {
-				t.Fatalf("tag %d has no arena offset", tag)
+		}
+		// Every non-empty list has an encoding; the encodings sit back to
+		// back in ascending tag order, at strictly ascending offsets, and
+		// end where the stored-fields region begins.
+		end := int64(0)
+		for tag, list := range sh.postings {
+			enc := sh.postingEnc[tag]
+			if len(list) == 0 {
+				if len(enc) != 0 {
+					t.Fatalf("tag %d: empty list with a %d-byte encoding", tag, len(enc))
+				}
+				continue
 			}
+			if len(enc) == 0 {
+				t.Fatalf("tag %d: %d postings but no encoding", tag, len(list))
+			}
+			if sh.postingOff[tag] != end {
+				t.Fatalf("tag %d: arena offset %d, want %d (previous list's end)",
+					tag, sh.postingOff[tag], end)
+			}
+			end += int64(len(enc))
+		}
+		if sh.metaOff != end {
+			t.Fatalf("metaOff = %d, want %d (end of the last list)", sh.metaOff, end)
 		}
 	}
 	if totalDocs != 40_000 {
 		t.Fatalf("docs = %d", totalDocs)
+	}
+}
+
+// TestIndexLayoutGolden pins the arena layout of a small two-shard
+// corpus: each arena's base address, every tag's posting-list offset (-1
+// for a tag no document in the shard carries) and the stored-fields
+// offset. Query timing reads these addresses, so any change to how the
+// index is laid out shows here before it shows in a figure.
+func TestIndexLayoutGolden(t *testing.T) {
+	tb, err := core.NewTestbed(core.ConfigLocal, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := CorpusConfig{Seed: 3, Docs: 60, Tags: 40, TagsPerDoc: 3}
+	e, err := NewEngine(tb.Server, numa.Local(tb.Server.LocalNode(0)), corpus,
+		EngineConfig{Shards: 2, PoolThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := []struct {
+		base    uint64
+		offs    []int64
+		metaOff int64
+	}{
+		{0x10000, []int64{0, 13, 16, -1, 20, 24, 28, -1, 31, 34, 37, 42, 43, 46, 50, -1, 52, -1, -1, 53,
+			54, 56, 57, 58, 60, 61, 62, 65, 68, 69, 70, 71, 74, 75, -1, 78, 79, 81, 83, -1}, 84},
+		{0x20000, []int64{0, 12, 20, 25, 28, 31, 34, 35, 36, 37, 39, -1, 41, -1, 42, 45, 48, 50, 55, 57,
+			-1, 58, 59, -1, 60, 61, 62, 64, 66, -1, 67, -1, 72, 74, 75, 77, 79, 80, 81, 84}, 85},
+	}
+	for si, sh := range e.Shards() {
+		want := golden[si]
+		if sh.arena.Base != want.base {
+			t.Fatalf("shard %d: arena base %#x, want %#x", si, sh.arena.Base, want.base)
+		}
+		for tag, off := range want.offs {
+			enc, got := sh.encoded(tag)
+			if len(enc) == 0 {
+				got = -1
+			}
+			if got != off {
+				t.Fatalf("shard %d tag %d: offset %d, want %d", si, tag, got, off)
+			}
+		}
+		if sh.metaOff != want.metaOff {
+			t.Fatalf("shard %d: metaOff %d, want %d", si, sh.metaOff, want.metaOff)
+		}
 	}
 }
 
@@ -208,5 +276,34 @@ func TestScaleOutBeatsDisaggregatedOnNested(t *testing.T) {
 		if scale <= single {
 			t.Fatalf("%v: scale-out %.0f should beat single-disaggregated %.0f", ch, scale, single)
 		}
+	}
+}
+
+var benchEngine *Engine
+
+// BenchmarkNewEngine builds the index of one Figure 9 quick-scale cell
+// (120,000 documents, 200 tags) at the paper's two shard counts, freeing
+// each build's arenas before the next.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, shards := range []int{5, 32} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			tb, err := core.NewTestbed(core.ConfigLocal, 1<<30)
+			if err != nil {
+				b.Fatal(err)
+			}
+			corpus := DefaultCorpusConfig()
+			corpus.Docs = 120_000
+			placer := numa.Local(tb.Server.LocalNode(0))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, err := NewEngine(tb.Server, placer, corpus, EngineConfig{Shards: shards})
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.Close()
+				benchEngine = e
+			}
+		})
 	}
 }
