@@ -123,8 +123,10 @@ bench-quick:
 	sh scripts/benchsnap.sh BENCH_PR15.json
 
 # Produce a sample cross-layer trace (and metrics snapshot) from the quick
-# Figure 5 run: open trace_fig5.json in Perfetto (https://ui.perfetto.dev)
-# or chrome://tracing. See docs/OBSERVABILITY.md. Both outputs are
-# git-ignored.
+# Figure 5 run, then analyse it offline: the three slowest transactions'
+# stage spans and every stage's share of round-trip time. Open
+# trace_fig5.json in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+# See docs/OBSERVABILITY.md. Both outputs are git-ignored.
 trace-demo:
 	$(GO) run ./cmd/tfbench -experiment fig5 -trace trace_fig5.json -metrics metrics_fig5.json
+	$(GO) run ./cmd/tftrace -top 3 -stalls trace_fig5.json

@@ -43,9 +43,8 @@ func main() {
 	transceivers := flag.Int("transceivers", 2, "transceivers per endpoint")
 	adminToken := flag.String("admin-token", "tf-admin", "bearer token with write access")
 	readerToken := flag.String("reader-token", "tf-reader", "bearer token with read-only access")
-	traceEvents := flag.Int("trace-events", 1<<16, "trace ring capacity in events (0 disables tracing)")
+	traceEvents := flag.Int("trace-events", 1<<16, "trace ring capacity in events; > 0 also enables per-stage latency attribution, served under /v1/latency (0 disables both)")
 	sagaEvents := flag.Int("saga-events", 1<<14, "saga event log capacity; spans every saga step, served under /v1/events and /v1/sagas/{id}/trace (0 disables)")
-	latencyAttr := flag.Bool("latency", false, "enable per-stage latency attribution, served under /v1/latency")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (admin token required)")
 	journalPath := flag.String("journal", "", "write-ahead saga journal file; replayed on boot for crash recovery (empty = in-memory)")
 	journalSyncEvery := flag.Int("journal-sync-every", 1, "with -journal: fsync group-commit threshold; 1 syncs per record (safest), N batches up to N records per fsync (a crash may lose the last N-1)")
@@ -118,19 +117,18 @@ func main() {
 
 	// Live telemetry: a metrics registry over the whole cluster and a
 	// bounded trace ring on the shared kernel, served read-only under
-	// /v1/metrics and /v1/trace/snapshot.
+	// /v1/metrics and /v1/trace/snapshot. Traced transactions carry latency
+	// records anyway, so tracing also aggregates them under /v1/latency.
 	reg := metrics.NewRegistry()
 	cluster.RegisterMetrics(reg, "")
 	var ring *trace.Ring
 	if *traceEvents > 0 {
 		ring = trace.NewRing(*traceEvents)
 		cluster.K.SetTracer(ring)
-	}
-	svc.SetTelemetry(reg, ring)
-	if *latencyAttr {
 		cluster.EnableLatency()
 		svc.SetLatency(cluster)
 	}
+	svc.SetTelemetry(reg, ring)
 	if *enablePprof {
 		api.EnablePprof()
 	}

@@ -5,14 +5,15 @@
 // -trace-events + /v1/trace/snapshot):
 //
 //	tftrace trace.json                  # per-layer span summaries
-//	tftrace -top 5 trace.json           # + critical paths of the 5 slowest transactions
-//	tftrace -stalls trace.json          # credit-stall / replay attribution
+//	tftrace -top 5 trace.json           # + the stage spans of the 5 slowest transactions
+//	tftrace -stalls trace.json          # each stage's share of round-trip time
 //	tftrace -layer llc trace.json       # restrict summaries to one layer
 //	tftrace -json trace.json            # machine-readable output
 //
-// A "transaction" is a capi *_req span: the compute-side round trip as the
-// host bus sees it. Critical-path extraction lists every event overlapping
-// the round trip's window, with a per-layer rollup of overlapped span time.
+// A transaction is a capi read_req/write_req round-trip span together with
+// the stage spans of its latency record, which tile it exactly; the export
+// groups them by an explicit id (args.txn), so concurrent transactions
+// never mix.
 //
 // Control-plane mode (-cp) ingests the saga event log served at /v1/events
 // (tfd -saga-events), reconstructs every saga timeline, and rolls them up
@@ -36,9 +37,9 @@ import (
 )
 
 func main() {
-	top := flag.Int("top", 0, "extract critical paths for the N slowest transactions")
-	stalls := flag.Bool("stalls", false, "attribute credit-stall and replay time against round trips")
-	layer := flag.String("layer", "", "restrict span summaries to one layer (sim|phy|llc|capi|rmmu)")
+	top := flag.Int("top", 0, "list the stage spans of the N slowest transactions")
+	stalls := flag.Bool("stalls", false, "split round-trip time into per-stage shares (credit_stall, frame_tx, ...)")
+	layer := flag.String("layer", "", "restrict the span and instant summaries to one layer: sim, phy, llc, capi or rmmu (-top and -stalls are not filtered)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	cpMode := flag.Bool("cp", false, "analyse a control-plane saga event log (/v1/events export) instead of a Chrome trace")
 	flag.Parse()
@@ -112,20 +113,14 @@ func main() {
 			s.Layer, s.Name, s.Kind, s.Count, s.TotalNS, s.MeanNS, s.P99NS, s.MaxNS)
 	}
 	for i, cp := range paths {
-		fmt.Printf("\ncritical path #%d: %s/%s %.1f ns @ %.1f ns\n",
-			i+1, cp.Root.Layer, cp.Root.Name, cp.RootNS, float64(cp.Root.TS)/1e3)
-		for _, e := range cp.Events {
-			switch e.Ph {
-			case "X":
-				fmt.Printf("  %12.1f ns  %-6s %-16s %.1f ns\n",
-					float64(e.TS)/1e3, e.Layer, e.Name, float64(e.Dur)/1e3)
-			case "i":
-				fmt.Printf("  %12.1f ns  %-6s %-16s (instant)\n",
-					float64(e.TS)/1e3, e.Layer, e.Name)
-			}
+		fmt.Printf("\ncritical path #%d: %s/%s %.1f ns @ %.1f ns (txn %d)\n",
+			i+1, cp.Root.Layer, cp.Root.Name, cp.RootNS, float64(cp.Root.TS)/1e3, cp.Root.Txn)
+		for _, e := range cp.Stages {
+			fmt.Printf("  %12.1f ns  %-6s %-16s %.1f ns\n",
+				float64(e.TS)/1e3, e.Layer, e.Name, float64(e.Dur)/1e3)
 		}
 		fmt.Printf("  by layer:")
-		for _, l := range []string{"phy", "llc", "capi", "rmmu", "sim"} {
+		for _, l := range []string{"capi", "rmmu", "llc", "phy"} {
 			if ns, ok := cp.ByLayer[l]; ok {
 				fmt.Printf(" %s=%.1fns", l, ns)
 			}
@@ -133,10 +128,11 @@ func main() {
 		fmt.Println()
 	}
 	if att != nil {
-		fmt.Printf("\nstall attribution over %d round trips (%.1f ns total)\n",
+		fmt.Printf("\nstage shares over %d round trips (%.1f ns total)\n",
 			att.RoundTrips, att.RoundTripNS)
-		fmt.Printf("  credit stalls: %10.1f ns (%5.2f%%)\n", att.CreditStallNS, att.CreditPct)
-		fmt.Printf("  replay windows:%10.1f ns (%5.2f%%)\n", att.ReplayNS, att.ReplayPct)
+		for _, st := range att.Stages {
+			fmt.Printf("  %-6s %-14s %14.1f ns (%6.2f%%)\n", st.Layer, st.Stage, st.TotalNS, st.SharePct)
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func TestReplayPinnedHash(t *testing.T) {
 // single-node replay. A change that alters the report on purpose must
 // update this hash.
 func TestReplayHAPinnedHash(t *testing.T) {
-	const want = "ac57c81422e6255090628a5de645429bd1018e7c7c829553a9fb132524117b68"
+	const want = "dce84044427052f0f36bef02489d630b01761de4cd2caebffe41f2f3afc0e80a"
 	_, data, _ := runReplayOnce(t, ReplayConfig{Seed: 1, Minutes: 1, HANodes: 3, LeaderKills: 2})
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
 		t.Fatalf("seed-1 HA replay report hash = %s, want %s", got, want)

@@ -51,7 +51,7 @@ func TestMetricsEndpointAuth(t *testing.T) {
 func TestTraceSnapshotEndpointAuth(t *testing.T) {
 	api, _, ring := restAPIWithTelemetry(t)
 	ring.Span(trace.LayerSim, "dispatch", 0, 1_000_000)
-	ring.Instant(trace.LayerLLC, "tx_frame", 2_000_000)
+	ring.Instant(trace.LayerLLC, "rx_gap", 2_000_000)
 
 	// The trace is admin-only: readers get 403, anonymous 401.
 	if w := doReq(t, api, http.MethodGet, "/v1/trace/snapshot", "reader-tok", nil); w.Code != http.StatusForbidden {

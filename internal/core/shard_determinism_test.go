@@ -197,7 +197,7 @@ func TestShardedDeterminism(t *testing.T) {
 			topo, seed := topo, seed
 			t.Run(fmt.Sprintf("%s/seed%d", topo.name, seed), func(t *testing.T) {
 				want := runDetScenario(t, topo, seed, 1)
-				if !strings.Contains(want, "tx_frame") {
+				if !strings.Contains(want, " capi read_req X ") && !strings.Contains(want, " capi write_req X ") {
 					t.Fatalf("scenario produced no traffic:\n%s", firstLines(want, 10))
 				}
 				for _, shards := range []int{2, 3, topo.hosts} {

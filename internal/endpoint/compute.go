@@ -56,7 +56,10 @@ type ComputeEndpoint struct {
 
 	// lat, when set, enables per-stage latency attribution: every issued
 	// transaction carries a latency.Record that the layers below stamp.
+	// A tracer on the kernel starts records too, to emit their spans.
 	lat *latency.Sink
+	// spans is the reused stage list of Record.Emit.
+	spans []trace.Stage
 
 	loads   int64
 	stores  int64
@@ -87,7 +90,6 @@ func NewCompute(k *sim.Kernel, name string, sections int, sectionSize int64) (*C
 	if err != nil {
 		return nil, err
 	}
-	m.Instrument(k) // per-translation trace instants, once a tracer attaches
 	ce := &ComputeEndpoint{
 		k:       k,
 		name:    name,
@@ -193,25 +195,26 @@ func (ce *ComputeEndpoint) issue(p *sim.Proc, t *capi.Transaction) (*capi.Transa
 	if ce.linkDown {
 		return nil, ErrLinkDown
 	}
-	if ce.lat != nil {
+	tr := ce.k.Tracer()
+	if ce.lat != nil || tr != nil {
 		// Attribution records are allocated per transaction on purpose: a
 		// faulted issue can return while a late response still references
 		// the record, so recycling would corrupt a live one. Only the
 		// disabled path must be allocation-free.
-		t.Lat = ce.lat.Start(ce.k.NowPS())
+		t.Lat = latency.NewRecord(ce.k.NowPS())
 	}
 	if err := ce.rmmu.Translate(t); err != nil {
+		if tr != nil {
+			tr.Instant(trace.LayerRMMU, "translate_fault", ce.k.NowPS())
+		}
 		return nil, err
 	}
 	if t.Lat != nil {
+		// The section lookup is combinational in the prototype FPGA — it
+		// adds no virtual time — but the stamp closes the translate stage
+		// so any future pipelined-RMMU model is attributed automatically.
+		t.Lat.MarkTo(latency.StageTranslate, ce.k.NowPS())
 		t.Lat.Flow = t.NetworkID
-	}
-	// The capi span covers the transaction's full round trip as the host
-	// bus sees it: attachment ingress to response delivery.
-	tr := ce.k.Tracer()
-	var tok trace.SpanToken
-	if tr != nil {
-		tok = tr.Begin(trace.LayerCAPI, t.Op.String(), ce.k.NowPS())
 	}
 	ce.nextTag++
 	t.Tag = ce.nextTag
@@ -225,9 +228,6 @@ func (ce *ComputeEndpoint) issue(p *sim.Proc, t *capi.Transaction) (*capi.Transa
 		// wait for a response nobody delivers.
 		err := w.err
 		ce.freeReq(w)
-		if tr != nil {
-			tr.End(tok, ce.k.NowPS())
-		}
 		return nil, err
 	}
 	if t.Lat != nil {
@@ -236,15 +236,9 @@ func (ce *ComputeEndpoint) issue(p *sim.Proc, t *capi.Transaction) (*capi.Transa
 	if err := ce.router.ForwardFrom(p, t); err != nil {
 		delete(ce.waiting, t.Tag)
 		ce.freeReq(w)
-		if tr != nil {
-			tr.End(tok, ce.k.NowPS())
-		}
 		return nil, err
 	}
 	w.sig.Wait(p)
-	if tr != nil {
-		tr.End(tok, ce.k.NowPS())
-	}
 	resp, err := w.resp, w.err
 	ce.freeReq(w)
 	if err != nil {
@@ -253,9 +247,15 @@ func (ce *ComputeEndpoint) issue(p *sim.Proc, t *capi.Transaction) (*capi.Transa
 	// The response record is the one issued above when the round trip
 	// stayed on a paired link; topologies that cannot carry the record
 	// end-to-end deliver a bare response, which is simply not attributed.
-	if ce.lat != nil && resp.Lat != nil {
-		ce.lat.Done(resp.Lat, ce.k.NowPS())
+	if rec := resp.Lat; rec != nil {
 		resp.Lat = nil
+		rec.Finish(ce.k.NowPS())
+		if ce.lat != nil {
+			ce.lat.Done(rec)
+		}
+		if tr := ce.k.Tracer(); tr != nil {
+			ce.spans = rec.Emit(tr, t.Op.String(), ce.spans)
+		}
 	}
 	return resp, nil
 }

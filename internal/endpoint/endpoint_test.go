@@ -7,6 +7,7 @@ import (
 	"thymesisflow/internal/llc"
 	"thymesisflow/internal/phy"
 	"thymesisflow/internal/sim"
+	"thymesisflow/internal/trace"
 )
 
 // rig wires one compute endpoint to one memory endpoint over a single
@@ -163,6 +164,52 @@ func TestUnmappedSectionRejected(t *testing.T) {
 		}
 	})
 	r.k.RunUntil(sim.Millisecond)
+}
+
+// TestTracedIssueWithoutSink checks that a tracer alone turns latency
+// records on: a completed load is traced as its round trip plus stage
+// spans tiling it, and a failed translation as one translate_fault
+// instant with no transaction.
+func TestTracedIssueWithoutSink(t *testing.T) {
+	r := newRig(t, phy.FaultConfig{})
+	ring := trace.NewRing(1 << 12)
+	r.k.SetTracer(ring)
+	var lat sim.Time
+	r.k.Go("app", func(p *sim.Proc) {
+		start := p.Now()
+		if _, err := r.ce.Load(p, 0, 128); err != nil {
+			t.Error(err)
+		}
+		lat = p.Now() - start
+		if _, err := r.ce.Load(p, 3<<20, 128); err == nil {
+			t.Error("load through unmapped section succeeded")
+		}
+	})
+	r.k.RunUntil(sim.Millisecond)
+
+	var root trace.Event
+	var stages, faults int
+	var sum int64
+	for _, e := range ring.Snapshot() {
+		switch {
+		case e.Txn != 0 && e.Name == "read_req":
+			root = e
+		case e.Txn != 0:
+			stages++
+			sum += e.Dur
+		case e.Layer == trace.LayerRMMU && e.Name == "translate_fault" && e.Ph == trace.PhaseInstant:
+			faults++
+		}
+	}
+	if root.Layer != trace.LayerCAPI || root.Dur != int64(lat) {
+		t.Fatalf("root span %+v, want a %d ps capi read_req", root, lat)
+	}
+	if stages == 0 || sum != root.Dur {
+		t.Fatalf("%d stage spans summing to %d ps for a %d ps round trip", stages, sum, root.Dur)
+	}
+	if faults != 1 {
+		t.Fatalf("%d translate_fault instants, want 1", faults)
+	}
 }
 
 func TestIllegalDonorAddressRejected(t *testing.T) {

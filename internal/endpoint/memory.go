@@ -58,8 +58,6 @@ type c1Access struct {
 	port *llc.Port
 	t    *capi.Transaction
 	reg  *StolenRegion
-	tr   trace.Tracer
-	tok  trace.SpanToken
 }
 
 // NewMemory builds a memory-stealing endpoint. dramLat is the donor DRAM
@@ -137,25 +135,14 @@ func (me *MemoryEndpoint) handleRequest(port *llc.Port, t *capi.Transaction) {
 		panic(fmt.Sprintf("endpoint: %s: response opcode %v on memory endpoint", me.name, t.Op))
 	}
 	reg := me.regionFor(t.Addr, t.Size)
-	tr := me.k.Tracer()
 	if reg == nil {
 		// Illegal destination: the control plane never configures flows to
 		// unpinned memory, so fail the transaction (Section IV-C).
 		me.rejected++
-		if tr != nil {
+		if tr := me.k.Tracer(); tr != nil {
 			tr.Instant(trace.LayerCAPI, "c1_reject", me.k.NowPS())
 		}
 		return
-	}
-	// The donor-side capi span covers the C1 master's service time:
-	// request arrival to response leaving on the wire.
-	var tok trace.SpanToken
-	if tr != nil {
-		name := "c1_read"
-		if t.Op == capi.OpWriteReq {
-			name = "c1_write"
-		}
-		tok = tr.Begin(trace.LayerCAPI, name, me.k.NowPS())
 	}
 	// Price the access: memory-side attachment ingress, the C1 master's
 	// bandwidth ceiling, and donor DRAM.
@@ -167,7 +154,7 @@ func (me *MemoryEndpoint) handleRequest(port *llc.Port, t *capi.Transaction) {
 		t.Lat.Add(latency.StageC1Ingress, int64(SideLatency))
 		t.Lat.Add(latency.StageC1Service, int64((c1done-me.k.Now())+me.dramLat))
 	}
-	me.service.Schedule(delay, c1Access{port: port, t: t, reg: reg, tr: tr, tok: tok})
+	me.service.Schedule(delay, c1Access{port: port, t: t, reg: reg})
 }
 
 // serve completes a request's donor memory access and turns it into its
@@ -192,9 +179,6 @@ func (me *MemoryEndpoint) serve(a c1Access) {
 
 // respond sends a response out on the port its request came from.
 func (me *MemoryEndpoint) respond(a c1Access) {
-	if a.tr != nil {
-		a.tr.End(a.tok, me.k.NowPS())
-	}
 	if a.t.Lat != nil {
 		a.t.Lat.Add(latency.StageC1Egress, int64(SideLatency))
 	}

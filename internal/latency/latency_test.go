@@ -3,6 +3,8 @@ package latency
 import (
 	"encoding/json"
 	"testing"
+
+	"thymesisflow/internal/trace"
 )
 
 func TestRecordTilesExactly(t *testing.T) {
@@ -12,7 +14,8 @@ func TestRecordTilesExactly(t *testing.T) {
 	r.MarkTo(StageCreditStall, 1700)
 	r.Add(StageC1Ingress, 300)
 	r.Wire(StageFrameTx, StagePhyFlight, 2600, 250)
-	if !r.finish(3000) {
+	r.Finish(3000)
+	if !r.tiles() {
 		t.Fatalf("stage durations do not tile the round trip")
 	}
 	if got := r.Elapsed(); got != 2000 {
@@ -49,7 +52,8 @@ func TestWireClampsFlight(t *testing.T) {
 	if d := r.Duration(StagePhyFlight); d != 100 {
 		t.Fatalf("flight stage = %d, want 100", d)
 	}
-	if !r.finish(100) {
+	r.Finish(100)
+	if !r.tiles() {
 		t.Fatalf("clamped wire stamp broke tiling")
 	}
 }
@@ -65,11 +69,12 @@ func TestMarkToIgnoresBackwardClock(t *testing.T) {
 func TestSinkAggregatesPerFlow(t *testing.T) {
 	s := NewSink()
 	for i := 0; i < 10; i++ {
-		r := s.Start(0)
+		r := NewRecord(0)
 		r.Flow = uint16(1 + i%2)
 		r.MarkTo(StageCapiCross, 200)
 		r.Add(StageC1Service, 300)
-		s.Done(r, 1000)
+		r.Finish(1000)
+		s.Done(r)
 	}
 	b := s.Snapshot()
 	if b.Count != 10 {
@@ -99,9 +104,10 @@ func TestSinkAggregatesPerFlow(t *testing.T) {
 
 func TestSinkCountsSkew(t *testing.T) {
 	s := NewSink()
-	r := s.Start(0)
+	r := NewRecord(0)
 	r.Add(StageC1Service, 5000) // more stage time than the round trip
-	s.Done(r, 1000)
+	r.Finish(1000)
+	s.Done(r)
 	if b := s.Snapshot(); b.Skewed != 1 {
 		t.Fatalf("Skewed = %d, want 1", b.Skewed)
 	}
@@ -123,9 +129,10 @@ func TestCrossingStagesSumToBudgetShape(t *testing.T) {
 
 func TestBreakdownJSONRoundTrip(t *testing.T) {
 	s := NewSink()
-	r := s.Start(0)
+	r := NewRecord(0)
 	r.MarkTo(StageCapiCross, 212_500)
-	s.Done(r, 212_500)
+	r.Finish(212_500)
+	s.Done(r)
 	data, err := json.Marshal(s.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -151,5 +158,44 @@ func TestStageNamesStable(t *testing.T) {
 		if st.String() != want[i] {
 			t.Errorf("stage %d = %q, want %q", i, st.String(), want[i])
 		}
+	}
+}
+
+func TestEmitTilesRoot(t *testing.T) {
+	for _, st := range Stages() {
+		if stageLayer[st] == "" {
+			t.Fatalf("stage %v has no trace layer", st)
+		}
+	}
+	r := NewRecord(1000)
+	r.MarkTo(StageTranslate, 1000) // zero: no span
+	r.MarkTo(StageCapiCross, 1500)
+	r.MarkTo(StageCreditStall, 1700)
+	r.Wire(StageFrameTx, StagePhyFlight, 2600, 250)
+	r.Finish(3000)
+	ring := trace.NewRing(16)
+	buf := r.Emit(ring, "read_req", nil)
+	if len(buf) != 5 {
+		t.Fatalf("emitted %d stages, want the 5 non-zero ones: %+v", len(buf), buf)
+	}
+	evs := ring.Snapshot()
+	root := evs[0]
+	if root.Layer != trace.LayerCAPI || root.Name != "read_req" || root.TS != 1000 || root.Dur != r.Elapsed() {
+		t.Fatalf("root = %+v", root)
+	}
+	want := []struct{ layer, name string }{
+		{trace.LayerCAPI, "capi_cross"}, {trace.LayerLLC, "credit_stall"}, {trace.LayerLLC, "frame_tx"},
+		{trace.LayerPhy, "phy_flight"}, {trace.LayerCAPI, "complete"},
+	}
+	end := root.TS
+	for i, w := range want {
+		e := evs[1+i]
+		if e.Layer != w.layer || e.Name != w.name || e.TS != end || e.Txn != root.Txn {
+			t.Fatalf("stage %d = %+v, want %s/%s at %d in txn %d", i, e, w.layer, w.name, end, root.Txn)
+		}
+		end += e.Dur
+	}
+	if end != root.TS+root.Dur {
+		t.Fatalf("stages end at %d, root at %d", end, root.TS+root.Dur)
 	}
 }

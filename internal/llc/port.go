@@ -104,9 +104,10 @@ type Port struct {
 	// stops transmitting and ignores deliveries (the link is fenced).
 	down bool
 
-	// replaySpan is the open trace span of the current replay window (0
-	// when no replay is outstanding or tracing is disabled).
-	replaySpan trace.SpanToken
+	// replayOpen marks a replay window in progress, opened at replayStart
+	// (virtual picoseconds); closing it records one "replay" span.
+	replayOpen  bool
+	replayStart int64
 
 	// Stats.
 	stats Stats
@@ -305,16 +306,9 @@ func (p *Port) Send(t *capi.Transaction) {
 // is responsible for faulting it).
 func (p *Port) SendFrom(proc *sim.Proc, t *capi.Transaction) {
 	if p.credits <= 0 && !p.down {
-		var tok trace.SpanToken
-		if tr := p.k.Tracer(); tr != nil {
-			tok = tr.Begin(trace.LayerLLC, "credit_stall", p.k.NowPS())
-		}
 		for p.credits <= 0 && !p.down {
 			p.stats.CreditStalls++
 			p.creditWaiter.Wait(proc)
-		}
-		if tr := p.k.Tracer(); tr != nil {
-			tr.End(tok, p.k.NowPS())
 		}
 		if t.Lat != nil {
 			t.Lat.MarkTo(latency.StageCreditStall, p.k.NowPS())
@@ -394,9 +388,6 @@ func (p *Port) transmitFrame(f *Frame) {
 	p.keep(s)
 	p.nextSeq++
 	p.stats.TxFrames++
-	if tr := p.k.Tracer(); tr != nil {
-		tr.Instant(trace.LayerLLC, "tx_frame", p.k.NowPS())
-	}
 	p.transmitWire(s)
 	p.armTxTimer(f.Seq, 0)
 }
@@ -519,11 +510,8 @@ func (p *Port) escalateDown() {
 	}
 	if tr := p.k.Tracer(); tr != nil {
 		tr.Instant(trace.LayerLLC, "link_down", p.k.NowPS())
-		if p.replaySpan != 0 {
-			tr.End(p.replaySpan, p.k.NowPS())
-			p.replaySpan = 0
-		}
 	}
+	p.closeReplayWindow()
 	p.stats.TxAbandoned += int64(p.pending.Len())
 	p.pending = sim.FIFO[*capi.Transaction]{}
 	p.creditWaiter.Broadcast()
@@ -651,13 +639,7 @@ func (p *Port) handleData(f *Frame, aux any) {
 		p.expected++
 		p.rxStalls = 0
 		p.cancelReplayTimer()
-		if p.replaySpan != 0 {
-			// In-order delivery resumed: the replay window closes.
-			if tr := p.k.Tracer(); tr != nil {
-				tr.End(p.replaySpan, p.k.NowPS())
-			}
-			p.replaySpan = 0
-		}
+		p.closeReplayWindow() // in-order delivery resumed
 		p.replayAsked = false
 		for _, t := range f.Txns {
 			if t.Op == capi.OpNop {
@@ -691,15 +673,25 @@ func (p *Port) requestReplay() {
 		return
 	}
 	p.replayAsked = true
-	if p.replaySpan == 0 {
-		// Open the replay-window span; timer-driven re-requests within the
-		// same outage keep the original span running.
-		if tr := p.k.Tracer(); tr != nil {
-			p.replaySpan = tr.Begin(trace.LayerLLC, "replay", p.k.NowPS())
-		}
+	if !p.replayOpen {
+		// Timer-driven re-requests within the same outage keep the
+		// original window open.
+		p.replayOpen, p.replayStart = true, p.k.NowPS()
 	}
 	p.sendControl(true, p.expected, false)
 	p.armReplayTimer()
+}
+
+// closeReplayWindow ends the open replay window, if any, and records it
+// as one span.
+func (p *Port) closeReplayWindow() {
+	if !p.replayOpen {
+		return
+	}
+	p.replayOpen = false
+	if tr := p.k.Tracer(); tr != nil {
+		tr.Span(trace.LayerLLC, "replay", p.replayStart, p.k.NowPS())
+	}
 }
 
 func (p *Port) armReplayTimer() {

@@ -20,8 +20,6 @@ import (
 	"fmt"
 
 	"thymesisflow/internal/capi"
-	"thymesisflow/internal/latency"
-	"thymesisflow/internal/trace"
 )
 
 // DefaultSectionSize is the Linux sparse memory model section size on the
@@ -47,17 +45,7 @@ type Entry struct {
 type RMMU struct {
 	sectionSize uint64
 	table       []Entry
-
-	// src, when set by Instrument, supplies the virtual clock and a
-	// late-bound tracer for per-translation instants.
-	src trace.Source
 }
-
-// Instrument attaches a trace source (normally the owning endpoint's
-// *sim.Kernel). The tracer is looked up through the source on every
-// translation, so attaching a tracer to the kernel after construction still
-// takes effect; a nil source or tracer keeps translation at zero overhead.
-func (m *RMMU) Instrument(src trace.Source) { m.src = src }
 
 // New builds an RMMU covering `sections` sections of the given size (0 size
 // selects DefaultSectionSize). Section size must be a power of two and a
@@ -142,28 +130,12 @@ func (m *RMMU) Translate(t *capi.Transaction) error {
 	}
 	e := m.table[sec]
 	if !e.Valid {
-		if m.src != nil {
-			if tr := m.src.Tracer(); tr != nil {
-				tr.Instant(trace.LayerRMMU, "translate_fault", m.src.NowPS())
-			}
-		}
 		return fmt.Errorf("rmmu: section %d not mapped (addr %#x)", sec, t.Addr)
 	}
 	inSection := t.Addr - uint64(sec)*m.sectionSize
 	t.Addr = e.Offset + inSection
 	t.NetworkID = e.NetworkID
 	t.Bonded = e.Bonded
-	if m.src != nil {
-		if tr := m.src.Tracer(); tr != nil {
-			tr.Instant(trace.LayerRMMU, "translate", m.src.NowPS())
-		}
-		if t.Lat != nil {
-			// The section lookup is combinational in the prototype FPGA — it
-			// adds no virtual time — but the stamp closes the translate stage
-			// so any future pipelined-RMMU model is attributed automatically.
-			t.Lat.MarkTo(latency.StageTranslate, m.src.NowPS())
-		}
-	}
 	return nil
 }
 

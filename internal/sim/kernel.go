@@ -79,8 +79,8 @@ func (k *Kernel) SetTracer(tr trace.Tracer) { k.tracer = tr }
 // Tracer returns the attached tracer (nil when tracing is disabled).
 func (k *Kernel) Tracer() trace.Tracer { return k.tracer }
 
-// NowPS returns the current virtual time in picoseconds. Together with
-// Tracer it makes *Kernel a trace.Source for kernel-less components.
+// NowPS returns the current virtual time in picoseconds, the time base of
+// trace events and latency records.
 func (k *Kernel) NowPS() int64 { return int64(k.now) }
 
 // NewKernel returns a kernel with the clock at time zero.

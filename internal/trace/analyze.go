@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 )
@@ -11,8 +12,8 @@ import (
 // Chrome-trace analysis: the post-processing engine behind cmd/tftrace. It
 // re-ingests the Chrome trace-event JSON this package exports (or any trace
 // in that shape), turning the recorder from a viewer artifact into an
-// analysis tool: per-layer span statistics, critical-path extraction for the
-// slowest transactions, and stall attribution.
+// analysis tool: per-layer span statistics, the stage spans of the slowest
+// transactions, and each stage's share of round-trip time.
 
 // ParsedEvent is one event re-ingested from a Chrome trace-event export.
 // Times are virtual picoseconds (the export's fractional microseconds,
@@ -23,10 +24,8 @@ type ParsedEvent struct {
 	Ph    string // "X" span, "i" instant, "C" counter
 	TS    int64  // picoseconds
 	Dur   int64  // picoseconds, spans only
+	Txn   uint64 // transaction id (args.txn); 0 outside transactions
 }
-
-// End returns the event's end time (TS for non-spans).
-func (e ParsedEvent) End() int64 { return e.TS + e.Dur }
 
 // chromeDoc mirrors the exported JSON object shape.
 type chromeDoc struct {
@@ -36,8 +35,16 @@ type chromeDoc struct {
 		Ph   string  `json:"ph"`
 		TS   float64 `json:"ts"`
 		Dur  float64 `json:"dur"`
+		Args struct {
+			Txn uint64 `json:"txn"`
+		} `json:"args"`
 	} `json:"traceEvents"`
 }
+
+// usToPS converts the export's fractional microseconds back to picoseconds.
+// Rounding undoes the division's float error, so span times survive the
+// round trip exactly.
+func usToPS(us float64) int64 { return int64(math.Round(us * 1e6)) }
 
 // ParseChromeTrace re-ingests a Chrome trace-event JSON document. Metadata
 // records (thread names) are dropped; span, instant, and counter events are
@@ -58,12 +65,21 @@ func ParseChromeTrace(r io.Reader) ([]ParsedEvent, error) {
 			Layer: e.Cat,
 			Name:  e.Name,
 			Ph:    e.Ph,
-			TS:    int64(e.TS * 1e6), // µs -> ps
-			Dur:   int64(e.Dur * 1e6),
+			TS:    usToPS(e.TS),
+			Dur:   usToPS(e.Dur),
+			Txn:   e.Args.Txn,
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	return out, nil
+}
+
+// nearestRank returns the q-quantile of ascending, non-empty xs by the
+// nearest-rank rule — the element at rank ceil(q·n) — the convention of
+// metrics.Histogram.Quantile.
+func nearestRank(xs []int64, q float64) int64 {
+	i := int(math.Ceil(q*float64(len(xs)))) - 1
+	return xs[min(max(i, 0), len(xs)-1)]
 }
 
 // SpanSummary aggregates the spans (or instants) sharing one (layer, name).
@@ -99,15 +115,11 @@ func Summarize(events []ParsedEvent) []SpanSummary {
 		for _, d := range ds {
 			total += d
 		}
-		idx := (len(ds)*99 + 99) / 100
-		if idx >= len(ds) {
-			idx = len(ds) - 1
-		}
 		s := SpanSummary{
 			Layer: k.layer, Name: k.name, Kind: k.kind, Count: len(ds),
 			TotalNS: float64(total) / 1e3,
 			MeanNS:  float64(total) / float64(len(ds)) / 1e3,
-			P99NS:   float64(ds[idx]) / 1e3,
+			P99NS:   float64(nearestRank(ds, 0.99)) / 1e3,
 			MaxNS:   float64(ds[len(ds)-1]) / 1e3,
 		}
 		out = append(out, s)
@@ -128,119 +140,128 @@ func Summarize(events []ParsedEvent) []SpanSummary {
 	return out
 }
 
-// CriticalPath is the reconstruction of one slow transaction: the capi
-// round-trip span plus every event overlapping it, chronologically, with a
-// per-layer time rollup.
-type CriticalPath struct {
-	Root   ParsedEvent   `json:"root"`
-	RootNS float64       `json:"root_ns"`
-	Events []ParsedEvent `json:"events"`
-	// ByLayer maps layer -> nanoseconds of span time overlapping the window.
-	ByLayer map[string]float64 `json:"by_layer"`
+// Transaction is one datapath transaction recorded by Tracer.Txn: the capi
+// round-trip span and the stage spans that tile it.
+type Transaction struct {
+	Root   ParsedEvent
+	Stages []ParsedEvent
 }
 
-// isRoundTrip reports whether the span is a compute-side capi round trip —
-// the root event critical-path extraction ranks.
+// isRoundTrip reports whether the span is a compute-side capi round trip,
+// the root of a transaction.
 func isRoundTrip(e ParsedEvent) bool {
 	return e.Ph == "X" && e.Layer == LayerCAPI && strings.HasSuffix(e.Name, "_req")
 }
 
-// CriticalPaths extracts the slowest-k capi round trips and, for each, the
-// chronological set of events overlapping the round trip's window — the
-// activity a latency investigation walks through. The per-layer rollup sums
-// overlapped span time (clipped to the window), attributing the window
-// across the layers below the transaction.
-func CriticalPaths(events []ParsedEvent, k int) []CriticalPath {
-	var roots []ParsedEvent
+// Transactions groups the events carrying a transaction id, in order of
+// first appearance. A transaction whose root the ring evicted is dropped:
+// the ring evicts oldest first and records the root before its stages, so
+// a retained root always comes with all of its stages.
+func Transactions(events []ParsedEvent) []Transaction {
+	idx := make(map[uint64]int)
+	var out []Transaction
 	for _, e := range events {
+		if e.Txn == 0 || e.Ph != "X" {
+			continue
+		}
+		i, ok := idx[e.Txn]
+		if !ok {
+			i = len(out)
+			idx[e.Txn] = i
+			out = append(out, Transaction{})
+		}
 		if isRoundTrip(e) {
-			roots = append(roots, e)
+			out[i].Root = e
+		} else {
+			out[i].Stages = append(out[i].Stages, e)
 		}
 	}
-	sort.SliceStable(roots, func(i, j int) bool { return roots[i].Dur > roots[j].Dur })
-	if k > 0 && len(roots) > k {
-		roots = roots[:k]
+	kept := out[:0]
+	for _, t := range out {
+		if t.Root.Txn != 0 {
+			kept = append(kept, t)
+		}
 	}
-	out := make([]CriticalPath, 0, len(roots))
-	for _, root := range roots {
-		cp := CriticalPath{Root: root, RootNS: float64(root.Dur) / 1e3, ByLayer: map[string]float64{}}
-		for _, e := range events {
-			if e == root || e.End() <= root.TS || e.TS >= root.End() {
-				continue
-			}
-			cp.Events = append(cp.Events, e)
-			if e.Ph == "X" {
-				lo, hi := e.TS, e.End()
-				if lo < root.TS {
-					lo = root.TS
-				}
-				if hi > root.End() {
-					hi = root.End()
-				}
-				cp.ByLayer[e.Layer] += float64(hi-lo) / 1e3
-			}
+	return kept
+}
+
+// CriticalPath is one slow transaction: its capi round-trip span, its own
+// stage spans in time order, and their per-layer rollup.
+type CriticalPath struct {
+	Root   ParsedEvent   `json:"root"`
+	RootNS float64       `json:"root_ns"`
+	Stages []ParsedEvent `json:"stages"`
+	// ByLayer maps layer -> nanoseconds of the transaction's stage time.
+	ByLayer map[string]float64 `json:"by_layer"`
+}
+
+// CriticalPaths returns the slowest k transactions (all of them when k <=
+// 0), slowest first.
+func CriticalPaths(events []ParsedEvent, k int) []CriticalPath {
+	txns := Transactions(events)
+	sort.SliceStable(txns, func(i, j int) bool { return txns[i].Root.Dur > txns[j].Root.Dur })
+	if k > 0 && len(txns) > k {
+		txns = txns[:k]
+	}
+	out := make([]CriticalPath, 0, len(txns))
+	for _, t := range txns {
+		cp := CriticalPath{Root: t.Root, RootNS: float64(t.Root.Dur) / 1e3, Stages: t.Stages, ByLayer: map[string]float64{}}
+		for _, s := range t.Stages {
+			cp.ByLayer[s.Layer] += float64(s.Dur) / 1e3
 		}
 		out = append(out, cp)
 	}
 	return out
 }
 
-// StallAttribution quantifies how much of the total capi round-trip time was
-// spent inside LLC stall machinery: credit stalls and replay windows.
-type StallAttribution struct {
-	RoundTrips    int     `json:"round_trips"`
-	RoundTripNS   float64 `json:"round_trip_total_ns"`
-	CreditStallNS float64 `json:"credit_stall_ns"`
-	CreditPct     float64 `json:"credit_stall_pct"`
-	ReplayNS      float64 `json:"replay_ns"`
-	ReplayPct     float64 `json:"replay_pct"`
+// StageShare is one stage's total time across all transactions and its
+// share of their summed round-trip time.
+type StageShare struct {
+	Layer    string  `json:"layer"`
+	Stage    string  `json:"stage"`
+	TotalNS  float64 `json:"total_ns"`
+	SharePct float64 `json:"share_pct"`
 }
 
-// AttributeStalls sums capi round-trip time against the LLC credit_stall and
-// replay span time overlapping those round trips, expressing each as a
-// fraction of the total. This is the trace-side counterpart of the
-// credit_stall stage in the attribution pipeline: it works on any recorded
-// trace, with no instrumentation beyond PR 2's spans.
+// StallAttribution splits the summed round-trip time of every transaction
+// in a trace across the datapath stages, largest share first.
+type StallAttribution struct {
+	RoundTrips  int          `json:"round_trips"`
+	RoundTripNS float64      `json:"round_trip_total_ns"`
+	Stages      []StageShare `json:"stages"`
+}
+
+// AttributeStalls sums each stage's spans over every transaction and
+// expresses them as shares of total round-trip time. The stages tile each
+// round trip, so the shares sum to 100% — the trace-side counterpart of
+// latency.Breakdown's SharePct, which it reproduces for the same
+// transactions.
 func AttributeStalls(events []ParsedEvent) StallAttribution {
+	type key struct{ layer, stage string }
 	var att StallAttribution
-	var windows []ParsedEvent
-	for _, e := range events {
-		if isRoundTrip(e) {
-			windows = append(windows, e)
-			att.RoundTrips++
-			att.RoundTripNS += float64(e.Dur) / 1e3
+	var rtt int64
+	totals := make(map[key]int64)
+	for _, t := range Transactions(events) {
+		att.RoundTrips++
+		rtt += t.Root.Dur
+		for _, s := range t.Stages {
+			totals[key{s.Layer, s.Name}] += s.Dur
 		}
 	}
-	overlap := func(e ParsedEvent) float64 {
-		var total int64
-		for _, w := range windows {
-			lo, hi := e.TS, e.End()
-			if lo < w.TS {
-				lo = w.TS
-			}
-			if hi > w.End() {
-				hi = w.End()
-			}
-			if hi > lo {
-				total += hi - lo
-			}
+	att.RoundTripNS = float64(rtt) / 1e3
+	for k, ps := range totals {
+		sh := StageShare{Layer: k.layer, Stage: k.stage, TotalNS: float64(ps) / 1e3}
+		if rtt > 0 {
+			sh.SharePct = 100 * float64(ps) / float64(rtt)
 		}
-		return float64(total) / 1e3
+		att.Stages = append(att.Stages, sh)
 	}
-	for _, e := range events {
-		if e.Ph != "X" || e.Layer != LayerLLC {
-			continue
+	sort.Slice(att.Stages, func(i, j int) bool {
+		a, b := att.Stages[i], att.Stages[j]
+		if a.TotalNS != b.TotalNS {
+			return a.TotalNS > b.TotalNS
 		}
-		switch e.Name {
-		case "credit_stall":
-			att.CreditStallNS += overlap(e)
-		case "replay":
-			att.ReplayNS += overlap(e)
-		}
-	}
-	if att.RoundTripNS > 0 {
-		att.CreditPct = 100 * att.CreditStallNS / att.RoundTripNS
-		att.ReplayPct = 100 * att.ReplayNS / att.RoundTripNS
-	}
+		return a.Stage < b.Stage
+	})
 	return att
 }

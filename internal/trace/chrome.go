@@ -12,7 +12,9 @@ import (
 // (ui.perfetto.dev): a "traceEvents" array of phase-tagged records with
 // microsecond timestamps. One process (pid 1) represents the simulation;
 // each layer becomes its own named thread row so the timeline shows a
-// transaction descending phy -> llc -> capi -> rmmu lanes.
+// transaction's stages stepping across the capi, llc and phy lanes under
+// its capi round-trip span. Every event of a transaction carries its id as
+// args.txn, which ParseChromeTrace reads back.
 //
 // Virtual picosecond timestamps are exported as fractional microseconds,
 // preserving sub-nanosecond placement (both viewers accept float ts).
@@ -27,7 +29,7 @@ type chromeEvent struct {
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
 	Scope string         `json:"s,omitempty"`    // instant scope: "t" = thread
-	Args  map[string]any `json:"args,omitempty"` // counter values, metadata
+	Args  map[string]any `json:"args,omitempty"` // counter values, txn ids, metadata
 }
 
 const chromePID = 1
@@ -91,6 +93,9 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			ce.Ph = "X"
 			if e.Dur > 0 {
 				ce.Dur = psToUS(e.Dur)
+			}
+			if e.Txn != 0 {
+				ce.Args = map[string]any{"txn": e.Txn}
 			}
 		case PhaseInstant:
 			ce.Ph = "i"

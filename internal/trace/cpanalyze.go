@@ -202,8 +202,8 @@ func ProfileSagas(traces []SagaTrace) []OpProfile {
 		}
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 		p.MeanNS = float64(p.TotalNS) / float64(len(durs))
-		p.P50NS = durs[len(durs)/2]
-		p.P99NS = durs[minInt((len(durs)*99+99)/100, len(durs)-1)]
+		p.P50NS = nearestRank(durs, 0.5)
+		p.P99NS = nearestRank(durs, 0.99)
 		p.MaxNS = durs[len(durs)-1]
 		p.Stages = make([]StageSpan, 0, len(byCat))
 		for name, dur := range byCat {
@@ -226,13 +226,6 @@ func sortStages(ss []StageSpan) {
 		}
 		return ss[i].Name < ss[j].Name
 	})
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // eventLogDoc mirrors the GET /v1/events response shape.

@@ -6,18 +6,21 @@
 // Every event is keyed by a layer (the component of the disaggregation
 // datapath that emitted it: sim, phy, llc, capi, rmmu) and stamped with the
 // *virtual* simulation time in picoseconds, so the exported timeline shows
-// where simulated time goes inside the stack — flit flight times, credit
-// stalls, replay windows, CAPI transaction latencies — not host wall-clock.
+// where simulated time goes inside the stack — flit flight times, replay
+// windows, CAPI transactions and their stages — not host wall-clock.
 //
 // Instrumented components hold a Tracer and guard every emission with a nil
 // check:
 //
 //	if tr := k.Tracer(); tr != nil {
-//	    tr.Instant(trace.LayerRMMU, "translate", k.NowPS())
+//	    tr.Instant(trace.LayerLLC, "rx_crc_error", k.NowPS())
 //	}
 //
 // so the disabled path costs one pointer load and compare, and zero
 // allocations (verified by TestKernelNilTracerZeroAllocs in internal/sim).
+//
+// A datapath transaction is recorded in one Txn call when it completes: its
+// round trip plus the per-stage spans of its latency record, under one id.
 package trace
 
 import "sync"
@@ -32,22 +35,23 @@ const (
 	LayerRMMU = "rmmu" // remote-MMU translations
 )
 
-// SpanToken identifies an open span returned by Begin and consumed by End.
-// The zero token is invalid; End ignores it, so an untraced Begin/End pair
-// degenerates to two no-ops.
-type SpanToken uint64
+// Stage is one stage of a transaction passed to Tracer.Txn: Dur
+// picoseconds charged to Name on Layer.
+type Stage struct {
+	Layer, Name string
+	Dur         int64
+}
 
 // Tracer records spans and instant events on a virtual timeline. All
 // timestamps are virtual simulation time in picoseconds. Implementations
 // must be safe for concurrent use: independent simulation kernels (e.g. the
 // parallel experiment runner's cells) may share one recorder.
 type Tracer interface {
-	// Begin opens a span on a layer. The returned token is passed to End
-	// when the span closes; spans may stay open across event callbacks.
-	Begin(layer, name string, tsPS int64) SpanToken
-	// End closes a span opened by Begin. Ending an evicted or zero token is
-	// a no-op.
-	End(tok SpanToken, tsPS int64)
+	// Txn records one transaction as a whole: a root span [startPS, endPS)
+	// named name on layer, then one span per stage, laid end to end from
+	// startPS in the order given. Every event of the transaction carries the
+	// same Event.Txn id. The tracer does not retain stages.
+	Txn(layer, name string, startPS, endPS int64, stages []Stage)
 	// Span records a complete span whose endpoints are both known.
 	Span(layer, name string, startPS, endPS int64)
 	// Instant records a point event.
@@ -55,15 +59,6 @@ type Tracer interface {
 	// Counter records a sample of a named numeric series (rendered as a
 	// counter track on the timeline).
 	Counter(layer, name string, tsPS int64, value float64)
-}
-
-// Source is a virtual clock plus a late-bound tracer lookup. *sim.Kernel
-// implements it, letting kernel-less components (the RMMU section table) be
-// instrumented once at construction and still honour a tracer attached to
-// the kernel afterwards.
-type Source interface {
-	NowPS() int64
-	Tracer() Tracer
 }
 
 // Phase distinguishes event kinds, mirroring the Chrome trace-event phases.
@@ -80,11 +75,14 @@ const (
 type Event struct {
 	Seq   uint64 // global record sequence (monotonic, 0-based)
 	TS    int64  // virtual time, picoseconds
-	Dur   int64  // span duration in picoseconds; -1 while the span is open
+	Dur   int64  // span duration in picoseconds
 	Layer string
 	Name  string
 	Ph    Phase
 	Value float64 // counter sample value (PhaseCounter only)
+	// Txn groups the events of one transaction recorded by Tracer.Txn: its
+	// root's Seq plus one, so that zero means "not part of a transaction".
+	Txn uint64
 }
 
 // DefaultRingCapacity bounds recorders created with NewRing(0): 1 Mi events
@@ -112,46 +110,30 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]Event, 0, capacity)}
 }
 
-// record appends an event and returns its sequence number.
-func (r *Ring) record(e Event) uint64 {
-	seq := r.seq
-	e.Seq = seq
+// record appends an event, stamping its sequence number.
+func (r *Ring) record(e Event) {
+	e.Seq = r.seq
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
 	} else {
-		r.buf[seq%uint64(cap(r.buf))] = e
+		r.buf[r.seq%uint64(cap(r.buf))] = e
 	}
 	r.seq++
-	return seq
 }
 
-// Begin implements Tracer.
-func (r *Ring) Begin(layer, name string, tsPS int64) SpanToken {
+// Txn implements Tracer. The transaction's events are recorded under one
+// lock hold, so they are contiguous in the ring even when several kernels
+// share it.
+func (r *Ring) Txn(layer, name string, startPS, endPS int64, stages []Stage) {
 	r.mu.Lock()
-	seq := r.record(Event{TS: tsPS, Dur: -1, Layer: layer, Name: name, Ph: PhaseSpan})
+	id := r.seq + 1
+	r.record(Event{TS: startPS, Dur: max(endPS-startPS, 0), Layer: layer, Name: name, Ph: PhaseSpan, Txn: id})
+	ts := startPS
+	for _, s := range stages {
+		r.record(Event{TS: ts, Dur: s.Dur, Layer: s.Layer, Name: s.Name, Ph: PhaseSpan, Txn: id})
+		ts += s.Dur
+	}
 	r.mu.Unlock()
-	return SpanToken(seq + 1) // +1 keeps the zero token invalid
-}
-
-// End implements Tracer. If the span was evicted from the ring in the
-// meantime its completion is silently dropped.
-func (r *Ring) End(tok SpanToken, tsPS int64) {
-	if tok == 0 {
-		return
-	}
-	seq := uint64(tok - 1)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if seq >= r.seq || r.seq-seq > uint64(cap(r.buf)) {
-		return // never recorded, or already evicted
-	}
-	e := &r.buf[seq%uint64(cap(r.buf))]
-	if e.Seq != seq {
-		return // slot reused by a newer event
-	}
-	if d := tsPS - e.TS; d >= 0 {
-		e.Dur = d
-	}
 }
 
 // Span implements Tracer.

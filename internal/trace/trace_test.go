@@ -9,10 +9,9 @@ import (
 
 func TestRingRecordAndSnapshot(t *testing.T) {
 	r := NewRing(16)
-	tok := r.Begin(LayerLLC, "replay", 100)
-	r.Instant(LayerRMMU, "translate", 150)
+	r.Span(LayerLLC, "replay", 100, 400)
+	r.Instant(LayerLLC, "rx_gap", 150)
 	r.Counter(LayerSim, "queue_depth", 200, 7)
-	r.End(tok, 400)
 	r.Span(LayerPhy, "xmit", 50, 90)
 
 	evs := r.Snapshot()
@@ -20,9 +19,9 @@ func TestRingRecordAndSnapshot(t *testing.T) {
 		t.Fatalf("snapshot has %d events, want 4", len(evs))
 	}
 	if evs[0].Name != "replay" || evs[0].Ph != PhaseSpan || evs[0].Dur != 300 {
-		t.Fatalf("span not closed correctly: %+v", evs[0])
+		t.Fatalf("bad span: %+v", evs[0])
 	}
-	if evs[1].Ph != PhaseInstant || evs[1].Layer != LayerRMMU {
+	if evs[1].Ph != PhaseInstant || evs[1].Layer != LayerLLC {
 		t.Fatalf("bad instant: %+v", evs[1])
 	}
 	if evs[2].Ph != PhaseCounter || evs[2].Value != 7 {
@@ -30,6 +29,39 @@ func TestRingRecordAndSnapshot(t *testing.T) {
 	}
 	if evs[3].TS != 50 || evs[3].Dur != 40 {
 		t.Fatalf("bad complete span: %+v", evs[3])
+	}
+	for _, e := range evs {
+		if e.Txn != 0 {
+			t.Fatalf("event outside a transaction has txn id: %+v", e)
+		}
+	}
+}
+
+// TestRingTxn checks a transaction is recorded as its root span followed by
+// its stages laid end to end, all under the root's id.
+func TestRingTxn(t *testing.T) {
+	r := NewRing(16)
+	r.Instant(LayerSim, "before", 0)
+	r.Txn(LayerCAPI, "read_req", 1000, 1600, []Stage{
+		{LayerCAPI, "capi_cross", 200}, {LayerLLC, "credit_stall", 100}, {LayerPhy, "phy_flight", 300},
+	})
+	evs := r.Snapshot()
+	if len(evs) != 5 {
+		t.Fatalf("snapshot has %d events, want 5", len(evs))
+	}
+	root := evs[1]
+	if root.Name != "read_req" || root.TS != 1000 || root.Dur != 600 || root.Txn != root.Seq+1 {
+		t.Fatalf("bad root: %+v", root)
+	}
+	want := []struct {
+		name   string
+		ts, to int64
+	}{{"capi_cross", 1000, 1200}, {"credit_stall", 1200, 1300}, {"phy_flight", 1300, 1600}}
+	for i, w := range want {
+		e := evs[2+i]
+		if e.Name != w.name || e.TS != w.ts || e.TS+e.Dur != w.to || e.Txn != root.Txn || e.Ph != PhaseSpan {
+			t.Fatalf("stage %d = %+v, want %s [%d, %d) in txn %d", i, e, w.name, w.ts, w.to, root.Txn)
+		}
 	}
 }
 
@@ -53,33 +85,6 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-func TestRingEndAfterEviction(t *testing.T) {
-	r := NewRing(4)
-	tok := r.Begin(LayerLLC, "stall", 0)
-	for i := 0; i < 10; i++ {
-		r.Instant(LayerSim, "e", int64(i))
-	}
-	r.End(tok, 500) // must not panic or corrupt a reused slot
-	for _, e := range r.Snapshot() {
-		if e.Name == "stall" {
-			t.Fatalf("evicted span resurrected: %+v", e)
-		}
-		if e.Ph == PhaseInstant && e.Dur != 0 {
-			t.Fatalf("stale End corrupted a reused slot: %+v", e)
-		}
-	}
-	// Zero tokens are inert.
-	r.End(0, 600)
-	// Negative durations are clamped: End before Begin leaves the span open.
-	tok = r.Begin(LayerLLC, "backwards", 1000)
-	r.End(tok, 900)
-	evs := r.Snapshot()
-	last := evs[len(evs)-1]
-	if last.Dur != -1 {
-		t.Fatalf("backwards End should leave span open, got %+v", last)
-	}
-}
-
 func TestRingConcurrentRecording(t *testing.T) {
 	r := NewRing(1024)
 	var wg sync.WaitGroup
@@ -88,15 +93,21 @@ func TestRingConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tok := r.Begin(LayerLLC, "s", int64(i))
-				r.End(tok, int64(i)+10)
+				r.Txn(LayerCAPI, "read_req", int64(i), int64(i)+10, []Stage{{LayerLLC, "s", 10}})
 				r.Instant(LayerPhy, "p", int64(i))
 			}
 		}()
 	}
 	wg.Wait()
-	if r.Recorded() != 8*500*2 {
-		t.Fatalf("recorded %d events, want %d", r.Recorded(), 8*500*2)
+	if r.Recorded() != 8*500*3 {
+		t.Fatalf("recorded %d events, want %d", r.Recorded(), 8*500*3)
+	}
+	// Each transaction's two events stay adjacent under one id.
+	evs := r.Snapshot()
+	for i, e := range evs {
+		if e.Name == "read_req" && i+1 < len(evs) && (evs[i+1].Txn != e.Txn || evs[i+1].Name != "s") {
+			t.Fatalf("transaction %d split by a concurrent writer: %+v then %+v", e.Txn, e, evs[i+1])
+		}
 	}
 }
 
@@ -117,9 +128,8 @@ type chromeTrace struct {
 
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRing(64)
-	tok := r.Begin(LayerCAPI, "read_req", 1_000_000) // 1 us
-	r.Instant(LayerRMMU, "translate", 1_100_000)
-	r.End(tok, 3_000_000)
+	r.Span(LayerCAPI, "read_req", 1_000_000, 3_000_000) // 1 us + 2 us
+	r.Instant(LayerRMMU, "translate_fault", 1_100_000)
 	r.Counter(LayerSim, "queue_depth", 2_000_000, 3)
 
 	var buf bytes.Buffer
