@@ -29,16 +29,18 @@ ci: check race chaos replay-smoke ha-smoke detect-smoke fuzz-smoke
 # churn-trace replay driver that hammers the control plane, the graph
 # store whose path searches run under its read lock beside writers, the
 # phy channels whose counters collectors snapshot mid-run and whose
-# delivery queues the LLC feeds, and the endpoints and fabric switches
+# delivery queues the LLC feeds, the endpoints and fabric switches
 # whose request pools and forwarded frames ride the same kernel-local
-# queues.
+# queues, and the search and key-value workloads whose figure cells run
+# in parallel (Figure 9's cells all read one shared index set).
 race:
 	$(GO) test -race -count=1 ./internal/llc/ ./internal/core/ ./internal/phy/ \
 		./internal/sim/ ./internal/sim/shard/ ./internal/chaos/ \
 		./internal/metrics/ ./internal/trace/ ./internal/controlplane/ \
 		./internal/agent/ ./internal/dctrace/ ./internal/bench/ \
 		./internal/raft/ ./internal/timeseries/... ./internal/graphdb/ \
-		./internal/endpoint/ ./internal/fabric/
+		./internal/endpoint/ ./internal/fabric/ \
+		./internal/workloads/search/ ./internal/workloads/kvcache/
 
 # Run the fault-injection conformance campaigns (docs/RELIABILITY.md):
 # the datapath catalogue and the control-plane saga/recovery/reconciliation
@@ -72,12 +74,15 @@ detect-smoke:
 # recorder snapshot decoder against corrupted and truncated wire images,
 # of the sim kernel's event lanes against plain events (same firing
 # order and counters under any mix of schedules, cancels and windows),
-# and of the flat-array cache against a slice-per-set LRU reference (same
+# of process reuse against spawning without it (same firing log and
+# counters under random spawn/sleep/signal/resource programs), and of
+# the flat-array cache against a slice-per-set LRU reference (same
 # lookup results, residency and counters under lookups and flushes).
 fuzz-smoke:
 	$(GO) test ./internal/llc/ -fuzz FuzzDecodeCorrupted -fuzztime 10s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzSeriesDecode -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzLaneOrder -fuzztime 10s
+	$(GO) test ./internal/sim/ -fuzz FuzzProcReuse -fuzztime 10s
 	$(GO) test ./internal/mem/ -fuzz FuzzCacheLRU -fuzztime 10s
 
 vet:
@@ -109,7 +114,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkPortFrame|BenchmarkClusterLoad' \
 		-benchmem -benchtime 20000x ./internal/llc/ ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkCacheLookup' -benchmem ./internal/mem/
-	$(GO) test -run xxx -bench 'BenchmarkNewEngine' -benchmem -benchtime 10x \
+	$(GO) test -run xxx -bench 'BenchmarkBuildIndex' -benchmem -benchtime 10x \
 		./internal/workloads/search/
 
 # Wall-clock / allocation snapshot: sequential vs parallel quick suite,

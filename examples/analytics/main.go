@@ -15,6 +15,7 @@ import (
 
 func main() {
 	fmt.Println("Elasticsearch-like engine, Rally \"nested\" track (queries/sec)")
+	indexes := search.NewIndexes() // each index shape is built once
 	for _, ch := range search.Challenges() {
 		for _, shards := range []int{5, 32} {
 			fmt.Printf("%-8v shards=%-3d:", ch, shards)
@@ -26,7 +27,7 @@ func main() {
 				if ch == search.MA {
 					rc.OpsPerClient = 10
 				}
-				res, err := search.Run(cfg, rc)
+				res, err := search.Run(cfg, rc, indexes)
 				if err != nil {
 					log.Fatal(err)
 				}

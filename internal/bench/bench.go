@@ -322,7 +322,9 @@ func Fig9Search(w io.Writer, scale Scale) map[string]float64 {
 }
 
 // Fig9Search is the parallel-cell form of the package-level function: one
-// cell per (challenge, shards, configuration) tuple.
+// cell per (challenge, shards, configuration) tuple. The cells share one
+// index set, so each index shape is built once per call; queries only
+// read it, and it is dropped when the call returns.
 func (r *Runner) Fig9Search(w io.Writer, scale Scale) map[string]float64 {
 	configs := core.AllConfigs()
 	type cell struct {
@@ -339,6 +341,7 @@ func (r *Runner) Fig9Search(w io.Writer, scale Scale) map[string]float64 {
 			}
 		}
 	}
+	indexes := search.NewIndexes()
 	r.run(len(cells), func(i int) {
 		c := &cells[i]
 		rc := search.DefaultRunConfig(c.ch, c.shards)
@@ -350,7 +353,7 @@ func (r *Runner) Fig9Search(w io.Writer, scale Scale) map[string]float64 {
 				rc.OpsPerClient = 10
 			}
 		}
-		res, err := search.Run(c.cfg, rc)
+		res, err := search.Run(c.cfg, rc, indexes)
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -81,8 +83,27 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
+// Pinned SHA-256 digests of the quick-scale Figure 8 and Figure 9 text.
+// The shape tests only check orderings, so a refactor that moves a
+// still-plausible number would pass them; these hashes catch it. A change
+// that alters a figure on purpose must update its hash.
+const (
+	fig8QuickHash = "0e7f181c7fe79085c947808568029cd5f7cf3166ffcd8611a49421e5615fa4f2"
+	fig9QuickHash = "e7245f5fc665f67217d7370a5f4639ba49c182c4d7f2ab916e55689eb57a34b9"
+)
+
+// checkPinnedHash fails t when text does not hash to want.
+func checkPinnedHash(t *testing.T, name, text, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != want {
+		t.Errorf("quick %s text hash = %s, want %s; text:\n%s", name, got, want, text)
+	}
+}
+
 func TestFig8Shape(t *testing.T) {
-	res := Fig8Memcached(io.Discard, Quick)
+	var sb strings.Builder
+	res := Fig8Memcached(&sb, Quick)
+	checkPinnedHash(t, "Figure 8", sb.String(), fig8QuickHash)
 	local := res[core.ConfigLocal].GetLatency.Mean()
 	single := res[core.ConfigSingleDisaggregated].GetLatency.Mean()
 	bonding := res[core.ConfigBondingDisaggregated].GetLatency.Mean()
@@ -110,7 +131,9 @@ func TestFig6ProfileOutput(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res := Fig9Search(io.Discard, Quick)
+	var sb strings.Builder
+	res := Fig9Search(&sb, Quick)
+	checkPinnedHash(t, "Figure 9", sb.String(), fig9QuickHash)
 	// RTQ: scale-out beats local; single-disaggregated is the worst.
 	if res["RTQ/32/scale-out"] <= res["RTQ/32/local"] {
 		t.Fatalf("RTQ@32: scale-out %.0f <= local %.0f",

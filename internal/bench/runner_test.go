@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -83,4 +84,16 @@ func TestParallelFig7ByteIdentical(t *testing.T) {
 		t.Fatalf("parallel Fig7Throughput output diverged from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
 			seq.String(), par.String())
 	}
+}
+
+// TestParallelFig9PinnedHash runs Figure 9's cells in parallel, all
+// reading one shared index set, and checks the text against the
+// sequential run's pinned hash.
+func TestParallelFig9PinnedHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Fig9 run in -short mode")
+	}
+	var par strings.Builder
+	NewRunner(0).Fig9Search(&par, Quick)
+	checkPinnedHash(t, "parallel Figure 9", par.String(), fig9QuickHash)
 }

@@ -63,6 +63,7 @@ type Kernel struct {
 	cancelledQueued int      // cancelled events still in pq (lazy deletion)
 	backlog         int      // lane entries queued behind their lane's head
 	free            []*Event // recycled Event structs
+	idle            []*Proc  // finished processes kept for reuse (LIFO)
 
 	// tracer, when non-nil, receives a dispatch span and a queue-depth
 	// sample per fired event; datapath components reach it through
@@ -171,7 +172,10 @@ func (k *Kernel) RunUntil(limit Time) Time {
 }
 
 // run fires events with timestamps strictly below end until the queue
-// drains or Stop is called.
+// drains or Stop is called. Before it returns it ends the coroutines of
+// processes that finished during the call (drainIdle): reuse stays within
+// one call, and a kernel left with events pending is not kept alive by
+// idle coroutines.
 func (k *Kernel) run(end Time) {
 	k.stopped = false
 	for !k.stopped && len(k.pq) > 0 {
@@ -207,6 +211,9 @@ func (k *Kernel) run(end Time) {
 		fn()
 		k.executed++
 		k.recycle(e)
+	}
+	if len(k.idle) > 0 {
+		k.drainIdle()
 	}
 }
 

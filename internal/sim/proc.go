@@ -15,32 +15,73 @@ import (
 // time and never alongside the kernel. This keeps simulations deterministic
 // without locks in model code.
 //
-// A panic or runtime.Goexit in a process body surfaces on the goroutine
-// that resumed it: the caller of the kernel's Run.
+// A process whose body returns is kept for reuse: its coroutine parks on
+// the kernel's idle list, and a Go later in the same Run (or RunUntil,
+// RunBefore) call runs the next body on it instead of building a new
+// coroutine; the call ends whatever is still idle when it returns. A body
+// that panics or calls runtime.Goexit ends its coroutine for good; the
+// panic or Goexit surfaces on the goroutine that resumed it, the caller
+// of the kernel's Run.
 //
 // All Proc methods must be called from within the process body.
 type Proc struct {
 	k    *Kernel
 	name string
-	// yield parks the body; it is set when the body first runs.
+	// fn is the body the coroutine runs next; nil while idle, and a wake
+	// that finds it nil ends the coroutine (Kernel.drainIdle).
+	fn func(p *Proc)
+	// yield parks the body; it is set when the coroutine first runs.
 	yield func(struct{}) bool
-	// wake resumes the process until it parks or finishes (a no-op once
-	// it has finished). It is bound once at spawn, so every wakeup
-	// schedules the same func value and allocates nothing.
+	// wake resumes the process until it parks or finishes. It is bound
+	// once per coroutine, so every wakeup schedules the same func value
+	// and allocates nothing.
 	wake func()
 }
 
 // Go spawns a new simulated process executing fn. The process starts at the
 // current virtual time (after already-queued events for this instant).
+//
+// The process runs on the most recently idled coroutine if there is one,
+// else on a new one; either way Go schedules exactly one event, so event
+// sequence numbers and firing order do not depend on reuse. The returned
+// Proc is valid only until fn returns: after that it may run another body.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name}
-	next, _ := iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		fn(p)
-	})
-	p.wake = func() { next() }
+	var p *Proc
+	if n := len(k.idle); n > 0 {
+		p = k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+		p.name, p.fn = name, fn
+	} else {
+		p = &Proc{k: k, name: name, fn: fn}
+		next, _ := iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			for {
+				p.fn(p)
+				// Only a body that returns gets here: a panic or Goexit
+				// unwinds past the loop and ends the coroutine.
+				p.fn = nil
+				k.idle = append(k.idle, p)
+				yield(struct{}{})
+				if p.fn == nil {
+					return // drained
+				}
+			}
+		})
+		p.wake = func() { next() }
+	}
 	k.Schedule(0, p.wake)
 	return p
+}
+
+// drainIdle ends every idle coroutine, so none outlives the run that idled
+// it: waking an idle process with no body makes its loop return.
+func (k *Kernel) drainIdle() {
+	for i, p := range k.idle {
+		k.idle[i] = nil
+		p.wake()
+	}
+	k.idle = k.idle[:0]
 }
 
 // park yields control back to the kernel; the process stays blocked until

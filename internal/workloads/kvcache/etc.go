@@ -43,6 +43,8 @@ type Zipf struct {
 	rng *rand.Rand
 	n   float64
 	s   float64
+	// precomputed ln(n) for the s == 1 branch
+	logN float64
 	// precomputed normalization for the s != 1 branch
 	pow float64
 }
@@ -52,6 +54,8 @@ func NewZipf(rng *rand.Rand, n int64, s float64) *Zipf {
 	z := &Zipf{rng: rng, n: float64(n), s: s}
 	if s != 1.0 {
 		z.pow = math.Pow(z.n, 1-s)
+	} else {
+		z.logN = math.Log(z.n)
 	}
 	return z
 }
@@ -62,7 +66,7 @@ func (z *Zipf) Next() int64 {
 	var k float64
 	if z.s == 1.0 {
 		// F(k) = ln(k)/ln(n)  =>  k = n^u
-		k = math.Exp(u * math.Log(z.n))
+		k = math.Exp(u * z.logN)
 	} else {
 		// F(k) = (k^(1-s)-1)/(n^(1-s)-1)
 		k = math.Pow(u*(z.pow-1)+1, 1/(1-z.s))
@@ -90,10 +94,19 @@ func keyID(rank int64) uint64 {
 	return x
 }
 
-// valueSize returns the deterministic value size of a key: lognormal by key
-// hash, clamped to the slab range. Sizes are a property of the key so
-// repeated SETs stay consistent.
-func valueSize(cfg ETCConfig, key uint64) int64 {
+// sizeSigma is the shape of the lognormal value-size distribution.
+const sizeSigma = 0.8
+
+// sizeMu returns the location of the lognormal value-size distribution
+// whose mean is cfg.MeanValueBytes.
+func sizeMu(cfg ETCConfig) float64 {
+	return math.Log(cfg.MeanValueBytes) - sizeSigma*sizeSigma/2
+}
+
+// valueSize returns the deterministic value size of a key: lognormal (with
+// location mu, from sizeMu) by key hash, clamped to the slab range. Sizes
+// are a property of the key so repeated SETs stay consistent.
+func valueSize(mu float64, key uint64) int64 {
 	// Two uniform doubles from the key hash drive a Box-Muller normal.
 	h1 := float64((key>>11)&0xFFFFFFFF) / float64(1<<32)
 	h2 := float64((key*0x9E3779B97F4A7C15)>>32&0xFFFFFFFF) / float64(1<<32)
@@ -101,9 +114,7 @@ func valueSize(cfg ETCConfig, key uint64) int64 {
 		h1 = 1e-12
 	}
 	norm := math.Sqrt(-2*math.Log(h1)) * math.Cos(2*math.Pi*h2)
-	const sigma = 0.8
-	mu := math.Log(cfg.MeanValueBytes) - sigma*sigma/2
-	size := int64(math.Exp(mu + sigma*norm))
+	size := int64(math.Exp(mu + sizeSigma*norm))
 	if size < 16 {
 		size = 16
 	}
@@ -125,20 +136,26 @@ type Generator struct {
 	cfg  ETCConfig
 	rng  *rand.Rand
 	zipf *Zipf
+	mu   float64 // sizeMu(cfg)
 }
 
 // NewGenerator builds a thread-local generator (seed should differ per
 // thread).
 func NewGenerator(cfg ETCConfig, threadSeed int64) *Generator {
 	rng := rand.New(rand.NewSource(cfg.Seed + threadSeed*7919))
-	return &Generator{cfg: cfg, rng: rng, zipf: NewZipf(rng, cfg.Keys, cfg.ZipfExponent)}
+	return &Generator{cfg: cfg, rng: rng, zipf: NewZipf(rng, cfg.Keys, cfg.ZipfExponent), mu: sizeMu(cfg)}
 }
 
 // Next returns the next operation.
 func (g *Generator) Next() Op {
-	rank := g.zipf.Next()
-	key := keyID(rank)
-	op := Op{Key: key, Size: valueSize(g.cfg, key)}
-	op.IsGet = g.rng.Intn(g.cfg.GetToSet+1) != 0
-	return op
+	key, isGet := g.nextKey()
+	return Op{Key: key, Size: valueSize(g.mu, key), IsGet: isGet}
+}
+
+// nextKey draws the next operation's key and kind without sizing its
+// value: it takes the same random draws as Next, so a caller that discards
+// the key skips only the size maths.
+func (g *Generator) nextKey() (key uint64, isGet bool) {
+	key = keyID(g.zipf.Next())
+	return key, g.rng.Intn(g.cfg.GetToSet+1) != 0
 }

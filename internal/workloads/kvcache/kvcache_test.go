@@ -129,7 +129,7 @@ func TestValueSizesDeterministicAndBounded(t *testing.T) {
 	var total float64
 	for rank := int64(1); rank <= 1000; rank++ {
 		key := keyID(rank)
-		a, b := valueSize(cfg, key), valueSize(cfg, key)
+		a, b := valueSize(sizeMu(cfg), key), valueSize(sizeMu(cfg), key)
 		if a != b {
 			t.Fatal("value size not deterministic per key")
 		}

@@ -220,14 +220,16 @@ func warm(s *Server, etc ETCConfig, shard, shards int) {
 	target := s.capacity * 95 / 100
 	maxDraws := etc.Keys * 4
 	for draws := int64(0); draws < maxDraws && s.used < target; draws++ {
-		op := gen.Next()
-		if shards > 1 && op.Key%uint64(shards) != uint64(shard) {
+		// Only a key this shard keeps is sized.
+		key, _ := gen.nextKey()
+		if shards > 1 && key%uint64(shards) != uint64(shard) {
 			continue
 		}
-		if _, ok := s.index[op.Key]; ok {
+		if _, ok := s.index[key]; ok {
 			continue
 		}
-		cls, err := classFor(op.Size)
+		size := valueSize(gen.mu, key)
+		cls, err := classFor(size)
 		if err != nil {
 			continue
 		}
@@ -235,8 +237,8 @@ func warm(s *Server, etc ETCConfig, shard, shards int) {
 		if err != nil {
 			break
 		}
-		it := &item{key: op.Key, size: op.Size, off: off, cls: cls}
-		s.index[op.Key] = it
+		it := &item{key: key, size: size, off: off, cls: cls}
+		s.index[key] = it
 		s.lruPush(it)
 	}
 	// Warm-up traffic does not count toward measured statistics.

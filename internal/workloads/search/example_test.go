@@ -14,7 +14,7 @@ func Example() {
 	rc.Clients = 8
 	rc.OpsPerClient = 2
 	rc.Corpus = search.CorpusConfig{Seed: 1, Docs: 40_000, Tags: 50, TagsPerDoc: 3}
-	res, err := search.Run(core.ConfigScaleOut, rc)
+	res, err := search.Run(core.ConfigScaleOut, rc, search.NewIndexes())
 	if err != nil {
 		panic(err)
 	}

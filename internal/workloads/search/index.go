@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/mem"
@@ -39,108 +40,106 @@ func DefaultCorpusConfig() CorpusConfig {
 }
 
 // docMeta is the functional document metadata (the simulated arena carries
-// the timing; this carries the truth for correctness checks).
+// the timing; this carries the truth for correctness checks). Its fields
+// are as narrow as their ranges allow: shared indexes stay live for a
+// whole figure.
 type docMeta struct {
-	id      int32
-	date    int32 // days since epoch
-	answers int16 // answers posted before `date`+window
+	date    int16 // days since epoch, [0, 4000)
+	answers int16 // answers posted before `date`+window, [0, 160)
 }
 
-// Shard is one index shard: an inverted index over its documents plus the
-// stored metadata region, both living in simulated memory.
-type Shard struct {
-	id    int
-	arena *mem.Buffer
-
+// shardIndex is the immutable part of one shard: its documents and
+// encoded posting lists. Engines built from one Index share it, and
+// queries only read it.
+type shardIndex struct {
 	docs []docMeta
-	// The posting slices are indexed by tag, one entry per tag of the
-	// corpus vocabulary; a tag no document carries has an empty list.
-	//
-	// postings[tag] holds the local doc ordinals (ascending): the
-	// build-time truth that TestShardEncodingMatchesTruth checks the
-	// encoded form against.
-	postings [][]int32
-	// postingEnc[tag] is the varint-delta-encoded posting list (the bytes
-	// that actually live in the arena).
-	postingEnc [][]byte
-	// postingOff[tag] is the arena byte offset of the encoded list.
-	postingOff []int64
-	metaOff    int64
+	// postings holds the posting list of every tag of the corpus
+	// vocabulary, ascending local doc ordinals varint-delta-encoded, back
+	// to back in ascending tag order: the bytes of the arena's index
+	// region, which the stored-fields region follows. A tag no document
+	// carries has an empty list. TestShardEncodingMatchesTruth checks the
+	// lists against a reference build of the corpus.
+	postings []byte
+	// start[tag] is the offset of a tag's list in postings; its last entry
+	// is len(postings), so list tag ends at start[tag+1].
+	start []int64
 }
 
 // encoded returns a tag's encoded posting list and its arena offset; a tag
 // outside the vocabulary has an empty list.
-func (s *Shard) encoded(tag int) ([]byte, int64) {
-	if tag < 0 || tag >= len(s.postingEnc) {
+func (s *shardIndex) encoded(tag int) ([]byte, int64) {
+	if tag < 0 || tag >= len(s.start)-1 {
 		return nil, 0
 	}
-	return s.postingEnc[tag], s.postingOff[tag]
+	lo, hi := s.start[tag], s.start[tag+1]
+	return s.postings[lo:hi:hi], lo
+}
+
+// metaOff is the arena offset of the stored-fields region.
+func (s *shardIndex) metaOff() int64 { return int64(len(s.postings)) }
+
+// arenaBytes is the arena size the shard's index and stored metadata need.
+func (s *shardIndex) arenaBytes() int64 {
+	return s.metaOff() + int64(len(s.docs))*DocMetaBytes + mem.CachelineSize
+}
+
+// Shard is one index shard of an engine: a shared shardIndex plus the
+// engine's own arena, the simulated memory its index and stored metadata
+// live in.
+type Shard struct {
+	id    int
+	arena *mem.Buffer
+	*shardIndex
 }
 
 // docMetaAddr returns the arena address of a document's stored metadata.
 func (s *Shard) docMetaAddr(ord int32) uint64 {
-	return s.arena.Addr(s.metaOff + int64(ord)*DocMetaBytes)
+	return s.arena.Addr(s.metaOff() + int64(ord)*DocMetaBytes)
 }
 
-// Engine is one search-engine instance (one per server node).
-type Engine struct {
-	host   *core.Host
-	shards []*Shard
-	// pool is the search thread pool (Elasticsearch sizes it from the core
-	// count).
-	poolFree []*mem.Thread
-	poolSig  *sim.Signal
-	// coord is the coordinating (REST) thread.
-	coord *mem.Thread
+// Index is an immutable sharded index over a synthetic corpus: every
+// shard's documents and encoded posting lists with their arena offsets.
+// It holds no simulated memory, so engines on any host may share it; each
+// engine allocates its own arenas (NewEngine).
+type Index struct {
+	shards []*shardIndex
 }
 
-// EngineConfig tunes an instance.
-type EngineConfig struct {
-	Shards      int
-	PoolThreads int
-}
-
-// NewEngine builds an instance holding `docs` documents spread over the
-// configured shards, with the given page placement for index memory.
-func NewEngine(host *core.Host, placer numa.Placer, corpus CorpusConfig, cfg EngineConfig) (*Engine, error) {
-	if cfg.Shards <= 0 {
+// BuildIndex generates the corpus and splits it over `shards` shards.
+func BuildIndex(corpus CorpusConfig, shards int) (*Index, error) {
+	if shards <= 0 {
 		return nil, fmt.Errorf("search: no shards")
 	}
 	if corpus.Tags <= 0 {
 		return nil, fmt.Errorf("search: corpus has %d tags", corpus.Tags)
 	}
-	if cfg.PoolThreads <= 0 {
-		cfg.PoolThreads = 48
-	}
-	e := &Engine{host: host, poolSig: sim.NewSignal(host.K), coord: host.NewThread(0)}
-	rng := rand.New(rand.NewSource(corpus.Seed))
-
-	perShard := corpus.Docs / cfg.Shards
+	perShard := corpus.Docs / shards
 	if perShard == 0 {
-		return nil, fmt.Errorf("search: %d docs cannot fill %d shards", corpus.Docs, cfg.Shards)
+		return nil, fmt.Errorf("search: %d docs cannot fill %d shards", corpus.Docs, shards)
 	}
+	ix := &Index{shards: make([]*shardIndex, 0, shards)}
+	rng := rand.New(rand.NewSource(corpus.Seed))
 	// docTags holds one shard's tag draws, TagsPerDoc per document, with -1
 	// for a draw that repeats a tag of the same document. counts[tag]
 	// sizes each posting list, so a shard's lists share one backing array.
+	// These and the lists themselves are build scratch, reused across
+	// shards: the index keeps only the encoded lists.
 	tagsPerDoc := max(corpus.TagsPerDoc, 0)
 	docTags := make([]int32, perShard*tagsPerDoc)
 	counts := make([]int, corpus.Tags)
-	for si := 0; si < cfg.Shards; si++ {
-		sh := &Shard{
-			id:         si,
-			docs:       make([]docMeta, 0, perShard),
-			postings:   make([][]int32, corpus.Tags),
-			postingEnc: make([][]byte, corpus.Tags),
-			postingOff: make([]int64, corpus.Tags),
+	postings := make([][]int32, corpus.Tags)
+	backing := make([]int32, len(docTags))
+	for si := 0; si < shards; si++ {
+		sh := &shardIndex{
+			docs:  make([]docMeta, 0, perShard),
+			start: make([]int64, corpus.Tags+1),
 		}
 		clear(counts)
 		for ord := 0; ord < perShard; ord++ {
-			d := docMeta{
-				id:      int32(si*perShard + ord),
-				date:    int32(rng.Intn(4000)),
+			sh.docs = append(sh.docs, docMeta{
+				date:    int16(rng.Intn(4000)),
 				answers: int16(rng.Intn(160)),
-			}
-			sh.docs = append(sh.docs, d)
+			})
 			drawn := docTags[ord*tagsPerDoc : (ord+1)*tagsPerDoc]
 			for t := range drawn {
 				// Skewed tag popularity: squaring the uniform draw favors
@@ -159,53 +158,106 @@ func NewEngine(host *core.Host, placer numa.Placer, corpus CorpusConfig, cfg Eng
 			}
 		}
 		// Fill the lists in document order, so each ascends.
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		backing := make([]int32, total)
+		rest := backing
 		for t, c := range counts {
-			sh.postings[t], backing = backing[:0:c], backing[c:]
+			postings[t], rest = rest[:0:c], rest[c:]
 		}
 		for i, tag := range docTags {
 			if tag >= 0 {
-				sh.postings[tag] = append(sh.postings[tag], int32(i/tagsPerDoc))
+				postings[tag] = append(postings[tag], int32(i/tagsPerDoc))
 			}
 		}
-		// Encode every non-empty posting list (Lucene-style varint deltas;
-		// TestShardEncodingMatchesTruth checks the round trip) back to back
-		// in ascending tag order, the arena's layout, followed by the
-		// stored-fields region.
-		off := int64(0)
-		for t, list := range sh.postings {
-			if len(list) == 0 {
-				continue
-			}
+		// Encode every posting list (Lucene-style varint deltas) back to
+		// back in ascending tag order, the arena's layout, into a buffer
+		// sized exactly: the index stays live while engines use it.
+		size := int64(0)
+		for t, list := range postings {
 			n, err := encodedLen(list)
 			if err != nil {
 				return nil, fmt.Errorf("search: shard %d tag %d: %w", si, t, err)
 			}
-			sh.postingOff[t] = off
-			off += int64(n)
+			sh.start[t] = size
+			size += int64(n)
 		}
-		sh.metaOff = off
-		enc := make([]byte, 0, off)
-		for t, list := range sh.postings {
-			if len(list) == 0 {
-				continue
-			}
-			enc = appendPostings(enc, list)
-			sh.postingEnc[t] = enc[sh.postingOff[t]:len(enc):len(enc)]
+		sh.start[corpus.Tags] = size
+		sh.postings = make([]byte, 0, size)
+		for _, list := range postings {
+			sh.postings = appendPostings(sh.postings, list)
 		}
-		metaBytes := int64(perShard) * DocMetaBytes
-		arena, err := host.Mem.Alloc(sh.metaOff+metaBytes+mem.CachelineSize, placer)
+		ix.shards = append(ix.shards, sh)
+	}
+	return ix, nil
+}
+
+// Indexes builds each index shape a batch of runs needs once, on first
+// use, and hands the same Index to every engine of that shape. It is safe
+// for concurrent use, so the parallel cells of one figure can share it;
+// the indexes live as long as the Indexes value does.
+type Indexes struct {
+	mu     sync.Mutex
+	shapes map[indexShape]*lazyIndex
+}
+
+type indexShape struct {
+	corpus CorpusConfig
+	shards int
+}
+
+type lazyIndex struct {
+	once sync.Once
+	ix   *Index
+	err  error
+}
+
+// NewIndexes returns an empty index set.
+func NewIndexes() *Indexes {
+	return &Indexes{shapes: make(map[indexShape]*lazyIndex)}
+}
+
+// Get returns the index of `corpus` over `shards` shards, building it on
+// the first request for that shape. Concurrent requests for one shape wait
+// for a single build.
+func (s *Indexes) Get(corpus CorpusConfig, shards int) (*Index, error) {
+	key := indexShape{corpus, shards}
+	s.mu.Lock()
+	l := s.shapes[key]
+	if l == nil {
+		l = &lazyIndex{}
+		s.shapes[key] = l
+	}
+	s.mu.Unlock()
+	l.once.Do(func() { l.ix, l.err = BuildIndex(corpus, shards) })
+	return l.ix, l.err
+}
+
+// Engine is one search-engine instance (one per server node).
+type Engine struct {
+	host   *core.Host
+	shards []*Shard
+	// pool is the search thread pool (Elasticsearch sizes it from the core
+	// count).
+	poolFree []*mem.Thread
+	poolSig  *sim.Signal
+	// coord is the coordinating (REST) thread.
+	coord *mem.Thread
+}
+
+// NewEngine builds an instance serving index ix from arenas on host, with
+// the given page placement for index memory and a search pool of
+// poolThreads threads (48 when non-positive).
+func NewEngine(host *core.Host, placer numa.Placer, ix *Index, poolThreads int) (*Engine, error) {
+	if poolThreads <= 0 {
+		poolThreads = 48
+	}
+	e := &Engine{host: host, poolSig: sim.NewSignal(host.K), coord: host.NewThread(0)}
+	for si, six := range ix.shards {
+		arena, err := host.Mem.Alloc(six.arenaBytes(), placer)
 		if err != nil {
 			return nil, fmt.Errorf("search: shard %d arena: %w", si, err)
 		}
-		sh.arena = arena
-		e.shards = append(e.shards, sh)
+		e.shards = append(e.shards, &Shard{id: si, arena: arena, shardIndex: six})
 	}
-	for i := 0; i < cfg.PoolThreads; i++ {
+	for i := 0; i < poolThreads; i++ {
 		e.poolFree = append(e.poolFree, host.NewThread(i))
 	}
 	return e, nil

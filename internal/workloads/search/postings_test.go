@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,9 +116,13 @@ func TestQuickPostingsRoundTrip(t *testing.T) {
 
 func TestShardEncodingMatchesTruth(t *testing.T) {
 	_, e := newLocalEngine(t, 2)
-	for _, sh := range e.Shards() {
-		for tag, truth := range sh.postings {
-			got := decodePostings(sh.postingEnc[tag])
+	docs, postings := referenceCorpus(smallCorpus(), 2)
+	for si, sh := range e.Shards() {
+		if !slices.Equal(sh.docs, docs[si]) {
+			t.Fatalf("shard %d: documents differ from the reference build", si)
+		}
+		for tag, truth := range postings[si] {
+			got := postingsOf(sh, tag)
 			if len(got) != len(truth) {
 				t.Fatalf("tag %d: decoded %d entries, want %d", tag, len(got), len(truth))
 			}
@@ -200,7 +205,7 @@ func TestBooleanAndOnShard(t *testing.T) {
 	tb, e := newLocalEngine(t, 1)
 	sh := e.Shards()[0]
 	const tagA, tagB = 0, 1
-	want := len(naiveIntersect(sh.postings[tagA], sh.postings[tagB]))
+	want := len(naiveIntersect(postingsOf(sh, tagA), postingsOf(sh, tagB)))
 	got := 0
 	tb.Cluster.K.Go("q", func(p *sim.Proc) {
 		th := e.acquireThread(p)

@@ -1,8 +1,9 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"thymesisflow/internal/mem"
 	"thymesisflow/internal/sim"
@@ -124,7 +125,7 @@ func (sh *Shard) runRNQIHBS(p *sim.Proc, th *mem.Thread, tag int, date int32) in
 	hits := 0
 	for _, ord := range list {
 		d := sh.docs[ord]
-		if d.answers >= 100 && d.date < date {
+		if d.answers >= 100 && int32(d.date) < date {
 			hits++
 		}
 	}
@@ -145,9 +146,9 @@ func (sh *Shard) runRSTQ(p *sim.Proc, th *mem.Thread, tag int) int {
 	// Functional sort over the truth data (verifies the index contents).
 	dates := make([]int32, n)
 	for i, ord := range list {
-		dates[i] = sh.docs[ord].date
+		dates[i] = int32(sh.docs[ord].date)
 	}
-	sort.Slice(dates, func(i, j int) bool { return dates[i] > dates[j] })
+	slices.SortFunc(dates, func(a, b int32) int { return cmp.Compare(b, a) })
 	return n
 }
 

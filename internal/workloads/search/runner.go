@@ -48,8 +48,10 @@ type Result struct {
 	TotalHits  int64
 }
 
-// Run executes the challenge under one memory configuration.
-func Run(cfgName core.MemoryConfig, rc RunConfig) (*Result, error) {
+// Run executes the challenge under one memory configuration. Each instance
+// serves its share of the corpus from an index taken from ix, so runs that
+// share ix build each index shape once.
+func Run(cfgName core.MemoryConfig, rc RunConfig, ix *Indexes) (*Result, error) {
 	if rc.Shards <= 0 || rc.Clients <= 0 || rc.OpsPerClient <= 0 {
 		return nil, fmt.Errorf("search: bad run config %+v", rc)
 	}
@@ -78,10 +80,11 @@ func Run(cfgName core.MemoryConfig, rc RunConfig) (*Result, error) {
 		} else {
 			placer = numa.Local(host.LocalNode(0))
 		}
-		engines[i], err = NewEngine(host, placer, corpus, EngineConfig{
-			Shards:      shardsPer,
-			PoolThreads: rc.PoolThreads,
-		})
+		index, err := ix.Get(corpus, shardsPer)
+		if err != nil {
+			return nil, err
+		}
+		engines[i], err = NewEngine(host, placer, index, rc.PoolThreads)
 		if err != nil {
 			return nil, err
 		}

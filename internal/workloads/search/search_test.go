@@ -1,7 +1,11 @@
 package search
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"thymesisflow/internal/core"
@@ -19,12 +23,48 @@ func newLocalEngine(t *testing.T, shards int) (*core.Testbed, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(tb.Server, numa.Local(tb.Server.LocalNode(0)), smallCorpus(),
-		EngineConfig{Shards: shards, PoolThreads: 8})
+	ix, err := BuildIndex(smallCorpus(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(tb.Server, numa.Local(tb.Server.LocalNode(0)), ix, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tb, e
+}
+
+// referenceCorpus regenerates a corpus the plain way, as the truth an
+// index is checked against: per shard, every document's metadata and each
+// tag's ascending list of local doc ordinals.
+func referenceCorpus(corpus CorpusConfig, shards int) (docs [][]docMeta, postings [][][]int32) {
+	rng := rand.New(rand.NewSource(corpus.Seed))
+	perShard := corpus.Docs / shards
+	for si := 0; si < shards; si++ {
+		ds := make([]docMeta, perShard)
+		lists := make([][]int32, corpus.Tags)
+		for ord := range ds {
+			ds[ord] = docMeta{date: int16(rng.Intn(4000)), answers: int16(rng.Intn(160))}
+			seen := map[int]bool{}
+			for range corpus.TagsPerDoc {
+				u := rng.Float64()
+				tag := min(int(u*u*float64(corpus.Tags)), corpus.Tags-1)
+				if !seen[tag] {
+					seen[tag] = true
+					lists[tag] = append(lists[tag], int32(ord))
+				}
+			}
+		}
+		docs = append(docs, ds)
+		postings = append(postings, lists)
+	}
+	return docs, postings
+}
+
+// postingsOf decodes a tag's posting list from its shard's index.
+func postingsOf(sh *Shard, tag int) []int32 {
+	enc, _ := sh.encoded(tag)
+	return decodePostings(enc)
 }
 
 func TestIndexStructure(t *testing.T) {
@@ -32,11 +72,13 @@ func TestIndexStructure(t *testing.T) {
 	if len(e.Shards()) != 4 {
 		t.Fatalf("shards = %d", len(e.Shards()))
 	}
+	_, truth := referenceCorpus(smallCorpus(), 4)
 	totalDocs := 0
-	for _, sh := range e.Shards() {
+	for si, sh := range e.Shards() {
 		totalDocs += len(sh.docs)
 		// Posting lists are sorted ascending and in range.
-		for tag, list := range sh.postings {
+		for tag := range truth[si] {
+			list := postingsOf(sh, tag)
 			for i, ord := range list {
 				if int(ord) >= len(sh.docs) {
 					t.Fatalf("tag %d: ordinal %d out of range", tag, ord)
@@ -50,8 +92,8 @@ func TestIndexStructure(t *testing.T) {
 		// back in ascending tag order, at strictly ascending offsets, and
 		// end where the stored-fields region begins.
 		end := int64(0)
-		for tag, list := range sh.postings {
-			enc := sh.postingEnc[tag]
+		for tag, list := range truth[si] {
+			enc, off := sh.encoded(tag)
 			if len(list) == 0 {
 				if len(enc) != 0 {
 					t.Fatalf("tag %d: empty list with a %d-byte encoding", tag, len(enc))
@@ -61,14 +103,13 @@ func TestIndexStructure(t *testing.T) {
 			if len(enc) == 0 {
 				t.Fatalf("tag %d: %d postings but no encoding", tag, len(list))
 			}
-			if sh.postingOff[tag] != end {
-				t.Fatalf("tag %d: arena offset %d, want %d (previous list's end)",
-					tag, sh.postingOff[tag], end)
+			if off != end {
+				t.Fatalf("tag %d: arena offset %d, want %d (previous list's end)", tag, off, end)
 			}
 			end += int64(len(enc))
 		}
-		if sh.metaOff != end {
-			t.Fatalf("metaOff = %d, want %d (end of the last list)", sh.metaOff, end)
+		if sh.metaOff() != end {
+			t.Fatalf("metaOff = %d, want %d (end of the last list)", sh.metaOff(), end)
 		}
 	}
 	if totalDocs != 40_000 {
@@ -86,9 +127,11 @@ func TestIndexLayoutGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := CorpusConfig{Seed: 3, Docs: 60, Tags: 40, TagsPerDoc: 3}
-	e, err := NewEngine(tb.Server, numa.Local(tb.Server.LocalNode(0)), corpus,
-		EngineConfig{Shards: 2, PoolThreads: 2})
+	ix, err := BuildIndex(CorpusConfig{Seed: 3, Docs: 60, Tags: 40, TagsPerDoc: 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(tb.Server, numa.Local(tb.Server.LocalNode(0)), ix, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +159,8 @@ func TestIndexLayoutGolden(t *testing.T) {
 				t.Fatalf("shard %d tag %d: offset %d, want %d", si, tag, got, off)
 			}
 		}
-		if sh.metaOff != want.metaOff {
-			t.Fatalf("shard %d: metaOff %d, want %d", si, sh.metaOff, want.metaOff)
+		if sh.metaOff() != want.metaOff {
+			t.Fatalf("shard %d: metaOff %d, want %d", si, sh.metaOff(), want.metaOff)
 		}
 	}
 }
@@ -125,9 +168,8 @@ func TestIndexLayoutGolden(t *testing.T) {
 func TestTagPopularitySkew(t *testing.T) {
 	_, e := newLocalEngine(t, 1)
 	sh := e.Shards()[0]
-	if len(sh.postings[0]) <= len(sh.postings[40])*2 {
-		t.Fatalf("tag popularity not skewed: tag0=%d tag40=%d",
-			len(sh.postings[0]), len(sh.postings[40]))
+	if hot, cold := len(postingsOf(sh, 0)), len(postingsOf(sh, 40)); hot <= cold*2 {
+		t.Fatalf("tag popularity not skewed: tag0=%d tag40=%d", hot, cold)
 	}
 }
 
@@ -136,7 +178,7 @@ func TestRTQCountsMatchIndex(t *testing.T) {
 	const tag = 5
 	want := 0
 	for _, sh := range e.Shards() {
-		want += len(sh.postings[tag])
+		want += len(postingsOf(sh, tag))
 	}
 	got := 0
 	tb.Cluster.K.Go("q", func(p *sim.Proc) {
@@ -157,9 +199,9 @@ func TestRNQIHBSFiltersCorrectly(t *testing.T) {
 	sh := e.Shards()[0]
 	const tag, date = 3, 2000
 	want := 0
-	for _, ord := range sh.postings[tag] {
+	for _, ord := range postingsOf(sh, tag) {
 		d := sh.docs[ord]
-		if d.answers >= 100 && d.date < date {
+		if d.answers >= 100 && int32(d.date) < date {
 			want++
 		}
 	}
@@ -219,7 +261,7 @@ func fig9(t *testing.T, ch Challenge, shards int, cfg core.MemoryConfig) float64
 	if ch == MA {
 		rc.OpsPerClient = 10
 	}
-	res, err := Run(cfg, rc)
+	res, err := Run(cfg, rc, NewIndexes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,31 +321,126 @@ func TestScaleOutBeatsDisaggregatedOnNested(t *testing.T) {
 	}
 }
 
-var benchEngine *Engine
+var benchIndex *Index
 
-// BenchmarkNewEngine builds the index of one Figure 9 quick-scale cell
-// (120,000 documents, 200 tags) at the paper's two shard counts, freeing
-// each build's arenas before the next.
-func BenchmarkNewEngine(b *testing.B) {
+// BenchmarkBuildIndex builds the index of one Figure 9 quick-scale cell
+// (120,000 documents, 200 tags) at the paper's two shard counts.
+func BenchmarkBuildIndex(b *testing.B) {
 	for _, shards := range []int{5, 32} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			tb, err := core.NewTestbed(core.ConfigLocal, 1<<30)
-			if err != nil {
-				b.Fatal(err)
-			}
 			corpus := DefaultCorpusConfig()
 			corpus.Docs = 120_000
-			placer := numa.Local(tb.Server.LocalNode(0))
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e, err := NewEngine(tb.Server, placer, corpus, EngineConfig{Shards: shards})
+				ix, err := BuildIndex(corpus, shards)
 				if err != nil {
 					b.Fatal(err)
 				}
-				e.Close()
-				benchEngine = e
+				benchIndex = ix
 			}
 		})
+	}
+}
+
+// indexDigest hashes everything an Index holds: every shard's documents,
+// encoded posting lists and list offsets.
+func indexDigest(ix *Index) [32]byte {
+	h := sha256.New()
+	put := func(v any) {
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			panic(err)
+		}
+	}
+	for _, sh := range ix.shards {
+		put(sh.docs)
+		put(sh.postings)
+		put(sh.start)
+	}
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestEnginesShareIndex checks that two engines built from one Index
+// share its documents and posting lists but get distinct arenas, and that
+// a batch of all four challenges on both leaves the index byte-unchanged.
+func TestEnginesShareIndex(t *testing.T) {
+	tb, err := core.NewTestbed(core.ConfigScaleOut, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildIndex(smallCorpus(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := indexDigest(ix)
+	hosts := tb.ServerInstances()
+	if len(hosts) != 2 {
+		t.Fatalf("scale-out testbed has %d server instances, want 2", len(hosts))
+	}
+	engines := make([]*Engine, 2)
+	for i, host := range hosts {
+		if engines[i], err = NewEngine(host, numa.Local(host.LocalNode(0)), ix, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := engines[0].Shards(), engines[1].Shards()
+	for si := range a {
+		if a[si].shardIndex != ix.shards[si] || b[si].shardIndex != ix.shards[si] {
+			t.Fatalf("shard %d: engines do not share the index's shard", si)
+		}
+		if &a[si].docs[0] != &b[si].docs[0] || &a[si].postings[0] != &b[si].postings[0] {
+			t.Fatalf("shard %d: engines hold copies of the index data", si)
+		}
+		if a[si].arena == b[si].arena {
+			t.Fatalf("shard %d: engines share an arena", si)
+		}
+	}
+	rc := RunConfig{Shards: 6, Clients: 4, OpsPerClient: 3, Corpus: smallCorpus()}
+	for _, ch := range Challenges() {
+		rc.Challenge = ch
+		for c := 0; c < rc.Clients; c++ {
+			rng := rand.New(rand.NewSource(int64(c)))
+			tb.Cluster.K.Go("client", func(p *sim.Proc) {
+				for i := 0; i < rc.OpsPerClient; i++ {
+					executeQuery(p, tb, engines, rc, rng)
+				}
+			})
+		}
+		tb.Cluster.K.Run()
+	}
+	if after := indexDigest(ix); after != before {
+		t.Fatal("a batch of queries changed the shared index")
+	}
+}
+
+// TestIndexesBuildEachShapeOnce checks that an index set hands every
+// request for one shape the same Index, and a different one per shape.
+func TestIndexesBuildEachShapeOnce(t *testing.T) {
+	set := NewIndexes()
+	var wg sync.WaitGroup
+	got := make([]*Index, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ix, err := set.Get(smallCorpus(), 2+i%2)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = ix
+		}()
+	}
+	wg.Wait()
+	for i, ix := range got {
+		if ix != got[i%2] {
+			t.Fatalf("request %d got a second index for its shape", i)
+		}
+	}
+	if got[0] == got[1] || len(got[0].shards) != 2 || len(got[1].shards) != 3 {
+		t.Fatalf("shapes 2 and 3 shards got indexes of %d and %d shards", len(got[0].shards), len(got[1].shards))
+	}
+	if _, err := set.Get(smallCorpus(), 0); err == nil {
+		t.Fatal("a zero-shard index built without error")
 	}
 }
