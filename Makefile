@@ -1,8 +1,9 @@
 # Developer entry points. `make check` is the tier-1 gate (lint + vet +
 # build + race-enabled tests — the parallel experiment engine and the
 # sharded simulation runtime are real concurrency, so the race detector is
-# load-bearing). `make bench-quick` snapshots wall-clock and allocation
-# numbers into BENCH_PR15.json.
+# load-bearing). `make bench-quick` rewrites BENCH_PR15.json, the newest
+# of the committed BENCH_PR*.json snapshots, with this host's wall-clock
+# and allocation numbers.
 
 GO ?= go
 
@@ -47,7 +48,7 @@ race:
 # catalogue. Fails if any scenario violates its invariants. Writes
 # chaos_report.json (git-ignored).
 chaos:
-	$(GO) run ./cmd/tfbench -chaos -seed 1 -parallel 0 -chaos-out chaos_report.json
+	$(GO) run ./cmd/tfbench -experiment chaos -seed 1 -parallel 0 -out chaos_report.json
 
 # One simulated minute of seeded datacenter churn (attach/detach arrivals,
 # flap storms, pressure walks) replayed through the real saga engine with
@@ -68,7 +69,7 @@ ha-smoke:
 # One chaos scenario scored against its ground-truth labels through the
 # online anomaly detector — exits non-zero below the precision/recall gate.
 detect-smoke:
-	$(GO) run ./cmd/tfbench -experiment detect -detect-scenario replay-storm -seed 1 >/dev/null
+	$(GO) run ./cmd/tfbench -experiment detect -scenario replay-storm -seed 1 >/dev/null
 
 # Brief coverage-guided fuzz of the LLC frame decoder and the flight-
 # recorder snapshot decoder against corrupted and truncated wire images,

@@ -37,10 +37,12 @@ import (
 	"thymesisflow/internal/trace"
 )
 
+// transceiversPerHost is the transceiver count of every simulated endpoint.
+const transceiversPerHost = 2
+
 func main() {
 	listen := flag.String("listen", ":8440", "HTTP listen address")
 	hosts := flag.String("hosts", "node0,node1,node2", "comma-separated host names of the simulated rack")
-	transceivers := flag.Int("transceivers", 2, "transceivers per endpoint")
 	adminToken := flag.String("admin-token", "tf-admin", "bearer token with write access")
 	readerToken := flag.String("reader-token", "tf-reader", "bearer token with read-only access")
 	traceEvents := flag.Int("trace-events", 1<<16, "trace ring capacity in events; > 0 also enables per-stage latency attribution, served under /v1/latency (0 disables both)")
@@ -65,7 +67,7 @@ func main() {
 		if _, err := cluster.AddHost(core.DefaultHostConfig(n)); err != nil {
 			log.Fatalf("tfd: %v", err)
 		}
-		if err := model.AddHost(n, *transceivers); err != nil {
+		if err := model.AddHost(n, transceiversPerHost); err != nil {
 			log.Fatalf("tfd: %v", err)
 		}
 	}

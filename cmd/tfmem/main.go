@@ -23,7 +23,6 @@ import (
 
 func main() {
 	threads := flag.Int("threads", 8, "threads for the bandwidth sweep")
-	chases := flag.Int("chases", 2000, "dependent loads for the latency probe")
 	flag.Parse()
 
 	fmt.Println("ThymesisFlow memory microbenchmark")
@@ -35,7 +34,7 @@ func main() {
 		core.ConfigBondingDisaggregated,
 		core.ConfigInterleaved,
 	} {
-		lat := latencyProbe(cfg, *chases)
+		lat := latencyProbe(cfg)
 		bw := bandwidthProbe(cfg, *threads)
 		fmt.Printf("%-24s %16v %18.2f\n", cfg, lat, bw)
 	}
@@ -43,9 +42,12 @@ func main() {
 	fmt.Println("one channel 12.5 GiB/s; OpenCAPI C1 ceiling ~16 GiB/s.")
 }
 
+// chases is the number of dependent loads the latency probe issues.
+const chases = 2000
+
 // latencyProbe measures average dependent-load latency: each access must
 // complete before the next address is known, so no latency is hidden.
-func latencyProbe(cfg core.MemoryConfig, chases int) sim.Time {
+func latencyProbe(cfg core.MemoryConfig) sim.Time {
 	tb, err := core.NewTestbed(cfg, 1<<30)
 	if err != nil {
 		log.Fatal(err)

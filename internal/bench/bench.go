@@ -117,7 +117,7 @@ func (r *Runner) Fig5Stream(w io.Writer, scale Scale) map[string]float64 {
 			cells = append(cells, cell{threads: threads, cfg: cfg})
 		}
 	}
-	r.run(len(cells), func(i int) {
+	r.Run(len(cells), func(i int) {
 		c := &cells[i]
 		tb, err := core.NewTestbed(c.cfg, 4<<30)
 		if err != nil {
@@ -240,7 +240,7 @@ func (r *Runner) Fig7Throughput(w io.Writer, scale Scale) map[string]float64 {
 			}
 		}
 	}
-	r.run(len(cells), func(i int) {
+	r.Run(len(cells), func(i int) {
 		c := &cells[i]
 		rc := imdb.DefaultRunConfig(c.wl, c.parts)
 		if scale == Quick {
@@ -284,7 +284,7 @@ func Fig8Memcached(w io.Writer, scale Scale) map[core.MemoryConfig]*kvcache.Resu
 func (r *Runner) Fig8Memcached(w io.Writer, scale Scale) map[core.MemoryConfig]*kvcache.Result {
 	configs := core.AllConfigs()
 	results := make([]*kvcache.Result, len(configs))
-	r.run(len(configs), func(i int) {
+	r.Run(len(configs), func(i int) {
 		rc := kvcache.DefaultRunConfig()
 		if scale == Quick {
 			rc.Threads = 32
@@ -342,7 +342,7 @@ func (r *Runner) Fig9Search(w io.Writer, scale Scale) map[string]float64 {
 		}
 	}
 	indexes := search.NewIndexes()
-	r.run(len(cells), func(i int) {
+	r.Run(len(cells), func(i int) {
 		c := &cells[i]
 		rc := search.DefaultRunConfig(c.ch, c.shards)
 		if scale == Quick {

@@ -101,25 +101,18 @@ func Detect(w io.Writer, cfg DetectConfig) (DetectReport, error) {
 		cfg.Shards = 1
 	}
 	if cfg.SnapshotOut != nil && cfg.Scenario == "" {
-		return DetectReport{}, fmt.Errorf("snapshot export needs a single scenario (-detect-scenario)")
+		return DetectReport{}, fmt.Errorf("snapshot export needs a single scenario (-scenario)")
 	}
 	rep := DetectReport{Seed: cfg.Seed, Shards: cfg.Shards, PadPS: detectPadPS}
 
-	cat := chaos.Catalogue()
-	cpCat := chaos.CPCatalogue()
-	if cfg.Scenario != "" {
-		if s, ok := chaos.Find(cfg.Scenario); ok {
-			cat, cpCat = []chaos.Scenario{s}, nil
-		} else if cs, ok := chaos.FindCP(cfg.Scenario); ok {
-			cat, cpCat = nil, []chaos.CPScenario{cs}
-		} else {
-			return rep, fmt.Errorf("unknown chaos scenario %q", cfg.Scenario)
-		}
+	cat, cpCat, err := chaos.Select(cfg.Scenario)
+	if err != nil {
+		return rep, err
 	}
 
 	var latencies []int64 // ns
 	for _, s := range cat {
-		srep, snap := chaos.RunRecorded(s, cfg.Seed, cfg.Shards, core.FlightOptions{
+		srep, snap := chaos.Run(s, cfg.Seed, cfg.Shards, &core.FlightOptions{
 			Capacity: detectCapacity,
 		})
 		// The runtime series describe how the run was sharded, not the
@@ -151,7 +144,7 @@ func Detect(w io.Writer, cfg DetectConfig) (DetectReport, error) {
 		})
 	}
 	for _, s := range cpCat {
-		srep, snap := chaos.RunCPRecorded(s, cfg.Seed, 0)
+		srep, snap := chaos.RunCP(s, cfg.Seed, timeseries.NewRecorder(0))
 		if cfg.SnapshotOut != nil {
 			if _, err := cfg.SnapshotOut.Write(timeseries.EncodeSnapshot(snap)); err != nil {
 				return rep, fmt.Errorf("snapshot export: %w", err)

@@ -105,7 +105,7 @@ func TestDetectScenarioFilter(t *testing.T) {
 }
 
 // TestDetectPinnedHash pins the seed-1 full-catalogue scorecard — the
-// bytes tfbench -experiment detect -seed 1 -detect-out writes — across
+// bytes tfbench -experiment detect -seed 1 -out writes — across
 // commits: the determinism tests above only compare runs within one build,
 // so a telemetry refactor that shifts a still-deterministic event or series
 // count would pass them. A change that alters the scorecard on purpose must
@@ -146,16 +146,16 @@ func TestDetectRulesBindSeries(t *testing.T) {
 		"cp.saga_retries":      regexp.MustCompile(`^cp\.saga_retries$`),
 		"cp.reconcile_repairs": regexp.MustCompile(`^cp\.reconcile_repairs$`),
 	}
-	dp, ok := chaos.Find("crc-burst")
-	if !ok {
-		t.Fatal("no crc-burst scenario")
+	dp, _, err := chaos.Select("crc-burst")
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, dpSnap := chaos.RunRecorded(dp, 1, 1, core.FlightOptions{})
-	cp, ok := chaos.FindCP("cp-agent-flap")
-	if !ok {
-		t.Fatal("no cp-agent-flap scenario")
+	_, dpSnap := chaos.Run(dp[0], 1, 1, &core.FlightOptions{})
+	_, cp, err := chaos.Select("cp-agent-flap")
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, cpSnap := chaos.RunCPRecorded(cp, 1, 0)
+	_, cpSnap := chaos.RunCP(cp[0], 1, timeseries.NewRecorder(0))
 
 	check := func(snap timeseries.Snapshot, rules []detect.Rule) {
 		for _, r := range rules {

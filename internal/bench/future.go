@@ -38,7 +38,7 @@ func (r *Runner) AblationHBM(w io.Writer, scale Scale) {
 		hitRate float64
 	}
 	cells := make([]cell, len(sizes))
-	r.run(len(sizes), func(i int) {
+	r.Run(len(sizes), func(i int) {
 		hbm := sizes[i]
 		tb, err := core.NewTestbedSpec(core.TestbedSpec{
 			Config:      core.ConfigSingleDisaggregated,
@@ -114,7 +114,7 @@ func ProjectionMultiStack(w io.Writer, scale Scale) {
 func (r *Runner) ProjectionMultiStack(w io.Writer, scale Scale) {
 	donorCounts := []int{1, 2, 4}
 	gibps := make([]float64, len(donorCounts))
-	r.run(len(donorCounts), func(i int) {
+	r.Run(len(donorCounts), func(i int) {
 		donors := donorCounts[i]
 		cluster := core.NewCluster()
 		server, err := cluster.AddHost(core.DefaultHostConfig("server0"))

@@ -60,12 +60,12 @@ func (r *Runner) Workers(n int) int {
 	return w
 }
 
-// run executes fn(0..n-1), each call exactly once, across the pool and
+// Run executes fn(0..n-1), each call exactly once, across the pool and
 // returns when all calls have completed. With one worker the cells run
 // in index order on the calling goroutine. A panic inside a cell is
 // re-raised on the caller — the lowest-index panic wins, so failure
 // behaviour is deterministic too.
-func (r *Runner) run(n int, fn func(i int)) {
+func (r *Runner) Run(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}

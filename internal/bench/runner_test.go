@@ -12,7 +12,7 @@ func TestRunnerExecutesEveryCellOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 0} {
 		const n = 100
 		var counts [n]atomic.Int32
-		NewRunner(workers).run(n, func(i int) { counts[i].Add(1) })
+		NewRunner(workers).Run(n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if got := counts[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: cell %d ran %d times, want 1", workers, i, got)
@@ -40,7 +40,7 @@ func TestRunnerPropagatesLowestIndexPanic(t *testing.T) {
 			t.Fatalf("recovered %v, want the lowest-index panic", p)
 		}
 	}()
-	NewRunner(4).run(16, func(i int) {
+	NewRunner(4).Run(16, func(i int) {
 		if i == 3 || i == 11 {
 			panic("cell " + string(rune('0'+i%10)) + " failed")
 		}

@@ -110,32 +110,25 @@ type ackedLine struct {
 	pat  uint64
 }
 
-// RunSharded executes one scenario under the campaign seed and returns its
+// Run executes one scenario under the campaign seed and returns its
 // report, on a cluster partitioned into the given number of simulation
-// shards (one kernel per host, conservative lookahead windows). Reports carry only virtual-time measurements, so the shard count never
-// changes a simulation result: shards=1 executes the exact sequential path,
-// and the sharded runtime's deterministic merge reproduces it event for
-// event. The one shard-count-dependent section is ShardHealth, which
-// describes the runtime itself (and is still deterministic per seed at a
-// fixed shard count).
-func RunSharded(s Scenario, campaignSeed int64, shards int) ScenarioReport {
-	rep, _ := runScenario(s, campaignSeed, shards, nil)
-	return rep
-}
-
-// RunRecorded is RunSharded with the fabric flight recorder enabled on the
-// scenario's cluster: alongside the report it returns the frozen telemetry
-// snapshot the run produced, sampled on the virtual tick grid for as long
-// as the run has live events. Recording adds no simulation events, so the
-// report is identical to the unrecorded run's; series hold only
-// virtual-time measurements, so the snapshot — minus the shard.* runtime
-// series, which describe wall-clock barrier stalls — is byte-identical per
-// seed at any shard count, exactly like the report.
-func RunRecorded(s Scenario, campaignSeed int64, shards int, fopts core.FlightOptions) (ScenarioReport, timeseries.Snapshot) {
-	return runScenario(s, campaignSeed, shards, &fopts)
-}
-
-func runScenario(s Scenario, campaignSeed int64, shards int, fopts *core.FlightOptions) (ScenarioReport, timeseries.Snapshot) {
+// shards (one kernel per host, conservative lookahead windows). Reports
+// carry only virtual-time measurements, so the shard count never changes a
+// simulation result: shards=1 executes the exact sequential path, and the
+// sharded runtime's deterministic merge reproduces it event for event. The
+// one shard-count-dependent section is ShardHealth, which describes the
+// runtime itself (and is still deterministic per seed at a fixed shard
+// count).
+//
+// fopts, when non-nil, enables the fabric flight recorder on the scenario's
+// cluster, and Run also returns the frozen telemetry snapshot the run
+// produced, sampled on the virtual tick grid for as long as the run has
+// live events (nil returns an empty snapshot). Recording adds no simulation
+// events, so the report is identical to the unrecorded run's; series hold
+// only virtual-time measurements, so the snapshot — minus the shard.*
+// runtime series, which describe wall-clock barrier stalls — is
+// byte-identical per seed at any shard count, exactly like the report.
+func Run(s Scenario, campaignSeed int64, shards int, fopts *core.FlightOptions) (ScenarioReport, timeseries.Snapshot) {
 	s.defaults()
 	seed := deriveSeed(campaignSeed, s.Name)
 	rep := ScenarioReport{
@@ -418,17 +411,39 @@ func runScenario(s Scenario, campaignSeed int64, shards int, fopts *core.FlightO
 	return rep, snap
 }
 
-// RunCampaignSharded executes the scenarios serially in order, each on a
-// cluster partitioned into the given number of simulation shards, and
-// assembles the campaign report.
-func RunCampaignSharded(scenarios []Scenario, seed int64, shards int) Report {
-	rep := Report{Seed: seed, Passed: true}
-	for _, s := range scenarios {
-		sr := RunSharded(s, seed, shards)
-		if !sr.Passed {
-			rep.Passed = false
+// Campaign runs the datapath scenarios dp, each on a cluster of the given
+// number of simulation shards, and the control-plane scenarios cp, all
+// under the campaign seed, and assembles the report. cells runs fn(0..n-1),
+// each index exactly once, in any order and on any goroutines; nil runs
+// them in order on the caller. Every scenario owns its kernel or world,
+// derives its seeds from (campaign seed, name) and lands at its own index,
+// so the report is byte-identical for any cell loop.
+func Campaign(dp []Scenario, cp []CPScenario, seed int64, shards int, cells func(n int, fn func(i int))) Report {
+	rep := Report{
+		Seed:         seed,
+		Passed:       true,
+		Scenarios:    make([]ScenarioReport, len(dp)),
+		ControlPlane: make([]CPScenarioReport, len(cp)),
+	}
+	if cells == nil {
+		cells = func(n int, fn func(i int)) {
+			for i := 0; i < n; i++ {
+				fn(i)
+			}
 		}
-		rep.Scenarios = append(rep.Scenarios, sr)
+	}
+	cells(len(dp)+len(cp), func(i int) {
+		if i < len(dp) {
+			rep.Scenarios[i], _ = Run(dp[i], seed, shards, nil)
+		} else {
+			rep.ControlPlane[i-len(dp)], _ = RunCP(cp[i-len(dp)], seed, nil)
+		}
+	})
+	for _, sr := range rep.Scenarios {
+		rep.Passed = rep.Passed && sr.Passed
+	}
+	for _, sr := range rep.ControlPlane {
+		rep.Passed = rep.Passed && sr.Passed
 	}
 	return rep
 }

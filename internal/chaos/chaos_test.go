@@ -19,7 +19,7 @@ func TestCatalogueSize(t *testing.T) {
 // TestCampaignPasses runs the full standard campaign: every scenario must
 // satisfy its losslessness, replay, credit, and escalation invariants.
 func TestCampaignPasses(t *testing.T) {
-	rep := RunCampaignSharded(Catalogue(), testSeed, 1)
+	rep := Campaign(Catalogue(), nil, testSeed, 1, nil)
 	for _, sr := range rep.Scenarios {
 		if !sr.Passed {
 			t.Errorf("scenario %s failed: %s", sr.Name, strings.Join(sr.Failures, "; "))
@@ -37,7 +37,7 @@ func TestCampaignPasses(t *testing.T) {
 // drove the paths it claims to: faults were injected, replays happened,
 // escalation latched, detaches completed.
 func TestScenarioExpectationsExercised(t *testing.T) {
-	rep := RunCampaignSharded(Catalogue(), testSeed, 1)
+	rep := Campaign(Catalogue(), nil, testSeed, 1, nil)
 	byName := map[string]ScenarioReport{}
 	for _, sr := range rep.Scenarios {
 		byName[sr.Name] = sr
@@ -71,18 +71,18 @@ func TestScenarioExpectationsExercised(t *testing.T) {
 // TestCampaignDeterministic requires byte-identical reports for the same
 // seed, and different protocol activity for a different seed.
 func TestCampaignDeterministic(t *testing.T) {
-	a, err := RunCampaignSharded(Catalogue(), testSeed, 1).JSON()
+	a, err := Campaign(Catalogue(), nil, testSeed, 1, nil).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaignSharded(Catalogue(), testSeed, 1).JSON()
+	b, err := Campaign(Catalogue(), nil, testSeed, 1, nil).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different campaign reports")
 	}
-	c, err := RunCampaignSharded(Catalogue(), testSeed+1, 1).JSON()
+	c, err := Campaign(Catalogue(), nil, testSeed+1, 1, nil).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +93,15 @@ func TestCampaignDeterministic(t *testing.T) {
 
 // TestSingleScenarioReproducesFromSeed re-runs one scenario alone with the
 // campaign seed and requires the identical per-scenario report — the
-// property `tfbench -chaos -scenario <name>` relies on.
+// property `tfbench -experiment chaos -scenario <name>` relies on.
 func TestSingleScenarioReproducesFromSeed(t *testing.T) {
-	full := RunCampaignSharded(Catalogue(), testSeed, 1)
+	full := Campaign(Catalogue(), nil, testSeed, 1, nil)
 	for _, name := range []string{"crc-burst", "replay-storm", "link-down-escalation"} {
-		s, ok := Find(name)
-		if !ok {
-			t.Fatalf("scenario %q missing from catalogue", name)
+		dp, _, err := Select(name)
+		if err != nil || len(dp) != 1 {
+			t.Fatalf("scenario %q missing from catalogue: %v", name, err)
 		}
-		alone := RunSharded(s, testSeed, 1)
+		alone, _ := Run(dp[0], testSeed, 1, nil)
 		var inFull ScenarioReport
 		for _, sr := range full.Scenarios {
 			if sr.Name == name {
@@ -117,10 +117,14 @@ func TestSingleScenarioReproducesFromSeed(t *testing.T) {
 	}
 }
 
-// TestFindUnknown covers the miss path.
+// TestFindUnknown covers Select's miss path, and its lookup of one
+// scenario from either catalogue.
 func TestFindUnknown(t *testing.T) {
-	if _, ok := Find("no-such-scenario"); ok {
-		t.Fatal("Find returned a scenario for an unknown name")
+	if _, _, err := Select("no-such-scenario"); err == nil {
+		t.Fatal("Select returned a scenario for an unknown name")
+	}
+	if dp, cp, err := Select("cp-agent-flap"); err != nil || len(dp) != 0 || len(cp) != 1 {
+		t.Fatalf("Select(cp-agent-flap) = %d datapath, %d control-plane, %v", len(dp), len(cp), err)
 	}
 }
 
@@ -137,8 +141,8 @@ func TestCampaignShardedMatchesSequential(t *testing.T) {
 		}
 		return r
 	}
-	seqRep := RunCampaignSharded(Catalogue(), testSeed, 1)
-	shardedRep := RunCampaignSharded(Catalogue(), testSeed, 2)
+	seqRep := Campaign(Catalogue(), nil, testSeed, 1, nil)
+	shardedRep := Campaign(Catalogue(), nil, testSeed, 2, nil)
 	for _, sr := range seqRep.Scenarios {
 		if sr.ShardHealth != nil {
 			t.Fatalf("scenario %s: sequential run reported shard health", sr.Name)
@@ -169,11 +173,11 @@ func TestCampaignShardedMatchesSequential(t *testing.T) {
 // shard-health section included — to be byte-identical across repeated runs
 // at the same seed and shard count.
 func TestCampaignShardedHealthDeterministic(t *testing.T) {
-	a, err := RunCampaignSharded(Catalogue(), testSeed, 2).JSON()
+	a, err := Campaign(Catalogue(), nil, testSeed, 2, nil).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaignSharded(Catalogue(), testSeed, 2).JSON()
+	b, err := Campaign(Catalogue(), nil, testSeed, 2, nil).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}

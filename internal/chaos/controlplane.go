@@ -63,9 +63,9 @@ var raftInstruments = []instrument.Def[*cpworld.World]{
 	instrument.Counter("cp.raft.leader_changes", func(w *cpworld.World) float64 { return float64(w.Replicas.LeaderChanges()) }),
 }
 
-// NewCPObserver builds an observer recording into rec (which must be
-// non-nil); pass it to RunCPRecorded.
-func NewCPObserver(rec *timeseries.Recorder) *CPObserver {
+// newCPObserver builds an observer recording into rec (which must be
+// non-nil).
+func newCPObserver(rec *timeseries.Recorder) *CPObserver {
 	o := &CPObserver{rec: rec}
 	o.cp.Add(rec, instrument.BindFunc("", controlplane.Instruments, o.reading))
 	return o
@@ -454,43 +454,23 @@ func runDuplicateStorm(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 	}
 }
 
-// RunCP executes one control-plane scenario under the campaign seed.
-func RunCP(s CPScenario, campaignSeed int64) CPScenarioReport {
+// RunCP executes one control-plane scenario under the campaign seed. rec,
+// when non-nil, taps the scenario world with a flight recorder, and RunCP
+// also returns the cp.* telemetry snapshot, timestamped by the world's
+// deterministic step clock (so the snapshot is byte-identical per seed,
+// like the report); nil returns an empty snapshot.
+func RunCP(s CPScenario, campaignSeed int64, rec *timeseries.Recorder) (CPScenarioReport, timeseries.Snapshot) {
 	seed := deriveSeed(campaignSeed, s.Name)
 	rep := CPScenarioReport{Name: s.Name, Description: s.Description, Seed: seed}
-	s.run(seed, &rep, nil)
-	rep.Passed = len(rep.Failures) == 0
-	return rep
-}
-
-// RunCPRecorded is RunCP with a flight-recorder tap on the scenario world:
-// alongside the report it returns the cp.* telemetry snapshot, timestamped
-// by the world's deterministic step clock (so the snapshot is byte-identical
-// per seed, like the report).
-func RunCPRecorded(s CPScenario, campaignSeed int64, capacity int) (CPScenarioReport, timeseries.Snapshot) {
-	seed := deriveSeed(campaignSeed, s.Name)
-	rep := CPScenarioReport{Name: s.Name, Description: s.Description, Seed: seed}
-	obs := NewCPObserver(timeseries.NewRecorder(capacity))
+	var obs *CPObserver
+	if rec != nil {
+		obs = newCPObserver(rec)
+	}
 	s.run(seed, &rep, obs)
 	rep.Passed = len(rep.Failures) == 0
-	return rep, obs.rec.Snapshot()
-}
-
-// RunCPCampaign executes the control-plane catalogue serially.
-func RunCPCampaign(scenarios []CPScenario, seed int64) []CPScenarioReport {
-	out := make([]CPScenarioReport, 0, len(scenarios))
-	for _, s := range scenarios {
-		out = append(out, RunCP(s, seed))
+	var snap timeseries.Snapshot
+	if rec != nil {
+		snap = rec.Snapshot()
 	}
-	return out
-}
-
-// FindCP returns the control-plane scenario with the given name.
-func FindCP(name string) (CPScenario, bool) {
-	for _, s := range CPCatalogue() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return CPScenario{}, false
+	return rep, snap
 }

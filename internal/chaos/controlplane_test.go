@@ -9,11 +9,16 @@ import (
 	"testing"
 )
 
+// cpCampaign runs the whole control-plane catalogue under seed.
+func cpCampaign(seed int64) []CPScenarioReport {
+	return Campaign(nil, CPCatalogue(), seed, 1, nil).ControlPlane
+}
+
 // TestCPCampaignPasses runs the control-plane catalogue: every scenario
 // must satisfy the orchestration invariants (no leaked reservations, no
 // orphaned donor memory, no half-configured agents, no parked sagas).
 func TestCPCampaignPasses(t *testing.T) {
-	for _, rep := range RunCPCampaign(CPCatalogue(), testSeed) {
+	for _, rep := range cpCampaign(testSeed) {
 		if !rep.Passed {
 			t.Errorf("scenario %s failed: %s", rep.Name, strings.Join(rep.Failures, "; "))
 		}
@@ -27,7 +32,7 @@ func TestCPCampaignPasses(t *testing.T) {
 // machinery it claims to.
 func TestCPScenariosExerciseFaults(t *testing.T) {
 	byName := map[string]CPScenarioReport{}
-	for _, rep := range RunCPCampaign(CPCatalogue(), testSeed) {
+	for _, rep := range cpCampaign(testSeed) {
 		byName[rep.Name] = rep
 	}
 	if rep := byName["cp-agent-flap"]; rep.Transport.Crashes == 0 || rep.Counters.ReconcileRepairs == 0 {
@@ -79,7 +84,7 @@ func TestCPHAGroundTruthLabels(t *testing.T) {
 // per-trace invariant is enforced inside verify and would surface as a
 // scenario failure).
 func TestCPCampaignTraceSummaries(t *testing.T) {
-	for _, rep := range RunCPCampaign(CPCatalogue(), testSeed) {
+	for _, rep := range cpCampaign(testSeed) {
 		tr := rep.Trace
 		if tr.Sagas == 0 || tr.Events == 0 {
 			t.Errorf("%s: empty trace summary: %+v", rep.Name, tr)
@@ -102,11 +107,11 @@ func TestCPCampaignTraceSummaries(t *testing.T) {
 // seed, across multiple seeds.
 func TestCPCampaignDeterministic(t *testing.T) {
 	for _, seed := range []int64{testSeed, testSeed + 1, testSeed + 2, 7} {
-		a, err := json.MarshalIndent(RunCPCampaign(CPCatalogue(), seed), "", "  ")
+		a, err := json.MarshalIndent(cpCampaign(seed), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.MarshalIndent(RunCPCampaign(CPCatalogue(), seed), "", "  ")
+		b, err := json.MarshalIndent(cpCampaign(seed), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +119,8 @@ func TestCPCampaignDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: report not byte-identical across runs", seed)
 		}
 	}
-	a, _ := json.Marshal(RunCPCampaign(CPCatalogue(), testSeed))
-	b, _ := json.Marshal(RunCPCampaign(CPCatalogue(), testSeed+1))
+	a, _ := json.Marshal(cpCampaign(testSeed))
+	b, _ := json.Marshal(cpCampaign(testSeed + 1))
 	if bytes.Equal(a, b) {
 		t.Fatal("different seeds produced identical reports")
 	}
@@ -128,7 +133,7 @@ func TestCPCampaignDeterministic(t *testing.T) {
 // change that alters the report on purpose must update this hash.
 func TestCPCampaignPinnedHash(t *testing.T) {
 	const want = "87bffe7df45afe3656d2a47a95fa17a87e2e14b1be7239925923842aeb642a37"
-	data, err := json.MarshalIndent(RunCPCampaign(CPCatalogue(), 1), "", "  ")
+	data, err := json.MarshalIndent(cpCampaign(1), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

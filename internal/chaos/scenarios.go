@@ -123,12 +123,22 @@ func Catalogue() []Scenario {
 	return scenarios
 }
 
-// Find returns the catalogue scenario with the given name.
-func Find(name string) (Scenario, bool) {
+// Select returns the scenarios a campaign runs: both whole catalogues when
+// name is empty, otherwise the one datapath or control-plane scenario so
+// named. An unknown name is an error.
+func Select(name string) ([]Scenario, []CPScenario, error) {
+	if name == "" {
+		return Catalogue(), CPCatalogue(), nil
+	}
 	for _, s := range Catalogue() {
 		if s.Name == name {
-			return s, true
+			return []Scenario{s}, nil, nil
 		}
 	}
-	return Scenario{}, false
+	for _, s := range CPCatalogue() {
+		if s.Name == name {
+			return nil, []CPScenario{s}, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("unknown chaos scenario %q", name)
 }

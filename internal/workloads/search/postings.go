@@ -78,59 +78,6 @@ func (it *postingIterator) next() (int32, bool) {
 // the quantity the timing model charges to the memory system.
 func (it *postingIterator) bytesConsumed() int { return it.pos }
 
-// intersectPostings computes the conjunction of two ascending ordinal
-// lists with galloping (exponential) search from the shorter list into the
-// longer one — the standard Lucene strategy for AND queries, sub-linear in
-// the longer list when list sizes are skewed.
-func intersectPostings(a, b []int32) []int32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var out []int32
-	lo := 0
-	for _, v := range a {
-		idx := gallopSearch(b, lo, v)
-		if idx < len(b) && b[idx] == v {
-			out = append(out, v)
-			lo = idx + 1
-		} else {
-			lo = idx
-		}
-		if lo >= len(b) {
-			break
-		}
-	}
-	return out
-}
-
-// gallopSearch returns the smallest index >= lo with b[idx] >= v, probing
-// at exponentially growing strides before binary-searching the bracket.
-func gallopSearch(b []int32, lo int, v int32) int {
-	if lo >= len(b) || b[lo] >= v {
-		return lo
-	}
-	step := 1
-	hi := lo + 1
-	for hi < len(b) && b[hi] < v {
-		lo = hi
-		step *= 2
-		hi = lo + step
-	}
-	if hi > len(b) {
-		hi = len(b)
-	}
-	// Binary search in (lo, hi].
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if b[mid] < v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
 // decodePostings fully decodes a list (used by queries and tests).
 func decodePostings(data []byte) []int32 {
 	if len(data) == 0 {

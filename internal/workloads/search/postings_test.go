@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"thymesisflow/internal/sim"
 )
 
 func TestPostingsRoundTrip(t *testing.T) {
@@ -132,91 +130,5 @@ func TestShardEncodingMatchesTruth(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func naiveIntersect(a, b []int32) []int32 {
-	set := map[int32]bool{}
-	for _, v := range a {
-		set[v] = true
-	}
-	var out []int32
-	for _, v := range b {
-		if set[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func TestIntersectPostingsBasics(t *testing.T) {
-	a := []int32{1, 3, 5, 7, 9}
-	b := []int32{2, 3, 4, 7, 10, 11}
-	got := intersectPostings(a, b)
-	want := []int32{3, 7}
-	if len(got) != len(want) || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("intersection = %v, want %v", got, want)
-	}
-	if out := intersectPostings(nil, b); len(out) != 0 {
-		t.Fatalf("empty intersection = %v", out)
-	}
-	if out := intersectPostings(a, a); len(out) != len(a) {
-		t.Fatalf("self intersection = %v", out)
-	}
-}
-
-// Property: galloping intersection equals the naive set intersection for
-// arbitrary sorted unique inputs, in ascending order.
-func TestQuickIntersectMatchesNaive(t *testing.T) {
-	f := func(rawA, rawB []uint16) bool {
-		mk := func(raw []uint16) []int32 {
-			seen := map[int32]bool{}
-			var out []int32
-			for _, r := range raw {
-				v := int32(r)
-				if !seen[v] {
-					seen[v] = true
-					out = append(out, v)
-				}
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			return out
-		}
-		a, b := mk(rawA), mk(rawB)
-		got := intersectPostings(a, b)
-		want := naiveIntersect(a, b)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBooleanAndOnShard(t *testing.T) {
-	tb, e := newLocalEngine(t, 1)
-	sh := e.Shards()[0]
-	const tagA, tagB = 0, 1
-	want := len(naiveIntersect(postingsOf(sh, tagA), postingsOf(sh, tagB)))
-	got := 0
-	tb.Cluster.K.Go("q", func(p *sim.Proc) {
-		th := e.acquireThread(p)
-		got = sh.RunBooleanAnd(p, th, tagA, tagB)
-		e.releaseThread(th)
-	})
-	tb.Cluster.K.Run()
-	if got != want {
-		t.Fatalf("AND hits = %d, want %d", got, want)
-	}
-	if want == 0 {
-		t.Fatal("degenerate corpus: hot tags share no docs")
 	}
 }

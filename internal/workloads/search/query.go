@@ -1,9 +1,7 @@
 package search
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"thymesisflow/internal/mem"
 	"thymesisflow/internal/sim"
@@ -132,7 +130,8 @@ func (sh *Shard) runRNQIHBS(p *sim.Proc, th *mem.Thread, tag int, date int32) in
 	return hits
 }
 
-// runRSTQ runs the tag query and sorts results by date descending.
+// runRSTQ runs the tag query and sorts results by date descending. Only
+// the hit count is returned, so the sort is priced, not performed.
 func (sh *Shard) runRSTQ(p *sim.Proc, th *mem.Thread, tag int) int {
 	th.Compute(p, nestedSetupInstr)
 	list := sh.streamPostings(p, th, tag)
@@ -143,33 +142,7 @@ func (sh *Shard) runRSTQ(p *sim.Proc, th *mem.Thread, tag int) int {
 		cost := int64(n) * int64(log2(n)) * sortInstrPerDoc
 		th.Compute(p, cost)
 	}
-	// Functional sort over the truth data (verifies the index contents).
-	dates := make([]int32, n)
-	for i, ord := range list {
-		dates[i] = int32(sh.docs[ord].date)
-	}
-	slices.SortFunc(dates, func(a, b int32) int { return cmp.Compare(b, a) })
 	return n
-}
-
-// RunBooleanAnd executes a two-tag conjunction on one shard: both posting
-// lists stream from memory and are intersected with galloping search.
-// Multi-tag filtering is how StackOverflow-style questions are actually
-// browsed; it is exposed as an engine capability beyond the Rally track.
-func (sh *Shard) RunBooleanAnd(p *sim.Proc, th *mem.Thread, tagA, tagB int) int {
-	th.Compute(p, simpleSetupInstr)
-	a := sh.streamPostings(p, th, tagA)
-	b := sh.streamPostings(p, th, tagB)
-	hits := intersectPostings(a, b)
-	// Galloping intersection: ~len(shorter) * log(len(longer)) work.
-	short, long := len(a), len(b)
-	if short > long {
-		short, long = long, short
-	}
-	if short > 0 {
-		th.Compute(p, int64(short)*int64(log2(long+1)+1)*20)
-	}
-	return len(hits)
 }
 
 // runMA is match-all: Elasticsearch returns the first page of documents
