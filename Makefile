@@ -76,14 +76,18 @@ detect-smoke:
 # of the sim kernel's event lanes against plain events (same firing
 # order and counters under any mix of schedules, cancels and windows),
 # of process reuse against spawning without it (same firing log and
-# counters under random spawn/sleep/signal/resource programs), and of
-# the flat-array cache against a slice-per-set LRU reference (same
-# lookup results, residency and counters under lookups and flushes).
+# counters under random spawn/sleep/signal/resource programs), of
+# Sleep's fast path against a Sleep that always parks (same firing log,
+# clock and counters under ties, injections, cancels, Stop, tracers and
+# windows), and of the flat-array cache against a slice-per-set LRU
+# reference (same lookup results, residency and counters under lookups
+# and flushes).
 fuzz-smoke:
 	$(GO) test ./internal/llc/ -fuzz FuzzDecodeCorrupted -fuzztime 10s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzSeriesDecode -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzLaneOrder -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzProcReuse -fuzztime 10s
+	$(GO) test ./internal/sim/ -fuzz FuzzSleepFastPath -fuzztime 10s
 	$(GO) test ./internal/mem/ -fuzz FuzzCacheLRU -fuzztime 10s
 
 vet:

@@ -13,9 +13,11 @@
 // each print one self-contained report and set the exit status from their
 // own pass/fail gate. -out writes the JSON report of the rows that have one
 // (chaos, latency-attr, replay, detect); -scenario narrows chaos and detect
-// to one scenario of either chaos catalogue. Naming either for a row that
-// has no report or no scenarios is a usage error (exit 2). -trace and
-// -metrics are written after any row.
+// to one scenario of either chaos catalogue. -trace records the datapath
+// of the rows that trace (fig5) and -metrics the telemetry of the rows that
+// register metrics (fig5, replay); both files are written after the last
+// row. Naming any of these flags when no selected row honours it is a
+// usage error (exit 2).
 //
 // Replay drives a seeded datacenter-churn trace (attach/detach arrivals
 // under diurnal/burst envelopes, memory-pressure walks, agent flap storms)
@@ -117,7 +119,10 @@ type experiment struct {
 	// report rows write a JSON report to -out; scenario rows run the chaos
 	// catalogues, narrowed to one scenario by -scenario.
 	report, scenarios bool
-	run               func(o *opts) int
+	// traces rows record into -trace's tracer and metered rows into
+	// -metrics' registry.
+	traces, metered bool
+	run             func(o *opts) int
 }
 
 // figure wraps a row that has no verdict of its own.
@@ -128,7 +133,7 @@ func figure(f func(o *opts)) func(o *opts) int {
 var experiments = []experiment{
 	{names: []string{"fig1"}, run: figure(func(o *opts) { bench.Fig1(o.w, o.scale) })},
 	{names: []string{"rtt"}, run: figure(func(o *opts) { bench.RTT(o.w) })},
-	{names: []string{"fig5", "stream"}, run: figure(func(o *opts) { o.r.Fig5Stream(o.w, o.scale) })},
+	{names: []string{"fig5", "stream"}, traces: true, metered: true, run: figure(func(o *opts) { o.r.Fig5Stream(o.w, o.scale) })},
 	{names: []string{"fig6", "voltdb-profile"}, run: figure(func(o *opts) { bench.Fig6Profile(o.w, o.scale) })},
 	{names: []string{"fig7", "voltdb-throughput"}, run: figure(func(o *opts) { o.r.Fig7Throughput(o.w, o.scale) })},
 	{names: []string{"fig8", "memcached"}, run: figure(func(o *opts) { o.r.Fig8Memcached(o.w, o.scale) })},
@@ -142,7 +147,7 @@ var experiments = []experiment{
 	{names: []string{"projection-multistack"}, run: figure(func(o *opts) { o.r.ProjectionMultiStack(o.w, o.scale) })},
 	{names: []string{"projection-switching"}, run: figure(func(o *opts) { bench.ProjectionSwitching(o.w) })},
 	{names: []string{"rack"}, run: runRack},
-	{names: []string{"replay"}, report: true, run: runReplay},
+	{names: []string{"replay"}, report: true, metered: true, run: runReplay},
 	{names: []string{"chaos"}, solo: true, report: true, scenarios: true, run: runChaos},
 	{names: []string{"latency-attr"}, solo: true, report: true, run: func(o *opts) int {
 		if err := bench.LatencyAttrShards(o.w, o.out, o.shards); err != nil {
@@ -168,8 +173,8 @@ func main() {
 	experimentName := flag.String("experiment", "all", "experiment to run ("+rowNames(func(experiment) bool { return true })+"|all); all leaves out "+rowNames(func(e experiment) bool { return e.solo }))
 	full := flag.Bool("full", false, "run at calibrated (paper) scale instead of quick scale")
 	parallel := flag.Int("parallel", 1, "experiment-cell workers: 1 = sequential, 0 = one per core, N = N workers")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
-	metricsOut := flag.String("metrics", "", "write a metrics-registry snapshot JSON file")
+	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing); for "+rowNames(func(e experiment) bool { return e.traces }))
+	metricsOut := flag.String("metrics", "", "write a metrics-registry snapshot JSON file; for "+rowNames(func(e experiment) bool { return e.metered }))
 	seed := flag.Int64("seed", 1, "seed for rack, replay, chaos and detect; the same seed reproduces the report byte for byte")
 	scenario := flag.String("scenario", "", "run a single chaos scenario by name, datapath or control-plane (default: both catalogues); for "+rowNames(func(e experiment) bool { return e.scenarios }))
 	out := flag.String("out", "", "write the experiment's JSON report to this file; for "+rowNames(func(e experiment) bool { return e.report }))
@@ -215,13 +220,19 @@ func (o *opts) run(name, traceOut, metricsOut string) int {
 		flag.Usage()
 		return 2
 	}
-	if o.out != "" && !slices.ContainsFunc(rows, func(e experiment) bool { return e.report }) {
-		fmt.Fprintf(o.stderr, "tfbench: -out: experiment %q writes no report\n", name)
-		return 2
-	}
-	if o.scenario != "" && !slices.ContainsFunc(rows, func(e experiment) bool { return e.scenarios }) {
-		fmt.Fprintf(o.stderr, "tfbench: -scenario: experiment %q runs no chaos scenarios\n", name)
-		return 2
+	for _, f := range []struct {
+		flag, value, refusal string
+		honours              func(e experiment) bool
+	}{
+		{"-out", o.out, "writes no report", func(e experiment) bool { return e.report }},
+		{"-scenario", o.scenario, "runs no chaos scenarios", func(e experiment) bool { return e.scenarios }},
+		{"-trace", traceOut, "records no trace", func(e experiment) bool { return e.traces }},
+		{"-metrics", metricsOut, "registers no metrics", func(e experiment) bool { return e.metered }},
+	} {
+		if f.value != "" && !slices.ContainsFunc(rows, f.honours) {
+			fmt.Fprintf(o.stderr, "tfbench: %s: experiment %q %s\n", f.flag, name, f.refusal)
+			return 2
+		}
 	}
 	if _, _, err := chaos.Select(o.scenario); err != nil {
 		fmt.Fprintf(o.stderr, "tfbench: %v; catalogue:\n", err)

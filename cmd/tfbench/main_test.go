@@ -102,9 +102,10 @@ func TestUnknownScenarioListsBothCatalogues(t *testing.T) {
 	}
 }
 
-// TestFlagsRowCannotTakeExit2 checks that -out and -scenario given to a
-// row with no report or no scenarios are refused before anything runs,
-// not ignored.
+// TestFlagsRowCannotTakeExit2 checks that -out, -scenario, -trace and
+// -metrics given to rows that write no report, run no scenarios, record no
+// trace or register no metrics are refused before anything runs, not
+// ignored or answered with an empty file.
 func TestFlagsRowCannotTakeExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-experiment", "fig5", "-out", "r.json"},
@@ -112,33 +113,44 @@ func TestFlagsRowCannotTakeExit2(t *testing.T) {
 		{"-experiment", "fig5", "-scenario", "crc-burst"},
 		{"-experiment", "replay", "-scenario", "crc-burst"},
 		{"-experiment", "latency-attr", "-scenario", "crc-burst"},
+		{"-experiment", "chaos", "-trace", "t.json"},
+		{"-experiment", "chaos", "-metrics", "m.json"},
+		{"-experiment", "detect", "-scenario", "replay-storm", "-trace", "t.json", "-metrics", "m.json"},
+		{"-experiment", "latency-attr", "-trace", "t.json"},
+		{"-experiment", "latency-attr", "-metrics", "m.json"},
+		{"-experiment", "fig1", "-trace", "t.json"},
+		{"-experiment", "replay", "-trace", "t.json"},
 	} {
 		dir := t.TempDir()
 		stdout, _, code := tfbench(t, dir, args...)
 		if code != 2 || stdout != "" {
 			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "r.json")); err == nil {
-			t.Errorf("%v: wrote r.json", args)
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("%v: wrote %s", args, files[0].Name())
 		}
 	}
 }
 
-// TestSoloRowWritesTraceAndMetrics checks that a row left out of "all"
-// still writes the -trace and -metrics files it is asked for.
-func TestSoloRowWritesTraceAndMetrics(t *testing.T) {
+// TestTraceRowWritesTraceAndMetrics checks that a row that traces and
+// registers metrics fills the -trace and -metrics files it is asked for.
+func TestTraceRowWritesTraceAndMetrics(t *testing.T) {
 	dir := t.TempDir()
-	stdout, stderr, code := tfbench(t, dir, "-experiment", "detect", "-scenario", "replay-storm",
-		"-seed", "1", "-trace", "t.json", "-metrics", "m.json")
+	stdout, stderr, code := tfbench(t, dir, "-experiment", "fig5", "-trace", "t.json", "-metrics", "m.json")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
-	for _, f := range []string{"t.json", "m.json"} {
-		if info, err := os.Stat(filepath.Join(dir, f)); err != nil || info.Size() == 0 {
-			t.Errorf("%s not written: %v", f, err)
-		}
-		if !strings.Contains(stdout, "-> "+f) {
-			t.Errorf("stdout does not name %s:\n%s", f, stdout)
-		}
+	if strings.Contains(stdout, "trace: 0 events") || !strings.Contains(stdout, "-> t.json") {
+		t.Errorf("stdout does not report a non-empty trace:\n%s", stdout)
+	}
+	if !strings.Contains(stdout, "-> m.json") {
+		t.Errorf("stdout does not name m.json:\n%s", stdout)
+	}
+	tr, err := os.ReadFile(filepath.Join(dir, "t.json"))
+	if err != nil || !bytes.Contains(tr, []byte(`"name":"dispatch"`)) {
+		t.Errorf("t.json holds no dispatch span (err %v)", err)
+	}
+	if m, err := os.ReadFile(filepath.Join(dir, "m.json")); err != nil || len(bytes.TrimSpace(m)) <= len("{}") {
+		t.Errorf("m.json is empty: %q (err %v)", m, err)
 	}
 }

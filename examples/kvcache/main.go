@@ -20,11 +20,12 @@ func main() {
 	rc.CacheBytes = 96 << 20
 	rc.Keys = 3_000_000
 
+	warmups := kvcache.NewWarmups() // each cache shape is warmed once
 	fmt.Println("Memcached / ETC workload across memory configurations")
 	fmt.Printf("%-22s %8s %8s %8s %8s %8s %9s\n",
 		"config", "avg(us)", "p50", "p90", "p99", "hit%", "ops/s")
 	for _, cfg := range core.AllConfigs() {
-		res, err := kvcache.Run(cfg, rc)
+		res, err := kvcache.Run(cfg, rc, warmups)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func main() {
 
 	// Print the CDF of the single-disaggregated configuration, the curve
 	// Figure 8 plots.
-	res, err := kvcache.Run(core.ConfigSingleDisaggregated, rc)
+	res, err := kvcache.Run(core.ConfigSingleDisaggregated, rc, warmups)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -280,10 +280,12 @@ func Fig8Memcached(w io.Writer, scale Scale) map[core.MemoryConfig]*kvcache.Resu
 }
 
 // Fig8Memcached is the parallel-cell form of the package-level function:
-// one cell per configuration.
+// one cell per configuration. The cells share one warm-up set, so the four
+// single-instance configurations warm their identical caches once.
 func (r *Runner) Fig8Memcached(w io.Writer, scale Scale) map[core.MemoryConfig]*kvcache.Result {
 	configs := core.AllConfigs()
 	results := make([]*kvcache.Result, len(configs))
+	warmups := kvcache.NewWarmups()
 	r.Run(len(configs), func(i int) {
 		rc := kvcache.DefaultRunConfig()
 		if scale == Quick {
@@ -292,7 +294,7 @@ func (r *Runner) Fig8Memcached(w io.Writer, scale Scale) map[core.MemoryConfig]*
 			rc.CacheBytes = 64 << 20
 			rc.Keys = 2_000_000
 		}
-		res, err := kvcache.Run(configs[i], rc)
+		res, err := kvcache.Run(configs[i], rc, warmups)
 		if err != nil {
 			panic(err)
 		}

@@ -23,7 +23,7 @@ func AblationHBM(w io.Writer, scale Scale) {
 }
 
 // AblationHBM is the parallel-cell form of the package-level function: one
-// cell per HBM sizing.
+// cell per HBM sizing. Both cells serve the same cache, warmed once.
 func (r *Runner) AblationHBM(w io.Writer, scale Scale) {
 	rc := kvcache.DefaultRunConfig()
 	if scale == Quick {
@@ -33,6 +33,7 @@ func (r *Runner) AblationHBM(w io.Writer, scale Scale) {
 		rc.Keys = 2_000_000
 	}
 	sizes := []int64{0, 4 << 30}
+	warmups := kvcache.NewWarmups()
 	type cell struct {
 		res     *kvcache.Result
 		hitRate float64
@@ -51,7 +52,7 @@ func (r *Runner) AblationHBM(w io.Writer, scale Scale) {
 		if err != nil {
 			panic(err)
 		}
-		res, err := kvcache.RunOn(tb, rc)
+		res, err := kvcache.RunOn(tb, rc, warmups)
 		if err != nil {
 			panic(err)
 		}

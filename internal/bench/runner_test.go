@@ -97,3 +97,15 @@ func TestParallelFig9PinnedHash(t *testing.T) {
 	NewRunner(0).Fig9Search(&par, Quick)
 	checkPinnedHash(t, "parallel Figure 9", par.String(), fig9QuickHash)
 }
+
+// TestParallelFig8PinnedHash runs Figure 8's cells on four workers, so the
+// four single-instance configurations wait on one shared warm-up
+// recording, and checks the text against the sequential run's pinned hash.
+func TestParallelFig8PinnedHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Fig8 run in -short mode")
+	}
+	var par strings.Builder
+	NewRunner(4).Fig8Memcached(&par, Quick)
+	checkPinnedHash(t, "parallel Figure 8", par.String(), fig8QuickHash)
+}

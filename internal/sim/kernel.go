@@ -54,6 +54,13 @@ func (e *Event) At() Time { return e.at }
 // each Lane: a stream of events whose times never decrease (a fixed-delay
 // timer, a FIFO link) waits in its lane, so a thousand armed timers cost
 // one heap slot instead of a thousand.
+//
+// A process that sleeps until what would be the kernel's very next event
+// does not park at all: Proc.Sleep advances the clock in place when its
+// wake-up sorts before the heap root, lies below the current run call's
+// end, the kernel is not stopped and no tracer is attached. The elided
+// wake-up still takes its sequence number and counts as executed, so
+// Scheduled, Executed and the firing order read as if it had been queued.
 type Kernel struct {
 	now             Time
 	pq              []*Event
@@ -64,6 +71,9 @@ type Kernel struct {
 	backlog         int      // lane entries queued behind their lane's head
 	free            []*Event // recycled Event structs
 	idle            []*Proc  // finished processes kept for reuse (LIFO)
+	// end is the exclusive time bound of the run call in progress (zero
+	// outside one): Proc.Sleep's fast path never advances the clock to it.
+	end Time
 
 	// tracer, when non-nil, receives a dispatch span and a queue-depth
 	// sample per fired event; datapath components reach it through
@@ -176,7 +186,12 @@ func (k *Kernel) RunUntil(limit Time) Time {
 // processes that finished during the call (drainIdle): reuse stays within
 // one call, and a kernel left with events pending is not kept alive by
 // idle coroutines.
+//
+// end is recorded in the kernel for Proc.Sleep's fast path while the call
+// runs; a nested call restores the outer bound when it returns.
 func (k *Kernel) run(end Time) {
+	outer := k.end
+	k.end = end
 	k.stopped = false
 	for !k.stopped && len(k.pq) > 0 {
 		e := k.pq[0]
@@ -215,6 +230,7 @@ func (k *Kernel) run(end Time) {
 	if len(k.idle) > 0 {
 		k.drainIdle()
 	}
+	k.end = outer
 }
 
 // maxFree caps the free list. Steady-state simulations recycle through a
@@ -305,6 +321,21 @@ func eventBefore(a, b *Event) bool {
 		return a.schedAt < b.schedAt
 	}
 	return a.seq < b.seq
+}
+
+// wakesFirst reports whether an event scheduled now for time at would sort
+// before the heap root, i.e. fire next (Proc.Sleep's fast path).
+func (k *Kernel) wakesFirst(at Time) bool {
+	if len(k.pq) == 0 {
+		return true
+	}
+	r := k.pq[0]
+	if at != r.at {
+		return at < r.at
+	}
+	// A tie on time goes to the root unless it was sent after now (an
+	// injected delivery): the root took its sequence number earlier.
+	return k.now < r.schedAt
 }
 
 func (k *Kernel) heapPush(e *Event) {

@@ -70,7 +70,27 @@ func BenchmarkKernelCancel(b *testing.B) {
 
 // BenchmarkProcSwitch measures one park/resume round trip: a process
 // sleeps, the kernel fires its wakeup event and switches back into it.
+// Two processes sleep 2 ns each, 1 ns apart, so the other's wake-up is
+// always next and no sleep takes Sleep's fast path; an op is one sleep.
 func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	body := func(n int) func(p *Proc) {
+		return func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(2 * Nanosecond)
+			}
+		}
+	}
+	k.Go("even", body(b.N-b.N/2))
+	k.Schedule(Nanosecond, func() { k.Go("odd", body(b.N/2)) })
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcSleepFast measures Sleep's fast path: a lone process's
+// wake-up is always the next event, so each sleep only advances the clock.
+func BenchmarkProcSleepFast(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
 	k.Go("sleeper", func(p *Proc) {

@@ -99,11 +99,31 @@ func (p *Proc) Name() string { return p.name }
 
 // Sleep blocks the process for d virtual time. Non-positive durations yield
 // the processor for one scheduling round without advancing the clock.
+//
+// When the wake-up would be the kernel's very next event anyway, Sleep
+// takes a fast path: it advances the clock and returns without touching
+// the heap or switching coroutines. All four conditions must hold:
+//   - the wake key (now+d, now, seq+1) sorts strictly before the heap
+//     root, or the heap is empty (a cancelled root counts as live);
+//   - now+d is below the end of the current Run, RunUntil or RunBefore
+//     call, so a window never runs past its horizon;
+//   - the kernel is not stopped;
+//   - no tracer is attached, so traced runs keep a dispatch span per event.
+//
+// The elided wake-up takes its sequence number and counts as executed, so
+// firing order, Scheduled and Executed are those of the parking path.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.Schedule(d, p.wake)
+	k := p.k
+	if at := k.now + d; at < k.end && !k.stopped && k.tracer == nil && k.wakesFirst(at) {
+		k.seq++
+		k.executed++
+		k.now = at
+		return
+	}
+	k.Schedule(d, p.wake)
 	p.park()
 }
 

@@ -15,7 +15,7 @@ func Example() {
 	rc.RequestsPerThread = 200
 	rc.CacheBytes = 16 << 20
 	rc.Keys = 200_000
-	res, err := kvcache.Run(core.ConfigLocal, rc)
+	res, err := kvcache.Run(core.ConfigLocal, rc, kvcache.NewWarmups())
 	if err != nil {
 		panic(err)
 	}

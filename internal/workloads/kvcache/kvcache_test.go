@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"thymesisflow/internal/core"
@@ -150,7 +151,7 @@ func TestRunLocalSmall(t *testing.T) {
 	rc.RequestsPerThread = 300
 	rc.CacheBytes = 32 << 20
 	rc.Keys = 1_000_000
-	res, err := Run(core.ConfigLocal, rc)
+	res, err := Run(core.ConfigLocal, rc, NewWarmups())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +176,9 @@ func TestRunLatencyOrderingAcrossConfigs(t *testing.T) {
 	rc.RequestsPerThread = 400
 	rc.CacheBytes = 64 << 20
 	rc.Keys = 2_000_000
+	warmups := NewWarmups()
 	mean := func(cfg core.MemoryConfig) float64 {
-		res, err := Run(cfg, rc)
+		res, err := Run(cfg, rc, warmups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,6 +247,53 @@ func TestSlabStats(t *testing.T) {
 	for _, st := range slabs {
 		if st.Items > 0 && st.UsedBytes+st.WasteBytes != st.Items*st.ClassBytes {
 			t.Fatalf("class %d accounting broken: %+v", st.ClassBytes, st)
+		}
+	}
+}
+
+// TestWarmupReplayMatchesWarm checks that a server loaded from a recorded
+// warm-up plan holds exactly what warming it directly leaves: the same
+// items in the same LRU order at the same arena offsets, the same slab
+// free lists and the same allocator state. A shard of a two-way split
+// and a cache small enough to evict during warm-up are covered too.
+func TestWarmupReplayMatchesWarm(t *testing.T) {
+	etc := DefaultETCConfig(200_000)
+	wu := NewWarmups()
+	for _, tc := range []struct {
+		capacity      int64
+		shard, shards int
+		evicts        bool
+	}{{4 << 20, 0, 1, false}, {2 << 20, 1, 2, false}, {19_000, 0, 1, true}} {
+		_, want := newLocalServer(t, tc.capacity, false)
+		warm(want, etc, tc.shard, tc.shards)
+		freed := 0
+		for _, fl := range want.free {
+			freed += len(fl)
+		}
+		if (freed > 0) != tc.evicts {
+			t.Fatalf("%+v: warm-up left %d free slots", tc, freed)
+		}
+		for round := 0; round < 2; round++ { // warm and record, then replay
+			_, got := newLocalServer(t, tc.capacity, false)
+			wu.warm(got, etc, tc.shard, tc.shards)
+			if got.used != want.used || got.nextOff != want.nextOff || len(got.index) != len(want.index) {
+				t.Fatalf("%+v round %d: used/nextOff/items %d/%d/%d, want %d/%d/%d", tc, round,
+					got.used, got.nextOff, len(got.index), want.used, want.nextOff, len(want.index))
+			}
+			g, w := got.head.next, want.head.next
+			for ; w != want.tail; g, w = g.next, w.next {
+				if g.key != w.key || g.size != w.size || g.off != w.off || g.cls != w.cls || got.index[g.key] != g {
+					t.Fatalf("%+v round %d: LRU item %+v, want %+v", tc, round, *g, *w)
+				}
+			}
+			if g != got.tail {
+				t.Fatalf("%+v round %d: replayed LRU chain is longer than the warmed one", tc, round)
+			}
+			for c := range want.free {
+				if !slices.Equal(got.free[c], want.free[c]) {
+					t.Fatalf("%+v round %d: class %d free list %v, want %v", tc, round, c, got.free[c], want.free[c])
+				}
+			}
 		}
 	}
 }

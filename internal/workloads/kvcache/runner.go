@@ -3,6 +3,8 @@ package kvcache
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/mem"
@@ -58,8 +60,9 @@ type Result struct {
 	Throughput float64 // ops/sec
 }
 
-// Run executes the experiment under one memory configuration.
-func Run(cfgName core.MemoryConfig, rc RunConfig) (*Result, error) {
+// Run executes the experiment under one memory configuration. Each server
+// is warmed from wu, so runs that share wu warm each cache shape once.
+func Run(cfgName core.MemoryConfig, rc RunConfig, wu *Warmups) (*Result, error) {
 	// The key-space/LLC proportions drive cache-friendliness; shrink the
 	// LLC in step with the scaled-down arena so the LLC covers the same
 	// share of requests as at paper scale (see EXPERIMENTS.md).
@@ -69,12 +72,13 @@ func Run(cfgName core.MemoryConfig, rc RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunOn(tb, rc)
+	return RunOn(tb, rc, wu)
 }
 
 // RunOn executes the experiment on a caller-provided testbed (used by
-// ablations that customize the attachment, e.g. the HBM caching layer).
-func RunOn(tb *core.Testbed, rc RunConfig) (*Result, error) {
+// ablations that customize the attachment, e.g. the HBM caching layer),
+// warming its servers from wu.
+func RunOn(tb *core.Testbed, rc RunConfig, wu *Warmups) (*Result, error) {
 	if rc.Threads <= 0 || rc.RequestsPerThread <= 0 {
 		return nil, fmt.Errorf("kvcache: bad run config %+v", rc)
 	}
@@ -103,7 +107,7 @@ func RunOn(tb *core.Testbed, rc RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		warm(servers[i], etc, i, len(instances))
+		wu.warm(servers[i], etc, i, len(instances))
 	}
 
 	proxy := newProxy(k, rc.ProxyInstr, instances[0])
@@ -243,6 +247,99 @@ func warm(s *Server, etc ETCConfig, shard, shards int) {
 	}
 	// Warm-up traffic does not count toward measured statistics.
 	s.hits, s.misses, s.sets, s.evicts = 0, 0, 0, 0
+}
+
+// Warmups records each warm-up shape once, on first use, and replays the
+// recorded contents into every server of that shape: warm-up draws from a
+// fixed generator seed, so servers of one shape warm identically. It is
+// safe for concurrent use, so the parallel cells of one figure can share
+// it; the recordings live as long as the Warmups value does.
+type Warmups struct {
+	mu     sync.Mutex
+	shapes map[warmShape]*warmPlan
+}
+
+// warmShape is everything warm's outcome depends on.
+type warmShape struct {
+	etc           ETCConfig
+	capacity      int64
+	shard, shards int
+}
+
+// warmPlan is a warmed cache: its items from the LRU tail to the head, so
+// pushing them in order rebuilds the LRU chain, plus the slab allocator's
+// state. Arena offsets are relative to the server's arena. once guards
+// the recording.
+type warmPlan struct {
+	once    sync.Once
+	items   []warmItem
+	free    [][]int64
+	nextOff int64
+	used    int64
+}
+
+// warmItem is one cached item; sizes and classes are small, so it packs
+// into 24 bytes.
+type warmItem struct {
+	key       uint64
+	off       int64
+	size, cls int32
+}
+
+// NewWarmups returns an empty warm-up set.
+func NewWarmups() *Warmups {
+	return &Warmups{shapes: make(map[warmShape]*warmPlan)}
+}
+
+// warm fills the fresh server s as warm would. The first request for a
+// shape warms its server directly and records the plan; later requests
+// replay it. Concurrent requests for one shape wait for the recording.
+func (w *Warmups) warm(s *Server, etc ETCConfig, shard, shards int) {
+	key := warmShape{etc, s.capacity, shard, shards}
+	w.mu.Lock()
+	pl := w.shapes[key]
+	if pl == nil {
+		pl = &warmPlan{}
+		w.shapes[key] = pl
+	}
+	w.mu.Unlock()
+	warmed := false
+	pl.once.Do(func() {
+		warm(s, etc, shard, shards)
+		pl.record(s)
+		warmed = true
+	})
+	if !warmed {
+		pl.replay(s)
+	}
+}
+
+// record fills the plan from the freshly warmed server s.
+func (pl *warmPlan) record(s *Server) {
+	pl.items = make([]warmItem, 0, len(s.index))
+	for it := s.tail.prev; it != s.head; it = it.prev {
+		pl.items = append(pl.items, warmItem{key: it.key, off: it.off, size: int32(it.size), cls: int32(it.cls)})
+	}
+	for _, fl := range s.free {
+		pl.free = append(pl.free, slices.Clone(fl))
+	}
+	pl.nextOff, pl.used = s.nextOff, s.used
+}
+
+// replay loads the plan into the empty server s.
+func (pl *warmPlan) replay(s *Server) {
+	items := make([]item, len(pl.items))
+	s.index = make(map[uint64]*item, len(pl.items))
+	for i, w := range pl.items {
+		it := &items[i]
+		it.key, it.off, it.size, it.cls = w.key, w.off, int64(w.size), int(w.cls)
+		s.index[w.key] = it
+		s.lruPush(it)
+	}
+	for c, fl := range pl.free {
+		s.free[c] = slices.Clone(fl)
+	}
+	s.nextOff, s.used = pl.nextOff, pl.used
 }
 
 // proxyModel is the single-threaded Twemproxy instance of the scale-out
