@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	tfd -listen :8440 -hosts node0,node1,node2 -admin-token secret
+//	tfd -listen :8440 -admin-token secret
 //
 // With -journal PATH, every attach/detach saga is write-ahead journaled to
 // the file; on boot the daemon replays the journal, finishing or
@@ -25,7 +25,6 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"strings"
 	"time"
 
 	"thymesisflow/internal/agent"
@@ -37,12 +36,17 @@ import (
 	"thymesisflow/internal/trace"
 )
 
-// transceiversPerHost is the transceiver count of every simulated endpoint.
+// The simulated rack: three hosts cabled as a full mesh, with
+// transceiversPerHost transceivers on every endpoint.
+var hosts = []string{"node0", "node1", "node2"}
+
 const transceiversPerHost = 2
+
+// flightInterval is the flight recorder's wall-clock sampling period.
+const flightInterval = time.Second
 
 func main() {
 	listen := flag.String("listen", ":8440", "HTTP listen address")
-	hosts := flag.String("hosts", "node0,node1,node2", "comma-separated host names of the simulated rack")
 	adminToken := flag.String("admin-token", "tf-admin", "bearer token with write access")
 	readerToken := flag.String("reader-token", "tf-reader", "bearer token with read-only access")
 	traceEvents := flag.Int("trace-events", 1<<16, "trace ring capacity in events; > 0 also enables per-stage latency attribution, served under /v1/latency (0 disables both)")
@@ -52,18 +56,11 @@ func main() {
 	journalSyncEvery := flag.Int("journal-sync-every", 1, "with -journal: fsync group-commit threshold; 1 syncs per record (safest), N batches up to N records per fsync (a crash may lose the last N-1)")
 	reconcileEvery := flag.Duration("reconcile-interval", 0, "run the reconciliation loop at this interval (0 disables)")
 	flightRecorder := flag.Bool("flight-recorder", false, "sample control-plane saga counters into flight-recorder time series with online anomaly detection, served under /v1/timeseries and /v1/anomalies")
-	flightInterval := flag.Duration("flight-interval", time.Second, "with -flight-recorder: wall-clock sampling period")
 	flag.Parse()
-
-	names := strings.Split(*hosts, ",")
-	if len(names) < 2 {
-		log.Fatal("tfd: need at least two hosts")
-	}
 
 	cluster := core.NewCluster()
 	model := controlplane.NewModel()
-	for _, n := range names {
-		n = strings.TrimSpace(n)
+	for _, n := range hosts {
 		if _, err := cluster.AddHost(core.DefaultHostConfig(n)); err != nil {
 			log.Fatalf("tfd: %v", err)
 		}
@@ -83,8 +80,8 @@ func main() {
 		svc.EnableSagaTracing(*sagaEvents)
 		log.Printf("tfd: saga tracing on (%d-event log), /v1/events and /v1/sagas/{id}/trace live", *sagaEvents)
 	}
-	for _, n := range names {
-		svc.RegisterAgent(agent.New(strings.TrimSpace(n), cpToken))
+	for _, n := range hosts {
+		svc.RegisterAgent(agent.New(n, cpToken))
 	}
 	if *journalPath != "" {
 		j, err := controlplane.OpenFileJournal(*journalPath)
@@ -141,13 +138,13 @@ func main() {
 		sampler := controlplane.NewFlightSampler(svc, rec, det)
 		start := time.Now()
 		go func() {
-			for range time.Tick(*flightInterval) {
+			for range time.Tick(flightInterval) {
 				sampler.Sample(time.Since(start).Nanoseconds())
 			}
 		}()
-		log.Printf("tfd: flight recorder on (%s tick), /v1/timeseries and /v1/anomalies live", *flightInterval)
+		log.Printf("tfd: flight recorder on (%s tick), /v1/timeseries and /v1/anomalies live", flightInterval)
 	}
 
-	log.Printf("tfd: rack of %d hosts up, serving on %s", len(names), *listen)
+	log.Printf("tfd: rack of %d hosts up, serving on %s", len(hosts), *listen)
 	log.Fatal(http.ListenAndServe(*listen, api))
 }

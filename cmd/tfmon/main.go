@@ -31,15 +31,17 @@ import (
 	"thymesisflow/internal/timeseries/detect"
 )
 
+// chartWidth is the sparkline and timeline width in cells.
+const chartWidth = 48
+
 func main() {
 	rules := flag.String("rules", "all", "anomaly rule catalogue to replay: datapath|cp|all")
 	prefix := flag.String("prefix", "", "restrict analysis to series whose name starts with this prefix")
-	width := flag.Int("width", 48, "sparkline and timeline width in cells")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of sparklines")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tfmon [-rules datapath|cp|all] [-prefix P] [-width N] [-json] <snapshot>")
+		fmt.Fprintln(os.Stderr, "usage: tfmon [-rules datapath|cp|all] [-prefix P] [-json] <snapshot>")
 		os.Exit(2)
 	}
 	ruleSet, err := ruleCatalogue(*rules)
@@ -77,7 +79,7 @@ func main() {
 		}
 		return
 	}
-	render(os.Stdout, snap, events, *width)
+	render(os.Stdout, snap, events, chartWidth)
 }
 
 // ruleCatalogue maps the -rules flag to a detector rule set.
@@ -126,9 +128,6 @@ func analysisJSON(snap timeseries.Snapshot, events []detect.Event) any {
 // render draws the human-readable report: one sparkline row per series,
 // then every anomaly as a bar on a shared timeline spanning the snapshot.
 func render(w *os.File, snap timeseries.Snapshot, events []detect.Event, width int) {
-	if width < 8 {
-		width = 8
-	}
 	minTS, maxTS := timeDomain(snap)
 	fmt.Fprintf(w, "%d series, ticks %d..%d\n\n", len(snap.Series), minTS, maxTS)
 

@@ -9,6 +9,7 @@ import (
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/cpworld"
 	"thymesisflow/internal/dctrace"
+	"thymesisflow/internal/instrument"
 	"thymesisflow/internal/metrics"
 	"thymesisflow/internal/trace"
 )
@@ -26,13 +27,23 @@ import (
 
 const replayToken = "replay-secret"
 
+// The replay's fixed world and cadence.
+const (
+	replayHosts             = 8  // small hosts, cabled as a full mesh
+	replayTransceiversPerEP = 12 // per endpoint
+	// replayLocalBytes is each host's synthetic local DRAM for the
+	// pressure model.
+	replayLocalBytes int64 = 64 << 20
+	// replayReconcileEverySec is the periodic reconciler cadence, in
+	// simulated seconds.
+	replayReconcileEverySec float64 = 20
+)
+
 // ReplayConfig parameterizes one replay run. Zero values take defaults().
 type ReplayConfig struct {
-	Seed              int64
-	Minutes           int     // simulated trace duration
-	RatePerMinute     float64 // base attach arrival rate
-	Hosts             int
-	TransceiversPerEP int
+	Seed          int64
+	Minutes       int     // simulated trace duration
+	RatePerMinute float64 // base attach arrival rate
 	// MaxInflightSagas is forwarded to Service.SetMaxInflightSagas — the
 	// admission knob; the single-threaded driver never trips it, but the
 	// concurrent driver (Workers > 1) races its issuers against it and
@@ -46,9 +57,7 @@ type ReplayConfig struct {
 	// is byte-identical per seed; with N > 1 totals depend on scheduling,
 	// which is the point — it is the load harness that makes admission
 	// control trip.
-	Workers           int
-	ReconcileEverySec float64 // periodic reconciler cadence (simulated)
-	LocalBytes        int64   // synthetic local DRAM per host for the pressure model
+	Workers int
 
 	// HANodes > 1 replicates the saga write-ahead journal across an
 	// in-process Raft replica set of that many control-plane nodes; sagas
@@ -79,23 +88,11 @@ func (cfg *ReplayConfig) defaults() {
 	if cfg.RatePerMinute <= 0 {
 		cfg.RatePerMinute = 800
 	}
-	if cfg.Hosts <= 1 {
-		cfg.Hosts = 8
-	}
-	if cfg.TransceiversPerEP <= 0 {
-		cfg.TransceiversPerEP = 12
-	}
 	if cfg.MaxInflightSagas <= 0 {
 		cfg.MaxInflightSagas = 64
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.ReconcileEverySec <= 0 {
-		cfg.ReconcileEverySec = 20
-	}
-	if cfg.LocalBytes <= 0 {
-		cfg.LocalBytes = 64 << 20
 	}
 }
 
@@ -174,11 +171,11 @@ type ReplayReport struct {
 	Invariants []string `json:"invariants,omitempty"`
 }
 
-// newReplayWorld builds the replay's control-plane world: cfg.Hosts small
+// newReplayWorld builds the replay's control-plane world: replayHosts small
 // hosts cabled as a full mesh, the seeded lossy transport, and with
 // HANodes > 1 a replica set carrying the journal.
 func newReplayWorld(cfg ReplayConfig) (*cpworld.World, error) {
-	hosts := make([]string, cfg.Hosts)
+	hosts := make([]string, replayHosts)
 	for i := range hosts {
 		hosts[i] = fmt.Sprintf("replay%02d", i)
 	}
@@ -211,7 +208,7 @@ func newReplayWorld(cfg ReplayConfig) (*cpworld.World, error) {
 			hc.RMMUSections = 512
 			return hc
 		},
-		TransceiversPerEP: cfg.TransceiversPerEP,
+		TransceiversPerEP: replayTransceiversPerEP,
 		Token:             replayToken,
 		Faults:            faults,
 		Events:            capEvents,
@@ -240,7 +237,7 @@ func (ri *replayInspector) HostMemory() []controlplane.HostMemory {
 	}
 	out := make([]controlplane.HostMemory, 0, len(d.w.Hosts))
 	for i, h := range d.w.Hosts {
-		local := d.cfg.LocalBytes
+		local := replayLocalBytes
 		demand := d.demand[i]
 		hm := controlplane.HostMemory{
 			Name:           h,
@@ -455,7 +452,7 @@ func (d *replayDriver) apply(ev dctrace.ChurnEvent) error {
 		if d.demand[i] < 0 {
 			d.demand[i] = 0
 		}
-		if limit := 2 * d.cfg.LocalBytes; d.demand[i] > limit {
+		if limit := 2 * replayLocalBytes; d.demand[i] > limit {
 			d.demand[i] = limit
 		}
 
@@ -510,13 +507,13 @@ func (d *replayDriver) run(events []dctrace.ChurnEvent) {
 		queues[key%len(queues)] <- ev
 	}
 
-	nextReconcile := d.cfg.ReconcileEverySec
+	nextReconcile := replayReconcileEverySec
 	for _, ev := range events {
 		for ev.At >= nextReconcile {
 			pending.Wait()
 			d.svc.Reconcile()
 			d.rep.Reconciler.PeriodicSweeps++
-			nextReconcile += d.cfg.ReconcileEverySec
+			nextReconcile += replayReconcileEverySec
 		}
 		switch ev.Kind {
 		case dctrace.ChurnAttach:
@@ -567,7 +564,7 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 		Seed:             cfg.Seed,
 		Minutes:          cfg.Minutes,
 		RatePerMinute:    cfg.RatePerMinute,
-		Hosts:            cfg.Hosts,
+		Hosts:            replayHosts,
 		FaultsEnabled:    !cfg.NoFaults,
 		AutoscaleEnabled: !cfg.NoAutoscale,
 		MaxInflightSagas: cfg.MaxInflightSagas,
@@ -579,7 +576,7 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 	d := &replayDriver{
 		w:          world,
 		cfg:        cfg,
-		demand:     make([]int64, cfg.Hosts),
+		demand:     make([]int64, replayHosts),
 		crashQueue: cfg.crashPoints,
 		live:       make(map[int]string),
 		known:      make(map[string]bool),
@@ -590,7 +587,7 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 	ch := dctrace.DefaultChurnConfig()
 	ch.Seed = cfg.Seed
 	ch.Minutes = cfg.Minutes
-	ch.Hosts = cfg.Hosts
+	ch.Hosts = replayHosts
 	ch.AttachPerMinute = cfg.RatePerMinute
 	ch.FlapStorms = cfg.Minutes // one flap storm per simulated minute
 	events := dctrace.GenerateChurn(ch)
@@ -684,46 +681,59 @@ func printReplay(w io.Writer, rep *ReplayReport) {
 	}
 }
 
-// RegisterReplayMetrics publishes the replay_* instruments into the
-// registry (and from there the Prometheus exposition): throughput, latency
-// percentiles, journal growth, reconciler convergence, and the fault/
-// compensation tallies.
+// replayInstruments is the replay report's instrument table, published
+// under "replay.": throughput, journal growth, reconciler convergence, and
+// the fault/compensation tallies.
+var replayInstruments = []instrument.Def[*ReplayReport]{
+	replayCounter("sagas_committed", func(r *ReplayReport) int64 { return int64(r.SagasCommitted) }),
+	replayCounter("attaches_ok", func(r *ReplayReport) int64 { return int64(r.AttachesOK) }),
+	replayCounter("attach_errors", func(r *ReplayReport) int64 { return int64(r.AttachErrors) }),
+	replayCounter("detaches_ok", func(r *ReplayReport) int64 { return int64(r.DetachesOK) }),
+	replayCounter("detach_errors", func(r *ReplayReport) int64 { return int64(r.DetachErrors) }),
+	replayCounter("scale_attaches", func(r *ReplayReport) int64 { return int64(r.ScaleAttaches) }),
+	replayCounter("scale_detaches", func(r *ReplayReport) int64 { return int64(r.ScaleDetaches) }),
+	replayCounter("crashes", func(r *ReplayReport) int64 { return int64(r.Crashes) }),
+	replayCounter("flaps", func(r *ReplayReport) int64 { return int64(r.Trace.Flaps) }),
+	replayCounter("journal_entries", func(r *ReplayReport) int64 { return r.Journal.Entries }),
+	replayCounter("journal_bytes", func(r *ReplayReport) int64 { return r.Journal.Bytes }),
+	replayCounter("reconcile_periodic_sweeps", func(r *ReplayReport) int64 { return int64(r.Reconciler.PeriodicSweeps) }),
+	replayCounter("reconcile_storm_passes", func(r *ReplayReport) int64 { return int64(r.Reconciler.StormPassesTotal) }),
+	replayCounter("saga_retries", func(r *ReplayReport) int64 { return r.Counters.SagaRetries }),
+	replayCounter("saga_compensations", func(r *ReplayReport) int64 { return r.Counters.SagaCompensations }),
+	replayCounter("sagas_parked", func(r *ReplayReport) int64 { return r.Counters.SagasParked }),
+	replayCounter("sagas_rejected", func(r *ReplayReport) int64 { return r.Counters.SagasRejected }),
+	replayCounter("transport_drops", func(r *ReplayReport) int64 { return r.Transport.Drops }),
+	instrument.Gauge("sagas_per_sim_minute", func(r *ReplayReport) float64 { return r.SagasPerSimMinute }),
+	instrument.Gauge("final_attachments", func(r *ReplayReport) float64 { return float64(r.FinalState.Count) }),
+}
+
+// replayRaftInstruments describes the replica set of an HA replay.
+var replayRaftInstruments = []instrument.Def[*cpworld.RaftSummary]{
+	instrument.Counter("raft_nodes", func(r *cpworld.RaftSummary) float64 { return float64(r.Nodes) }),
+	instrument.Counter("raft_leader_changes", func(r *cpworld.RaftSummary) float64 { return float64(r.LeaderChanges) }),
+	instrument.Counter("raft_commit_index", func(r *cpworld.RaftSummary) float64 { return float64(r.FinalCommit) }),
+	instrument.Counter("raft_dropped_messages", func(r *cpworld.RaftSummary) float64 { return float64(r.DroppedMessages) }),
+}
+
+// replayProfileInstruments gives one saga operation's latency percentiles,
+// bound under "replay.<op>".
+var replayProfileInstruments = []instrument.Def[trace.OpProfile]{
+	instrument.Gauge("_p50_ns", func(p trace.OpProfile) float64 { return float64(p.P50NS) }),
+	instrument.Gauge("_p99_ns", func(p trace.OpProfile) float64 { return float64(p.P99NS) }),
+}
+
+func replayCounter(name string, field func(*ReplayReport) int64) instrument.Def[*ReplayReport] {
+	return instrument.Counter(name, func(r *ReplayReport) float64 { return float64(field(r)) })
+}
+
+// RegisterReplayMetrics publishes the replay.* instruments of rep into the
+// registry (and from there the Prometheus exposition).
 func RegisterReplayMetrics(reg *metrics.Registry, rep *ReplayReport) {
-	set := func(name string, v int64) {
-		ctr := reg.Counter(name)
-		ctr.Reset()
-		ctr.Add(v)
-	}
-	set("replay.sagas_committed", int64(rep.SagasCommitted))
-	set("replay.attaches_ok", int64(rep.AttachesOK))
-	set("replay.attach_errors", int64(rep.AttachErrors))
-	set("replay.detaches_ok", int64(rep.DetachesOK))
-	set("replay.detach_errors", int64(rep.DetachErrors))
-	set("replay.scale_attaches", int64(rep.ScaleAttaches))
-	set("replay.scale_detaches", int64(rep.ScaleDetaches))
-	set("replay.crashes", int64(rep.Crashes))
-	set("replay.flaps", int64(rep.Trace.Flaps))
-	set("replay.journal_entries", rep.Journal.Entries)
-	set("replay.journal_bytes", rep.Journal.Bytes)
-	set("replay.reconcile_periodic_sweeps", int64(rep.Reconciler.PeriodicSweeps))
-	set("replay.reconcile_storm_passes", int64(rep.Reconciler.StormPassesTotal))
-	set("replay.saga_retries", rep.Counters.SagaRetries)
-	set("replay.saga_compensations", rep.Counters.SagaCompensations)
-	set("replay.sagas_parked", rep.Counters.SagasParked)
-	set("replay.sagas_rejected", rep.Counters.SagasRejected)
-	set("replay.transport_drops", rep.Transport.Drops)
-
+	instrument.Register(reg, "", instrument.Bind("replay.", replayInstruments, rep))
 	if rep.Raft != nil {
-		set("replay.raft_nodes", int64(rep.Raft.Nodes))
-		set("replay.raft_leader_changes", int64(rep.Raft.LeaderChanges))
-		set("replay.raft_commit_index", int64(rep.Raft.FinalCommit))
-		set("replay.raft_dropped_messages", int64(rep.Raft.DroppedMessages))
+		instrument.Register(reg, "", instrument.Bind("replay.", replayRaftInstruments, rep.Raft))
 	}
-
-	reg.Gauge("replay.sagas_per_sim_minute").Set(rep.SagasPerSimMinute)
-	reg.Gauge("replay.final_attachments").Set(float64(rep.FinalState.Count))
 	for _, p := range rep.Profiles {
-		reg.Gauge("replay." + p.Op + "_p50_ns").Set(float64(p.P50NS))
-		reg.Gauge("replay." + p.Op + "_p99_ns").Set(float64(p.P99NS))
+		instrument.Register(reg, "", instrument.Bind("replay."+p.Op, replayProfileInstruments, p))
 	}
 }

@@ -13,11 +13,10 @@ const forever = sim.Time(1) << 62
 
 // smallWindowLLC is the shrunken credit configuration used to provoke
 // starvation quickly: a 2-slot window — smaller than the worker count, so
-// senders must stall on backpressure — with a matching small replay buffer.
+// senders must stall on backpressure.
 func smallWindowLLC() *llc.Config {
 	cfg := llc.DefaultConfig()
 	cfg.Credits = 2
-	cfg.ReplayBuffer = 4
 	return &cfg
 }
 

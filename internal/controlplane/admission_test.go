@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"thymesisflow/internal/agent"
+	"thymesisflow/internal/core"
 	"thymesisflow/internal/mem"
 )
 
@@ -22,6 +23,13 @@ func (g *gateExecutor) Attach(compute, donor string, bytes int64, channels int) 
 }
 
 func (g *gateExecutor) Detach(id string) error { return nil }
+
+// The admission tests neither recover nor reconcile, so the reports are
+// never read.
+func (g *gateExecutor) HasAttachment(string) bool                { return true }
+func (g *gateExecutor) AttachmentIDs() []string                  { return nil }
+func (g *gateExecutor) Traffic(string) (core.TrafficStats, bool) { return core.TrafficStats{}, false }
+func (g *gateExecutor) AttachmentState(string) (string, bool)    { return "", false }
 
 // TestSagaAdmissionLimit verifies SetMaxInflightSagas: while one saga is
 // executing, further requests are rejected with ErrOverloaded *before*

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"thymesisflow/internal/agent"
+	"thymesisflow/internal/core"
 	"thymesisflow/internal/mem"
 )
 
@@ -19,6 +20,13 @@ func (b *benchExec) Attach(_, _ string, _ int64, _ int) (string, mem.NodeID, err
 }
 
 func (b *benchExec) Detach(string) error { return nil }
+
+// The benchmarks neither recover nor reconcile, so the reports are never
+// read.
+func (b *benchExec) HasAttachment(string) bool                { return true }
+func (b *benchExec) AttachmentIDs() []string                  { return nil }
+func (b *benchExec) Traffic(string) (core.TrafficStats, bool) { return core.TrafficStats{}, false }
+func (b *benchExec) AttachmentState(string) (string, bool)    { return "", false }
 
 func newBenchService(tb testing.TB) *Service {
 	tb.Helper()

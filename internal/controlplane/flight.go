@@ -13,12 +13,15 @@ import (
 // anomaly detector served read-only under GET /v1/timeseries and
 // GET /v1/anomalies. Either may be nil; unconfigured endpoints answer 404.
 // Recorder and detector are internally synchronized, so the pointers are
-// kept in atomics and never touch the service lock — samplers tick them
-// from their own goroutine (tfd) or clock tap (seeded harnesses) while the
-// REST layer reads.
+// kept in atomics that samplers and the REST layer read without the
+// service lock — samplers tick them from their own goroutine (tfd) or
+// clock tap (seeded harnesses) while the REST layer reads.
 func (s *Service) SetFlightRecorder(rec *timeseries.Recorder, det *detect.Detector) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.flightRec.Store(rec)
 	s.flightDet.Store(det)
+	s.registerHealth(nil, rec, det)
 }
 
 // FlightRecorder returns the attached recorder (nil when unconfigured).

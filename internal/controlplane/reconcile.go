@@ -183,12 +183,8 @@ func (s *Service) drainParked(rep *ReconcileReport) {
 
 // reconcileExecutor diffs datapath attachments against records.
 func (s *Service) reconcileExecutor(rep *ReconcileReport) {
-	lister, ok := s.exec.(ExecLister)
-	if !ok {
-		return
-	}
 	live := make(map[string]bool)
-	for _, id := range lister.AttachmentIDs() {
+	for _, id := range s.exec.AttachmentIDs() {
 		live[id] = true
 		if _, recorded := s.attachments[id]; !recorded {
 			// Orphaned datapath attachment: an attach that crashed between

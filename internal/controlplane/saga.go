@@ -659,17 +659,9 @@ func (s *Service) recoverDetach(sagaID string, begin *JournalEntry, rep *Recover
 	rep.RolledForward++
 }
 
-// execHas queries the executor for attachment liveness (true when the
-// executor cannot be inspected — the conservative roll-forward default).
+// execHas queries the executor for attachment liveness.
 func (s *Service) execHas(id string) bool {
-	if id == "" {
-		return false
-	}
-	insp, ok := s.exec.(ExecInspector)
-	if !ok {
-		return true
-	}
-	return insp.HasAttachment(id)
+	return id != "" && s.exec.HasAttachment(id)
 }
 
 // agentMayHold queries an agent for attachment configuration; true when

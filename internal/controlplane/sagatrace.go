@@ -43,7 +43,7 @@ func (s *Service) SetSagaTracing(log *trace.EventLog, clock trace.WallClock) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.elog = log
-	s.elogShared.Store(log)
+	s.registerHealth(log, nil, nil)
 	s.wall = clock
 	if log != nil && clock == nil {
 		s.wall = trace.Monotonic()

@@ -19,10 +19,28 @@ import (
 )
 
 // Executor carries out planned attachments on the physical (simulated)
-// cluster. *core.Cluster satisfies it through ClusterExecutor.
+// cluster and reports on the attachments it holds. *core.Cluster satisfies
+// it through ClusterExecutor.
 type Executor interface {
 	Attach(computeHost, donorHost string, bytes int64, channels int) (id string, node mem.NodeID, err error)
 	Detach(id string) error
+	// HasAttachment reports whether an attachment is still live — the
+	// ground-truth query crash recovery uses to decide between rolling a
+	// saga forward and compensating.
+	HasAttachment(id string) bool
+	// AttachmentIDs enumerates the live attachments; the reconciliation
+	// loop diffs the list against the control plane's records to find
+	// orphans (e.g. an attach that crashed between the executor call and
+	// its journal record).
+	AttachmentIDs() []string
+	// Traffic reports an attachment's datapath counters, served under
+	// GET /v1/attachments/{id}/stats.
+	Traffic(id string) (core.TrafficStats, bool)
+	// AttachmentState reports an attachment's lifecycle state (active /
+	// draining / link-down), served under GET /v1/attachments/{id}/state so
+	// operators can observe degraded-mode recovery and detach-under-load
+	// progress.
+	AttachmentState(id string) (string, bool)
 }
 
 // ClusterExecutor adapts core.Cluster to the Executor interface.
@@ -47,28 +65,13 @@ func (ce ClusterExecutor) Attach(computeHost, donorHost string, bytes int64, cha
 // Detach implements Executor.
 func (ce ClusterExecutor) Detach(id string) error { return ce.Cluster.Detach(id) }
 
-// ExecInspector is optionally implemented by executors that can report
-// whether an attachment is still live — the ground-truth query crash
-// recovery uses to decide between rolling a saga forward and compensating.
-type ExecInspector interface {
-	HasAttachment(id string) bool
-}
-
-// HasAttachment implements ExecInspector.
+// HasAttachment implements Executor.
 func (ce ClusterExecutor) HasAttachment(id string) bool {
 	_, ok := ce.Cluster.Attachment(id)
 	return ok
 }
 
-// ExecLister is optionally implemented by executors that can enumerate
-// live attachments; the reconciliation loop diffs the list against the
-// control plane's records to find orphans (e.g. an attach that crashed
-// between the executor call and its journal record).
-type ExecLister interface {
-	AttachmentIDs() []string
-}
-
-// AttachmentIDs implements ExecLister, sorted for deterministic sweeps.
+// AttachmentIDs implements Executor, sorted for deterministic sweeps.
 func (ce ClusterExecutor) AttachmentIDs() []string {
 	atts := ce.Cluster.Attachments()
 	out := make([]string, 0, len(atts))
@@ -79,14 +82,7 @@ func (ce ClusterExecutor) AttachmentIDs() []string {
 	return out
 }
 
-// TrafficReporter is optionally implemented by executors that can report
-// per-attachment datapath counters; the REST layer exposes them under
-// GET /v1/attachments/{id}/stats.
-type TrafficReporter interface {
-	Traffic(id string) (core.TrafficStats, bool)
-}
-
-// Traffic implements TrafficReporter.
+// Traffic implements Executor.
 func (ce ClusterExecutor) Traffic(id string) (core.TrafficStats, bool) {
 	att, ok := ce.Cluster.Attachment(id)
 	if !ok {
@@ -95,15 +91,7 @@ func (ce ClusterExecutor) Traffic(id string) (core.TrafficStats, bool) {
 	return att.Traffic(), true
 }
 
-// StateReporter is optionally implemented by executors that can report an
-// attachment's lifecycle state (active / draining / link-down); the REST
-// layer exposes it under GET /v1/attachments/{id}/state so operators can
-// observe degraded-mode recovery and detach-under-load progress.
-type StateReporter interface {
-	AttachmentState(id string) (string, bool)
-}
-
-// AttachmentState implements StateReporter.
+// AttachmentState implements Executor.
 func (ce ClusterExecutor) AttachmentState(id string) (string, bool) {
 	att, ok := ce.Cluster.Attachment(id)
 	if !ok {
@@ -112,39 +100,29 @@ func (ce ClusterExecutor) AttachmentState(id string) (string, bool) {
 	return att.State().String(), true
 }
 
-// AttachmentState returns the lifecycle state of an attachment when the
-// executor supports state reporting. Attachments the control plane knows
-// about but the executor no longer holds (torn down underneath it) read as
-// detached.
+// AttachmentState returns the lifecycle state of an attachment.
+// Attachments the control plane knows about but the executor no longer
+// holds (torn down underneath it) read as detached.
 func (s *Service) AttachmentState(id string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, known := s.attachments[id]; !known {
 		return "", false
 	}
-	sr, ok := s.exec.(StateReporter)
-	if !ok {
-		return "", false
-	}
-	if st, ok := sr.AttachmentState(id); ok {
+	if st, ok := s.exec.AttachmentState(id); ok {
 		return st, true
 	}
 	return core.StateDetached.String(), true
 }
 
-// Traffic returns datapath counters for an attachment when the executor
-// supports reporting.
+// Traffic returns datapath counters for an attachment.
 func (s *Service) Traffic(id string) (core.TrafficStats, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, known := s.attachments[id]; !known {
 		return core.TrafficStats{}, false
 	}
-	tr, ok := s.exec.(TrafficReporter)
-	if !ok {
-		return core.TrafficStats{}, false
-	}
-	return tr.Traffic(id)
+	return s.exec.Traffic(id)
 }
 
 // AttachmentRecord is the control plane's book-keeping for one attachment.
@@ -270,10 +248,6 @@ type Service struct {
 	cur      trace.SpanContext
 	traceSeq uint64
 	spanSeq  uint64
-	// elogShared mirrors elog for readers that must not take s.mu (the
-	// metrics collector runs inside Registry.Snapshot, which MetricsSnapshot
-	// already calls under the lock).
-	elogShared atomic.Pointer[trace.EventLog]
 
 	// Readiness state (health.go): sticky last journal append error and
 	// reconciler liveness (0 disabled, 1 running, 2 stopped).
@@ -281,8 +255,8 @@ type Service struct {
 	reconState     atomic.Int32
 
 	// Flight-recorder telemetry (flight.go): nil until SetFlightRecorder.
-	// Atomics, not s.mu — samplers tick these from clock taps and timer
-	// goroutines that must never contend with the saga engine.
+	// Atomics, so samplers can load these from clock taps and timer
+	// goroutines without contending with the saga engine for s.mu.
 	flightRec atomic.Pointer[timeseries.Recorder]
 	flightDet atomic.Pointer[detect.Detector]
 

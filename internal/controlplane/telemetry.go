@@ -8,6 +8,7 @@ import (
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/instrument"
 	"thymesisflow/internal/metrics"
+	"thymesisflow/internal/timeseries"
 	"thymesisflow/internal/timeseries/detect"
 	"thymesisflow/internal/trace"
 )
@@ -49,6 +50,42 @@ func counter(name string, field func(Reading) int64) instrument.Def[Reading] {
 	return instrument.Counter(name, func(r Reading) float64 { return float64(field(r)) })
 }
 
+// The registry-only health tables: how much of the saga timeline the
+// bounded event log still holds (a growing dropped count means the capacity
+// is too small for the saga rate), flight-recorder occupancy, and the
+// anomaly detector's tallies — one counter per class, so the exposition's
+// instrument set is stable from the first scrape.
+var (
+	eventLogInstruments = []instrument.Def[*trace.EventLog]{
+		instrument.Gauge("cp.events_recorded", func(l *trace.EventLog) float64 { return float64(l.Recorded()) }),
+		instrument.Gauge("cp.events_dropped", func(l *trace.EventLog) float64 { return float64(l.Dropped()) }),
+	}
+	recorderInstruments = []instrument.Def[*timeseries.Recorder]{
+		instrument.Gauge("timeseries.series", func(r *timeseries.Recorder) float64 {
+			series, _, _ := r.Stats()
+			return float64(series)
+		}),
+		instrument.Gauge("timeseries.points", func(r *timeseries.Recorder) float64 {
+			_, points, _ := r.Stats()
+			return float64(points)
+		}),
+		instrument.Gauge("timeseries.dropped", func(r *timeseries.Recorder) float64 {
+			_, _, dropped := r.Stats()
+			return float64(dropped)
+		}),
+	}
+	detectorInstruments = func() []instrument.Def[*detect.Detector] {
+		defs := []instrument.Def[*detect.Detector]{
+			instrument.Gauge("anomaly.active", func(d *detect.Detector) float64 { return float64(d.Active()) }),
+		}
+		for _, class := range detect.Classes() {
+			defs = append(defs, instrument.Counter("anomaly.total."+snakeClass(class),
+				func(d *detect.Detector) float64 { return float64(d.Totals()[class]) }))
+		}
+		return defs
+	}()
+)
+
 // SetTelemetry attaches the live metrics registry and trace ring the REST
 // layer serves under GET /v1/metrics and GET /v1/trace/snapshot. Either may
 // be nil; unconfigured telemetry endpoints answer 404.
@@ -59,37 +96,27 @@ func (s *Service) SetTelemetry(reg *metrics.Registry, ring *trace.Ring) {
 	s.ring = ring
 	if reg != nil {
 		instrument.Register(reg, "", instrument.BindFunc("", Instruments, s.Reading))
-		reg.AddCollector(s.collectHealth)
 	}
+	s.registerHealth(s.elog, s.flightRec.Load(), s.flightDet.Load())
 }
 
-// collectHealth pulls the registry-only health gauges in at snapshot time:
-// event-log, flight-recorder and anomaly-detector state.
-func (s *Service) collectHealth(reg *metrics.Registry) {
-	// Event-log health: how much of the saga timeline the bounded log still
-	// holds. A growing dropped count means the capacity is too small for the
-	// saga rate.
-	if elog := s.elogShared.Load(); elog != nil {
-		reg.Gauge("cp.events_recorded").Set(float64(elog.Recorded()))
-		reg.Gauge("cp.events_dropped").Set(float64(elog.Dropped()))
+// registerHealth publishes the health tables of whichever of log, rec and
+// det are non-nil into the attached registry, if there is one. SetTelemetry
+// passes everything already attached and the other attach points pass what
+// they attach, so each table is registered as soon as both it and the
+// registry are attached, whichever comes first. Callers hold s.mu.
+func (s *Service) registerHealth(log *trace.EventLog, rec *timeseries.Recorder, det *detect.Detector) {
+	if s.metrics == nil {
+		return
 	}
-	// Flight-recorder health (timeseries_*) and anomaly tallies (anomaly_*).
-	// Every class appears even at zero, so the exposition's instrument set is
-	// stable from the first scrape.
-	if rec := s.flightRec.Load(); rec != nil {
-		series, points, dropped := rec.Stats()
-		reg.Gauge("timeseries.series").Set(float64(series))
-		reg.Gauge("timeseries.points").Set(float64(points))
-		reg.Gauge("timeseries.dropped").Set(float64(dropped))
+	if log != nil {
+		instrument.Register(s.metrics, "", instrument.Bind("", eventLogInstruments, log))
 	}
-	if det := s.flightDet.Load(); det != nil {
-		reg.Gauge("anomaly.active").Set(float64(det.Active()))
-		totals := det.Totals()
-		for _, class := range detect.Classes() {
-			ctr := reg.Counter("anomaly.total." + snakeClass(class))
-			ctr.Reset()
-			ctr.Add(int64(totals[class])) //nolint:gosec // event counts, far below int64
-		}
+	if rec != nil {
+		instrument.Register(s.metrics, "", instrument.Bind("", recorderInstruments, rec))
+	}
+	if det != nil {
+		instrument.Register(s.metrics, "", instrument.Bind("", detectorInstruments, det))
 	}
 }
 
@@ -130,10 +157,9 @@ func (s *Service) LatencyReport() (core.LatencyReport, bool) {
 	return s.latRep.LatencyReport(), true
 }
 
-// MetricsSnapshot captures the registry under the service lock, so the
-// collector pass is serialized against concurrent Attach/Detach mutating the
-// cluster the collectors read from. ok is false when no registry is
-// configured.
+// MetricsSnapshot captures the registry under the service lock, so its
+// reads are serialized against concurrent Attach/Detach mutating the
+// cluster they read from. ok is false when no registry is configured.
 func (s *Service) MetricsSnapshot() (metrics.Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -24,7 +24,7 @@ func restAPIWithTelemetry(t *testing.T) (*API, *metrics.Registry, *trace.Ring) {
 
 func TestMetricsEndpointAuth(t *testing.T) {
 	api, reg, _ := restAPIWithTelemetry(t)
-	reg.Counter("attach_total").Add(3)
+	reg.CounterFunc("attach_total", func() float64 { return 3 })
 
 	// Reader can read aggregate metrics.
 	w := doReq(t, api, http.MethodGet, "/v1/metrics", "reader-tok", nil)
@@ -79,8 +79,10 @@ func TestTraceSnapshotEndpointAuth(t *testing.T) {
 
 func TestMetricsPrometheusFormat(t *testing.T) {
 	api, reg, _ := restAPIWithTelemetry(t)
-	reg.Counter("attach_total").Add(3)
-	reg.Histogram("rtt_ns").Observe(950)
+	reg.CounterFunc("attach_total", func() float64 { return 3 })
+	rtt := metrics.NewHistogram()
+	rtt.Observe(950)
+	reg.HistogramFunc("rtt_ns", rtt.Summary)
 
 	w := doReq(t, api, http.MethodGet, "/v1/metrics?format=prometheus", "reader-tok", nil)
 	if w.Code != http.StatusOK {

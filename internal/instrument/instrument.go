@@ -3,11 +3,13 @@
 // and a pure read of the layer's state — next to the code it observes:
 // llc.Instruments for ports, phy.Instruments for channels, the cluster,
 // host and shard tables in core, controlplane.Instruments for the saga
-// counters. Every telemetry surface derives from those tables: Bind
-// instantiates a table for one live object under a name prefix, Register
-// publishes the bound probes into a metrics.Registry (read at snapshot
-// time), and the flight recorders sample the same reads at their tick
-// instants. One definition gives every surface the same name and kind.
+// counters, the control plane's event-log, recorder and detector health
+// tables, and the churn replay's report tables in bench. Every telemetry
+// surface derives from those tables: Bind instantiates a table for one
+// live object under a name prefix, Register publishes the bound probes
+// into a metrics.Registry (read at snapshot time), and the flight
+// recorders sample the same reads at their tick instants. One definition
+// gives every surface the same name and kind.
 package instrument
 
 import (

@@ -412,21 +412,12 @@ func (s *Sink) FlowIDs() []uint16 {
 func (s *Sink) StageSummaryFor(st Stage) metrics.HistogramSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return histogramSummary(s.overall.stages[st])
+	return s.overall.stages[st].Summary()
 }
 
 // EndToEndSummary returns the overall end-to-end summary.
 func (s *Sink) EndToEndSummary() metrics.HistogramSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return histogramSummary(s.overall.total)
-}
-
-func histogramSummary(h *metrics.Histogram) metrics.HistogramSummary {
-	return metrics.HistogramSummary{
-		Count: h.Count(), Mean: h.Mean(),
-		P50: h.Quantile(0.5), P90: h.Quantile(0.9),
-		P99: h.Quantile(0.99), P999: h.Quantile(0.999),
-		Max: h.Max(),
-	}
+	return s.overall.total.Summary()
 }

@@ -79,7 +79,6 @@ func TestCreditProbeRepairsLostReturns(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Credits = 4
-	cfg.ReplayBuffer = 8
 	a, b := newTestPair(k, phy.FaultConfig{}, cfg)
 	got := 0
 	b.OnReceive = func(*capi.Transaction) { got++ }
@@ -118,7 +117,6 @@ func TestCreditStarvationEscalates(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Credits = 4
-	cfg.ReplayBuffer = 8
 	a, b := newTestPair(k, phy.FaultConfig{}, cfg)
 	b.OnReceive = func(*capi.Transaction) {}
 	b.Channel().SetFaults(phy.FaultConfig{DropProb: 1})
@@ -147,7 +145,6 @@ func TestSendFromReleasedOnLinkDown(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultConfig()
 	cfg.Credits = 2
-	cfg.ReplayBuffer = 4
 	a, b := newTestPair(k, phy.FaultConfig{}, cfg)
 	b.OnReceive = func(*capi.Transaction) {}
 	b.Channel().SetFaults(phy.FaultConfig{DropProb: 1}) // no credit returns ever
@@ -165,17 +162,4 @@ func TestSendFromReleasedOnLinkDown(t *testing.T) {
 	if !returned {
 		t.Fatal("SendFrom caller still blocked after link-down")
 	}
-}
-
-// TestReplayBufferSmallerThanCreditsRejected pins the config invariant that
-// makes replay-window overflow unreachable.
-func TestReplayBufferSmallerThanCreditsRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("config with ReplayBuffer < Credits accepted")
-		}
-	}()
-	k := sim.NewKernel()
-	link := phy.NewLink(k, "bad", phy.LanesPerChannel, 0, phy.FaultConfig{})
-	NewPair(k, "llc", link, Config{Credits: 16, ReplayBuffer: 8, ReplayTimeout: sim.Microsecond})
 }

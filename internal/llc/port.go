@@ -16,9 +16,10 @@ type Config struct {
 	// paper notes the depth is "carefully calculated to avoid credit
 	// starvation at the Tx side"; 256 slots cover the bandwidth-delay
 	// product of a 12.5 GiB/s channel at ~1 us RTT with margin.
+	// It also bounds the replay window: every unacknowledged data frame
+	// holds at least one unreturned credit, so at most Credits frames are
+	// ever retained for replay.
 	Credits int
-	// ReplayBuffer is the number of transmitted frames retained for replay.
-	ReplayBuffer int
 	// ReplayTimeout re-requests a replay if an expected frame has not
 	// arrived (covers the case where the replay request itself is lost).
 	ReplayTimeout sim.Time
@@ -41,7 +42,6 @@ const DefaultMaxReplayAttempts = 32
 func DefaultConfig() Config {
 	return Config{
 		Credits:           256,
-		ReplayBuffer:      1024,
 		ReplayTimeout:     20 * sim.Microsecond,
 		MaxReplayAttempts: DefaultMaxReplayAttempts,
 	}
@@ -80,8 +80,8 @@ type Port struct {
 	// kept holds every unacknowledged frame, [oldestKept, nextSeq), in a
 	// ring indexed by sequence number modulo its power-of-two length. It
 	// grows on demand, up to the credit window, rather than being sized to
-	// ReplayBuffer up front: a rack builds hundreds of ports that each keep
-	// only a few frames in flight.
+	// it up front: a rack builds hundreds of ports that each keep only a few
+	// frames in flight.
 	kept          []replaySlot
 	oldestKept    uint64
 	probeTimer    *sim.Event
@@ -173,18 +173,11 @@ func NewPairOn(ka, kb *sim.Kernel, name string, link *phy.Link, cfg Config) (*Po
 }
 
 func newPort(k *sim.Kernel, name string, out *phy.Channel, cfg Config) *Port {
-	if cfg.Credits <= 0 || cfg.ReplayBuffer <= 0 || cfg.ReplayTimeout <= 0 {
+	if cfg.Credits <= 0 || cfg.ReplayTimeout <= 0 {
 		panic("llc: invalid config")
 	}
 	if cfg.MaxReplayAttempts <= 0 {
 		cfg.MaxReplayAttempts = DefaultMaxReplayAttempts
-	}
-	// Every unacknowledged data frame carries at least one credit-consuming
-	// transaction, so at most Credits frames are ever unacknowledged; a
-	// smaller replay buffer could be forced to abandon unacked frames,
-	// silently breaking losslessness.
-	if cfg.ReplayBuffer < cfg.Credits {
-		panic(fmt.Sprintf("llc: replay buffer %d smaller than credit window %d", cfg.ReplayBuffer, cfg.Credits))
 	}
 	return &Port{
 		k:            k,
@@ -335,11 +328,13 @@ func (p *Port) flush() {
 	}
 	f := Frame{Kind: kindData, Txns: p.t.txTxns}
 	for p.pending.Len() > 0 && p.credits > 0 {
-		if p.nextSeq-p.oldestKept >= uint64(p.cfg.ReplayBuffer) {
+		if p.nextSeq-p.oldestKept >= uint64(p.cfg.Credits) {
 			// Replay window full: the peer has stopped acknowledging.
 			// Transmitting would force an unacked frame out of the replay
-			// buffer and silently break losslessness — escalate instead.
-			// (Unreachable while ReplayBuffer >= Credits; kept as a guard.)
+			// window and silently break losslessness — escalate instead.
+			// (Unreachable: credits and acks return in the same control
+			// frame, so with credits > 0 at most Credits-credits frames are
+			// unacknowledged. Kept as a guard.)
 			p.stats.ReplayOverflows++
 			p.escalateDown()
 			return

@@ -1,7 +1,9 @@
 // Package metrics provides the measurement primitives used across the
-// simulation: streaming histograms (for latency CDFs), counters, rate
-// meters, and the perf-style derived metrics (IPC, utilized cores,
-// backend-stall fraction) reported in the paper's evaluation.
+// simulation: streaming histograms (for latency CDFs), the perf-style
+// derived metrics (IPC, utilized cores, backend-stall fraction) reported in
+// the paper's evaluation, and the Registry through which telemetry leaves a
+// run — a named view of read functions, exposed as a JSON snapshot or in
+// the Prometheus text format.
 package metrics
 
 import (
@@ -178,6 +180,15 @@ func (h *Histogram) Merge(other *Histogram) {
 		if other.max > h.max {
 			h.max = other.max
 		}
+	}
+}
+
+// Summary returns the snapshot form of the distribution.
+func (h *Histogram) Summary() HistogramSummary {
+	return HistogramSummary{
+		Count: h.Count(), Mean: h.Mean(),
+		P50: h.Quantile(0.5), P90: h.Quantile(0.9), P99: h.Quantile(0.99),
+		P999: h.Quantile(0.999), Max: h.Max(),
 	}
 }
 

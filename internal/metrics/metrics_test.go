@@ -204,16 +204,3 @@ func TestPerfSampleAdd(t *testing.T) {
 		t.Fatalf("window should take max: %d", total.WindowPS)
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("counter = %d, want 10", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}

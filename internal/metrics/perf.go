@@ -1,33 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// Counter is a monotonic event counter. Updates and reads are atomic, so a
-// counter registered in a Registry may be scraped (e.g. by the control
-// plane's /v1/metrics endpoint) while the simulation mutates it.
-type Counter struct {
-	n atomic.Int64
-}
-
-// Add increments the counter by d (d must be >= 0).
-func (c *Counter) Add(d int64) {
-	if d < 0 {
-		panic("metrics: Counter.Add negative delta")
-	}
-	c.n.Add(d)
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n.Store(0) }
+import "fmt"
 
 // PerfSample mirrors the Linux perf events the paper collects for the VoltDB
 // profiling campaign (Section VI-D): instructions, cycles, task-clock,

@@ -8,12 +8,13 @@ import (
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("llc.tx-frames").Add(42)
-	r.Gauge("cluster.attachments").Set(3)
-	h := r.Histogram("capi.latency.rtt_ns")
+	r.CounterFunc("llc.tx-frames", func() float64 { return 42 })
+	r.GaugeFunc("cluster.attachments", func() float64 { return 3 })
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
+	r.HistogramFunc("capi.latency.rtt_ns", h.Summary)
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
@@ -44,9 +45,9 @@ func TestWritePrometheus(t *testing.T) {
 func TestWritePrometheusByteStable(t *testing.T) {
 	r := NewRegistry()
 	for _, n := range []string{"z.last", "a.first", "m.middle"} {
-		r.Counter(n).Inc()
+		r.CounterFunc(n, func() float64 { return 1 })
 	}
-	r.Gauge("g").Set(1.5)
+	r.GaugeFunc("g", func() float64 { return 1.5 })
 
 	var a, b bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&a); err != nil {

@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sync/atomic"
 	"testing"
 )
 
 func TestRegistryInstruments(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("ops").Add(3)
-	r.Counter("ops").Inc() // same instrument by name
-	r.Gauge("depth").Set(7.5)
+	var ops atomic.Int64
+	r.CounterFunc("ops", func() float64 { return float64(ops.Load()) })
+	r.GaugeFunc("depth", func() float64 { return 7.5 })
 	r.GaugeFunc("live", func() float64 { return 2 })
-	r.Histogram("lat").Observe(10)
-	r.Histogram("lat").Observe(20)
+	lat := NewHistogram()
+	lat.Observe(10)
+	lat.Observe(20)
+	r.HistogramFunc("lat", lat.Summary)
 
+	ops.Add(3)
+	ops.Add(1) // counters are read at snapshot time, not pushed
 	s := r.Snapshot()
 	if s.Counters["ops"] != 4 {
 		t.Fatalf("ops = %d, want 4", s.Counters["ops"])
@@ -27,50 +32,19 @@ func TestRegistryInstruments(t *testing.T) {
 	if h.Count != 2 || math.Abs(h.Mean-15) > 1e-9 {
 		t.Fatalf("lat summary = %+v", h)
 	}
-}
 
-func TestRegistryCollector(t *testing.T) {
-	r := NewRegistry()
-	// A collector mimicking the llc adapter: pulls a component-internal
-	// counter into the registry as an increment on every snapshot.
-	internal := int64(0)
-	prev := int64(0)
-	r.AddCollector(func(reg *Registry) {
-		reg.Counter("pulled").Add(internal - prev)
-		prev = internal
-	})
-
-	internal = 5
-	if s := r.Snapshot(); s.Counters["pulled"] != 5 {
-		t.Fatalf("first snapshot pulled = %d, want 5", s.Counters["pulled"])
-	}
-	internal = 8
-	if s := r.Snapshot(); s.Counters["pulled"] != 8 {
-		t.Fatalf("second snapshot pulled = %d, want 8 (cumulative)", s.Counters["pulled"])
-	}
-}
-
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Add(10)
-	r.Gauge("g").Set(1)
-	a := r.Snapshot()
-	r.Counter("x").Add(5)
-	r.Gauge("g").Set(2)
-	b := r.Snapshot()
-	d := b.Delta(a)
-	if d.Counters["x"] != 5 {
-		t.Fatalf("delta x = %d, want 5", d.Counters["x"])
-	}
-	if d.Gauges["g"] != 2 {
-		t.Fatalf("delta gauge = %v, want instantaneous 2", d.Gauges["g"])
+	// Re-registering a name replaces its function; a counter read is
+	// truncated to int64.
+	r.CounterFunc("ops", func() float64 { return 9.9 })
+	if got := r.Snapshot().Counters["ops"]; got != 9 {
+		t.Fatalf("re-registered ops = %d, want 9", got)
 	}
 }
 
 func TestRegistryWriteJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c").Inc()
-	r.Gauge("g").Set(3)
+	r.CounterFunc("c", func() float64 { return 1 })
+	r.GaugeFunc("g", func() float64 { return 3 })
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -85,12 +59,16 @@ func TestRegistryWriteJSON(t *testing.T) {
 }
 
 // TestRegistrySnapshotUnderParallelWriters exercises the control-plane
-// pattern: writers mutate counters, gauges, and function-backed instruments
-// while another goroutine takes Snapshot and Delta continuously. Run under
-// -race this is the regression test for snapshot-vs-write synchronization;
-// the monotonicity check catches torn counter reads.
+// pattern: writers advance the state that counter and gauge functions read
+// while another goroutine takes Snapshot continuously. Run under -race this
+// is the regression test for snapshot-vs-write synchronization; the
+// monotonicity check catches torn counter reads.
 func TestRegistrySnapshotUnderParallelWriters(t *testing.T) {
 	r := NewRegistry()
+	var ops atomic.Int64
+	var depth atomic.Int64
+	r.CounterFunc("ops", func() float64 { return float64(ops.Load()) })
+	r.GaugeFunc("depth", func() float64 { return float64(depth.Load()) })
 	r.GaugeFunc("fn.gauge", func() float64 { return 1 })
 	r.HistogramFunc("fn.hist", func() HistogramSummary {
 		return HistogramSummary{Count: 1, Mean: 2}
@@ -101,14 +79,11 @@ func TestRegistrySnapshotUnderParallelWriters(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	for i := 0; i < writers; i++ {
-		i := i
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < iters; j++ {
-				r.Counter("ops").Inc()
-				r.Gauge("depth").Set(float64(j))
-				// Instrument creation races with snapshotting too.
-				r.Counter("w" + string(rune('a'+i))).Inc()
+				ops.Add(1)
+				depth.Store(int64(j))
 			}
 		}()
 	}
@@ -124,9 +99,8 @@ func TestRegistrySnapshotUnderParallelWriters(t *testing.T) {
 			default:
 			}
 			s := r.Snapshot()
-			d := s.Delta(prev)
-			if d.Counters["ops"] < 0 {
-				t.Errorf("counter went backwards: delta %d", d.Counters["ops"])
+			if s.Counters["ops"] < prev.Counters["ops"] {
+				t.Errorf("counter went backwards: %d -> %d", prev.Counters["ops"], s.Counters["ops"])
 				return
 			}
 			if s.Histograms["fn.hist"].Count != 1 || s.Gauges["fn.gauge"] != 1 {
@@ -149,6 +123,9 @@ func TestRegistrySnapshotUnderParallelWriters(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentUse registers instruments from several goroutines
+// while another snapshots: registration and snapshot share the registry
+// lock, and every registered name is present afterwards.
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	done := make(chan struct{})
@@ -156,15 +133,32 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 1000; j++ {
-				r.Counter("shared").Inc()
-				r.Gauge("depth").Set(float64(j))
+				name := string(rune('a'+i)) + "." + string(rune('a'+j%26))
+				r.CounterFunc(name, func() float64 { return 1 })
+				r.GaugeFunc(name, func() float64 { return float64(j) })
 			}
 		}()
 	}
+	stop := make(chan struct{})
+	snaps := make(chan struct{})
+	go func() {
+		defer close(snaps)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Snapshot()
+			}
+		}
+	}()
 	for i := 0; i < 4; i++ {
 		<-done
 	}
-	if got := r.Snapshot().Counters["shared"]; got != 4000 {
-		t.Fatalf("shared = %d, want 4000", got)
+	close(stop)
+	<-snaps
+	s := r.Snapshot()
+	if len(s.Counters) != 4*26 || len(s.Gauges) != 4*26 {
+		t.Fatalf("registered %d counters, %d gauges, want %d each", len(s.Counters), len(s.Gauges), 4*26)
 	}
 }

@@ -130,7 +130,7 @@ type Channel struct {
 
 	// Counters are atomic: the simulation mutates them from the kernel
 	// goroutine while traced/parallel runs may snapshot Stats concurrently
-	// from a collector goroutine.
+	// from a metrics scrape on another goroutine.
 	sent      atomic.Int64
 	dropped   atomic.Int64
 	corrupted atomic.Int64
@@ -247,7 +247,7 @@ func (c *Channel) draw() float64 {
 }
 
 // Stats reports frames sent, dropped, and corrupted since creation. The
-// counters are read atomically, so a metrics collector may snapshot a
+// counters are read atomically, so a metrics scrape may snapshot a
 // channel while its simulation goroutine is still transmitting.
 func (c *Channel) Stats() (sent, dropped, corrupted int64) {
 	return c.sent.Load(), c.dropped.Load(), c.corrupted.Load()

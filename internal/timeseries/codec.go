@@ -13,7 +13,8 @@ import (
 //	magic "TFTS" | u8 version | u32 nseries
 //	per series: u16 namelen | name | u8 kind | u32 npoints | npoints × (i64 ts, f64 v)
 //
-// The binary form is what tfd persists and tfmon reads; DecodeSnapshot is
+// The binary form is what tfd serves (GET /v1/timeseries?format=binary),
+// what tfbench writes (-snapshot-out) and what tfmon reads; DecodeSnapshot is
 // defensive (fuzzed by FuzzSeriesDecode): corrupt input yields an error,
 // never a panic, and claimed counts are validated against the remaining
 // byte budget before any allocation so hostile headers cannot balloon
