@@ -104,13 +104,34 @@ type MemJournal struct {
 const memJournalBlock = 256
 
 // memEntry is how MemJournal holds a record. Most saga records are intent
-// and done markers that carry only the header fields; those are kept
-// inline in 88 bytes instead of a 240-byte JournalEntry, and a record with
-// any payload is kept whole behind a pointer.
+// and done markers that carry only the header fields and name their op,
+// event and step from the constants above; those are kept inline in 48
+// bytes, with the names as indexes into journalNames, instead of a
+// 240-byte JournalEntry. Any other record is kept whole behind a pointer.
 type memEntry struct {
-	seq, epoch              uint64
-	sagaID, op, event, step string
-	whole                   *JournalEntry // set when the record carries a payload
+	seq, epoch      uint64
+	sagaID          string
+	op, event, step uint8
+	whole           *JournalEntry // set when the record is not packed
+}
+
+// journalNames are the names a packed record can carry; index 0 is the
+// empty step of a begin or end record.
+var journalNames = [...]string{"",
+	EvBegin, EvIntent, EvDone, EvFailed, EvCompensated, EvCommitted, EvAborted, EvParked,
+	OpAttach, OpDetach,
+	StepPlanPaths, StepStealMemory, StepAttachCompute, StepExecAttach,
+	StepExecDetach, StepDetachCompute, StepDetachDonor, StepReleasePaths,
+}
+
+// nameIndex returns s's index in journalNames.
+func nameIndex(s string) (uint8, bool) {
+	for i, n := range journalNames {
+		if n == s {
+			return uint8(i), true
+		}
+	}
+	return 0, false
 }
 
 // packEntry must test every non-header field of JournalEntry;
@@ -119,18 +140,22 @@ func packEntry(e JournalEntry) memEntry {
 	headerOnly := e.Compute == "" && e.Donor == "" && e.Bytes == 0 && e.Channels == 0 &&
 		e.NetID == 0 && e.Paths == nil && e.ExecID == "" && e.NUMA == 0 &&
 		e.AttID == "" && e.Err == "" && e.Parked == nil
-	if !headerOnly {
-		whole := e // copied here, so only records with a payload reach the heap
+	op, okOp := nameIndex(e.Op)
+	event, okEvent := nameIndex(e.Event)
+	step, okStep := nameIndex(e.Step)
+	if !headerOnly || !okOp || !okEvent || !okStep {
+		whole := e // copied here, so only records that are not packed reach the heap
 		return memEntry{whole: &whole}
 	}
-	return memEntry{seq: e.Seq, epoch: e.Epoch, sagaID: e.SagaID, op: e.Op, event: e.Event, step: e.Step}
+	return memEntry{seq: e.Seq, epoch: e.Epoch, sagaID: e.SagaID, op: op, event: event, step: step}
 }
 
 func (m memEntry) unpack() JournalEntry {
 	if m.whole != nil {
 		return *m.whole
 	}
-	return JournalEntry{Seq: m.seq, SagaID: m.sagaID, Op: m.op, Event: m.event, Step: m.step, Epoch: m.epoch}
+	return JournalEntry{Seq: m.seq, SagaID: m.sagaID, Op: journalNames[m.op], Event: journalNames[m.event],
+		Step: journalNames[m.step], Epoch: m.epoch}
 }
 
 // NewMemJournal returns an empty in-memory journal.

@@ -68,7 +68,10 @@ func TestMemJournalRoundTripsEveryField(t *testing.T) {
 		}
 		cases = append(cases, e)
 	}
-	cases = append(cases, full, JournalEntry{})
+	// A header-only record naming its op, event and step from the journal
+	// constants is packed; one naming anything else is kept whole.
+	packed := JournalEntry{Seq: 3, SagaID: "s", Op: OpDetach, Event: EvIntent, Step: StepReleasePaths, Epoch: 9}
+	cases = append(cases, full, JournalEntry{}, packed, JournalEntry{Op: OpAttach, Event: EvDone, Step: "other"})
 	j := NewMemJournal()
 	for _, e := range cases {
 		j.Append(e) //nolint:errcheck // MemJournal.Append cannot fail
@@ -76,5 +79,9 @@ func TestMemJournalRoundTripsEveryField(t *testing.T) {
 	got, _ := j.Entries()
 	if !reflect.DeepEqual(got, cases) {
 		t.Fatalf("replayed %+v\nappended %+v", got, cases)
+	}
+	if n := len(cases); j.blocks[0][n-2].whole != nil || j.blocks[0][n-1].whole == nil {
+		t.Fatalf("record %+v packed: %v, record %+v packed: %v; want true, false",
+			cases[n-2], j.blocks[0][n-2].whole == nil, cases[n-1], j.blocks[0][n-1].whole == nil)
 	}
 }

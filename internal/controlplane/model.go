@@ -203,14 +203,13 @@ func (m *Model) findPath(computeHost, donorHost string, tentative []graphdb.ID) 
 			targets = append(targets, dst)
 		}
 	}
-	// The filter reads the stored vertices under the graph's read lock, so
-	// it checks the reservation flag itself instead of calling free.
-	freeVertex := func(v graphdb.Vertex) bool {
-		return v.Props["reserved"] != true && !slices.Contains(tentative, v.ID)
-	}
-	linkFree := func(e graphdb.Edge, a, b graphdb.Vertex) bool {
-		// Intermediate elements must be free too.
-		return e.Label == EdgeLink && freeVertex(a) && freeVertex(b)
+	// Intermediate elements must be free too. The filter reads the stored
+	// vertex under the graph's read lock, so it checks the reservation flag
+	// itself instead of calling free. It judges only the vertex a link
+	// enters: each search starts from a free source and expands only from
+	// vertices it entered, so every vertex of a path has been judged.
+	linkFree := func(e *graphdb.Edge, to *graphdb.Vertex) bool {
+		return e.Label == EdgeLink && to.Props["reserved"] != true && !slices.Contains(tentative, to.ID)
 	}
 	if len(targets) > 0 {
 		for _, src := range m.xcvrs[endpointKey{computeHost, LabelComputeEP}] {

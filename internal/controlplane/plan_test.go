@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -259,6 +260,67 @@ func churnShapedModel(tb testing.TB) (*Model, []string) {
 	rng.Shuffle(len(xcvrs), func(i, j int) { xcvrs[i], xcvrs[j] = xcvrs[j], xcvrs[i] })
 	m.ReservePaths([]Path{{Vertices: xcvrs[:len(xcvrs)/2]}})
 	return m, hosts
+}
+
+// TestPlanSequencePinned pins every path the planner chooses over a seeded
+// sequence of PlanChannels and ReleasePaths calls on the churn-shaped
+// model, with random transceivers reserved and freed between calls. One-
+// and two-channel requests both run, so the second channel's search must
+// avoid the first one's vertices. The oracle test above compares the
+// planner with a reference within one build; this hash holds the choices
+// themselves across commits, so a search rewrite that picks a different
+// (still valid) path fails here. A change that alters the choices on
+// purpose must update the hash.
+func TestPlanSequencePinned(t *testing.T) {
+	const want = "f0d8b68912fe6ab9de71b49ac75c3ace6402bed565cc204d0a3ed5606d5f964d"
+	m, hosts := churnShapedModel(t)
+	var xcvrs []graphdb.ID
+	for _, h := range hosts {
+		xcvrs = append(xcvrs, m.Transceivers(h, LabelComputeEP)...)
+		xcvrs = append(xcvrs, m.Transceivers(h, LabelMemoryEP)...)
+	}
+	rng := rand.New(rand.NewSource(29))
+	sum := sha256.New()
+	var live [][]Path
+	plans, failures, multiHop := 0, 0, 0
+	for cycle := 0; cycle < 400; cycle++ {
+		for k := rng.Intn(4); k > 0; k-- {
+			flip := []Path{{Vertices: []graphdb.ID{xcvrs[rng.Intn(len(xcvrs))]}}}
+			if rng.Intn(2) == 0 {
+				m.ReservePaths(flip)
+			} else {
+				m.ReleasePaths(flip)
+			}
+		}
+		if len(live) > 0 && rng.Intn(2) == 0 {
+			i := rng.Intn(len(live))
+			m.ReleasePaths(live[i])
+			live = append(live[:i], live[i+1:]...)
+		}
+		c, d := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+		channels := 1 + rng.Intn(2)
+		paths, err := m.PlanChannels(c, d, channels)
+		fmt.Fprintf(sum, "%d %s->%s x%d: %v %v\n", cycle, c, d, channels, paths, err)
+		if err != nil {
+			failures++
+			continue
+		}
+		plans++
+		live = append(live, paths)
+		for _, p := range paths {
+			if len(p.Vertices) > 2 {
+				multiHop++
+			}
+		}
+	}
+	// Successes, failures and multi-hop paths must all be in the sequence
+	// for the hash to pin anything about them.
+	if plans < 200 || failures < 50 || multiHop < 40 {
+		t.Fatalf("%d plans (%d multi-hop paths) and %d failures; the sequence lost coverage", plans, multiHop, failures)
+	}
+	if got := fmt.Sprintf("%x", sum.Sum(nil)); got != want {
+		t.Fatalf("plan sequence hash = %s, want %s", got, want)
+	}
 }
 
 // planAllocBudget is the regression ceiling for one PlanChannels call plus

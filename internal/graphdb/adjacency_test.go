@@ -11,7 +11,10 @@ import (
 
 // checkAdjacency recounts every vertex's neighbours from the edge set and
 // checks the stored adjacency against it: sorted by neighbour, one entry
-// per incident edge, each entry naming that edge.
+// per incident edge, each entry pointing at that stored edge and at the
+// stored neighbour vertex. A search follows those pointers without looking
+// the edge or vertex up, so a stale pointer would let it read a removed
+// element or miss a property change.
 func checkAdjacency(t *testing.T, g *Graph, context string) {
 	t.Helper()
 	want := make(map[ID][]ID)
@@ -33,9 +36,11 @@ func checkAdjacency(t *testing.T, g *Graph, context string) {
 			t.Fatalf("%s: neighbours of %d = %v, edge set says %v", context, id, got, w)
 		}
 		for _, h := range g.adjacent[id] {
-			e := g.edges[h.e]
-			if e == nil || !(e.A == id && e.B == h.n || e.B == id && e.A == h.n) {
-				t.Fatalf("%s: vertex %d lists edge %d to %d, which does not join them", context, id, h.e, h.n)
+			if e := g.edges[h.e.ID]; e != h.e || !(e.A == id && e.B == h.n || e.B == id && e.A == h.n) {
+				t.Fatalf("%s: vertex %d lists edge %d to %d, which is not the stored edge joining them", context, id, h.e.ID, h.n)
+			}
+			if v := g.vertices[h.n]; v == nil || v != h.v {
+				t.Fatalf("%s: vertex %d's entry for neighbour %d does not point at the stored vertex", context, id, h.n)
 			}
 		}
 	}
@@ -115,7 +120,7 @@ func TestAdjacencyStaysSortedUnderMutation(t *testing.T) {
 
 // TestConcurrentSearchesAndWriters runs path searches and neighbour reads
 // against property writers and write transactions. The search filter reads
-// the endpoint vertices it is handed under the search's read lock; a filter
+// the vertex it is handed under the search's read lock; a filter
 // that had to re-enter the graph for them would take the read lock
 // recursively and deadlock as soon as a writer queued between the two
 // acquisitions.
@@ -130,8 +135,8 @@ func TestConcurrentSearchesAndWriters(t *testing.T) {
 		g.AddEdge("l", verts[i], verts[(i+1)%n], nil) //nolint:errcheck
 		g.AddEdge("l", verts[i], verts[(i+7)%n], nil) //nolint:errcheck
 	}
-	free := func(_ Edge, a, b Vertex) bool {
-		return a.Props["reserved"] != true && b.Props["reserved"] != true
+	free := func(_ *Edge, to *Vertex) bool {
+		return to.Props["reserved"] != true
 	}
 	iterations := 2000
 	if testing.Short() || raceEnabled {

@@ -7,6 +7,9 @@
 // The store supports labeled vertices and edges with string-keyed
 // properties, undo-log transactions, a label index, and adjacency kept
 // sorted by neighbour ID so traversals are deterministic without sorting.
+// Each adjacency entry points at the stored edge and neighbour vertex, and
+// path searches keep their state in arrays indexed by vertex ID, so a
+// search crosses an edge without a map lookup.
 // It is not durable: the control plane rebuilds it from its topology and
 // recovers reservations from the saga journal.
 package graphdb
@@ -46,9 +49,14 @@ type Graph struct {
 	byLabel  map[string]map[ID]struct{}
 }
 
-// halfEdge is one adjacency entry: the neighbour and the edge reaching it.
+// halfEdge is one adjacency entry: the neighbour's ID and stored vertex,
+// and the stored edge reaching it. The pointers stay valid for as long as
+// the entry exists: a vertex or edge is only ever mutated in place, and
+// removing either removes its entries.
 type halfEdge struct {
-	n, e ID
+	n ID
+	v *Vertex
+	e *Edge
 }
 
 // findHalf returns where neighbour n is, or would be inserted, in adj.
@@ -64,12 +72,12 @@ func findHalf(adj []halfEdge, n ID) (int, bool) {
 	})
 }
 
-// link records edge e between a and b in both adjacency lists.
-func (g *Graph) link(a, b, e ID) {
-	i, _ := findHalf(g.adjacent[a], b)
-	g.adjacent[a] = slices.Insert(g.adjacent[a], i, halfEdge{n: b, e: e})
-	j, _ := findHalf(g.adjacent[b], a)
-	g.adjacent[b] = slices.Insert(g.adjacent[b], j, halfEdge{n: a, e: e})
+// link records edge e in the adjacency lists of both its endpoints.
+func (g *Graph) link(e *Edge) {
+	i, _ := findHalf(g.adjacent[e.A], e.B)
+	g.adjacent[e.A] = slices.Insert(g.adjacent[e.A], i, halfEdge{n: e.B, v: g.vertices[e.B], e: e})
+	j, _ := findHalf(g.adjacent[e.B], e.A)
+	g.adjacent[e.B] = slices.Insert(g.adjacent[e.B], j, halfEdge{n: e.A, v: g.vertices[e.A], e: e})
 }
 
 // unlinkHalf drops neighbour n from v's adjacency list.
@@ -131,8 +139,9 @@ func (g *Graph) addEdgeLocked(label string, a, b ID, props map[string]any) (ID, 
 	}
 	id := g.nextID
 	g.nextID++
-	g.edges[id] = &Edge{ID: id, Label: label, A: a, B: b, Props: cloneProps(props)}
-	g.link(a, b, id)
+	e := &Edge{ID: id, Label: label, A: a, B: b, Props: cloneProps(props)}
+	g.edges[id] = e
+	g.link(e)
 	return id, nil
 }
 
@@ -178,7 +187,7 @@ func (g *Graph) EdgeBetween(a, b ID) (Edge, bool) {
 	if !ok {
 		return Edge{}, false
 	}
-	e := g.edges[g.adjacent[a][i].e]
+	e := g.adjacent[a][i].e
 	return Edge{ID: e.ID, Label: e.Label, A: e.A, B: e.B, Props: cloneProps(e.Props)}, true
 }
 
@@ -257,7 +266,7 @@ func (g *Graph) RemoveVertex(id ID) error {
 	}
 	for _, h := range g.adjacent[id] {
 		g.unlinkHalf(h.n, id)
-		delete(g.edges, h.e)
+		delete(g.edges, h.e.ID)
 	}
 	delete(g.adjacent, id)
 	delete(g.byLabel[v.Label], id)
@@ -272,19 +281,40 @@ func (g *Graph) Counts() (int, int) {
 	return len(g.vertices), len(g.edges)
 }
 
-// EdgeFilter decides whether a search may cross edge e, whose endpoints
-// are a (e.A) and b (e.B). It runs under the graph's read lock and gets the
-// stored vertices and edge without copying their property maps, so it must
-// not modify them, keep them past the call, or call back into the Graph.
-type EdgeFilter func(e Edge, a, b Vertex) bool
+// EdgeFilter decides whether a search may cross edge e into vertex to, the
+// endpoint it has not yet reached. The search only expands from its start
+// and from vertices it entered through accepted edges, so a filter that
+// judges the vertex being entered has judged every vertex of every path
+// except the start. The filter runs under the graph's read lock and gets
+// the stored edge and vertex, so it must not modify them, keep them past
+// the call, or call back into the Graph.
+type EdgeFilter func(e *Edge, to *Vertex) bool
 
-// bfsScratch is the reusable working set of one ShortestPath call.
+// bfsScratch is the reusable working state of one ShortestPath call,
+// indexed by vertex ID (IDs are dense, below Graph.nextID). A vertex has
+// been discovered in the current search when its stamp equals gen, so a
+// new search starts by advancing gen rather than clearing the arrays.
 type bfsScratch struct {
-	prev  map[ID]ID
+	gen   uint32
+	stamp []uint32
+	prev  []ID
 	queue []ID
 }
 
-var bfsPool = sync.Pool{New: func() any { return &bfsScratch{prev: make(map[ID]ID)} }}
+var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+
+// begin readies s for a search over IDs below n.
+func (s *bfsScratch) begin(n ID) {
+	if int(n) > len(s.stamp) {
+		s.stamp = slices.Grow(s.stamp, int(n)-len(s.stamp))[:n]
+		s.prev = slices.Grow(s.prev, int(n)-len(s.prev))[:n]
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps from 2^32 searches ago would match
+		clear(s.stamp)
+		s.gen = 1
+	}
+}
 
 // ShortestPath runs one breadth-first search from `from` over the edges the
 // filter accepts (nil accepts all) and returns the minimum-hop path to the
@@ -293,6 +323,7 @@ var bfsPool = sync.Pool{New: func() any { return &bfsScratch{prev: make(map[ID]I
 // Neighbours are visited in ID order and every vertex keeps the parent it
 // was first discovered from, so ties break toward lower vertex IDs and the
 // path to each target is the one a search for that target alone would find.
+// The search stops as soon as it discovers targets[0], which then wins.
 func (g *Graph) ShortestPath(from ID, targets []ID, filter EdgeFilter) (path []ID, ok bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -301,30 +332,29 @@ func (g *Graph) ShortestPath(from ID, targets []ID, filter EdgeFilter) (path []I
 	}
 	s := bfsPool.Get().(*bfsScratch)
 	defer func() {
-		clear(s.prev)
 		s.queue = s.queue[:0]
 		bfsPool.Put(s)
 	}()
-	s.prev[from] = from
+	s.begin(g.nextID)
+	first := targets[0]
+	s.stamp[from], s.prev[from] = s.gen, from
 	s.queue = append(s.queue, from)
-	for head := 0; head < len(s.queue); head++ {
+search:
+	for head := 0; head < len(s.queue) && from != first; head++ {
 		cur := s.queue[head]
 		for _, h := range g.adjacent[cur] {
-			if _, seen := s.prev[h.n]; seen {
+			if s.stamp[h.n] == s.gen || filter != nil && !filter(h.e, h.v) {
 				continue
 			}
-			if filter != nil {
-				e := g.edges[h.e]
-				if !filter(*e, *g.vertices[e.A], *g.vertices[e.B]) {
-					continue
-				}
+			s.stamp[h.n], s.prev[h.n] = s.gen, cur
+			if h.n == first {
+				break search
 			}
-			s.prev[h.n] = cur
 			s.queue = append(s.queue, h.n)
 		}
 	}
 	for _, to := range targets {
-		if _, reached := s.prev[to]; !reached {
+		if to < 0 || int(to) >= len(s.stamp) || s.stamp[to] != s.gen {
 			continue
 		}
 		n := 1

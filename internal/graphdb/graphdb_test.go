@@ -102,12 +102,12 @@ func TestShortestPath(t *testing.T) {
 		t.Fatalf("path = %v", path)
 	}
 	// Filter out the shortcut: must take the long way.
-	path, ok = g.ShortestPath(a, []ID{d}, func(e Edge, _, _ Vertex) bool { return !(e.A == x || e.B == x) })
+	path, ok = g.ShortestPath(a, []ID{d}, func(e *Edge, _ *Vertex) bool { return !(e.A == x || e.B == x) })
 	if !ok || len(path) != 4 {
 		t.Fatalf("filtered path = %v", path)
 	}
 	// No path when everything is filtered.
-	if _, ok := g.ShortestPath(a, []ID{d}, func(Edge, Vertex, Vertex) bool { return false }); ok {
+	if _, ok := g.ShortestPath(a, []ID{d}, func(*Edge, *Vertex) bool { return false }); ok {
 		t.Fatal("found path through fully filtered graph")
 	}
 	// Self path.
@@ -123,10 +123,10 @@ func TestShortestPath(t *testing.T) {
 	if _, ok := g.ShortestPath(a, []ID{lone}, nil); ok {
 		t.Fatal("found path to an isolated vertex")
 	}
-	// The filter sees the stored endpoint vertices.
+	// The filter sees the stored vertex each edge enters.
 	g.SetVertexProp(x, "blocked", true)
-	path, ok = g.ShortestPath(a, []ID{d}, func(_ Edge, u, v Vertex) bool {
-		return u.Props["blocked"] == nil && v.Props["blocked"] == nil
+	path, ok = g.ShortestPath(a, []ID{d}, func(_ *Edge, to *Vertex) bool {
+		return to.Props["blocked"] == nil
 	})
 	if !ok || len(path) != 4 {
 		t.Fatalf("vertex-filtered path = %v", path)

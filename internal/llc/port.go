@@ -576,7 +576,9 @@ func (p *Port) handleControl(f *Frame) {
 		}
 		p.probeAttempts = 0
 		p.creditWaiter.Broadcast()
-		p.scheduleFlush()
+		if p.pending.Len() > 0 {
+			p.scheduleFlush()
+		}
 	}
 	if f.Probe {
 		// The peer is credit-starved and suspects lost returns: refresh our
