@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check ci test build vet lint race chaos fuzz-smoke replay-smoke ha-smoke detect-smoke bench-quick bench trace-demo
+.PHONY: check ci test build vet lint race chaos fuzz-smoke replay-smoke detect-smoke bench-quick bench trace-demo
 
 check: lint vet build
 	$(GO) test -race ./...
@@ -16,10 +16,9 @@ check: lint vet build
 # concurrency-bearing packages, the chaos conformance campaign through the
 # tfbench binary, a one-simulated-minute churn replay against the real
 # control plane, a single-scenario anomaly-detection scorecard, and a short
-# fuzz smoke of the frame and snapshot decoders, and an HA smoke that
-# replays churn against a 3-node replicated control plane while killing
-# the Raft leader mid-saga. This is the target a pipeline should invoke.
-ci: check race chaos replay-smoke ha-smoke detect-smoke fuzz-smoke
+# fuzz smoke of the frame and snapshot decoders. This is the target a
+# pipeline should invoke.
+ci: check race chaos replay-smoke detect-smoke fuzz-smoke
 
 # Uncached (-count=1) race-detector pass over the packages with real
 # concurrency: the LLC protocol under the parallel experiment engine, the
@@ -39,7 +38,7 @@ race:
 		./internal/sim/ ./internal/sim/shard/ ./internal/chaos/ \
 		./internal/metrics/ ./internal/trace/ ./internal/controlplane/ \
 		./internal/agent/ ./internal/dctrace/ ./internal/bench/ \
-		./internal/raft/ ./internal/timeseries/... ./internal/graphdb/ \
+		./internal/timeseries/... ./internal/graphdb/ \
 		./internal/endpoint/ ./internal/fabric/ \
 		./internal/workloads/search/ ./internal/workloads/kvcache/
 
@@ -55,16 +54,6 @@ chaos:
 # transport faults on. Exits non-zero on any invariant violation.
 replay-smoke:
 	$(GO) run ./cmd/tfbench -experiment replay -replay-minutes 1 -seed 1 >/dev/null
-
-# HA smoke: the same churn replay against the in-process 3-node Raft test
-# rig (internal/cpworld builds the world; the replicated journal is a test
-# rig, not a daemon mode), killing the leader mid-saga twice and failing
-# over to a freshly elected successor. Exits non-zero on any invariant
-# violation (committed-saga loss, diverged replica logs, orphaned donor
-# memory).
-ha-smoke:
-	$(GO) run ./cmd/tfbench -experiment replay -replay-minutes 1 -seed 1 \
-		-replay-ha 3 -replay-leader-kills 2 >/dev/null
 
 # One chaos scenario scored against its ground-truth labels through the
 # online anomaly detector — exits non-zero below the precision/recall gate.
@@ -127,8 +116,8 @@ bench:
 # (tfbench -experiment rack at 1/2/4/8 shards), the saga path with
 # tracing off vs on, the churn-replay saga throughput, the flight
 # recorder off vs on, the journal fsync group-commit sweep, and the
-# Raft quorum-commit append latency (3/5 nodes), and the fabric path
-# planner on the churn-shaped model, written to BENCH_PR15.json.
+# fabric path planner on the churn-shaped model, written to
+# BENCH_PR15.json.
 bench-quick:
 	sh scripts/benchsnap.sh BENCH_PR15.json
 

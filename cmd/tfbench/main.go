@@ -29,14 +29,6 @@
 //	tfbench -experiment replay -replay-minutes 5 -replay-rate 2000
 //	tfbench -experiment replay -out replay.json -metrics m.json
 //
-// -replay-ha N replicates the saga write-ahead journal across an
-// in-process Raft replica set of N control-plane nodes (sagas run on the
-// elected leader); -replay-leader-kills K kills the leader mid-saga K
-// times at deterministic journal offsets and fails over to a freshly
-// elected successor, asserting zero committed-saga loss:
-//
-//	tfbench -experiment replay -replay-ha 3 -replay-leader-kills 2 -seed 7
-//
 // The report (stdout table + -out JSON + replay_* metrics) is byte-
 // identical per seed.
 //
@@ -182,8 +174,6 @@ func main() {
 	replayMinutes := flag.Int("replay-minutes", 0, "with -experiment replay: simulated trace minutes (0 = 2 quick / 5 full)")
 	replayRate := flag.Float64("replay-rate", 0, "with -experiment replay: attach arrivals per simulated minute (0 = 800)")
 	replayWorkers := flag.Int("replay-workers", 1, "with -experiment replay: concurrent saga-issuing goroutines (1 = deterministic sequential driver; N > 1 races issuers against the saga admission limit)")
-	replayHA := flag.Int("replay-ha", 0, "with -experiment replay: replicate the saga journal across this many Raft control-plane nodes (0 = single node; requires -replay-workers 1)")
-	replayKills := flag.Int("replay-leader-kills", 0, "with -experiment replay -replay-ha N: kill the Raft leader mid-saga this many times at deterministic journal offsets and fail over")
 	snapshotOut := flag.String("snapshot-out", "", "with -experiment detect -scenario: write the recorded series as a binary TFTS snapshot for tfmon")
 	flag.Parse()
 
@@ -192,7 +182,6 @@ func main() {
 		seed: *seed, shards: *shards, scenario: *scenario, out: *out, snapshotOut: *snapshotOut,
 		replay: bench.ReplayConfig{
 			Minutes: *replayMinutes, RatePerMinute: *replayRate, Workers: *replayWorkers,
-			HANodes: *replayHA, LeaderKills: *replayKills,
 		},
 	}
 	if *full {

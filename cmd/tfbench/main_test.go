@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -83,20 +84,25 @@ func TestUnknownExperimentExits2(t *testing.T) {
 	}
 }
 
+// TestUnknownScenarioListsBothCatalogues: an unknown -scenario exits 2 and
+// lists every scenario of both catalogues. The second name belonged to the
+// removed replicated control plane; it is now unknown like any other.
 func TestUnknownScenarioListsBothCatalogues(t *testing.T) {
 	for _, row := range []string{"chaos", "detect"} {
-		_, stderr, code := tfbench(t, t.TempDir(), "-experiment", row, "-scenario", "no-such-scenario")
-		if code != 2 {
-			t.Fatalf("%s: exit %d, want 2", row, code)
-		}
-		for _, s := range chaos.Catalogue() {
-			if !strings.Contains(stderr, s.Name) {
-				t.Errorf("%s: stderr does not list datapath scenario %q", row, s.Name)
+		for _, name := range []string{"no-such-scenario", "cp-ha-leader-kill-midsaga"} {
+			_, stderr, code := tfbench(t, t.TempDir(), "-experiment", row, "-scenario", name)
+			if code != 2 || !strings.Contains(stderr, fmt.Sprintf("unknown chaos scenario %q", name)) {
+				t.Fatalf("%s -scenario %s: exit %d, want 2; stderr:\n%s", row, name, code, stderr)
 			}
-		}
-		for _, s := range chaos.CPCatalogue() {
-			if !strings.Contains(stderr, s.Name) {
-				t.Errorf("%s: stderr does not list control-plane scenario %q", row, s.Name)
+			for _, s := range chaos.Catalogue() {
+				if !strings.Contains(stderr, s.Name) {
+					t.Errorf("%s: stderr does not list datapath scenario %q", row, s.Name)
+				}
+			}
+			for _, s := range chaos.CPCatalogue() {
+				if !strings.Contains(stderr, s.Name) {
+					t.Errorf("%s: stderr does not list control-plane scenario %q", row, s.Name)
+				}
 			}
 		}
 	}

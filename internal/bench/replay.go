@@ -59,16 +59,6 @@ type ReplayConfig struct {
 	// control trip.
 	Workers int
 
-	// HANodes > 1 replicates the saga write-ahead journal across an
-	// in-process Raft replica set of that many control-plane nodes; sagas
-	// execute on the elected leader behind the leader gate. LeaderKills
-	// schedules that many deterministic leader kills during the trace (HA
-	// mode only): each kill crashes the journal mid-saga, stops the Raft
-	// leader, and recovery fails over to a freshly elected leader instead
-	// of rebooting the same node. Both require the sequential driver.
-	HANodes     int
-	LeaderKills int
-
 	// NoFaults zeroes the transport fault probabilities and NoAutoscale
 	// disables the autoscaler — the crash-equality tests use both so a
 	// crashed run's recovery traffic cannot skew the shared fault RNG.
@@ -127,8 +117,6 @@ type ReplayReport struct {
 	AutoscaleEnabled bool    `json:"autoscale_enabled"`
 	MaxInflightSagas int     `json:"max_inflight_sagas"`
 	Workers          int     `json:"workers"`
-	HANodes          int     `json:"ha_nodes,omitempty"`
-	LeaderKills      int     `json:"leader_kills,omitempty"`
 
 	Trace dctrace.ChurnMix `json:"trace"`
 
@@ -158,10 +146,6 @@ type ReplayReport struct {
 	EventsRecorded uint64 `json:"events_recorded"`
 	EventsDropped  uint64 `json:"events_dropped"`
 
-	// Raft summarizes the replica set after an HA run (HANodes > 1; nil,
-	// and so absent from the JSON, on a single node).
-	Raft *cpworld.RaftSummary `json:"raft,omitempty"`
-
 	// FinalState is the converged end-of-trace state — the section the
 	// crash-point property test asserts byte-equal between a crashed and an
 	// uncrashed run.
@@ -172,16 +156,11 @@ type ReplayReport struct {
 }
 
 // newReplayWorld builds the replay's control-plane world: replayHosts small
-// hosts cabled as a full mesh, the seeded lossy transport, and with
-// HANodes > 1 a replica set carrying the journal.
+// hosts cabled as a full mesh and the seeded lossy transport.
 func newReplayWorld(cfg ReplayConfig) (*cpworld.World, error) {
 	hosts := make([]string, replayHosts)
 	for i := range hosts {
 		hosts[i] = fmt.Sprintf("replay%02d", i)
-	}
-	var replicas []string
-	for i := 0; cfg.HANodes > 1 && i < cfg.HANodes; i++ {
-		replicas = append(replicas, fmt.Sprintf("cp-%02d", i))
 	}
 	faults := controlplane.TransportFaults{Seed: cfg.Seed}
 	if !cfg.NoFaults {
@@ -213,8 +192,6 @@ func newReplayWorld(cfg ReplayConfig) (*cpworld.World, error) {
 		Faults:            faults,
 		Events:            capEvents,
 		MaxInflightSagas:  cfg.MaxInflightSagas,
-		Replicas:          replicas,
-		Seed:              cfg.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
@@ -301,17 +278,10 @@ func (d *replayDriver) boot() {
 
 // reboot replaces a crashed control plane: bank the dead incarnation's
 // counters, boot a fresh Service over the same world, replay the journal,
-// and reconcile until the recovered state is clean. With a replica set a
-// crash is a leader kill: the successor recovers from the replicated
-// journal, not the dead node's local state.
+// and reconcile until the recovered state is clean.
 func (d *replayDriver) reboot() {
 	d.rep.Crashes++
 	d.rep.Counters.Add(d.svc.Counters())
-	if d.w.Replicas != nil {
-		if err := d.w.Failover(true); err != nil {
-			d.rep.Invariants = append(d.rep.Invariants, err.Error())
-		}
-	}
 	d.boot()
 	d.svc.Recover() //nolint:errcheck // recovery over a live journal cannot fail here
 	d.svc.ReconcileUntilClean(8)
@@ -540,20 +510,6 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 	if cfg.Workers > 1 && len(cfg.crashPoints) > 0 {
 		return ReplayReport{}, fmt.Errorf("replay: crash points require the sequential driver (workers=1), got workers=%d", cfg.Workers)
 	}
-	if cfg.HANodes > 1 && cfg.Workers > 1 {
-		return ReplayReport{}, fmt.Errorf("replay: the replicated journal requires the sequential driver (workers=1), got workers=%d", cfg.Workers)
-	}
-	if cfg.LeaderKills > 0 && cfg.HANodes <= 1 {
-		return ReplayReport{}, fmt.Errorf("replay: leader kills require a replica set (ha nodes > 1)")
-	}
-	for i := 0; i < cfg.LeaderKills; i++ {
-		// Fixed append offsets (43, 136, 229, ...) keep the kill schedule —
-		// and with it the whole report — a pure function of the seed. The
-		// offsets are deliberately off the ~10-entry per-saga journal stride
-		// so kills land mid-saga, exercising in-flight recovery on the
-		// successor, not just journal hand-off.
-		cfg.crashPoints = append(cfg.crashPoints, 43+93*i)
-	}
 	world, err := newReplayWorld(cfg)
 	if err != nil {
 		return ReplayReport{}, err
@@ -569,8 +525,6 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 		AutoscaleEnabled: !cfg.NoAutoscale,
 		MaxInflightSagas: cfg.MaxInflightSagas,
 		Workers:          cfg.Workers,
-		HANodes:          cfg.HANodes,
-		LeaderKills:      cfg.LeaderKills,
 	}
 
 	d := &replayDriver{
@@ -599,17 +553,6 @@ func Replay(w io.Writer, cfg ReplayConfig) (ReplayReport, error) {
 	res := world.Check(d.svc)
 	rep.FinalState = res.State
 	rep.Invariants = append(rep.Invariants, res.Violations...)
-	if world.Replicas != nil {
-		// Revive the killed replica, catch every replica up to the leader,
-		// and check that all hold the identical committed journal (zero
-		// committed-saga loss across every failover).
-		if err := world.Settle(); err != nil {
-			rep.Invariants = append(rep.Invariants, err.Error())
-		}
-		var bad []string
-		rep.Raft, bad = world.Raft()
-		rep.Invariants = append(rep.Invariants, bad...)
-	}
 
 	rep.Counters.Add(d.svc.Counters())
 	rep.Transport = world.Faulty.Stats()
@@ -651,11 +594,6 @@ func printReplay(w io.Writer, rep *ReplayReport) {
 	fmt.Fprintf(w, "  autoscaler         %d attaches, %d detaches, %d errors\n",
 		rep.ScaleAttaches, rep.ScaleDetaches, rep.ScaleErrors)
 	fmt.Fprintf(w, "  crashes            %d\n", rep.Crashes)
-	if rep.Raft != nil {
-		fmt.Fprintf(w, "  raft               %d nodes, leader %s, term %d, commit %d; %d leader changes, %d dropped msgs, converged=%v\n",
-			rep.Raft.Nodes, rep.Raft.FinalLeader, rep.Raft.FinalTerm, rep.Raft.FinalCommit,
-			rep.Raft.LeaderChanges, rep.Raft.DroppedMessages, rep.Raft.Converged)
-	}
 	fmt.Fprintf(w, "  sagas committed    %d (%.1f per sim-minute, %.2f per sim-second)\n",
 		rep.SagasCommitted, rep.SagasPerSimMinute, rep.SagasPerSimSecond)
 	for _, p := range rep.Profiles {
@@ -707,14 +645,6 @@ var replayInstruments = []instrument.Def[*ReplayReport]{
 	instrument.Gauge("final_attachments", func(r *ReplayReport) float64 { return float64(r.FinalState.Count) }),
 }
 
-// replayRaftInstruments describes the replica set of an HA replay.
-var replayRaftInstruments = []instrument.Def[*cpworld.RaftSummary]{
-	instrument.Counter("raft_nodes", func(r *cpworld.RaftSummary) float64 { return float64(r.Nodes) }),
-	instrument.Counter("raft_leader_changes", func(r *cpworld.RaftSummary) float64 { return float64(r.LeaderChanges) }),
-	instrument.Counter("raft_commit_index", func(r *cpworld.RaftSummary) float64 { return float64(r.FinalCommit) }),
-	instrument.Counter("raft_dropped_messages", func(r *cpworld.RaftSummary) float64 { return float64(r.DroppedMessages) }),
-}
-
 // replayProfileInstruments gives one saga operation's latency percentiles,
 // bound under "replay.<op>".
 var replayProfileInstruments = []instrument.Def[trace.OpProfile]{
@@ -730,9 +660,6 @@ func replayCounter(name string, field func(*ReplayReport) int64) instrument.Def[
 // registry (and from there the Prometheus exposition).
 func RegisterReplayMetrics(reg *metrics.Registry, rep *ReplayReport) {
 	instrument.Register(reg, "", instrument.Bind("replay.", replayInstruments, rep))
-	if rep.Raft != nil {
-		instrument.Register(reg, "", instrument.Bind("replay.", replayRaftInstruments, rep.Raft))
-	}
 	for _, p := range rep.Profiles {
 		instrument.Register(reg, "", instrument.Bind("replay."+p.Op, replayProfileInstruments, p))
 	}

@@ -172,16 +172,3 @@ func TestReplayPinnedHash(t *testing.T) {
 		t.Fatalf("seed-7 replay report hash = %s, want %s", got, want)
 	}
 }
-
-// TestReplayHAPinnedHash pins the report of the HA smoke configuration
-// (seed 1, one simulated minute, 3 replicas, 2 leader kills; `make
-// ha-smoke`) across commits, as TestReplayPinnedHash does for the
-// single-node replay. A change that alters the report on purpose must
-// update this hash.
-func TestReplayHAPinnedHash(t *testing.T) {
-	const want = "dce84044427052f0f36bef02489d630b01761de4cd2caebffe41f2f3afc0e80a"
-	_, data, _ := runReplayOnce(t, ReplayConfig{Seed: 1, Minutes: 1, HANodes: 3, LeaderKills: 2})
-	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
-		t.Fatalf("seed-1 HA replay report hash = %s, want %s", got, want)
-	}
-}

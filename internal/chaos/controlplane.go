@@ -43,30 +43,15 @@ type CPScenario struct {
 // banked across crash-restarts so the series stay cumulative over the whole
 // scenario, not one process lifetime.
 type CPObserver struct {
-	rec *timeseries.Recorder
 	rep *CPScenarioReport
-
 	svc *controlplane.Service
-	w   *cpworld.World
-
-	cp instrument.Sampler
-	// raft holds the HA-only cp.raft.* series, added on the first boot of an
-	// HA world, so the single-node scenarios keep their series set.
-	raft instrument.Sampler
-}
-
-// raftInstruments are the replica set's cp.raft.* series: the leader's
-// term and quorum-committed journal index, and observed leader changes.
-var raftInstruments = []instrument.Def[*cpworld.World]{
-	instrument.Gauge("cp.raft.term", func(w *cpworld.World) float64 { return float64(w.Replicas.Status(w.Leader).Term) }),
-	instrument.Counter("cp.raft.commit_index", func(w *cpworld.World) float64 { return float64(w.Replicas.Status(w.Leader).Commit) }),
-	instrument.Counter("cp.raft.leader_changes", func(w *cpworld.World) float64 { return float64(w.Replicas.LeaderChanges()) }),
+	cp  instrument.Sampler
 }
 
 // newCPObserver builds an observer recording into rec (which must be
 // non-nil).
 func newCPObserver(rec *timeseries.Recorder) *CPObserver {
-	o := &CPObserver{rec: rec}
+	o := &CPObserver{}
 	o.cp.Add(rec, instrument.BindFunc("", controlplane.Instruments, o.reading))
 	return o
 }
@@ -86,20 +71,14 @@ func (o *CPObserver) wrap(inner trace.WallClock) trace.WallClock {
 }
 
 // observe points the tap at the current control-plane process (the world
-// calls it on every boot) and, in an HA world, adds the cp.raft.* series.
-func (o *CPObserver) observe(svc *controlplane.Service) {
-	if o.svc == nil && o.w.Replicas != nil {
-		o.raft.Add(o.rec, instrument.Bind("", raftInstruments, o.w))
-	}
-	o.svc = svc
-}
+// calls it on every boot).
+func (o *CPObserver) observe(svc *controlplane.Service) { o.svc = svc }
 
 func (o *CPObserver) sample(ts int64) {
 	if o.svc == nil {
 		return
 	}
 	o.cp.Sample(ts, nil)
-	o.raft.Sample(ts, nil)
 }
 
 // CPScenarioReport is one control-plane scenario's outcome. Every field is
@@ -125,10 +104,6 @@ type CPScenarioReport struct {
 
 	Counters  controlplane.SagaCounters   `json:"counters"`
 	Transport controlplane.TransportStats `json:"transport"`
-
-	// Raft summarizes the replica set at scenario end. Only the HA scenarios
-	// set it (pointer + omitempty keeps single-node reports byte-identical).
-	Raft *cpworld.RaftSummary `json:"raft,omitempty"`
 
 	// Trace summarizes the scenario's saga traces. The event log lives in
 	// the world, not the Service, so traces span crash-restarts; timestamps
@@ -157,10 +132,9 @@ func (r *CPScenarioReport) fail(format string, args ...any) {
 }
 
 // newWorld builds a scenario's world: three hosts with four transceivers
-// per endpoint, the scenario's transport faults seeded by seed, and, with
-// ha, a 3-node Raft replica set carrying the journal. On failure it
-// records the error and returns nil.
-func newWorld(rep *CPScenarioReport, obs *CPObserver, seed int64, faults controlplane.TransportFaults, ha bool) *cpworld.World {
+// per endpoint and the scenario's transport faults seeded by seed. On
+// failure it records the error and returns nil.
+func newWorld(rep *CPScenarioReport, obs *CPObserver, seed int64, faults controlplane.TransportFaults) *cpworld.World {
 	faults.Seed = seed
 	cfg := cpworld.Config{
 		Hosts: []string{"node0", "node1", "node2"},
@@ -174,10 +148,6 @@ func newWorld(rep *CPScenarioReport, obs *CPObserver, seed int64, faults control
 		Token:             cpToken,
 		Faults:            faults,
 		Events:            1 << 14,
-		Seed:              seed,
-	}
-	if ha {
-		cfg.Replicas = haReplicaIDs
 	}
 	if obs != nil {
 		obs.rep = rep
@@ -189,26 +159,15 @@ func newWorld(rep *CPScenarioReport, obs *CPObserver, seed int64, faults control
 		rep.fail("%v", err)
 		return nil
 	}
-	if obs != nil {
-		obs.w = w
-	}
 	return w
 }
 
-// restart replaces a control plane that died or was fenced mid-saga: bank
-// its counters, fail over to a successor leader in an HA world (stopping
-// the old leader's node when kill is set), then boot over the lossy
-// transport, recover from the journal, and reconcile once. It returns nil
-// after recording a failure.
-func restart(w *cpworld.World, rep *CPScenarioReport, old *controlplane.Service, kill bool) *controlplane.Service {
+// restart replaces a control plane that died mid-saga: bank its counters,
+// then boot over the lossy transport, recover from the journal, and
+// reconcile once. It returns nil after recording a failure.
+func restart(w *cpworld.World, rep *CPScenarioReport, old *controlplane.Service) *controlplane.Service {
 	rep.Counters.Add(old.Counters())
 	rep.Crashes++
-	if w.Replicas != nil {
-		if err := w.Failover(kill); err != nil {
-			rep.fail("%v", err)
-			return nil
-		}
-	}
 	svc := w.Boot(w.Faulty)
 	rr, err := svc.Recover()
 	if err != nil {
@@ -318,7 +277,7 @@ func crashWorkload(w *cpworld.World, rep *CPScenarioReport, svc *controlplane.Se
 			_, err = attach(w, rep, svc, op)
 		}
 		if err != nil && controlplane.IsCrash(err) {
-			if svc = restart(w, rep, svc, true); svc == nil {
+			if svc = restart(w, rep, svc); svc == nil {
 				return nil
 			}
 		} else if err != nil {
@@ -328,10 +287,9 @@ func crashWorkload(w *cpworld.World, rep *CPScenarioReport, svc *controlplane.Se
 	return svc
 }
 
-// CPCatalogue returns the control-plane scenario set: the single-node
-// scenarios below plus the HA replica-set scenarios (ha.go).
+// CPCatalogue returns the control-plane scenario set.
 func CPCatalogue() []CPScenario {
-	return append([]CPScenario{
+	return []CPScenario{
 		{
 			Name: "cp-agent-flap",
 			Description: "agents crash-restart under a lossy transport, losing volatile state; " +
@@ -350,13 +308,13 @@ func CPCatalogue() []CPScenario {
 				"idempotent (AttachmentID, Epoch) application must keep agents exact",
 			run: runDuplicateStorm,
 		},
-	}, haCatalogue()...)
+	}
 }
 
 func runAgentFlap(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
 		DropProb: 0.05, DupProb: 0.10, AmbiguousProb: 0.10,
-	}, false)
+	})
 	if w == nil {
 		return
 	}
@@ -399,7 +357,7 @@ func runAgentFlap(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 func runOrchestratorCrash(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
 		DropProb: 0.05, DupProb: 0.10, AmbiguousProb: 0.10,
-	}, false)
+	})
 	if w == nil {
 		return
 	}
@@ -421,7 +379,7 @@ func runOrchestratorCrash(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 func runDuplicateStorm(seed int64, rep *CPScenarioReport, obs *CPObserver) {
 	w := newWorld(rep, obs, seed, controlplane.TransportFaults{
 		DupProb: 0.90, AmbiguousProb: 0.40,
-	}, false)
+	})
 	if w == nil {
 		return
 	}

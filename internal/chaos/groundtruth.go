@@ -173,19 +173,6 @@ func CPGroundTruth(s CPScenario) []detect.Label {
 			detect.Label{Class: detect.SagaRetryStorm, From: 0, To: labelEnd},
 			detect.Label{Class: detect.ReconcilerBacklog, From: 0, To: labelEnd, Optional: true},
 		)
-	case "cp-ha-leader-kill-midsaga", "cp-ha-minority-partition",
-		"cp-ha-majority-partition", "cp-ha-split-brain-fencing",
-		"cp-ha-follower-lag-catchup":
-		// HA scenarios run a lossy agent transport, so retries and
-		// reconciler drift are plausible on every seed — but the dominant
-		// faults live in the raft layer (kills, partitions, fencing), whose
-		// telemetry the anomaly rules do not score. Both labels stay
-		// optional; replication correctness is asserted by the scenarios'
-		// own invariants (log convergence, fencing, zero committed loss).
-		labels = append(labels,
-			detect.Label{Class: detect.SagaRetryStorm, From: 0, To: labelEnd, Optional: true},
-			detect.Label{Class: detect.ReconcilerBacklog, From: 0, To: labelEnd, Optional: true},
-		)
 	}
 	sortLabels(labels)
 	return labels

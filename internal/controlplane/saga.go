@@ -25,7 +25,7 @@ type saga struct {
 	ctx     trace.SpanContext // root span; zero when tracing is off
 	// rng drives this saga's backoff jitter, seeded from the saga ID so
 	// the jitter sequence is a function of the saga alone — the same saga
-	// replayed on another replica (or re-run by a crash-point test) sleeps
+	// re-run after a recovery (or by a crash-point test) sleeps
 	// identically regardless of how other sagas interleave. Lazily created
 	// on the first backoff so the retry-free happy path allocates nothing.
 	rng *rand.Rand
@@ -177,7 +177,7 @@ func (s *Service) step(sg *saga, step string, epoch uint64, fn func() error, pay
 // retried with exponential backoff plus +/-50% jitter, permanent failures
 // return immediately. Jitter draws from the given RNG; saga-scoped work
 // must go through retrySaga so the jitter sequence is a pure function of
-// the saga ID (byte-reproducible across replicas and crash-point replays),
+// the saga ID (byte-reproducible across recoveries and crash-point replays),
 // while service-scoped sweeps (the reconciler) use the service RNG.
 func (s *Service) retry(fn func() error) error { return s.retryWith(s.jitter, nil, fn) }
 

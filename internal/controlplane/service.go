@@ -259,11 +259,6 @@ type Service struct {
 	// goroutines without contending with the saga engine for s.mu.
 	flightRec atomic.Pointer[timeseries.Recorder]
 	flightDet atomic.Pointer[detect.Detector]
-
-	// HA replication (replicated.go): leaderGate rejects mutations on
-	// non-leader replicas before the saga mutex (mirroring admit). nil on a
-	// single-node control plane.
-	leaderGate atomic.Pointer[func() error]
 }
 
 // parkedSaga is a saga whose datapath work is finished but whose agent
@@ -361,28 +356,6 @@ func (s *Service) admit() error {
 // release frees an admitted slot.
 func (s *Service) release() { s.inflight.Add(-1) }
 
-// SetLeaderGate installs the HA leader gate: a func returning nil when
-// this replica may accept mutations and *NotLeaderError otherwise
-// (ReplicaSet.Gate builds one). Like the admission limit it is checked
-// before s.mu, so followers shed misdirected writes immediately even while
-// the leader gate-keeps a long saga. nil removes the gate.
-func (s *Service) SetLeaderGate(gate func() error) {
-	if gate == nil {
-		s.leaderGate.Store(nil)
-		return
-	}
-	s.leaderGate.Store(&gate)
-}
-
-// checkLeader applies the leader gate (nil when unset or leading).
-func (s *Service) checkLeader() error {
-	g := s.leaderGate.Load()
-	if g == nil {
-		return nil
-	}
-	return (*g)()
-}
-
 // RegisterAgent attaches a node agent for a host (delegating to the
 // transport's registry when it has one).
 func (s *Service) RegisterAgent(a *agent.Agent) {
@@ -452,9 +425,6 @@ type AttachRequest struct {
 // *compensating* rollback — a failed compute-side push issues a donor-side
 // detach (not just a path release), so no donor memory leaks.
 func (s *Service) Attach(req AttachRequest) (*AttachmentRecord, error) {
-	if err := s.checkLeader(); err != nil {
-		return nil, err
-	}
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
@@ -646,9 +616,6 @@ func compensationStep(step string) string {
 // detaches are parked for the reconciliation loop (counted in
 // detach_agent_failures) instead of silently dropped.
 func (s *Service) Detach(id string) error {
-	if err := s.checkLeader(); err != nil {
-		return err
-	}
 	if err := s.admit(); err != nil {
 		return err
 	}

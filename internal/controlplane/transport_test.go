@@ -74,3 +74,44 @@ func diffStats(a, b TransportStats) TransportStats {
 		PartitionDrops: a.PartitionDrops - b.PartitionDrops,
 	}
 }
+
+// TestFaultyTransportPartitions: per-peer-pair symmetric and asymmetric
+// cuts, with source identity through WithSource.
+func TestFaultyTransportPartitions(t *testing.T) {
+	inner := NewDirectTransport()
+	for _, n := range []string{"node0", "node1"} {
+		inner.Register(agent.New(n, testToken))
+	}
+	ft := NewFaultyTransport(inner, TransportFaults{Seed: 1})
+
+	// Symmetric cut between the default source and node0.
+	ft.Partition(DefaultSource, "node0")
+	if _, err := ft.Query("node0"); !IsTransient(err) {
+		t.Fatalf("partitioned query: %v, want transient", err)
+	}
+	if _, err := ft.Query("node1"); err != nil {
+		t.Fatalf("unrelated query: %v", err)
+	}
+	ft.HealPartition(DefaultSource, "node0")
+	if _, err := ft.Query("node0"); err != nil {
+		t.Fatalf("healed query: %v", err)
+	}
+
+	// Source-scoped one-way cut: cp-b is severed from node1, cp-a is not.
+	cpA, cpB := ft.WithSource("cp-a"), ft.WithSource("cp-b")
+	ft.PartitionOneWay("cp-b", "node1")
+	if _, err := cpB.Query("node1"); !IsTransient(err) {
+		t.Fatalf("cp-b query across cut: %v, want transient", err)
+	}
+	if _, err := cpA.Query("node1"); err != nil {
+		t.Fatalf("cp-a query: %v", err)
+	}
+	st := ft.Stats()
+	if st.PartitionDrops != 2 {
+		t.Fatalf("PartitionDrops = %d, want 2", st.PartitionDrops)
+	}
+	ft.HealAllPartitions()
+	if _, err := cpB.Query("node1"); err != nil {
+		t.Fatalf("after HealAllPartitions: %v", err)
+	}
+}

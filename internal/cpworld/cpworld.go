@@ -2,21 +2,17 @@
 // (internal/bench) and the control-plane chaos campaigns (internal/chaos)
 // drive: a simulated rack with its topology model and node agents, a
 // direct and a seeded faulty agent transport, a crashable write-ahead
-// journal, a world-scoped saga event log on a deterministic step clock,
-// and optionally a Raft replica set carrying the journal.
+// journal, and a world-scoped saga event log on a deterministic step
+// clock.
 //
 // Everything in a World outlives a control-plane process. A crash drops
 // only the Service; Boot starts a fresh one over the same world, which
-// recovers from the journal. With a replica set, the Service is bound to
-// the current Raft leader, and Failover moves that binding to a freshly
-// elected successor. Every step is a pure function of the configuration,
-// so a world driven by the same call sequence reproduces byte-identically.
+// recovers from the journal. Every step is a pure function of the
+// configuration, so a world driven by the same call sequence reproduces
+// byte-identically.
 package cpworld
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -25,9 +21,6 @@ import (
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/trace"
 )
-
-// electTicks bounds every election and settle loop on the replica set.
-const electTicks = 800
 
 // Config describes a world.
 type Config struct {
@@ -48,11 +41,6 @@ type Config struct {
 	WrapClock func(trace.WallClock) trace.WallClock
 	// OnBoot, when set, sees every Service that Boot starts.
 	OnBoot func(*controlplane.Service)
-
-	// Replicas, when non-empty, replicates the journal across a Raft
-	// replica set with these member IDs; Seed seeds its election timers.
-	Replicas []string
-	Seed     int64
 }
 
 // World is the durable state a control plane crashes and restarts over.
@@ -71,21 +59,15 @@ type World struct {
 	// process; FailAfter on it kills that process mid-saga.
 	Journal *controlplane.CrashableJournal
 
-	// Replicas is the Raft replica set (nil for a single node) and Leader
-	// the member the next Boot binds to.
-	Replicas *controlplane.ReplicaSet
-	Leader   string
-
 	cfg     Config
 	cluster *core.Cluster
 	model   *controlplane.Model
 	clock   trace.WallClock
-	mem     controlplane.Journal // single-node journal
+	mem     controlplane.Journal // the journal every booted process appends to
 	counted []*controlplane.CountingJournal
-	down    string // the killed replica; at most one is down at a time
 }
 
-// New builds the world and, with replicas, elects the first leader.
+// New builds the world.
 func New(cfg Config) (*World, error) {
 	w := &World{
 		Hosts:   cfg.Hosts,
@@ -95,6 +77,7 @@ func New(cfg Config) (*World, error) {
 		cluster: core.NewCluster(),
 		model:   controlplane.NewModel(),
 		clock:   trace.StepClock(0, 25),
+		mem:     controlplane.NewMemJournal(),
 	}
 	for _, h := range cfg.Hosts {
 		if _, err := w.cluster.AddHost(cfg.Host(h)); err != nil {
@@ -112,32 +95,15 @@ func New(cfg Config) (*World, error) {
 	if cfg.WrapClock != nil {
 		w.clock = cfg.WrapClock(w.clock)
 	}
-	if len(cfg.Replicas) == 0 {
-		w.mem = controlplane.NewMemJournal()
-		return w, nil
-	}
-	rs, err := controlplane.NewReplicaSet(cfg.Replicas, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("cpworld: replica set: %w", err)
-	}
-	w.Replicas = rs
-	if w.Leader, err = rs.ElectLeader(electTicks, ""); err != nil {
-		return nil, fmt.Errorf("cpworld: initial election: %w", err)
-	}
 	return w, nil
 }
 
 // Boot starts a control-plane process over the world, talking to the
 // agents through tr. It gets a fresh, disarmed journal chain (crash
-// injection over append counting) on the single-node journal or on the
-// current leader's replicated journal, behind that leader's gate.
+// injection over append counting) on the world's journal.
 // Retries are zero-backoff: harnesses measure in counters, not wall time.
 func (w *World) Boot(tr controlplane.Transport) *controlplane.Service {
-	base := w.mem
-	if w.Replicas != nil {
-		base = w.Replicas.Journal(w.Leader)
-	}
-	counting := controlplane.NewCountingJournal(base)
+	counting := controlplane.NewCountingJournal(w.mem)
 	w.counted = append(w.counted, counting)
 	w.Journal = controlplane.NewCrashableJournal(counting)
 
@@ -148,9 +114,6 @@ func (w *World) Boot(tr controlplane.Transport) *controlplane.Service {
 	svc.SetRetryPolicy(controlplane.RetryPolicy{MaxAttempts: 6})
 	svc.SetMaxInflightSagas(w.cfg.MaxInflightSagas)
 	svc.SetSagaTracing(w.Events, w.clock)
-	if w.Replicas != nil {
-		svc.SetLeaderGate(w.Replicas.Gate(w.Leader))
-	}
 	if w.cfg.OnBoot != nil {
 		w.cfg.OnBoot(svc)
 	}
@@ -166,128 +129,6 @@ func (w *World) JournalStats() (entries, bytes int64) {
 		bytes += b
 	}
 	return entries, bytes
-}
-
-// Failover moves the world to a new leader after the current one died or
-// was fenced. With kill, the old leader's node is stopped (a process
-// kill); without it the old leader keeps running, as in a partition. The
-// next Boot binds to the successor.
-func (w *World) Failover(kill bool) error {
-	old := w.Leader
-	if kill {
-		w.Kill(old)
-	}
-	next, err := w.Replicas.ElectLeader(electTicks, old)
-	if err != nil {
-		return fmt.Errorf("cpworld: failover from %s: %w", old, err)
-	}
-	w.Leader = next
-	return nil
-}
-
-// Kill stops replica id's node, after reviving any previously killed one
-// so the quorum never shrinks below a majority. Settle revives it.
-func (w *World) Kill(id string) {
-	w.revive()
-	w.Replicas.Stop(id)
-	w.down = id
-}
-
-func (w *World) revive() {
-	if w.down != "" {
-		w.Replicas.Restart(w.down)
-		w.down = ""
-	}
-}
-
-// Settle heals every Raft partition, revives the killed replica, and
-// ticks until every replica has caught up to the leader's log; Leader
-// then names the settled leader.
-func (w *World) Settle() error {
-	w.Replicas.HealAll()
-	w.revive()
-	for i := 0; i < electTicks && !w.caughtUp(); i++ {
-		w.Replicas.Tick()
-	}
-	if !w.caughtUp() {
-		return errors.New("cpworld: replicas never caught up to the leader's log")
-	}
-	w.Leader = w.Replicas.Leader()
-	return nil
-}
-
-func (w *World) caughtUp() bool {
-	lead := w.Replicas.Leader()
-	if lead == "" {
-		return false
-	}
-	st := w.Replicas.Status(lead)
-	if st.Commit != st.LastIndex {
-		return false
-	}
-	for _, m := range w.Replicas.Members() {
-		if !m.Stopped && (m.Commit != st.Commit || m.LastIndex != st.LastIndex) {
-			return false
-		}
-	}
-	return true
-}
-
-// RaftSummary is the deterministic roll-up of the replica set at the end
-// of a run.
-type RaftSummary struct {
-	Nodes           int    `json:"nodes"`
-	FinalLeader     string `json:"final_leader,omitempty"`
-	FinalTerm       uint64 `json:"final_term"`
-	FinalCommit     uint64 `json:"final_commit"`
-	LeaderChanges   uint64 `json:"leader_changes"`
-	DroppedMessages uint64 `json:"dropped_messages"`
-	// FencedWrites counts journal appends that died with ErrQuorumLost on a
-	// leader cut off from its quorum (chaos scenarios only).
-	FencedWrites int `json:"fenced_writes,omitempty"`
-	// Converged: every running replica holds the identical committed
-	// journal, so no committed saga was lost to a failover.
-	Converged bool `json:"converged"`
-}
-
-// Raft summarizes the replica set and checks log convergence against the
-// leader's committed journal; violations lists every divergence.
-func (w *World) Raft() (sum *RaftSummary, violations []string) {
-	rs := w.Replicas
-	st := rs.Status(w.Leader)
-	sum = &RaftSummary{
-		Nodes:           len(rs.IDs()),
-		FinalLeader:     w.Leader,
-		FinalTerm:       st.Term,
-		FinalCommit:     st.Commit,
-		LeaderChanges:   rs.LeaderChanges(),
-		DroppedMessages: rs.DroppedMessages(),
-		Converged:       true,
-	}
-	bad := func(format string, args ...any) {
-		violations = append(violations, fmt.Sprintf(format, args...))
-		sum.Converged = false
-	}
-	want, err := rs.CommittedEntries(w.Leader)
-	if err != nil {
-		bad("leader %s committed entries: %v", w.Leader, err)
-	}
-	wantJSON, _ := json.Marshal(want)
-	for _, m := range rs.Members() {
-		if m.Stopped || m.ID == w.Leader {
-			continue
-		}
-		got, err := rs.CommittedEntries(m.ID)
-		if err != nil {
-			bad("replica %s committed entries: %v", m.ID, err)
-			continue
-		}
-		if gotJSON, _ := json.Marshal(got); !bytes.Equal(gotJSON, wantJSON) {
-			bad("replica %s committed journal diverges from leader %s (%d vs %d entries)",
-				m.ID, w.Leader, len(got), len(want))
-		}
-	}
-	return sum, violations
 }
 
 // AttachmentCount is one (compute, donor, bytes) multiset entry of the

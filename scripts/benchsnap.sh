@@ -25,10 +25,6 @@
 #     disabled recorder is not on the datapath at all)
 #   * journal append: FileJournal appends at fsync group-commit sizes
 #     1/8/64 — the per-record fsync cost amortized across the batch
-#   * raft append: quorum-commit append latency on 3- and 5-node Raft
-#     clusters — each append proposes through the leader and pumps the
-#     virtual network until a majority acks, so the number is the HA
-#     analogue of the journal_append group-commit rows
 #   * plan channels: one fabric path planned and released on the churn
 #     benchmark's 8-host x 32-transceiver full mesh with half of it
 #     reserved (ns/op, allocs/op)
@@ -113,13 +109,6 @@ jrnl_1_ns=$(echo "$jrnl" | awk '$1 ~ /^BenchmarkJournalAppendSyncEvery1(-[0-9]+)
 jrnl_8_ns=$(echo "$jrnl" | awk '$1 ~ /^BenchmarkJournalAppendSyncEvery8(-[0-9]+)?$/ {print $3}')
 jrnl_64_ns=$(echo "$jrnl" | awk '$1 ~ /^BenchmarkJournalAppendSyncEvery64(-[0-9]+)?$/ {print $3}')
 
-raft=$(go test -run xxx -bench 'BenchmarkRaftQuorumAppend' -benchmem \
-	-benchtime 200x ./internal/raft/)
-raft_3_ns=$(echo "$raft" | awk '$1 ~ /^BenchmarkRaftQuorumAppend(-[0-9]+)?$/ {print $3}')
-raft_3_allocs=$(echo "$raft" | awk '$1 ~ /^BenchmarkRaftQuorumAppend(-[0-9]+)?$/ {print $7}')
-raft_5_ns=$(echo "$raft" | awk '$1 ~ /^BenchmarkRaftQuorumAppend5(-[0-9]+)?$/ {print $3}')
-raft_5_allocs=$(echo "$raft" | awk '$1 ~ /^BenchmarkRaftQuorumAppend5(-[0-9]+)?$/ {print $7}')
-
 plan=$(go test -run xxx -bench 'BenchmarkPlanChannels$' -benchmem \
 	-benchtime 2000x ./internal/controlplane/ | \
 	awk '$1 ~ /^BenchmarkPlanChannels(-[0-9]+)?$/ {print $3, $7}')
@@ -147,7 +136,7 @@ cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 
 cat > "$out" <<EOF
 {
-  "snapshot": "quick-suite wall clock + kernel/placement/attribution micro-benchmarks + sharded rack scaling + churn-replay saga throughput + flight-recorder overhead + journal group-commit sweep + raft quorum-commit append + fabric path planning",
+  "snapshot": "quick-suite wall clock + kernel/placement/attribution micro-benchmarks + sharded rack scaling + churn-replay saga throughput + flight-recorder overhead + journal group-commit sweep + fabric path planning",
   "date": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
   "host_cores": $cores,
   "quick_suite_wall_seconds": {
@@ -195,11 +184,6 @@ $rack_rows
     "sync_every_1_ns_per_op": $jrnl_1_ns,
     "sync_every_8_ns_per_op": $jrnl_8_ns,
     "sync_every_64_ns_per_op": $jrnl_64_ns
-  },
-  "raft_append": {
-    "note": "quorum-commit append through the embedded Raft leader: each op proposes one saga journal record and ticks the virtual cluster until a majority acks (the HA write path behind ReplicatedJournal.Append); compare against journal_append for the single-node fsync cost it replaces",
-    "nodes_3": { "ns_per_op": $raft_3_ns, "allocs_per_op": $raft_3_allocs },
-    "nodes_5": { "ns_per_op": $raft_5_ns, "allocs_per_op": $raft_5_allocs }
   },
   "plan_channels": {
     "note": "Model.PlanChannels + ReleasePaths for one channel on an 8-host x 32-transceiver full mesh with a seeded half of the transceivers reserved, cycling through the ordered host pairs: one search per free source over sorted adjacency",
