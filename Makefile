@@ -32,10 +32,13 @@ ci: check race chaos replay-smoke detect-smoke fuzz-smoke
 # delivery queues the LLC feeds, the endpoints and fabric switches
 # whose request pools and forwarded frames ride the same kernel-local
 # queues, and the search and key-value workloads whose figure cells run
-# in parallel (Figure 9's cells all read one shared index set).
+# in parallel (Figure 9's cells all read one shared index set). The shard
+# runtime runs again at 1, 2 and 4 Ps: every window inline, two runners,
+# and more runners than a 2-core host has cores.
 race:
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/sim/shard/
 	$(GO) test -race -count=1 ./internal/llc/ ./internal/core/ ./internal/phy/ \
-		./internal/sim/ ./internal/sim/shard/ ./internal/chaos/ \
+		./internal/sim/ ./internal/chaos/ \
 		./internal/metrics/ ./internal/trace/ ./internal/controlplane/ \
 		./internal/agent/ ./internal/dctrace/ ./internal/bench/ \
 		./internal/timeseries/... ./internal/graphdb/ \

@@ -45,8 +45,8 @@ type Cluster struct {
 	// Sharded execution (nil group = classic single-kernel cluster; the
 	// single-kernel code paths are byte-identical to the pre-sharding ones).
 	group     *shard.Group
-	hostShard map[string]int            // host name -> shard index
-	ctrl      map[[2]int]*shard.Conduit // eager control-plane conduit mesh
+	hostShard map[string]int                    // host name -> shard index
+	ctrl      map[[2]int]*shard.Conduit[func()] // eager control-plane conduit mesh
 	nextShard int
 }
 
@@ -76,11 +76,11 @@ func NewClusterShards(n int) *Cluster {
 	// Control-plane conduit mesh, created eagerly so conduit IDs (part of
 	// the deterministic merge order) don't depend on which lifecycle event
 	// happens to cross shards first.
-	c.ctrl = make(map[[2]int]*shard.Conduit)
+	c.ctrl = make(map[[2]int]*shard.Conduit[func()])
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j {
-				c.ctrl[[2]int{i, j}] = c.group.Connect(c.group.Shard(i), c.group.Shard(j), phy.SerdesCrossing)
+				c.ctrl[[2]int{i, j}] = shard.Connect(c.group, c.group.Shard(i), c.group.Shard(j), phy.SerdesCrossing, call)
 			}
 		}
 	}
@@ -208,6 +208,9 @@ func (c *Cluster) pendingEvents() bool {
 	}
 	return false
 }
+
+// call runs a control-plane callback that crossed shards.
+func call(fn func()) { fn() }
 
 // injectFrom runs fn on shard dst, ordered after the current instant on
 // shard src plus the group lookahead — the cross-shard control-plane path
@@ -527,8 +530,9 @@ func (c *Cluster) Attach(spec AttachSpec) (*Attachment, error) {
 		name := fmt.Sprintf("%s-%s.ch%d", ch.Name, dh.Name, i)
 		link := phy.NewLinkSplit(ch.K, dh.K, name, phy.LanesPerChannel, phy.SerdesCrossing, f)
 		if csi != dsi {
-			link.AtoB.SetRemote(c.group.Connect(c.group.Shard(csi), c.group.Shard(dsi), phy.SerdesCrossing))
-			link.BtoA.SetRemote(c.group.Connect(c.group.Shard(dsi), c.group.Shard(csi), phy.SerdesCrossing))
+			cs, ds := c.group.Shard(csi), c.group.Shard(dsi)
+			link.AtoB.SetRemote(shard.Connect(c.group, cs, ds, phy.SerdesCrossing, link.AtoB.Deliver))
+			link.BtoA.SetRemote(shard.Connect(c.group, ds, cs, phy.SerdesCrossing, link.BtoA.Deliver))
 		}
 		cp, mp := llc.NewPairOn(ch.K, dh.K, fmt.Sprintf("%s.llc%d", id, i), link, llcCfg)
 		ch.Compute.AttachPort(cp)

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"thymesisflow/internal/sim"
 	"thymesisflow/internal/trace"
@@ -27,12 +29,19 @@ type detTopology struct {
 	corruptPct float64
 	dropPct    float64
 	detachMid  bool
+	// ring attaches host i to donor i+1, so that no donor serves two
+	// attachments: a cross-shard attachment gets a private C1 pipe
+	// (docs/PARALLEL_SIM.md), so shared donors would make the shard counts
+	// contend differently under dense traffic.
+	ring bool
 }
 
 var detTopologies = []detTopology{
 	{name: "clean-4h", hosts: 4, attaches: 6, workers: 2, ops: 10},
 	{name: "faulty-5h", hosts: 5, attaches: 7, workers: 2, ops: 8,
 		corruptPct: 0.03, dropPct: 0.02, detachMid: true},
+	// Dense enough that most windows go to the shard runners.
+	{name: "dense-4h", hosts: 4, attaches: 4, workers: 64, ops: 4, ring: true},
 }
 
 func detHostConfig(name string) HostConfig {
@@ -87,6 +96,9 @@ func runDetScenario(t *testing.T, topo detTopology, seed int64, shards int) stri
 	for a := 0; a < topo.attaches; a++ {
 		ci := rng.Intn(topo.hosts)
 		di := (ci + 1 + rng.Intn(topo.hosts-1)) % topo.hosts
+		if topo.ring {
+			ci, di = a%topo.hosts, (a+1)%topo.hosts
+		}
 		att, err := c.Attach(AttachSpec{
 			ComputeHost: hosts[ci].Name,
 			DonorHost:   hosts[di].Name,
@@ -190,6 +202,10 @@ func writeMergedTrace(b *strings.Builder, rings []*trace.Ring) {
 	}
 }
 
+// TestShardedDeterminism compares every sharded run with the sequential
+// one at GOMAXPROCS 1, 2 and 4: one runner runs every window inline; two
+// runners pin 3 or more shards between them; four start more runners than
+// a 2-core host has cores. Every run must also leave no runner behind.
 func TestShardedDeterminism(t *testing.T) {
 	seeds := []int64{1, 42, 977, 31337}
 	for _, topo := range detTopologies {
@@ -200,15 +216,36 @@ func TestShardedDeterminism(t *testing.T) {
 				if !strings.Contains(want, " capi read_req X ") && !strings.Contains(want, " capi write_req X ") {
 					t.Fatalf("scenario produced no traffic:\n%s", firstLines(want, 10))
 				}
-				for _, shards := range []int{2, 3, topo.hosts} {
-					got := runDetScenario(t, topo, seed, shards)
-					if got != want {
-						t.Fatalf("digest at %d shards diverges from sequential\n%s",
-							shards, digestDiff(want, got))
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+				for _, procs := range []int{1, 2, 4} {
+					runtime.GOMAXPROCS(procs)
+					for _, shards := range []int{2, 3, topo.hosts} {
+						before := runtime.NumGoroutine()
+						got := runDetScenario(t, topo, seed, shards)
+						if got != want {
+							t.Fatalf("digest at %d shards, GOMAXPROCS %d diverges from sequential\n%s",
+								shards, procs, digestDiff(want, got))
+						}
+						checkNoGoroutineLeft(t, before)
 					}
 				}
 			})
 		}
+	}
+}
+
+// checkNoGoroutineLeft fails t if more goroutines run than before a run
+// that has returned. A runner that has signalled its exit may still be
+// unwinding, so the count gets a second to settle.
+func checkNoGoroutineLeft(t *testing.T, before int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for i := 0; n > before && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines still running after the run returned, %d before it", n, before)
 	}
 }
 

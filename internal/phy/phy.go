@@ -100,10 +100,11 @@ type Delivery struct {
 }
 
 // Injector carries a delivery across a kernel boundary: the shard runtime's
-// Conduit implements it. Send stages fn to run at absolute virtual time
-// `at` on the receiving kernel, ordered as if both ends shared one kernel.
+// Conduit[Delivery] implements it. Send stages d for delivery at absolute
+// virtual time `at` on the receiving kernel, ordered as if both ends shared
+// one kernel; the injector hands it to the channel's Deliver there.
 type Injector interface {
-	Send(at sim.Time, fn func())
+	Send(at sim.Time, d Delivery)
 }
 
 // Channel is a unidirectional, serialized transmission medium running at
@@ -164,9 +165,6 @@ func (c *Channel) Rate() float64 { return c.pipe.Rate() }
 // so both transaction-level and bulk traffic contend for the same capacity).
 func (c *Channel) Pipe() *sim.Pipe { return c.pipe }
 
-// OneWayLatency returns the configured crossing latency.
-func (c *Channel) OneWayLatency() sim.Time { return c.oneWay }
-
 // CrossingPS returns the crossing latency in picoseconds — the flight
 // portion the latency-attribution layer splits out of a frame's wire time
 // (the remainder is serialization and queueing).
@@ -175,9 +173,14 @@ func (c *Channel) CrossingPS() int64 { return int64(c.oneWay) }
 // OnDeliver installs the receive handler (the far end's LLC Rx).
 func (c *Channel) OnDeliver(fn func(Delivery)) { c.deliver = fn }
 
+// Deliver hands d to the receive handler: a frame arriving at the far end.
+// On a shard boundary the injector calls it on the receiving kernel.
+func (c *Channel) Deliver(d Delivery) { c.deliver(d) }
+
 // SetRemote marks the channel as a shard boundary: deliveries are handed to
-// the injector (which must route to the receiver's kernel) instead of being
-// scheduled locally. The channel's own kernel must be the transmit side's.
+// the injector (which must route to the receiver's kernel and call Deliver
+// there) instead of being scheduled locally. The channel's own kernel must
+// be the transmit side's.
 func (c *Channel) SetRemote(inj Injector) { c.remote = inj }
 
 // Transmit serializes a frame of n bytes onto the channel and schedules its
@@ -226,11 +229,11 @@ func (c *Channel) Forward(d Delivery) {
 		tr.Span(trace.LayerPhy, "xmit", c.k.NowPS(), int64(done+c.oneWay))
 	}
 	if c.remote != nil {
-		c.remote.Send(done+c.oneWay, func() { c.deliver(d) })
+		c.remote.Send(done+c.oneWay, d)
 		return
 	}
 	if c.inflight == nil {
-		c.inflight = sim.NewLane(c.k, func(d Delivery) { c.deliver(d) })
+		c.inflight = sim.NewLane(c.k, c.Deliver)
 	}
 	c.inflight.ScheduleAt(done+c.oneWay, d)
 }

@@ -117,19 +117,6 @@ func (k *Kernel) ScheduleAt(t Time, fn func()) *Event {
 	return k.schedule(t, k.now, fn)
 }
 
-// InjectAt splices an externally originated event into the queue: fn runs at
-// absolute time t, but sorts among same-instant events by `from`, the virtual
-// time the originating kernel sent it. The shard runtime uses this to place a
-// cross-kernel delivery exactly where a shared-kernel run would have ordered
-// it (deliveries are scheduled at their transmit time in a sequential run).
-// `from` may be earlier than this kernel's clock; t may not.
-func (k *Kernel) InjectAt(t, from Time, fn func()) *Event {
-	if from > t {
-		panic(fmt.Sprintf("sim: InjectAt origin %v after delivery %v", from, t))
-	}
-	return k.schedule(t, from, fn)
-}
-
 func (k *Kernel) schedule(t, from Time, fn func()) *Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) is in the past (now=%v)", t, k.now))

@@ -13,14 +13,18 @@ import "fmt"
 // everything in exactly the order one event per entry would. Pending,
 // Scheduled and Executed count entries as events.
 //
-// A lane is kernel-local: it cannot be cancelled, and cross-kernel
-// deliveries stay InjectAt events.
+// A lane cannot be cancelled. It lives in one kernel's heap and is pushed
+// to only by that kernel's events, or between runs by the shard runtime's
+// single-threaded flush (InjectAt), which is how cross-kernel deliveries
+// arrive.
 type Lane[T any] struct {
-	k    *Kernel
-	ev   Event // the head entry's heap slot, in the heap while q is non-empty
-	q    FIFO[laneEntry[T]]
-	fn   func(T)
-	last Time
+	k  *Kernel
+	ev Event // the head entry's heap slot, in the heap while q is non-empty
+	q  FIFO[laneEntry[T]]
+	fn func(T)
+	// last and lastFrom are the newest entry's (at, schedAt): entries must
+	// arrive in key order for the head to be the lane's earliest.
+	last, lastFrom Time
 }
 
 type laneEntry[T any] struct {
@@ -50,21 +54,40 @@ func (l *Lane[T]) Schedule(delay Time, v T) {
 // ScheduleAt queues v to fire at absolute time t. Scheduling in the past,
 // or earlier than the lane's last entry, panics.
 func (l *Lane[T]) ScheduleAt(t Time, v T) {
+	l.push(t, l.k.now, v)
+}
+
+// InjectAt queues v, sent by another kernel at its time from, to fire at
+// absolute time t. Like an event the kernel schedules itself, the entry
+// takes the next sequence number, but it sorts among same-instant events
+// by from: the (at, schedAt, seq) key the shard runtime gives a
+// cross-kernel delivery, placing it where a shared-kernel run would have
+// ordered it. Entries must arrive in non-decreasing (t, from) order, and t
+// may not be in the past.
+func (l *Lane[T]) InjectAt(t, from Time, v T) {
+	if from > t {
+		panic(fmt.Sprintf("sim: lane InjectAt origin %v after delivery %v", from, t))
+	}
+	l.push(t, from, v)
+}
+
+func (l *Lane[T]) push(t, from Time, v T) {
 	k := l.k
 	if t < k.now {
-		panic(fmt.Sprintf("sim: lane ScheduleAt(%v) is in the past (now=%v)", t, k.now))
+		panic(fmt.Sprintf("sim: lane entry at %v is in the past (now=%v)", t, k.now))
 	}
-	if t < l.last {
-		panic(fmt.Sprintf("sim: lane ScheduleAt(%v) before the lane's last entry at %v", t, l.last))
+	if t < l.last || t == l.last && from < l.lastFrom {
+		panic(fmt.Sprintf("sim: lane entry (%v, sent %v) before the lane's last entry (%v, sent %v)",
+			t, from, l.last, l.lastFrom))
 	}
-	l.last = t
+	l.last, l.lastFrom = t, from
 	k.seq++
-	l.q.Push(laneEntry[T]{at: t, schedAt: k.now, seq: k.seq, v: v})
+	l.q.Push(laneEntry[T]{at: t, schedAt: from, seq: k.seq, v: v})
 	if l.q.Len() > 1 {
 		k.backlog++
 		return
 	}
-	l.ev.at, l.ev.schedAt, l.ev.seq = t, k.now, k.seq
+	l.ev.at, l.ev.schedAt, l.ev.seq = t, from, k.seq
 	k.heapPush(&l.ev)
 }
 

@@ -214,3 +214,109 @@ func TestLaneReuseAfterRecycles(t *testing.T) {
 		t.Fatalf("plain fired %d of %d, %d pending", plainFired, 3*maxFree, k.Pending())
 	}
 }
+
+// injectModel replays a seeded sequence of windows against a fresh kernel,
+// the way the shard runtime drives one: local events fire and schedule more
+// local events, and between windows a batch of remote deliveries arrives
+// in the flush's order, each sent at a time inside the window just run.
+// With lanes=false every delivery is a Kernel.InjectAt event; with
+// lanes=true each of four streams carries its deliveries on a lane through
+// Lane.InjectAt. Send and delivery times come from a few nanoseconds, so
+// deliveries tie on (at, schedAt) with each other and with local events.
+func injectModel(seed int64, lanes bool) []laneObs {
+	rng := rand.New(rand.NewSource(seed))
+	k := NewKernel()
+	var obs []laneObs
+	record := func(id int) {
+		obs = append(obs, laneObs{id, k.Now(), k.Pending(), k.Scheduled(), k.Executed()})
+	}
+	const streams, window = 4, 4 * Nanosecond
+	ids := 0
+	var local func()
+	local = func() {
+		id := ids
+		ids++
+		record(id)
+		if rng.Intn(3) > 0 {
+			k.Schedule(Time(rng.Intn(6))*Nanosecond, local)
+		}
+	}
+	var ls [streams]*Lane[int]
+	for i := range ls {
+		ls[i] = NewLane(k, record)
+	}
+	type delivery struct {
+		at, from Time
+		stream   int
+	}
+	var last [streams]Time // each stream delivers in non-decreasing time
+	for i := 0; i < 3; i++ {
+		k.Schedule(Time(i)*Nanosecond, local)
+	}
+	for start := Time(0); start < 200*Nanosecond; start += window {
+		k.RunBefore(start + window)
+		var batch []delivery
+		for s := 0; s < streams; s++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				from := start + Time(rng.Intn(4))*Nanosecond
+				at := max(last[s], from+window+Time(rng.Intn(3))*Nanosecond)
+				last[s] = at
+				batch = append(batch, delivery{at, from, s})
+			}
+		}
+		// The flush's order: (at, from, stream, send order); each stream's
+		// own deliveries stay in send order.
+		slices.SortStableFunc(batch, func(a, b delivery) int {
+			if a.at != b.at {
+				return int(a.at - b.at)
+			}
+			if a.from != b.from {
+				return int(a.from - b.from)
+			}
+			return a.stream - b.stream
+		})
+		for _, d := range batch {
+			id := ids
+			ids++
+			if lanes {
+				ls[d.stream].InjectAt(d.at, d.from, id)
+			} else {
+				k.InjectAt(d.at, d.from, func() { record(id) })
+			}
+		}
+		record(-1)
+	}
+	k.Run()
+	return obs
+}
+
+// TestLaneInjectAtMatchesKernelInjectAt checks that a delivery injected on
+// a lane fires exactly where the same delivery injected as a plain event
+// would: same order among ties on (at, schedAt), same clock and counters.
+func TestLaneInjectAtMatchesKernelInjectAt(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		got, want := injectModel(seed, true), injectModel(seed, false)
+		if slices.Equal(got, want) {
+			continue
+		}
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("seed %d: lane injection diverges from Kernel.InjectAt at observation %d of %d/%d",
+			seed, i, len(got), len(want))
+	}
+}
+
+func TestLaneInjectAtOutOfOrderPanics(t *testing.T) {
+	k := NewKernel()
+	l := NewLane(k, func(int) {})
+	l.InjectAt(10*Nanosecond, 4*Nanosecond, 1)
+	l.InjectAt(10*Nanosecond, 4*Nanosecond, 2) // equal keys are in order
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InjectAt sent before the lane's last same-instant entry did not panic")
+		}
+	}()
+	l.InjectAt(10*Nanosecond, 3*Nanosecond, 3)
+}

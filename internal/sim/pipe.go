@@ -13,8 +13,6 @@ type Pipe struct {
 
 	totalBytes int64
 	busyPS     float64
-	statStart  Time
-	lastStart  Time
 }
 
 // NewPipe returns a pipe with the given rate in bytes per second.
@@ -53,19 +51,12 @@ func (pp *Pipe) Backlog() Time {
 	return pp.busyUntil - pp.k.now
 }
 
-// ResetStats restarts throughput accounting at the current time.
-func (pp *Pipe) ResetStats() {
-	pp.totalBytes = 0
-	pp.busyPS = 0
-	pp.statStart = pp.k.now
-}
-
-// TotalBytes returns the bytes reserved since the last ResetStats.
+// TotalBytes returns the bytes reserved since creation.
 func (pp *Pipe) TotalBytes() int64 { return pp.totalBytes }
 
-// Throughput returns achieved bytes/sec since the last ResetStats.
+// Throughput returns achieved bytes/sec since time zero.
 func (pp *Pipe) Throughput() float64 {
-	window := float64(pp.k.now - pp.statStart)
+	window := float64(pp.k.now)
 	if window <= 0 {
 		return 0
 	}
@@ -73,10 +64,10 @@ func (pp *Pipe) Throughput() float64 {
 }
 
 // Utilization returns the fraction of time the pipe was transmitting since
-// the last ResetStats, in [0, 1] (may exceed 1 transiently if reservations
-// extend beyond "now").
+// time zero, in [0, 1] (may exceed 1 transiently if reservations extend
+// beyond "now").
 func (pp *Pipe) Utilization() float64 {
-	window := float64(pp.k.now - pp.statStart)
+	window := float64(pp.k.now)
 	if window <= 0 {
 		return 0
 	}

@@ -17,7 +17,6 @@ type Resource struct {
 
 	lastChange Time
 	busyPS     float64 // integral of inUse over time, in unit*ps
-	statStart  Time
 }
 
 type resWaiter struct {
@@ -38,9 +37,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
-
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
 
 func (r *Resource) accountTo(t Time) {
 	r.busyPS += float64(r.inUse) * float64(t-r.lastChange)
@@ -108,18 +104,11 @@ func (r *Resource) dispatch() {
 // QueueLen reports the number of blocked acquirers.
 func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
-// ResetStats restarts the utilization integral at the current time.
-func (r *Resource) ResetStats() {
-	r.accountTo(r.k.now)
-	r.busyPS = 0
-	r.statStart = r.k.now
-}
-
-// MeanOccupancy returns the time-averaged number of units in use since the
-// last ResetStats (or since creation).
+// MeanOccupancy returns the time-averaged number of units in use since
+// time zero.
 func (r *Resource) MeanOccupancy() float64 {
 	r.accountTo(r.k.now)
-	window := float64(r.k.now - r.statStart)
+	window := float64(r.k.now)
 	if window <= 0 {
 		return 0
 	}

@@ -16,7 +16,7 @@
 // canonical order — sorted by (destination shard, delivery time, transmit
 // time, conduit creation order, per-conduit sequence) — so a seeded run is
 // byte-identical regardless of GOMAXPROCS or how the OS schedules the
-// worker goroutines. Injected events carry their remote transmit time into
+// runner goroutines. Injected events carry their remote transmit time into
 // the destination kernel's (at, schedAt, seq) event order, reconstructing
 // the interleaving a single shared kernel would have produced (deliveries
 // are scheduled at transmit time in a sequential run). See
@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"thymesisflow/internal/sim"
 )
@@ -46,57 +48,110 @@ func (s *Shard) ID() int { return s.id }
 // shard must be built on it.
 func (s *Shard) Kernel() *sim.Kernel { return s.k }
 
-// msg is one staged cross-shard event.
-type msg struct {
-	at   sim.Time // delivery time on the destination kernel
-	txAt sim.Time // source kernel's clock when Send was called
-	seq  uint64   // per-conduit FIFO sequence
-	fn   func()
+// Conduit is a unidirectional timestamped channel carrying values of type T
+// from one shard to another. The source shard stages values on it during a
+// window (Send); at the barrier the group's flush moves them onto a
+// sim.Lane in the destination kernel, whose handler receives each value at
+// its delivery time. A Conduit is owned by its source shard: Send must only
+// be called from events executing on the source kernel (or between
+// windows).
+type Conduit[T any] struct {
+	conduit
+	vals []T
+	lane *sim.Lane[T]
 }
 
-// Conduit is a unidirectional timestamped channel between two shards. The
-// source shard stages messages on it during a window (Send); the group
-// coordinator drains every conduit at the barrier. A Conduit is owned by
-// its source shard: Send must only be called from events executing on the
-// source kernel (or between windows).
-type Conduit struct {
+// conduit is the untyped half of a Conduit: what the flush sorts by.
+type conduit struct {
 	id       int
 	src, dst *Shard
 	minDelay sim.Time
-	seq      uint64
-	buf      []msg
+	keys     []msgKey // staged messages, in send order
+	typed    stager   // the Conduit holding the staged values
 }
 
-// Send stages fn for delivery at absolute time `at` on the destination
+// msgKey is one staged message's place in the canonical flush order.
+type msgKey struct {
+	at   sim.Time // delivery time on the destination kernel
+	txAt sim.Time // source kernel's clock when Send was called
+}
+
+// stager is the typed half of a conduit, as the flush sees it.
+type stager interface {
+	inject(i int) // push staged message i onto the destination lane
+	reset()       // drop the staged values
+}
+
+// Connect creates a conduit from src to dst with the given minimum delivery
+// delay, whose messages are handed to deliver on dst's kernel. The delay
+// must be at least the group lookahead, or a message could arrive inside
+// the destination's current window. Conduits must be created while the
+// group is quiescent (construction or between runs); their creation order
+// is part of the deterministic merge order.
+func Connect[T any](g *Group, src, dst *Shard, minDelay sim.Time, deliver func(T)) *Conduit[T] {
+	if src.g != g || dst.g != g {
+		panic("shard: Connect across groups")
+	}
+	if minDelay < g.lookahead {
+		panic(fmt.Sprintf("shard: conduit delay %v below group lookahead %v", minDelay, g.lookahead))
+	}
+	c := &Conduit[T]{lane: sim.NewLane(dst.k, deliver)}
+	c.conduit = conduit{id: len(g.conduits), src: src, dst: dst, minDelay: minDelay, typed: c}
+	g.conduits = append(g.conduits, &c.conduit)
+	return c
+}
+
+// Send stages v for delivery at absolute time `at` on the destination
 // shard. It panics if the delivery violates the conduit's lookahead — that
 // would mean a message could land inside the window currently executing on
 // the destination, which the conservative scheme cannot order correctly.
-// Send implements phy.Injector.
-func (c *Conduit) Send(at sim.Time, fn func()) {
+// Deliveries must not go back in time: `at` never decreases from one Send
+// to the next. Send implements phy.Injector for a Conduit[phy.Delivery].
+func (c *Conduit[T]) Send(at sim.Time, v T) {
 	txAt := c.src.k.Now()
 	if at < txAt+c.minDelay {
 		panic(fmt.Sprintf("shard: conduit %d delivery at %v violates lookahead (sent %v, min delay %v)",
 			c.id, at, txAt, c.minDelay))
 	}
-	c.buf = append(c.buf, msg{at: at, txAt: txAt, seq: c.seq, fn: fn})
-	c.seq++
+	c.keys = append(c.keys, msgKey{at: at, txAt: txAt})
+	c.vals = append(c.vals, v)
+}
+
+func (c *Conduit[T]) inject(i int) {
+	k := c.keys[i]
+	c.lane.InjectAt(k.at, k.txAt, c.vals[i])
+}
+
+func (c *Conduit[T]) reset() {
+	clear(c.vals)
+	c.vals = c.vals[:0]
 }
 
 // Group advances a set of shards in conservative windows.
 type Group struct {
 	shards    []*Shard
-	conduits  []*Conduit
+	conduits  []*conduit
 	lookahead sim.Time
 
-	// Worker pool, alive for the duration of one RunUntil call: windows
-	// are ~lookahead long (50 ns of virtual time), so a full run crosses
-	// tens of thousands of barriers; spawning goroutines per window would
-	// dominate. The coordinator publishes the window horizon, feeds
-	// active shards through `work`, and counts completions on `done`.
-	workers int
-	horizon sim.Time
-	work    chan *Shard
-	done    chan struct{}
+	// The barrier. A RunUntil call keeps min(shards, GOMAXPROCS) runners:
+	// runners[0] is the calling goroutine (the coordinator), the rest are
+	// goroutines that live until the call returns. Shard i is pinned to
+	// runner i mod len(runners), so its process coroutines always resume
+	// on the same goroutine. Per parallel window the coordinator publishes
+	// horizon and active, hands the window to each runner with work by
+	// bumping the runner's generation, runs its own shards, and waits for
+	// pending to reach zero. Both sides spin for up to spinFor, then park.
+	runners   []*runner
+	started   bool // runner goroutines alive (inside RunUntil)
+	quit      bool
+	epoch     uint64
+	horizon   sim.Time
+	active    []bool // shard i has events before horizon
+	coord     waiter
+	pending   atomic.Int32
+	wg        sync.WaitGroup
+	executed  uint64 // events executed across shards after the last window
+	lastBatch uint64 // events the last window executed
 
 	// Runtime health counters, updated once per window by the coordinator
 	// (single-threaded) under statMu so Health() may be called concurrently
@@ -111,6 +166,71 @@ type Group struct {
 	shardStall   []sim.Time // virtual time shard i sat idle at barriers
 }
 
+// parallelMinEvents is the smallest previous-window event count at which a
+// window is handed to the runners. Below it the coordinator runs every
+// active shard itself: a window of a hundred short events finishes sooner
+// on one core than the handoff, and the cache misses of a shard's state
+// moving between cores, take (BenchmarkGroupWindows with 4 shards holds
+// about 70 events a window; the full-scale rack about 300).
+const parallelMinEvents = 128
+
+// spinFor bounds how long a runner polls for its next window, and the
+// coordinator for the runners, before parking. It covers the coordinator's
+// flush between windows and typical shard imbalance inside one, so on a
+// host with a core per runner neither side parks in steady state.
+const spinFor = 200 * time.Microsecond
+
+// waiter is a goroutine that spins, then parks, until a condition holds.
+// Whoever makes the condition true calls release, which wakes the waiter
+// if it parked. Padded so two waiters never share a cache line.
+type waiter struct {
+	_      [64]byte
+	parked atomic.Bool
+	wake   chan struct{}
+	_      [64]byte
+}
+
+// wait returns once ready reports true, spinning for up to spinFor and
+// then parking until release.
+func (w *waiter) wait(ready func() bool) {
+	if ready() {
+		return
+	}
+	start := time.Now()
+	for i := 1; !ready(); i++ {
+		if i%64 == 0 && time.Since(start) > spinFor {
+			w.parked.Store(true)
+			// Re-check after announcing the park: a release between the
+			// last poll and the Store would otherwise be lost.
+			if ready() && w.parked.CompareAndSwap(true, false) {
+				return
+			}
+			// A wake-up may come from a release that belongs to an earlier
+			// wait (a runner that reported its window and was descheduled
+			// before it woke the coordinator), so the loop checks again.
+			<-w.wake
+		}
+	}
+}
+
+// release wakes the waiter if it parked. The caller has already made the
+// waiter's condition true.
+func (w *waiter) release() {
+	if w.parked.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+		// The woken goroutine waits in this P's run queue, where an idle
+		// P steals it only after a delay. Yield so that it runs now.
+		runtime.Gosched()
+	}
+}
+
+// runner is one goroutine of the barrier and the shards pinned to it.
+type runner struct {
+	shards []*Shard
+	gen    atomic.Uint64 // the last window handed to the runner
+	w      waiter
+}
+
 // NewGroup builds a group of n shards advanced with the given lookahead
 // (the minimum cross-shard delivery delay; every Conduit must respect it).
 func NewGroup(n int, lookahead sim.Time) *Group {
@@ -120,14 +240,11 @@ func NewGroup(n int, lookahead sim.Time) *Group {
 	if lookahead <= 0 {
 		panic("shard: lookahead must be positive")
 	}
-	g := &Group{lookahead: lookahead}
+	g := &Group{lookahead: lookahead, coord: waiter{wake: make(chan struct{}, 1)}}
 	for i := 0; i < n; i++ {
 		g.shards = append(g.shards, &Shard{id: i, k: sim.NewKernel(), g: g})
 	}
-	g.workers = n
-	if p := runtime.GOMAXPROCS(0); g.workers > p {
-		g.workers = p
-	}
+	g.active = make([]bool, n)
 	g.shardWindows = make([]uint64, n)
 	g.shardStall = make([]sim.Time, n)
 	return g
@@ -142,40 +259,139 @@ func (g *Group) Shard(i int) *Shard { return g.shards[i] }
 // Lookahead returns the group's window bound.
 func (g *Group) Lookahead() sim.Time { return g.lookahead }
 
-// Connect creates a conduit from src to dst with the given minimum delivery
-// delay. The delay must be at least the group lookahead, or a message could
-// arrive inside the destination's current window. Conduits must be created
-// while the group is quiescent (construction or between runs); their
-// creation order is part of the deterministic merge order.
-func (g *Group) Connect(src, dst *Shard, minDelay sim.Time) *Conduit {
-	if src.g != g || dst.g != g {
-		panic("shard: Connect across groups")
+// pin sizes the runner set for a RunUntil call: min(shards, GOMAXPROCS)
+// runners, shard i on runner i mod that count.
+func (g *Group) pin() {
+	n := min(len(g.shards), runtime.GOMAXPROCS(0))
+	if len(g.runners) == n {
+		return
 	}
-	if minDelay < g.lookahead {
-		panic(fmt.Sprintf("shard: conduit delay %v below group lookahead %v", minDelay, g.lookahead))
+	g.runners = make([]*runner, n)
+	for i := range g.runners {
+		g.runners[i] = &runner{w: waiter{wake: make(chan struct{}, 1)}}
 	}
-	c := &Conduit{id: len(g.conduits), src: src, dst: dst, minDelay: minDelay}
-	g.conduits = append(g.conduits, c)
-	return c
-}
-
-// worker runs shards handed to it until work closes. The channels are
-// parameters, not read from g, so a worker that starts late never picks up
-// the channels of a later RunUntil call.
-func (g *Group) worker(work <-chan *Shard, done chan<- struct{}) {
-	for s := range work {
-		s.k.RunBefore(g.horizon)
-		done <- struct{}{}
+	for _, s := range g.shards {
+		r := g.runners[s.id%n]
+		r.shards = append(r.shards, s)
 	}
 }
 
-// flush drains every conduit into the destination kernels in canonical
+// start launches the runner goroutines of a RunUntil call.
+func (g *Group) start() {
+	g.started = true
+	for _, r := range g.runners[1:] {
+		g.wg.Add(1)
+		go g.run(r, r.gen.Load())
+	}
+}
+
+// stop ends the runner goroutines, first letting any window in flight
+// finish (RunUntil may be unwinding from a panic on the coordinator).
+func (g *Group) stop() {
+	if !g.started {
+		return
+	}
+	g.coord.wait(g.settled)
+	g.quit = true
+	g.epoch++
+	for _, r := range g.runners[1:] {
+		g.hand(r)
+	}
+	g.wg.Wait()
+	g.quit, g.started = false, false
+}
+
+// settled reports whether every runner has finished its window.
+func (g *Group) settled() bool { return g.pending.Load() == 0 }
+
+// hand gives runner r the window g.epoch.
+func (g *Group) hand(r *runner) {
+	r.gen.Store(g.epoch)
+	r.w.release()
+}
+
+// run is a runner goroutine: it waits for a window, runs its active shards
+// up to the horizon, and reports back, until stop.
+func (g *Group) run(r *runner, seen uint64) {
+	defer g.wg.Done()
+	for {
+		r.w.wait(func() bool { return r.gen.Load() != seen })
+		seen = r.gen.Load()
+		if g.quit {
+			return
+		}
+		r.runActive(g)
+		if g.pending.Add(-1) == 0 {
+			g.coord.release()
+		}
+	}
+}
+
+// runActive runs r's shards that have work in the current window.
+func (r *runner) runActive(g *Group) {
+	for _, s := range r.shards {
+		if g.active[s.id] {
+			s.k.RunBefore(g.horizon)
+		}
+	}
+}
+
+// busy reports whether any of r's shards has work in the current window.
+func (r *runner) busy(g *Group) bool {
+	for _, s := range r.shards {
+		if g.active[s.id] {
+			return true
+		}
+	}
+	return false
+}
+
+// runWindow runs every active shard up to g.horizon. The window goes to
+// the runners only when at least two of them have work and the previous
+// window was big enough to pay for the handoff; otherwise the coordinator
+// runs the active shards itself.
+func (g *Group) runWindow() {
+	busy := 0
+	if len(g.runners) > 1 && g.lastBatch >= parallelMinEvents {
+		for _, r := range g.runners {
+			if r.busy(g) {
+				busy++
+			}
+		}
+	}
+	if busy < 2 {
+		for _, s := range g.shards {
+			if g.active[s.id] {
+				s.k.RunBefore(g.horizon)
+			}
+		}
+		return
+	}
+	if !g.started {
+		g.start()
+	}
+	g.epoch++
+	handed := int32(busy)
+	if g.runners[0].busy(g) {
+		handed--
+	}
+	g.pending.Store(handed)
+	for _, r := range g.runners[1:] {
+		if r.busy(g) {
+			g.hand(r)
+		}
+	}
+	g.runners[0].runActive(g)
+	g.coord.wait(g.settled)
+}
+
+// flush drains every conduit onto the destination lanes in canonical
 // order. Single-threaded; runs only between windows.
 func (g *Group) flush(scratch []msgRef) []msgRef {
 	scratch = scratch[:0]
 	for _, c := range g.conduits {
-		for i := range c.buf {
-			scratch = append(scratch, msgRef{c: c, m: &c.buf[i]})
+		for i, k := range c.keys {
+			scratch = append(scratch, msgRef{msgKey: k, dst: c.dst.id, cid: c.id, i: i, c: c})
 		}
 	}
 	if len(scratch) == 0 {
@@ -183,30 +399,33 @@ func (g *Group) flush(scratch []msgRef) []msgRef {
 	}
 	sortMsgRefs(scratch)
 	for _, r := range scratch {
-		r.c.dst.k.InjectAt(r.m.at, r.m.txAt, r.m.fn)
+		r.c.typed.inject(r.i)
 	}
 	for _, c := range g.conduits {
-		for i := range c.buf {
-			c.buf[i].fn = nil
+		if len(c.keys) > 0 {
+			c.keys = c.keys[:0]
+			c.typed.reset()
 		}
-		c.buf = c.buf[:0]
 	}
 	return scratch
 }
 
+// msgRef is staged message i of conduit c, with its sort key copied in so
+// that the sort reads no conduit.
 type msgRef struct {
-	c *Conduit
-	m *msg
+	msgKey
+	dst, cid, i int
+	c           *conduit
 }
 
 // sortMsgRefs orders staged messages by (dst shard, at, txAt, conduit id,
-// per-conduit seq) — a total, deterministic order. Insertion sort: barrier
-// batches are small (a handful of frames per window).
+// send order) — a total, deterministic order. Insertion sort: barrier
+// batches are small (a few dozen frames per window).
 func sortMsgRefs(refs []msgRef) {
 	for i := 1; i < len(refs); i++ {
 		r := refs[i]
 		j := i - 1
-		for j >= 0 && msgRefAfter(refs[j], r) {
+		for j >= 0 && msgRefAfter(&refs[j], &r) {
 			refs[j+1] = refs[j]
 			j--
 		}
@@ -214,20 +433,20 @@ func sortMsgRefs(refs []msgRef) {
 	}
 }
 
-func msgRefAfter(a, b msgRef) bool {
-	if a.c.dst.id != b.c.dst.id {
-		return a.c.dst.id > b.c.dst.id
+func msgRefAfter(a, b *msgRef) bool {
+	if a.dst != b.dst {
+		return a.dst > b.dst
 	}
-	if a.m.at != b.m.at {
-		return a.m.at > b.m.at
+	if a.at != b.at {
+		return a.at > b.at
 	}
-	if a.m.txAt != b.m.txAt {
-		return a.m.txAt > b.m.txAt
+	if a.txAt != b.txAt {
+		return a.txAt > b.txAt
 	}
-	if a.c.id != b.c.id {
-		return a.c.id > b.c.id
+	if a.cid != b.cid {
+		return a.cid > b.cid
 	}
-	return a.m.seq > b.m.seq
+	return a.i > b.i
 }
 
 // Run advances the group until every shard's queue drains and no staged
@@ -240,22 +459,12 @@ func (g *Group) Run() sim.Time {
 // events with timestamps <= limit. If work remains beyond the limit, every
 // shard's clock is parked at limit (mirroring Kernel.RunUntil) so that
 // processes started afterwards resume from a common instant. It returns the
-// latest kernel clock across shards.
+// latest kernel clock across shards. No runner goroutine outlives the call.
 func (g *Group) RunUntil(limit sim.Time) sim.Time {
-	if g.workers > 1 {
-		g.work = make(chan *Shard, len(g.shards))
-		g.done = make(chan struct{}, len(g.shards))
-		for i := 0; i < g.workers; i++ {
-			go g.worker(g.work, g.done)
-		}
-		defer func() {
-			close(g.work)
-			g.work = nil
-		}()
-	}
+	g.pin()
+	defer g.stop()
+	g.executed = g.executedNow()
 	var scratch []msgRef
-	active := make([]*Shard, 0, len(g.shards))
-	isActive := make([]bool, len(g.shards))
 	for {
 		scratch = g.flush(scratch)
 		nflushed := len(scratch)
@@ -267,15 +476,10 @@ func (g *Group) RunUntil(limit sim.Time) sim.Time {
 		if horizon > limit {
 			horizon = limit + 1 // include events at the limit itself
 		}
-		active = active[:0]
-		for i := range isActive {
-			isActive[i] = false
-		}
+		g.horizon = horizon
 		for _, s := range g.shards {
-			if at, ok := s.k.NextAt(); ok && at < horizon {
-				active = append(active, s)
-				isActive[s.id] = true
-			}
+			at, ok := s.k.NextAt()
+			g.active[s.id] = ok && at < horizon
 		}
 		g.statMu.Lock()
 		g.windows++
@@ -284,7 +488,7 @@ func (g *Group) RunUntil(limit sim.Time) sim.Time {
 			g.maxFlush = nflushed
 		}
 		for i := range g.shards {
-			if isActive[i] {
+			if g.active[i] {
 				g.shardWindows[i]++
 			} else {
 				// The shard has nothing to run before the horizon: it waits
@@ -294,19 +498,10 @@ func (g *Group) RunUntil(limit sim.Time) sim.Time {
 			}
 		}
 		g.statMu.Unlock()
-		if g.work == nil || len(active) == 1 {
-			for _, s := range active {
-				s.k.RunBefore(horizon)
-			}
-			continue
-		}
-		g.horizon = horizon
-		for _, s := range active {
-			g.work <- s
-		}
-		for range active {
-			<-g.done
-		}
+		g.runWindow()
+		executed := g.executedNow()
+		g.lastBatch = executed - g.executed
+		g.executed = executed
 	}
 	var end sim.Time
 	pending := false
@@ -331,6 +526,15 @@ func (g *Group) RunUntil(limit sim.Time) sim.Time {
 		s.k.AdvanceTo(end)
 	}
 	return end
+}
+
+// executedNow sums the events executed across shards.
+func (g *Group) executedNow() uint64 {
+	var n uint64
+	for _, s := range g.shards {
+		n += s.k.Executed()
+	}
+	return n
 }
 
 // ShardStat is one shard's slice of the group's runtime health counters.

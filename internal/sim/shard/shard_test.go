@@ -4,12 +4,17 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"thymesisflow/internal/sim"
 )
 
 const hop = 50 * sim.Nanosecond
+
+// call is the delivery handler of conduits that carry callbacks.
+func call(fn func()) { fn() }
 
 // pingPongSequential runs the reference version of the cross-shard ping-pong
 // on one shared kernel: two actors exchange `rounds` messages with a fixed
@@ -37,10 +42,10 @@ func pingPongSequential(rounds int) []string {
 func pingPongSharded(rounds int) []string {
 	g := NewGroup(2, hop)
 	a, b := g.Shard(0), g.Shard(1)
-	ab := g.Connect(a, b, hop)
-	ba := g.Connect(b, a, hop)
+	ab := Connect(g, a, b, hop, call)
+	ba := Connect(g, b, a, hop, call)
 	ks := []*sim.Kernel{a.Kernel(), b.Kernel()}
-	outbound := []*Conduit{ab, ba}
+	outbound := []*Conduit[func()]{ab, ba}
 	var log []string
 	var send func(to, round int)
 	recv := func(actor, round int) {
@@ -84,7 +89,7 @@ func TestInjectedOrdering(t *testing.T) {
 	}()
 	shd := func() []string {
 		g := NewGroup(2, hop)
-		c := g.Connect(g.Shard(1), g.Shard(0), hop)
+		c := Connect(g, g.Shard(1), g.Shard(0), hop, call)
 		k := g.Shard(0).Kernel()
 		var log []string
 		// Same remote transmit, staged from shard 1 at its t=0.
@@ -107,7 +112,7 @@ func TestInjectedOrdering(t *testing.T) {
 
 func TestConduitLookaheadViolationPanics(t *testing.T) {
 	g := NewGroup(2, hop)
-	c := g.Connect(g.Shard(0), g.Shard(1), hop)
+	c := Connect(g, g.Shard(0), g.Shard(1), hop, call)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send below the lookahead did not panic")
@@ -123,7 +128,7 @@ func TestConnectBelowLookaheadPanics(t *testing.T) {
 			t.Fatal("Connect below the group lookahead did not panic")
 		}
 	}()
-	g.Connect(g.Shard(0), g.Shard(1), hop-1)
+	Connect(g, g.Shard(0), g.Shard(1), hop-1, call)
 }
 
 func TestRunUntilParksClocks(t *testing.T) {
@@ -155,9 +160,9 @@ func TestScheduledConservation(t *testing.T) {
 	const rounds = 32
 	g := NewGroup(2, hop)
 	a, b := g.Shard(0), g.Shard(1)
-	ab, ba := g.Connect(a, b, hop), g.Connect(b, a, hop)
+	ab, ba := Connect(g, a, b, hop, call), Connect(g, b, a, hop, call)
 	ks := []*sim.Kernel{a.Kernel(), b.Kernel()}
-	outbound := []*Conduit{ab, ba}
+	outbound := []*Conduit[func()]{ab, ba}
 	var send func(to, round int)
 	recv := func(actor, round int) {
 		if round < rounds {
@@ -183,9 +188,9 @@ func TestHealthCounters(t *testing.T) {
 	const rounds = 64
 	g := NewGroup(2, hop)
 	a, b := g.Shard(0), g.Shard(1)
-	ab, ba := g.Connect(a, b, hop), g.Connect(b, a, hop)
+	ab, ba := Connect(g, a, b, hop, call), Connect(g, b, a, hop, call)
 	ks := []*sim.Kernel{a.Kernel(), b.Kernel()}
-	outbound := []*Conduit{ab, ba}
+	outbound := []*Conduit[func()]{ab, ba}
 	var send func(to, round int)
 	recv := func(actor, round int) {
 		if round < rounds {
@@ -245,9 +250,9 @@ func TestHealthDeterministic(t *testing.T) {
 	run := func() Health {
 		g := NewGroup(2, hop)
 		a, b := g.Shard(0), g.Shard(1)
-		ab, ba := g.Connect(a, b, hop), g.Connect(b, a, hop)
+		ab, ba := Connect(g, a, b, hop, call), Connect(g, b, a, hop, call)
 		ks := []*sim.Kernel{a.Kernel(), b.Kernel()}
-		outbound := []*Conduit{ab, ba}
+		outbound := []*Conduit[func()]{ab, ba}
 		var send func(to, round int)
 		recv := func(actor, round int) {
 			if round < 128 {
@@ -268,61 +273,184 @@ func TestHealthDeterministic(t *testing.T) {
 	}
 }
 
+// ringModel runs a ring of chains: on each of n nodes, `chains` local
+// chains fire every 1-5 ns, and every eighth firing mails a message to the
+// next node, which logs it on arrival. A chain is a self-rescheduling event,
+// or with procs a process that sleeps between firings. send(from, at, fn)
+// carries a message from node `from`. The local delays never equal the hop
+// and each node hears from one neighbour only, so no delivery ties a local
+// event or another node's delivery on (time, send time): a sharded run must
+// log exactly what one shared kernel logs. It returns each node's log.
+func ringModel(ks []*sim.Kernel, send func(from int, at sim.Time, fn func()), chains, fires int, procs bool) [][]string {
+	n := len(ks)
+	logs := make([][]string, n)
+	for s := 0; s < n; s++ {
+		k := ks[s]
+		for c := 0; c < chains; c++ {
+			// fire logs firing number `fired` and returns the delay to the
+			// next one.
+			fire := func(fired int) sim.Time {
+				logs[s] = append(logs[s], fmt.Sprintf("%v c%d #%d", k.Now(), c, fired))
+				if fired%8 == 0 {
+					msg := fmt.Sprintf("from%d c%d #%d", s, c, fired)
+					dst := (s + 1) % n
+					send(s, k.Now()+hop, func() {
+						logs[dst] = append(logs[dst], fmt.Sprintf("%v %s", ks[dst].Now(), msg))
+					})
+				}
+				return sim.Time(1+(fired*7+c)%5) * sim.Nanosecond
+			}
+			first := sim.Time(c%3) * sim.Nanosecond
+			if procs {
+				k.Go(fmt.Sprintf("n%d.c%d", s, c), func(p *sim.Proc) {
+					p.Sleep(first)
+					for fired := 1; fired <= fires; fired++ {
+						if d := fire(fired); fired < fires {
+							p.Sleep(d)
+						}
+					}
+				})
+				continue
+			}
+			fired := 0
+			var step func()
+			step = func() {
+				fired++
+				if d := fire(fired); fired < fires {
+					k.Schedule(d, step)
+				}
+			}
+			k.Schedule(first, step)
+		}
+	}
+	return logs
+}
+
+// TestDenseWindowsMatchSequential runs windows of a few hundred events, so
+// that they go to the runners, at GOMAXPROCS 1, 2 and 4 and 2 to 4 shards:
+// the inline path, more shards than runners, and more runners than a
+// 2-core host has cores. The chains are events, then processes whose
+// coroutines the test goroutine creates and the runners resume. Every run
+// must log what one shared kernel logs, and no runner may outlive RunUntil.
+func TestDenseWindowsMatchSequential(t *testing.T) {
+	const chains, fires = 12, 300
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []bool{false, true} {
+		for _, shards := range []int{2, 3, 4} {
+			k := sim.NewKernel()
+			ks := make([]*sim.Kernel, shards)
+			for i := range ks {
+				ks[i] = k
+			}
+			want := ringModel(ks, func(_ int, at sim.Time, fn func()) { k.ScheduleAt(at, fn) }, chains, fires, procs)
+			k.Run()
+			for _, maxprocs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(maxprocs)
+				g := NewGroup(shards, hop)
+				conduits := make([]*Conduit[func()], shards)
+				for s := range ks {
+					ks[s] = g.Shard(s).Kernel()
+					conduits[s] = Connect(g, g.Shard(s), g.Shard((s+1)%shards), hop, call)
+				}
+				got := ringModel(ks, func(from int, at sim.Time, fn func()) { conduits[from].Send(at, fn) }, chains, fires, procs)
+				before := runtime.NumGoroutine()
+				g.Run()
+				where := fmt.Sprintf("procs %v, %d shards, GOMAXPROCS %d", procs, shards, maxprocs)
+				for s := range got {
+					if !reflect.DeepEqual(got[s], want[s]) {
+						t.Fatalf("%s: node %d's log diverges from the shared kernel's", where, s)
+					}
+				}
+				if maxprocs > 1 && g.epoch == 0 {
+					t.Errorf("%s: no window went to the runners", where)
+				}
+				// A runner that has signalled its exit may still be
+				// unwinding: give the count a second to settle.
+				n := runtime.NumGoroutine()
+				for i := 0; n > before && i < 1000; i++ {
+					time.Sleep(time.Millisecond)
+					n = runtime.NumGoroutine()
+				}
+				if n > before {
+					t.Errorf("%s: %d goroutines after RunUntil, %d before", where, n, before)
+				}
+			}
+		}
+	}
+}
+
+// padded is a counter alone on its cache line, so that shards running in
+// parallel never write the same line.
+type padded struct {
+	n int
+	_ [56]byte
+}
+
 // BenchmarkGroupWindows measures window stepping with dense cross-shard
-// traffic: 4 shards, each running a self-rescheduling local chain while
-// exchanging messages with its neighbour every window.
+// traffic: each shard runs a self-rescheduling local chain while handing
+// messages to its neighbour every eighth event.
 func BenchmarkGroupWindows(b *testing.B) {
+	for _, shards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchGroupWindows(b, shards) })
+	}
+}
+
+func benchGroupWindows(b *testing.B, shards int) {
 	const events = 100_000
 	b.ReportAllocs()
+	var windows uint64
 	for i := 0; i < b.N; i++ {
-		g := NewGroup(4, hop)
-		conduits := make([]*Conduit, g.Len())
+		g := NewGroup(shards, hop)
+		conduits := make([]*Conduit[func()], g.Len())
 		for s := 0; s < g.Len(); s++ {
-			conduits[s] = g.Connect(g.Shard(s), g.Shard((s+1)%g.Len()), hop)
+			conduits[s] = Connect(g, g.Shard(s), g.Shard((s+1)%g.Len()), hop, call)
 		}
 		// Per-shard counters: shards execute concurrently inside a window.
-		fired := make([]int, g.Len())
+		fired := make([]padded, g.Len())
 		perShard := events / g.Len()
 		for s := 0; s < g.Len(); s++ {
 			s := s
 			k := g.Shard(s).Kernel()
+			next := g.Shard((s + 1) % g.Len()).Kernel()
 			var step func()
 			step = func() {
-				fired[s]++
-				if fired[s] >= perShard {
+				fired[s].n++
+				if fired[s].n >= perShard {
 					return
 				}
-				if fired[s]%8 == 0 {
-					// Hand the chain to the neighbour; it continues there
-					// against that shard's counter.
-					conduits[s].Send(k.Now()+hop, func() {
-						g.Shard((s+1)%g.Len()).Kernel().Schedule(0, func() {})
-					})
-					k.Schedule(sim.Time(fired[s]%7)*sim.Nanosecond, step)
-				} else {
-					k.Schedule(sim.Time(fired[s]%7)*sim.Nanosecond, step)
+				if fired[s].n%8 == 0 {
+					conduits[s].Send(k.Now()+hop, func() { next.Schedule(0, func() {}) })
 				}
+				k.Schedule(sim.Time(fired[s].n%7)*sim.Nanosecond, step)
 			}
 			k.Schedule(0, step)
 		}
 		g.Run()
 		total := 0
 		for _, f := range fired {
-			total += f
+			total += f.n
 		}
 		if total < events/2 {
 			b.Fatalf("fired %d events, want >= %d", total, events/2)
 		}
+		windows += g.Summary().Windows
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows), "ns/window")
 }
 
 // BenchmarkGroupBarrierOverhead isolates the per-window barrier cost: each
 // window holds exactly one event per shard, so the run is barrier-dominated.
 func BenchmarkGroupBarrierOverhead(b *testing.B) {
+	for _, shards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchBarrierOverhead(b, shards) })
+	}
+}
+
+func benchBarrierOverhead(b *testing.B, shards int) {
 	const windows = 10_000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := NewGroup(4, hop)
+		g := NewGroup(shards, hop)
 		for s := 0; s < g.Len(); s++ {
 			k := g.Shard(s).Kernel()
 			var step func()
@@ -336,8 +464,8 @@ func BenchmarkGroupBarrierOverhead(b *testing.B) {
 			k.Schedule(0, step)
 		}
 		g.Run()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/windows, "ns/window")
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/windows, "ns/window")
 }
 
 // procNode is one side of procExchange: a kernel, its processes' shared
@@ -392,20 +520,20 @@ func procExchange(nodes [2]*procNode, run func()) [2][]string {
 }
 
 // TestProcsAcrossShardsMatchSequential spawns processes on the test
-// goroutine, on two kernels, and lets the group's worker goroutines step
-// them: each coroutine is resumed from goroutines other than the one that
-// created it. The logs must equal the same model on one shared kernel.
+// goroutine, on two kernels, and lets the group step them. Its windows are
+// small, so the coordinator runs most of them inline; the logs must equal
+// the same model on one shared kernel. TestDenseWindowsMatchSequential
+// covers processes that the runners resume.
 func TestProcsAcrossShardsMatchSequential(t *testing.T) {
 	k := sim.NewKernel()
 	local := func(at sim.Time, fn func()) { k.ScheduleAt(at, fn) }
 	want := procExchange([2]*procNode{{k: k, send: local}, {k: k, send: local}}, func() { k.Run() })
 
-	// Two workers even on a one-core host, so that windows in which both
-	// shards have work really are stepped off the test goroutine.
+	// Two runners even on a one-core host.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := NewGroup(2, hop)
 	a, b := g.Shard(0), g.Shard(1)
-	ab, ba := g.Connect(a, b, hop), g.Connect(b, a, hop)
+	ab, ba := Connect(g, a, b, hop, call), Connect(g, b, a, hop, call)
 	got := procExchange([2]*procNode{
 		{k: a.Kernel(), send: ab.Send},
 		{k: b.Kernel(), send: ba.Send},
@@ -416,5 +544,43 @@ func TestProcsAcrossShardsMatchSequential(t *testing.T) {
 	}
 	if len(got[0]) != 120 || len(got[1]) != 120 {
 		t.Fatalf("consumers logged %d and %d tokens, want 120 each", len(got[0]), len(got[1]))
+	}
+}
+
+// TestWaiterIgnoresLateRelease parks a waiter and wakes it with a release
+// whose condition does not hold, as a runner that reported one window and
+// was descheduled before waking the coordinator delivers it during the
+// next window: the waiter must park again until its own condition holds.
+func TestWaiterIgnoresLateRelease(t *testing.T) {
+	w := &waiter{wake: make(chan struct{}, 1)}
+	var ready atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		w.wait(ready.Load)
+		close(done)
+	}()
+	parked := func() {
+		t.Helper()
+		for i := 0; !w.parked.Load(); i++ {
+			if i == 1000 {
+				t.Fatal("waiter never parked")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	parked()
+	w.release() // late: the condition is still false
+	parked()
+	select {
+	case <-done:
+		t.Fatal("wait returned on a release whose condition does not hold")
+	default:
+	}
+	ready.Store(true)
+	w.release()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("wait did not return after its condition held and it was released")
 	}
 }
