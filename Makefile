@@ -98,9 +98,11 @@ test:
 # windowed stepping and a 2,000-timer backlog on plain events against
 # one lane), simulated-process switching and spawning, the shard
 # group barrier, and the dcsim placement index; then the datapath: one
-# LLC frame and its credit return on a lossless port pair, and one
-# cacheline load through the whole stack with attribution off, on, and
-# with the flight recorder. The datapath runs 20,000 iterations, so its
+# LLC frame and its credit return on a lossless port pair, one cacheline
+# load through the whole stack with attribution off, on, and with the
+# flight recorder, and the same loads from 256 concurrent issuers on one
+# link (BenchmarkClusterLoadPipelined, which also reports events per
+# load). The datapath runs 20,000 iterations, so its
 # allocs/op is the steady-state cost rather than setup. Last, the figure
 # hot paths: one cache lookup (hit- and miss-heavy) and one Figure 9
 # quick-scale index build at 5 and 32 shards.

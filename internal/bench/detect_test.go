@@ -114,7 +114,7 @@ func TestDetectPinnedHash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full catalogue")
 	}
-	const want = "31c3323b1a03b0156804f389794b3cc65d49a15599e951ed93f316caa8f83e49"
+	const want = "89ecfa375887f3c3f8fe590f819cd9e6cd39d7b994a70b60a1d7d699f6a2afb5"
 	rep, err := Detect(io.Discard, DetectConfig{Seed: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -8,12 +8,18 @@
 //     from overflow. Each credit represents one empty transaction slot at
 //     the receiver; credits are returned piggy-backed on in-band control
 //     frames flowing in the reverse direction.
-//   - Frame replay: transactions are grouped into frames of a fixed number
-//     of flits (incomplete frames are padded with single-flit nop headers
-//     for immediate transmission). Frames carry consecutive sequence
-//     numbers and a CRC. A receiver that observes a sequence gap or a CRC
-//     error sends an in-band replay request; the transmitter then replays
-//     the frame sequence in order from its replay buffer.
+//   - Framing: transactions are grouped into frames of a fixed number of
+//     flits. A frame is formed when the outbound serializer is within one
+//     frame time of free, from every transaction waiting then, so a loaded
+//     link packs several transactions per frame while at most one formed
+//     frame waits ahead of the wire. A frame formed while nothing else
+//     waits is padded with single-flit nop headers and sent, not held.
+//   - Frame replay: frames carry consecutive sequence numbers and a CRC. A
+//     receiver that observes a sequence gap or a CRC error sends an
+//     in-band replay request; the transmitter then replays the frame
+//     sequence in order from its replay buffer, or, when it has sent
+//     nothing from the requested frame on, answers "caught up" so the
+//     receiver stops asking.
 //
 // Ownership. A port encodes each frame once, into a fresh fixed-size array
 // (*[FrameBytes]byte or *[ControlFrameBytes]byte) that is the phy
@@ -37,9 +43,9 @@ import (
 )
 
 // FrameFlits is the fixed frame size in flits. With 32-byte flits this
-// yields 512-byte frames: large enough to amortize header overhead on
-// cacheline traffic (one 128 B write = 5 flits), small enough to keep the
-// padding cost of sparse traffic low.
+// yields 512-byte frames: under load one carries 16 read requests or 3
+// 128 B responses (5 flits each), amortizing the header over several
+// cachelines, yet a lone transaction on a quiet link pads only 512 B.
 const FrameFlits = 16
 
 // FrameBytes is the wire size of every data frame.
@@ -80,6 +86,12 @@ type Frame struct {
 	// but no acknowledgement traffic left to piggy-back returns on.
 	Probe  bool
 	CumAck uint64 // highest in-order sequence received + 1 (prunes replay buffer)
+	// CaughtUp answers a replay request the sender cannot serve: it has
+	// transmitted nothing at or after ReplayFrom, which it sets to its next
+	// sequence number. The requester has everything the peer sent, so it
+	// stops asking. It rides in the control frame's one spare byte, and a
+	// frame without it encodes exactly as one from before the flag existed.
+	CaughtUp bool
 }
 
 // WireBytes returns the frame's on-wire size.
@@ -94,9 +106,9 @@ func (f *Frame) WireBytes() int {
 // trailer over everything before it; data frames are nop-padded to
 // FrameBytes, control frames to ControlFrameBytes.
 const (
-	// controlBody is kind, replay-valid, replay-from, probe, cum-freed and
-	// cum-ack.
-	controlBody = 1 + 1 + 8 + 1 + 8 + 8
+	// controlBody is kind, replay-valid, replay-from, probe, cum-freed,
+	// cum-ack and caught-up: the whole flit before the CRC trailer.
+	controlBody = 1 + 1 + 8 + 1 + 8 + 8 + 1
 	// dataHeader is kind, sequence number and transaction count.
 	dataHeader = 1 + 8 + 2
 	// txnHeader is one transaction's op, address, size, tag, network id,
@@ -147,6 +159,7 @@ func (f *Frame) encodeTo(buf []byte) {
 		buf[10] = flag(f.Probe)
 		le.PutUint64(buf[11:], f.CumFreed)
 		le.PutUint64(buf[19:], f.CumAck)
+		buf[27] = flag(f.CaughtUp)
 	} else {
 		le.PutUint64(buf[1:], f.Seq)
 		le.PutUint16(buf[9:], uint16(len(f.Txns)))
@@ -216,6 +229,7 @@ func (f *Frame) decode(wire []byte) error {
 		f.Probe = body[10] == 1
 		f.CumFreed = le.Uint64(body[11:])
 		f.CumAck = le.Uint64(body[19:])
+		f.CaughtUp = body[27] == 1
 	case kindData:
 		if len(body) < dataHeader {
 			return errShort

@@ -196,6 +196,9 @@ type traffic struct {
 	flush, credit  func()
 	txTimers       *sim.Lane[txTimer]
 	txTxns, rxTxns []*capi.Transaction
+	// frameTime is one data frame's serialization time on the outbound
+	// channel: the most wire work flush lets stand ahead of a new frame.
+	frameTime sim.Time
 }
 
 // bind builds the port's traffic state once. Every event a port schedules
@@ -204,7 +207,12 @@ type traffic struct {
 // nothing for it.
 func (p *Port) bind() {
 	if p.t == nil {
-		p.t = &traffic{flush: p.flush, credit: p.sendCreditReturn, txTimers: sim.NewLane(p.k, p.txTimeout)}
+		p.t = &traffic{
+			flush:     p.flush,
+			credit:    p.sendCreditReturn,
+			txTimers:  sim.NewLane(p.k, p.txTimeout),
+			frameTime: sim.DurationForBytes(FrameBytes, p.out.Rate()),
+		}
 	}
 }
 
@@ -274,10 +282,12 @@ func (p *Port) keep(s replaySlot) {
 	*p.slot(p.nextSeq) = s
 }
 
-// Send queues a transaction for transmission. Transactions arriving within
-// the same event cascade are packed into common frames. If the transmitter
-// is out of credits the transaction waits (backpressure) — Send itself never
-// blocks the caller; use SendFrom for process-context flow control.
+// Send queues a transaction for transmission. Transactions that wait
+// together when a frame is formed share it: those of one event cascade on
+// an idle link, and everything that queued while the serializer was busy on
+// a loaded one. If the transmitter is out of credits the transaction waits
+// (backpressure) — Send itself never blocks the caller; use SendFrom for
+// process-context flow control.
 func (p *Port) Send(t *capi.Transaction) {
 	if err := t.Validate(); err != nil {
 		panic(fmt.Sprintf("llc: %s: sending invalid transaction: %v", p.name, err))
@@ -319,8 +329,14 @@ func (p *Port) scheduleFlush() {
 }
 
 // flush packs pending transactions into frames and transmits as many as
-// credits allow. Incomplete trailing frames are padded (accounted as
-// padding flits) and sent immediately rather than waiting for more traffic.
+// credits allow, pulling each frame only when the outbound serializer is at
+// most one frame time from free: at most one formed frame waits ahead of
+// the wire, and transactions that arrive meanwhile queue in pending, where
+// they can still share the next frame. When the serializer is busier than
+// that, flush re-arms itself for the instant it is not (still at most one
+// pending flush per port). A frame formed while nothing else waits is
+// padded (accounted as padding flits) and sent rather than held for more
+// traffic.
 func (p *Port) flush() {
 	p.flushQueued = false
 	if p.down {
@@ -328,6 +344,11 @@ func (p *Port) flush() {
 	}
 	f := Frame{Kind: kindData, Txns: p.t.txTxns}
 	for p.pending.Len() > 0 && p.credits > 0 {
+		if wait := p.out.Pipe().Backlog() - p.t.frameTime; wait > 0 {
+			p.flushQueued = true
+			p.k.Schedule(wait, p.t.flush)
+			break
+		}
 		if p.nextSeq-p.oldestKept >= uint64(p.cfg.Credits) {
 			// Replay window full: the peer has stopped acknowledging.
 			// Transmitting would force an unacked frame out of the replay
@@ -419,8 +440,11 @@ func latRecords(f *Frame) any {
 // replay timeout (e.g. it was the last frame of a burst and was dropped, so
 // the receiver never saw a sequence gap), retransmit it proactively. After
 // MaxReplayAttempts consecutive timeouts for the same frame the port
-// declares the link dead and escalates. Every timer has the same delay, so
-// timers fire in the order they were armed and wait in one lane.
+// declares the link dead and escalates. A frame is formed, and its timer
+// armed, within one frame time of its serialization start, so the timeout
+// measures the frame's time on the wire and the ack's return, not a queue
+// behind the serializer. Every timer has the same delay, so timers fire in
+// the order they were armed and wait in one lane.
 func (p *Port) armTxTimer(seq uint64, attempt int) {
 	p.t.txTimers.Schedule(p.cfg.ReplayTimeout, txTimer{seq: seq, attempt: attempt})
 }
@@ -439,23 +463,17 @@ func (p *Port) txTimeout(t txTimer) {
 	p.armTxTimer(t.seq, t.attempt+1)
 }
 
-// sendControl emits an in-band single-flit control frame. Every control
-// frame carries the receiver's full cumulative state — slots freed since
-// creation (CumFreed) and the in-order ack horizon (CumAck) — so control
-// frames are idempotent: loss of any one is repaired by the next, and
-// credits are conserved under arbitrary control-frame loss. Control frames
-// bypass credits and the replay buffer.
-func (p *Port) sendControl(replayValid bool, replayFrom uint64, probe bool) {
-	f := Frame{
-		Kind:        kindControl,
-		ReplayValid: replayValid,
-		ReplayFrom:  replayFrom,
-		Probe:       probe,
-		CumFreed:    p.freedTotal,
-		CumAck:      p.expected,
-	}
+// sendControl emits an in-band single-flit control frame carrying c's
+// replay request, probe or caught-up flag. Every control frame also carries
+// the receiver's full cumulative state — slots freed since creation
+// (CumFreed) and the in-order ack horizon (CumAck) — so control frames are
+// idempotent: loss of any one is repaired by the next, and credits are
+// conserved under arbitrary control-frame loss. Control frames bypass
+// credits and the replay buffer.
+func (p *Port) sendControl(c Frame) {
+	c.Kind, c.CumFreed, c.CumAck = kindControl, p.freedTotal, p.expected
 	wire := new([ControlFrameBytes]byte)
-	f.encodeTo(wire[:])
+	c.encodeTo(wire[:])
 	p.stats.TxControl++
 	p.out.Transmit(wire, ControlFrameBytes)
 }
@@ -482,7 +500,7 @@ func (p *Port) probeTimeout() {
 	}
 	p.probeAttempts++
 	p.stats.CreditProbes++
-	p.sendControl(false, 0, true)
+	p.sendControl(Frame{Probe: true})
 	p.armProbeTimer()
 }
 
@@ -596,10 +614,26 @@ func (p *Port) handleControl(f *Frame) {
 	if f.ReplayValid {
 		p.replay(f.ReplayFrom)
 	}
+	if f.CaughtUp && f.ReplayFrom == p.expected {
+		// The peer has sent nothing we lack, so the outage that opened
+		// the request (a corrupted control frame, say) cost no data. A
+		// stale answer, from before in-order data moved expected on, is
+		// ignored: the request it answered was already cleared.
+		p.replayAsked = false
+		p.rxStalls = 0
+		p.cancelReplayTimer()
+		p.closeReplayWindow()
+	}
 }
 
-// replay retransmits frames in order starting at from.
+// replay retransmits frames in order starting at from. A request for
+// nothing sent yet is answered with a caught-up control frame, or the
+// requester would re-ask until it fenced the link.
 func (p *Port) replay(from uint64) {
+	if from >= p.nextSeq {
+		p.sendControl(Frame{CaughtUp: true, ReplayFrom: p.nextSeq})
+		return
+	}
 	if from < p.oldestKept {
 		from = p.oldestKept
 	}
@@ -675,7 +709,7 @@ func (p *Port) requestReplay() {
 		// original window open.
 		p.replayOpen, p.replayStart = true, p.k.NowPS()
 	}
-	p.sendControl(true, p.expected, false)
+	p.sendControl(Frame{ReplayValid: true, ReplayFrom: p.expected})
 	p.armReplayTimer()
 }
 
@@ -733,5 +767,5 @@ func (p *Port) sendCreditReturn() {
 	if p.down {
 		return
 	}
-	p.sendControl(false, 0, false)
+	p.sendControl(Frame{})
 }
