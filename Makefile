@@ -65,6 +65,8 @@ detect-smoke:
 
 # Brief coverage-guided fuzz of the LLC frame decoder and the flight-
 # recorder snapshot decoder against corrupted and truncated wire images,
+# of the LLC's one-block frame decode against a decoder that allocates
+# every transaction (same frames, no shared data capacity),
 # of the sim kernel's event lanes against plain events (same firing
 # order and counters under any mix of schedules, cancels and windows),
 # of process reuse against spawning without it (same firing log and
@@ -76,6 +78,7 @@ detect-smoke:
 # and flushes).
 fuzz-smoke:
 	$(GO) test ./internal/llc/ -fuzz FuzzDecodeCorrupted -fuzztime 10s
+	$(GO) test ./internal/llc/ -fuzz FuzzDecodeBlock -fuzztime 10s
 	$(GO) test ./internal/timeseries/ -fuzz FuzzSeriesDecode -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzLaneOrder -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzProcReuse -fuzztime 10s

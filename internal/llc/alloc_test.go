@@ -30,14 +30,17 @@ func runFrames(tb testing.TB, n int) {
 }
 
 // frameAllocBudget is what one frame costs on a steady lossless pair: the
-// data frame's wire array, the transaction decoded from it, and the wire
-// array of the credit return that acknowledges it.
-const frameAllocBudget = 3
+// block of transactions decoded from it (a frame with data adds the block
+// of their data), and the credit return's wire array. The data frame's wire
+// array returns to the sender's free list when the ack prunes it. A credit
+// return reuses the array of a control frame its port decoded, but here
+// traffic flows one way, so b never decodes one.
+const frameAllocBudget = 2
 
 // TestPortFrameAllocs pins the per-frame allocations of a steady lossless
-// Port pair. Callbacks are bound once and the queues, the replay ring and
-// the packing and decode arrays are reused, so the cost of 9,000 extra
-// frames must be the budget per frame.
+// Port pair. Callbacks are bound once and the queues, the replay ring, the
+// packing and decode arrays and the wire arrays are reused, so the cost of
+// 9,000 extra frames must be the budget per frame.
 func TestPortFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -45,7 +48,9 @@ func TestPortFrameAllocs(t *testing.T) {
 	small := testing.AllocsPerRun(3, func() { runFrames(t, 1_000) })
 	large := testing.AllocsPerRun(3, func() { runFrames(t, 10_000) })
 	perFrame := (large - small) / 9_000
-	if perFrame > frameAllocBudget {
+	// The 0.001 (9 allocations in all) is for strays: the runtime's own,
+	// or a reused array growing once, are not a cost per frame.
+	if perFrame > frameAllocBudget+0.001 {
 		t.Errorf("%.2f allocs per frame, budget %d", perFrame, frameAllocBudget)
 	}
 	t.Logf("%.0f allocs at 1k frames, %.0f at 10k: %.2f per frame", small, large, perFrame)

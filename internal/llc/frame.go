@@ -21,16 +21,26 @@
 //     nothing from the requested frame on, answers "caught up" so the
 //     receiver stops asking.
 //
-// Ownership. A port encodes each frame once, into a fresh fixed-size array
+// Ownership. A port encodes each frame into a fixed-size array
 // (*[FrameBytes]byte or *[ControlFrameBytes]byte) that is the phy
-// delivery's payload. The array is immutable once transmitted and is never
-// reused: a replayed copy, or a copy queued in a fabric switch, can still be
-// in flight after the peer's CumAck prunes the frame's replay slot, so the
-// array lives as long as its last in-flight copy. A receiver decodes into a
-// transaction array it reuses, but every transaction it hands to OnReceive
-// is freshly allocated, with its own copy of the data, and belongs to the
-// upper layer from then on: the donor endpoint turns a request into its
-// response in place and sends it back.
+// delivery's payload. The array is not written while any copy of it is in
+// flight, and phy and fabric never duplicate a delivery, so it is reused
+// only where its last copy is known to be consumed:
+//   - A data array goes back to its sender's small free list when the
+//     peer's CumAck prunes a frame that went on the wire exactly once: the
+//     ack means that one copy was decoded. A frame with any replayed or
+//     tail-loss copy is never reused, since such a copy can still be in
+//     flight, or queued in a fabric switch, after the prune.
+//   - Control frames are never replayed, so the port that decodes one
+//     keeps its array, on a small free list of its own, for its own
+//     control frames.
+//
+// A receiver decodes each data frame's transactions into one fresh
+// []capi.Transaction and their data into one fresh []byte, each Data a
+// slice of it whose capacity is its length, so appending to one never
+// writes into another. Every transaction handed to OnReceive belongs to
+// the upper layer from then on: the donor endpoint turns a request into
+// its response in place and sends it back.
 package llc
 
 import (
@@ -141,16 +151,17 @@ func (f *Frame) Encode() []byte {
 	return buf
 }
 
-// encodeTo writes the frame's wire image into buf, which must be zeroed and
-// exactly WireBytes long: the padding is left as it is. The port encodes
-// straight into a fresh fixed-size array, so a frame costs one allocation
-// and boxing the array's pointer in a phy delivery costs none.
+// encodeTo writes the frame's wire image into buf, which must be exactly
+// WireBytes long. It clears the padding, so buf may hold an earlier frame:
+// the port encodes straight into a fixed-size array, a recycled one when it
+// has one, and boxing the array's pointer in a phy delivery costs nothing.
 func (f *Frame) encodeTo(buf []byte) {
 	want := len(buf) - 4 // the CRC trailer follows the padded body
 	if n := f.bodyBytes(); n > want {
 		panic(fmt.Sprintf("llc: frame payload %dB exceeds wire size %dB", n, want))
 	}
 	buf[0] = uint8(f.Kind)
+	pos := controlBody
 	if f.Kind == kindControl {
 		// Control frames carry no sequence number: they are idempotent and
 		// outside the replay window, which keeps them within a single flit.
@@ -163,7 +174,7 @@ func (f *Frame) encodeTo(buf []byte) {
 	} else {
 		le.PutUint64(buf[1:], f.Seq)
 		le.PutUint16(buf[9:], uint16(len(f.Txns)))
-		pos := dataHeader
+		pos = dataHeader
 		for _, t := range f.Txns {
 			h := buf[pos : pos+txnHeader]
 			h[0] = uint8(t.Op)
@@ -178,6 +189,7 @@ func (f *Frame) encodeTo(buf []byte) {
 			pos += copy(buf[pos:], t.Data)
 		}
 	}
+	clear(buf[pos:want])
 	le.PutUint32(buf[want:], crc32.ChecksumIEEE(buf[:want]))
 }
 
@@ -202,9 +214,11 @@ func Decode(wire []byte) (*Frame, error) {
 }
 
 // decode parses wire into f, reusing f.Txns' backing array; the port
-// decodes every delivery into one array this way. Each decoded
-// transaction, and its data, is freshly allocated: the receiver's upper
-// layer owns it. On error f holds no usable frame.
+// decodes every delivery into one array this way. A data frame's
+// transactions are decoded into one fresh block and their data into
+// another (see the package doc), so a frame costs at most two allocations
+// whatever it carries, and nothing decoded points into wire. On error f
+// holds no usable frame.
 func (f *Frame) decode(wire []byte) error {
 	if len(wire) < 5 {
 		return fmt.Errorf("llc: short frame (%dB)", len(wire))
@@ -242,16 +256,22 @@ func (f *Frame) decode(wire []byte) error {
 		if n > (len(body)-pos)/txnHeader {
 			return errShort
 		}
+		if n == 0 {
+			return nil
+		}
 		if cap(f.Txns) < n {
 			f.Txns = make([]*capi.Transaction, 0, n)
 		}
-		for i := 0; i < n; i++ {
+		block := make([]capi.Transaction, n)
+		dataBytes := 0
+		for i := range block {
 			if len(body)-pos < txnHeader {
 				return errShort
 			}
 			h := body[pos : pos+txnHeader]
 			pos += txnHeader
-			t := &capi.Transaction{
+			t := &block[i]
+			*t = capi.Transaction{
 				Op:        capi.Op(h[0]),
 				Addr:      le.Uint64(h[1:]),
 				Size:      int32(le.Uint32(h[9:])),
@@ -264,13 +284,28 @@ func (f *Frame) decode(wire []byte) error {
 				return fmt.Errorf("llc: frame carries invalid size %d", t.Size)
 			}
 			if h[24] == 1 {
-				if len(body)-pos < int(t.Size) {
+				size := int(t.Size)
+				if len(body)-pos < size {
 					return errShort
 				}
-				t.Data = append([]byte(nil), body[pos:pos+int(t.Size)]...)
-				pos += int(t.Size)
+				if size > 0 {
+					// Points into wire until the copy below; empty data
+					// decodes as nil, as it always has.
+					t.Data = body[pos : pos+size : pos+size]
+				}
+				pos += size
+				dataBytes += size
 			}
 			f.Txns = append(f.Txns, t)
+		}
+		if dataBytes > 0 {
+			data := make([]byte, dataBytes)
+			for i := range block {
+				if t := &block[i]; t.Data != nil {
+					n := copy(data, t.Data)
+					t.Data, data = data[:n:n], data[n:]
+				}
+			}
 		}
 	default:
 		return fmt.Errorf("llc: unknown frame kind %d", f.Kind)

@@ -1,8 +1,11 @@
 package llc
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"thymesisflow/internal/capi"
@@ -111,6 +114,144 @@ func FuzzDecodeCorrupted(f *testing.F) {
 			t.Fatalf("round trip changed frame: %+v vs %+v", fr, fr2)
 		}
 	})
+}
+
+// FuzzDecodeBlock checks the port's decode, which puts a frame's
+// transactions in one block and their data in another, against
+// decodeEachTxn, which allocates every transaction and its data on its
+// own. Inputs are wire images, optionally re-sealed with a valid CRC so
+// that damaged headers reach the parser. Both decoders must accept and
+// reject the same inputs and return the same frame; every decoded Data
+// must have no spare capacity, so appending to one transaction's data
+// reallocates it and leaves every other transaction's data as it was.
+func FuzzDecodeBlock(f *testing.F) {
+	full := make([]byte, capi.Cacheline)
+	capi.FillPattern(full, 5)
+	f.Add((&Frame{Kind: kindData, Seq: 4, Txns: []*capi.Transaction{
+		{Op: capi.OpReadResp, Addr: 0x80, Size: 128, Tag: 1, Data: full},
+		{Op: capi.OpWriteReq, Addr: 0x100, Size: 64, Tag: 2, Data: full[:64]},
+		{Op: capi.OpReadReq, Addr: 0x180, Size: 128, Tag: 3},
+		{Op: capi.OpWriteReq, Addr: 0x200, Size: 0, Tag: 4, Data: []byte{}},
+		{Op: capi.OpWriteReq, Addr: 0x280, Size: 32, Tag: 5, NetworkID: 9, Bonded: true, PASID: 77, Data: full[:32]},
+	}}).Encode(), false)
+	f.Add((&Frame{Kind: kindData, Seq: 5, Txns: []*capi.Transaction{
+		{Op: capi.OpReadReq, Addr: 0x40, Size: 128, Tag: 6},
+		{Op: capi.OpNop},
+	}}).Encode(), true)
+	f.Add((&Frame{Kind: kindData, Seq: 6}).Encode(), false)
+	f.Add((&Frame{Kind: kindControl, ReplayValid: true, ReplayFrom: 3, CumFreed: 8, CumAck: 3}).Encode(), false)
+
+	var got Frame // reused across inputs, as a port reuses its decode array
+	f.Fuzz(func(t *testing.T, wire []byte, reseal bool) {
+		wire = append([]byte(nil), wire...)
+		if reseal && len(wire) > 4 {
+			body := wire[:len(wire)-4]
+			binary.LittleEndian.PutUint32(wire[len(wire)-4:], crc32.ChecksumIEEE(body))
+		}
+		want, wantErr := decodeEachTxn(wire)
+		gotErr := got.decode(wire)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("block decode error %v, per-transaction decode error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if got.Kind != want.Kind || got.Seq != want.Seq || got.ReplayValid != want.ReplayValid ||
+			got.ReplayFrom != want.ReplayFrom || got.Probe != want.Probe || got.CumFreed != want.CumFreed ||
+			got.CumAck != want.CumAck || got.CaughtUp != want.CaughtUp || len(got.Txns) != len(want.Txns) {
+			t.Fatalf("block decode %+v, per-transaction decode %+v", got, *want)
+		}
+		for i, txn := range got.Txns {
+			if !reflect.DeepEqual(*txn, *want.Txns[i]) {
+				t.Fatalf("transaction %d: block decode %+v, per-transaction decode %+v", i, *txn, *want.Txns[i])
+			}
+			if cap(txn.Data) != len(txn.Data) {
+				t.Fatalf("transaction %d: data len %d, cap %d", i, len(txn.Data), cap(txn.Data))
+			}
+			// The decoded data must not alias the wire either.
+			if len(txn.Data) > 0 {
+				for j := range wire {
+					if &wire[j] == &txn.Data[0] {
+						t.Fatalf("transaction %d: data points into the wire", i)
+					}
+				}
+			}
+		}
+		for i, txn := range got.Txns {
+			grown := append(txn.Data, 0xA5, 0x5A)
+			for j, other := range got.Txns {
+				if j != i && !bytes.Equal(other.Data, want.Txns[j].Data) {
+					t.Fatalf("appending to transaction %d's data changed transaction %d's", i, j)
+				}
+			}
+			if !bytes.Equal(grown[:len(txn.Data)], want.Txns[i].Data) {
+				t.Fatalf("appending to transaction %d's data changed its prefix", i)
+			}
+		}
+	})
+}
+
+// decodeEachTxn is the reference decoder for FuzzDecodeBlock: the same
+// checks as decode, with every transaction and its data allocated on its
+// own.
+func decodeEachTxn(wire []byte) (*Frame, error) {
+	if len(wire) < 5 {
+		return nil, fmt.Errorf("short frame")
+	}
+	body := wire[:len(wire)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(wire[len(wire)-4:]) {
+		return nil, ErrCRC
+	}
+	f := &Frame{Kind: frameKind(body[0])}
+	switch f.Kind {
+	case kindControl:
+		if len(body) < controlBody {
+			return nil, errShort
+		}
+		f.ReplayValid = body[1] == 1
+		f.ReplayFrom = le.Uint64(body[2:])
+		f.Probe = body[10] == 1
+		f.CumFreed = le.Uint64(body[11:])
+		f.CumAck = le.Uint64(body[19:])
+		f.CaughtUp = body[27] == 1
+	case kindData:
+		if len(body) < dataHeader {
+			return nil, errShort
+		}
+		f.Seq = le.Uint64(body[1:])
+		n := int(le.Uint16(body[9:]))
+		pos := dataHeader
+		for i := 0; i < n; i++ {
+			if len(body)-pos < txnHeader {
+				return nil, errShort
+			}
+			h := body[pos : pos+txnHeader]
+			pos += txnHeader
+			t := &capi.Transaction{
+				Op:        capi.Op(h[0]),
+				Addr:      le.Uint64(h[1:]),
+				Size:      int32(le.Uint32(h[9:])),
+				Tag:       le.Uint32(h[13:]),
+				NetworkID: le.Uint16(h[17:]),
+				Bonded:    h[19] == 1,
+				PASID:     le.Uint32(h[20:]),
+			}
+			if t.Size < 0 || t.Size > capi.Cacheline {
+				return nil, fmt.Errorf("invalid size %d", t.Size)
+			}
+			if h[24] == 1 {
+				if len(body)-pos < int(t.Size) {
+					return nil, errShort
+				}
+				t.Data = append([]byte(nil), body[pos:pos+int(t.Size)]...)
+				pos += int(t.Size)
+			}
+			f.Txns = append(f.Txns, t)
+		}
+	default:
+		return nil, fmt.Errorf("unknown frame kind %d", f.Kind)
+	}
+	return f, nil
 }
 
 func TestDecodeForgedCountDoesNotPanic(t *testing.T) {

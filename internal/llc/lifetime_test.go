@@ -10,16 +10,20 @@ import (
 	"thymesisflow/internal/sim"
 )
 
-// TestReplayedCopyOutlivesAck pins the wire-buffer lifetime rule: a frame's
-// wire array is never reused, because copies of it can still be on the wire
-// after the peer's CumAck prunes its replay slot.
+// TestReplayedCopyOutlivesAck pins the half of the wire-buffer lifetime
+// rule that keeps arrays alive: a frame that went on the wire more than
+// once never has its array reused, because a copy of it can still be on
+// the wire after the peer's CumAck prunes its replay slot.
 //
 // The link's round trip (30 us) is longer than the replay timeout (20 us),
 // so every frame's tail-loss timer fires before its ack returns and sends a
-// copy that is still in flight when the ack prunes the slot. A write leaves
-// every 2 us, so several new frames follow each prune while the old copy is
-// in flight: a port that recycled pruned arrays would have overwritten it
-// by the time it lands. 5% of frames are dropped on top.
+// copy that is still in flight when the ack prunes the slot. Every frame
+// here is sent at least twice, so none is recycled. A write leaves every
+// 2 us, so several new frames follow each prune while the old copy is in
+// flight: a port that recycled such arrays would have overwritten it by
+// the time it lands. 5% of frames are dropped on top.
+// TestWireArraysNotReusedInFlight checks the other half, that frames sent
+// once are recycled, and only once their copy has arrived.
 //
 // Each arriving array must still hold the frame it first carried, the
 // stale copies must count as duplicates, and every write must arrive once,

@@ -191,7 +191,8 @@ func newPort(k *sim.Kernel, name string, out *phy.Channel, cfg Config) *Port {
 
 // traffic is the per-frame state of a port: the recurring callbacks,
 // bound once so that scheduling one allocates nothing, the lane of armed
-// tail-loss timers, and the arrays that frame packing and decoding reuse.
+// tail-loss timers, and the arrays that frame packing, encoding and
+// decoding reuse.
 type traffic struct {
 	flush, credit  func()
 	txTimers       *sim.Lane[txTimer]
@@ -199,6 +200,42 @@ type traffic struct {
 	// frameTime is one data frame's serialization time on the outbound
 	// channel: the most wire work flush lets stand ahead of a new frame.
 	frameTime sim.Time
+	// freeData holds data wire arrays whose one copy the peer has
+	// acknowledged, for transmitFrame to encode into again; freeCtrl the
+	// arrays of control frames this port decoded, for its own control
+	// frames. See the package doc for why no copy of them is in flight.
+	freeData freeList[[FrameBytes]byte]
+	freeCtrl freeList[[ControlFrameBytes]byte]
+}
+
+// freeList is a bounded stack of wire arrays that no copy in flight
+// refers to. Frames and acks come in runs, so the arrays one run frees
+// wait for the next. Eight hold the runs of perfbench's rack, where a
+// single spare control array let one array a load go to garbage; past
+// the bound an array is garbage.
+type freeList[A any] struct {
+	n    int
+	arrs [8]*A
+}
+
+// get returns a free array, or a new one when none is free. The array
+// may hold an old frame: encodeTo overwrites all of it.
+func (l *freeList[A]) get() *A {
+	if l.n == 0 {
+		return new(A)
+	}
+	l.n--
+	a := l.arrs[l.n]
+	l.arrs[l.n] = nil
+	return a
+}
+
+// put keeps a, unless the list is full.
+func (l *freeList[A]) put(a *A) {
+	if l.n < len(l.arrs) {
+		l.arrs[l.n] = a
+		l.n++
+	}
 }
 
 // bind builds the port's traffic state once. Every event a port schedules
@@ -216,12 +253,14 @@ func (p *Port) bind() {
 	}
 }
 
-// replaySlot is one unacknowledged frame: its wire image and the
-// attribution records that ride with every copy of it. Pruning a slot
-// drops the port's reference to the wire array but never reuses the array
-// (see the package doc): copies of it may still be in flight.
+// replaySlot is one unacknowledged frame: its wire image, how many times
+// it went on the wire, and the attribution records that ride with every
+// copy of it. Pruning a slot recycles the wire array only if it was sent
+// once (see the package doc): after a replay, copies may still be in
+// flight.
 type replaySlot struct {
 	wire *[FrameBytes]byte
+	sent int
 	// aux carries the frame's latency-attribution records, aligned with
 	// its transactions, as phy delivery aux data. Frames serialize to
 	// bytes, so the receiver's decoded transactions cannot carry the Lat
@@ -398,10 +437,10 @@ func (p *Port) flush() {
 }
 
 func (p *Port) transmitFrame(f *Frame) {
-	wire := new([FrameBytes]byte)
+	wire := p.t.freeData.get()
 	f.encodeTo(wire[:])
-	s := replaySlot{wire: wire, aux: latRecords(f)}
-	p.keep(s)
+	p.keep(replaySlot{wire: wire, aux: latRecords(f)})
+	s := p.slot(p.nextSeq)
 	p.nextSeq++
 	p.stats.TxFrames++
 	p.transmitWire(s)
@@ -409,10 +448,11 @@ func (p *Port) transmitFrame(f *Frame) {
 }
 
 // transmitWire puts a kept data frame on the channel, its attribution
-// records riding along as delivery aux data. The slot itself is kept until
-// the peer's CumAck prunes it, so a replayed frame carries the records
-// again if the first copy was lost.
-func (p *Port) transmitWire(s replaySlot) {
+// records riding along as delivery aux data, and counts the copy. The slot
+// itself is kept until the peer's CumAck prunes it, so a replayed frame
+// carries the records again if the first copy was lost.
+func (p *Port) transmitWire(s *replaySlot) {
+	s.sent++
 	p.out.TransmitAux(s.wire, FrameBytes, s.aux)
 }
 
@@ -459,7 +499,7 @@ func (p *Port) txTimeout(t txTimer) {
 		return
 	}
 	p.stats.TxReplayed++
-	p.transmitWire(*p.slot(t.seq))
+	p.transmitWire(p.slot(t.seq))
 	p.armTxTimer(t.seq, t.attempt+1)
 }
 
@@ -469,10 +509,11 @@ func (p *Port) txTimeout(t txTimer) {
 // (CumFreed) and the in-order ack horizon (CumAck) — so control frames are
 // idempotent: loss of any one is repaired by the next, and credits are
 // conserved under arbitrary control-frame loss. Control frames bypass
-// credits and the replay buffer.
+// credits and the replay buffer, and reuse the arrays of control frames
+// the port decoded.
 func (p *Port) sendControl(c Frame) {
 	c.Kind, c.CumFreed, c.CumAck = kindControl, p.freedTotal, p.expected
-	wire := new([ControlFrameBytes]byte)
+	wire := p.t.freeCtrl.get()
 	c.encodeTo(wire[:])
 	p.stats.TxControl++
 	p.out.Transmit(wire, ControlFrameBytes)
@@ -546,11 +587,12 @@ func (p *Port) receive(d phy.Delivery) {
 	}
 	p.bind()
 	var wire []byte
+	var ctrl *[ControlFrameBytes]byte
 	switch w := d.Payload.(type) {
 	case *[FrameBytes]byte:
 		wire = w[:]
 	case *[ControlFrameBytes]byte:
-		wire = w[:]
+		wire, ctrl = w[:], w
 	default:
 		panic("llc: non-frame payload on channel")
 	}
@@ -563,6 +605,11 @@ func (p *Port) receive(d phy.Delivery) {
 	f := Frame{Txns: p.t.rxTxns}
 	err := f.decode(wire)
 	p.t.rxTxns = f.Txns
+	if ctrl != nil {
+		// A control frame is never replayed, so this delivery was the
+		// array's only copy, and it has been decoded.
+		p.t.freeCtrl.put(ctrl)
+	}
 	if err != nil {
 		p.stats.RxCRCErrors++
 		if tr := p.k.Tracer(); tr != nil {
@@ -604,9 +651,15 @@ func (p *Port) handleControl(f *Frame) {
 		p.scheduleCreditReturn()
 	}
 	// Prune the replay buffer, and the attribution records that ride with
-	// its frames, up to the peer's cumulative ack.
+	// its frames, up to the peer's cumulative ack. The ack means the peer
+	// decoded a copy of each pruned frame, so a frame sent once has no
+	// copy left and its array can carry a later frame.
 	for seq := p.oldestKept; seq < f.CumAck && seq < p.nextSeq; seq++ {
-		*p.slot(seq) = replaySlot{}
+		s := p.slot(seq)
+		if s.sent == 1 {
+			p.t.freeData.put(s.wire)
+		}
+		*s = replaySlot{}
 	}
 	if f.CumAck > p.oldestKept {
 		p.oldestKept = f.CumAck
@@ -639,7 +692,7 @@ func (p *Port) replay(from uint64) {
 	}
 	for seq := from; seq < p.nextSeq; seq++ {
 		p.stats.TxReplayed++
-		p.transmitWire(*p.slot(seq))
+		p.transmitWire(p.slot(seq))
 	}
 }
 

@@ -89,6 +89,10 @@ func (s FaultSchedule) At(t sim.Time) FaultConfig {
 
 // Delivery describes one frame arriving at the far end of a channel.
 type Delivery struct {
+	// Payload is handed on as it was transmitted. A channel (or a fabric
+	// switch forwarding it) delivers each transmission at most once and
+	// never reads the payload, which the LLC relies on to reuse its wire
+	// arrays.
 	Payload   any
 	Bytes     int
 	Corrupted bool

@@ -110,17 +110,3 @@ func TestSignalCrossKernelPanics(t *testing.T) {
 		t.Fatal("cross-kernel Wait did not panic")
 	}
 }
-
-func TestResourceZeroCapacityTryAcquire(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, 0)
-	if r.TryAcquire(1) {
-		t.Fatal("acquired from zero-capacity resource")
-	}
-	if !r.TryAcquire(0) {
-		t.Fatal("zero-unit acquire should trivially succeed")
-	}
-	if r.Utilization() != 0 {
-		t.Fatal("zero-capacity utilization should be 0")
-	}
-}

@@ -13,3 +13,10 @@ func (k *Kernel) InjectAt(t, from Time, fn func()) *Event {
 	}
 	return k.schedule(t, from, fn)
 }
+
+// InUse returns the number of units currently held: the resource tests'
+// check that nothing leaks and capacity is never exceeded.
+func (r *Resource) InUse() int { return r.inUse }
+
+// Waiters reports the number of processes currently blocked on s.
+func (s *Signal) Waiters() int { return s.waiters.Len() }

@@ -12,7 +12,6 @@ type Pipe struct {
 	busyUntil   Time
 
 	totalBytes int64
-	busyPS     float64
 }
 
 // NewPipe returns a pipe with the given rate in bytes per second.
@@ -37,7 +36,6 @@ func (pp *Pipe) Reserve(n int64) (start, done Time) {
 	}
 	d := DurationForBytes(n, pp.bytesPerSec)
 	done = start + d
-	pp.busyPS += float64(d)
 	pp.busyUntil = done
 	pp.totalBytes += n
 	return start, done
@@ -61,15 +59,4 @@ func (pp *Pipe) Throughput() float64 {
 		return 0
 	}
 	return float64(pp.totalBytes) / (window / float64(Second))
-}
-
-// Utilization returns the fraction of time the pipe was transmitting since
-// time zero, in [0, 1] (may exceed 1 transiently if reservations extend
-// beyond "now").
-func (pp *Pipe) Utilization() float64 {
-	window := float64(pp.k.now)
-	if window <= 0 {
-		return 0
-	}
-	return pp.busyPS / window
 }

@@ -147,9 +147,6 @@ func (s *Signal) Wait(p *Proc) {
 	p.park()
 }
 
-// Waiters reports the number of processes currently blocked on s.
-func (s *Signal) Waiters() int { return s.waiters.Len() }
-
 // Broadcast wakes every waiting process. Wakeups are delivered as events at
 // the current instant, in FIFO order.
 func (s *Signal) Broadcast() {

@@ -35,9 +35,6 @@ func NewResource(k *Kernel, capacity int) *Resource {
 // Capacity returns the total capacity.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 func (r *Resource) accountTo(t Time) {
 	r.busyPS += float64(r.inUse) * float64(t-r.lastChange)
 	r.lastChange = t
@@ -59,20 +56,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 	r.waiters.Push(resWaiter{p: p, n: n})
 	p.park()
-}
-
-// TryAcquire takes n units if they are available immediately, reporting
-// whether it succeeded. It never blocks and never jumps the FIFO queue.
-func (r *Resource) TryAcquire(n int) bool {
-	if n <= 0 {
-		return true
-	}
-	if r.waiters.Len() > 0 || r.inUse+n > r.capacity {
-		return false
-	}
-	r.accountTo(r.k.now)
-	r.inUse += n
-	return true
 }
 
 // Release returns n units and hands them to queued waiters in FIFO order.
@@ -101,9 +84,6 @@ func (r *Resource) dispatch() {
 	}
 }
 
-// QueueLen reports the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return r.waiters.Len() }
-
 // MeanOccupancy returns the time-averaged number of units in use since
 // time zero.
 func (r *Resource) MeanOccupancy() float64 {
@@ -113,12 +93,4 @@ func (r *Resource) MeanOccupancy() float64 {
 		return 0
 	}
 	return r.busyPS / window
-}
-
-// Utilization returns MeanOccupancy divided by capacity, in [0,1].
-func (r *Resource) Utilization() float64 {
-	if r.capacity == 0 {
-		return 0
-	}
-	return r.MeanOccupancy() / float64(r.capacity)
 }

@@ -61,21 +61,6 @@ func TestResourceFIFONoStarvation(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, 1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire on free resource failed")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire on exhausted resource succeeded")
-	}
-	r.Release(1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestResourceMeanOccupancy(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, 4)
@@ -90,9 +75,6 @@ func TestResourceMeanOccupancy(t *testing.T) {
 	got := r.MeanOccupancy()
 	if got < 0.99 || got > 1.01 {
 		t.Fatalf("mean occupancy = %v, want ~1.0", got)
-	}
-	if u := r.Utilization(); u < 0.24 || u > 0.26 {
-		t.Fatalf("utilization = %v, want ~0.25", u)
 	}
 }
 
@@ -168,11 +150,10 @@ func TestPipeThroughputAccounting(t *testing.T) {
 	if tp < 0.99e9 || tp > 1.01e9 {
 		t.Fatalf("throughput = %v, want ~1e9", tp)
 	}
-	if u := pp.Utilization(); u < 0.99 || u > 1.01 {
-		t.Fatalf("utilization = %v, want ~1.0", u)
-	}
 }
 
+// TestPipeIdleGapNotCounted checks that a transfer after an idle gap is
+// not charged for the gap: it starts at once and takes its own time only.
 func TestPipeIdleGapNotCounted(t *testing.T) {
 	k := NewKernel()
 	pp := NewPipe(k, 1e9)
@@ -185,7 +166,4 @@ func TestPipeIdleGapNotCounted(t *testing.T) {
 		}
 	})
 	k.Run()
-	if u := pp.Utilization(); u > 0.3 {
-		t.Fatalf("utilization = %v, want ~0.2 (idle time excluded from busy)", u)
-	}
 }

@@ -474,6 +474,7 @@ type procNode struct {
 	k      *sim.Kernel
 	send   func(at sim.Time, fn func())
 	res    *sim.Resource
+	queued int // workers inside res.Acquire
 	tokens int
 	arrive *sim.Signal
 	log    []string
@@ -494,7 +495,9 @@ func procExchange(nodes [2]*procNode, run func()) [2][]string {
 			n.k.Go(fmt.Sprintf("worker%d", w), func(p *sim.Proc) {
 				for r := 0; r < rounds; r++ {
 					p.Sleep(sim.Time(7+3*w+i) * sim.Nanosecond)
+					n.queued++
 					n.res.Acquire(p, 1)
+					n.queued--
 					p.Sleep(11 * sim.Nanosecond)
 					n.res.Release(1)
 					n.send(p.Now()+hop, func() {
@@ -510,7 +513,7 @@ func procExchange(nodes [2]*procNode, run func()) [2][]string {
 					n.arrive.Wait(p)
 				}
 				n.tokens--
-				n.log = append(n.log, fmt.Sprintf("%v token%d queue%d", p.Now(), got, n.res.QueueLen()))
+				n.log = append(n.log, fmt.Sprintf("%v token%d queue%d", p.Now(), got, n.queued))
 				p.Sleep(5 * sim.Nanosecond)
 			}
 		})
