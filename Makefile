@@ -73,9 +73,9 @@ detect-smoke:
 # counters under random spawn/sleep/signal/resource programs), of
 # Sleep's fast path against a Sleep that always parks (same firing log,
 # clock and counters under ties, injections, cancels, Stop, tracers and
-# windows), and of the flat-array cache against a slice-per-set LRU
-# reference (same lookup results, residency and counters under lookups
-# and flushes).
+# windows), and of the 32-bit-tag cache against a slice-per-set LRU
+# reference (same lookup results and residency under lookups and flushes,
+# with addresses up to the top of each shape's tag range).
 fuzz-smoke:
 	$(GO) test ./internal/llc/ -fuzz FuzzDecodeCorrupted -fuzztime 10s
 	$(GO) test ./internal/llc/ -fuzz FuzzDecodeBlock -fuzztime 10s

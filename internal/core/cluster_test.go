@@ -177,7 +177,7 @@ func TestDetachRestoresEverything(t *testing.T) {
 		t.Fatalf("donor capacity not restored: %d", got)
 	}
 	// Pages were migrated locally, not lost.
-	if pages := a.Mem.PagesOn(a.LocalNode(0)); pages != (1<<20)/a.Mem.PageSize {
+	if pages := a.Mem.Node(a.LocalNode(0)).Used / a.Mem.PageSize; pages != (1<<20)/a.Mem.PageSize {
 		t.Fatalf("migrated pages = %d", pages)
 	}
 	if len(c.Attachments()) != 0 {

@@ -38,7 +38,7 @@ func TestMultiDonorPooling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if host.Mem.PagesOn(attA.Node) == 0 || host.Mem.PagesOn(attB.Node) == 0 {
+	if host.Mem.Node(attA.Node).Used == 0 || host.Mem.Node(attB.Node).Used == 0 {
 		t.Fatal("interleave did not spread pages over both donors")
 	}
 	// Accesses route to the right donor backends.

@@ -80,8 +80,9 @@ func TestHBMThroughThreadAccess(t *testing.T) {
 			th.Access(p, buf.Addr(off), 8, false)
 		}
 		firstPass = p.Now() - start
-		th.FlushCaches()
-		sys.LLC(0).Flush()
+		// Cold CPU caches for the second pass: a fresh thread and LLC.
+		th = mem.NewThread(sys, 0, cfg)
+		sys.SetLLC(0, mem.NewCache("llc", 1<<20, 8))
 		start = p.Now()
 		for off := int64(0); off < buf.Size; off += stride {
 			th.Access(p, buf.Addr(off), 8, false)

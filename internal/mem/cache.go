@@ -4,41 +4,55 @@
 // spread over NUMA nodes, and the per-thread access costing used by every
 // simulated workload.
 //
+// A Cache costs only what it holds. Each way stores the tag proper (the
+// line address above the set-index bits) plus one as a uint32, so zero marks
+// an empty way and rows need no fill count. The block index and the tag rows
+// are allocated on first touch: an LLC that no thread probes is one small
+// struct. A 32-bit tag covers just under 16 TiB of address space even for
+// the 32-set L1, far above the largest simulated host (768 GiB); a lookup
+// past a cache's bound panics.
+//
 // The model is calibrated to the POWER9 AC922 systems used in the paper
 // (Section V) and to the ThymesisFlow datapath numbers (950 ns flit RTT,
 // 12.5 GiB/s per network channel, ~16 GiB/s OpenCAPI C1 ceiling).
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // CachelineSize is the POWER9 cacheline size in bytes; it is also the
 // OpenCAPI transaction payload the ThymesisFlow prototype carries.
 const CachelineSize = 128
 
+// lineBits is log2(CachelineSize).
+const lineBits = 7
+
 // setBlock is the number of sets whose tag rows share one lazily allocated
 // block, so a large LLC that a run barely touches costs a slice header per
-// 64 sets and a fill byte per set.
+// 64 sets.
 const setBlock = 64
 
-// maxWays is the largest associativity the per-set fill count can hold.
+// maxWays is the largest associativity a cache may have: a lookup scans and
+// shifts its row linearly, so rows stay as narrow as real caches are.
 const maxWays = 255
 
 // Cache is a set-associative cache with LRU replacement, tracked at
 // cacheline granularity. It is purely functional (hit/miss bookkeeping);
 // timing is applied by the caller using the cache's configured latency.
 type Cache struct {
-	sets     int
-	ways     int
-	lineBits uint
+	name    string
+	sets    int
+	ways    int
+	setBits uint // log2(sets)
 	// blocks[set/setBlock] holds the tag rows of up to setBlock consecutive
-	// sets, ways tags per row, allocated on the first touch of any of them.
-	// A row is LRU-ordered: index 0 is most recently used, and only its
-	// first fill[set] tags are valid.
-	blocks [][]uint64
-	fill   []uint8
-
-	hits   int64
-	misses int64
+	// sets, ways tags per row. The index is built on the first Lookup and
+	// each block on the first touch of any of its sets. A row is
+	// LRU-ordered, index 0 most recently used; a way holds the tag proper
+	// plus one, and its valid ways are a prefix ended by the first zero.
+	blocks [][]uint32
 }
 
 // NewCache builds a cache of the given total size and associativity.
@@ -58,26 +72,24 @@ func NewCache(name string, size int64, ways int) *Cache {
 		p *= 2
 	}
 	sets = p
-	return &Cache{
-		sets:     sets,
-		ways:     ways,
-		lineBits: 7, // log2(CachelineSize)
-		blocks:   make([][]uint64, (sets+setBlock-1)/setBlock),
-		fill:     make([]uint8, sets),
-	}
+	return &Cache{name: name, sets: sets, ways: ways, setBits: uint(bits.TrailingZeros(uint(sets)))}
 }
 
-// SizeBytes returns the total capacity in bytes.
-func (c *Cache) SizeBytes() int64 { return int64(c.sets) * int64(c.ways) * CachelineSize }
+// overflow panics for an address whose tag proper does not fit in 32 bits.
+func (c *Cache) overflow(addr uint64) {
+	panic(fmt.Sprintf("mem: cache %s: address %#x beyond the %#x its 32-bit tags cover",
+		c.name, addr, uint64(math.MaxUint32)*uint64(c.sets)*CachelineSize))
+}
 
-// set returns the set index of line address la.
-func (c *Cache) set(la uint64) uint { return uint(la) & uint(c.sets-1) }
-
-// row returns the tag row of set, allocating its block on first touch.
-func (c *Cache) row(set uint) []uint64 {
+// row returns the tag row of set, allocating the block index and the
+// set's block on first touch.
+func (c *Cache) row(set uint) []uint32 {
+	if c.blocks == nil {
+		c.blocks = make([][]uint32, (c.sets+setBlock-1)/setBlock)
+	}
 	blk := c.blocks[set/setBlock]
 	if blk == nil {
-		blk = make([]uint64, min(c.sets, setBlock)*c.ways)
+		blk = make([]uint32, min(c.sets, setBlock)*c.ways)
 		c.blocks[set/setBlock] = blk
 	}
 	i := set % setBlock * uint(c.ways)
@@ -88,51 +100,23 @@ func (c *Cache) row(set uint) []uint64 {
 // state. On a miss the line is installed, possibly evicting the LRU way.
 // It reports whether the access hit.
 func (c *Cache) Lookup(addr uint64) bool {
-	la := addr >> c.lineBits
-	set := c.set(la)
-	row := c.row(set)
-	n := int(c.fill[set])
-	for i, tag := range row[:n] {
-		if tag == la {
+	la := addr >> lineBits
+	if la>>c.setBits >= math.MaxUint32 {
+		c.overflow(addr)
+	}
+	tag := uint32(la>>c.setBits) + 1
+	row := c.row(uint(la) & uint(c.sets-1))
+	for i, t := range row {
+		if t == tag {
 			// Move to front (MRU).
 			copy(row[1:i+1], row[:i])
-			row[0] = la
-			c.hits++
+			row[0] = tag
 			return true
 		}
 	}
-	c.misses++
-	if n < c.ways {
-		n++
-		c.fill[set] = uint8(n)
-	}
-	copy(row[1:n], row[:n-1])
-	row[0] = la
+	// Miss: install at the front. The shift drops the last way, which is
+	// the LRU line of a full row or else empty.
+	copy(row[1:], row[:len(row)-1])
+	row[0] = tag
 	return false
 }
-
-// Contains probes without updating LRU or statistics.
-func (c *Cache) Contains(addr uint64) bool {
-	la := addr >> c.lineBits
-	set := c.set(la)
-	blk := c.blocks[set/setBlock]
-	if blk == nil {
-		return false
-	}
-	i := set % setBlock * uint(c.ways)
-	for _, tag := range blk[i : i+uint(c.fill[set])] {
-		if tag == la {
-			return true
-		}
-	}
-	return false
-}
-
-// Flush empties the cache.
-func (c *Cache) Flush() { clear(c.fill) }
-
-// Hits returns the number of lookup hits since creation.
-func (c *Cache) Hits() int64 { return c.hits }
-
-// Misses returns the number of lookup misses since creation.
-func (c *Cache) Misses() int64 { return c.misses }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -21,9 +22,6 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	}
 	if c.Lookup(0x1000 + CachelineSize) {
 		t.Fatal("next-line access should miss")
-	}
-	if c.Hits() != 2 || c.Misses() != 2 {
-		t.Fatalf("hits/misses = %d/%d, want 2/2", c.Hits(), c.Misses())
 	}
 }
 
@@ -49,24 +47,28 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheWorkingSetFits(t *testing.T) {
 	c := NewCache("t", 32*1024, 8)
-	linesInCache := c.SizeBytes() / CachelineSize
+	linesInCache := c.sets * c.ways
 	// Touch exactly the cache's capacity worth of lines twice: second pass
 	// must be all hits.
 	for pass := 0; pass < 2; pass++ {
-		for i := int64(0); i < linesInCache; i++ {
-			c.Lookup(uint64(i * CachelineSize))
+		hits := 0
+		for i := 0; i < linesInCache; i++ {
+			if c.Lookup(uint64(i * CachelineSize)) {
+				hits++
+			}
 		}
-	}
-	if c.Hits() != linesInCache {
-		t.Fatalf("second pass hits = %d, want %d (misses %d)", c.Hits(), linesInCache, c.Misses())
+		if want := pass * linesInCache; hits != want {
+			t.Fatalf("pass %d hits = %d, want %d", pass, hits, want)
+		}
 	}
 }
 
-// Property: the number of resident lines never exceeds capacity, and a
-// just-installed line is always resident.
+// Property: the number of resident lines never exceeds capacity, a
+// just-installed line is always resident, and each row's valid ways are a
+// prefix (no empty way before a full one), which the lookup scan relies on.
 func TestQuickCacheInvariants(t *testing.T) {
 	c := NewCache("t", 4*1024, 4)
-	maxLines := c.SizeBytes() / CachelineSize
+	maxLines := c.sets * c.ways
 	f := func(addrs []uint32) bool {
 		for _, a := range addrs {
 			c.Lookup(uint64(a))
@@ -74,12 +76,19 @@ func TestQuickCacheInvariants(t *testing.T) {
 				return false
 			}
 		}
-		var resident int64
+		resident := 0
 		for set := 0; set < c.sets; set++ {
-			resident += int64(c.fill[set])
-			if int(c.fill[set]) > c.ways {
-				return false
+			row := c.row(uint(set))
+			n := 0
+			for n < len(row) && row[n] != 0 {
+				n++
 			}
+			for _, tag := range row[n:] {
+				if tag != 0 {
+					return false
+				}
+			}
+			resident += n
 		}
 		return resident <= maxLines
 	}
@@ -91,9 +100,8 @@ func TestQuickCacheInvariants(t *testing.T) {
 // refCache is the slice-per-set LRU that Cache replaced, kept as the
 // reference model its flat tag rows must match lookup for lookup.
 type refCache struct {
-	sets, ways   int
-	lines        [][]uint64 // lines[set]: index 0 is most recently used
-	hits, misses int64
+	sets, ways int
+	lines      [][]uint64 // lines[set]: index 0 is most recently used
 }
 
 func newRefCache(c *Cache) *refCache {
@@ -108,11 +116,9 @@ func (r *refCache) lookup(addr uint64) bool {
 		if tag == la {
 			copy(ways[1:i+1], ways[:i])
 			ways[0] = la
-			r.hits++
 			return true
 		}
 	}
-	r.misses++
 	if len(ways) < r.ways {
 		ways = append(ways, 0)
 	}
@@ -139,7 +145,7 @@ func (r *refCache) flush() {
 }
 
 // cacheShapes are the geometries the equivalence checks cover: L1 and L2
-// shapes, a 20-way LLC shape, a single set, and a direct-mapped cache.
+// shapes, two 20-way LLC shapes, a single set, and a direct-mapped cache.
 var cacheShapes = []struct {
 	name       string
 	sets, ways int
@@ -149,6 +155,24 @@ var cacheShapes = []struct {
 	{"256x20", 256, 20},
 	{"1x4", 1, 4},
 	{"64x1", 64, 1},
+	{"4096x20", 4096, 20},
+}
+
+// addrBases returns the bases the equivalence checks offset their
+// addresses by, for a cache of the given sets whose accesses span span
+// bytes: zero, multiples of 2^39 (above the default host's address space,
+// so lines that share a set and their low tag bits differ only in high tag
+// bits), and the top of the range the cache's 32-bit tags cover, less four
+// set spans of room for checkAgainstRef's neighbour probes.
+func addrBases(sets int, span uint64) []uint64 {
+	top := uint64(math.MaxUint32)*uint64(sets)*CachelineSize - span - 4*uint64(sets)*CachelineSize
+	bases := []uint64{0}
+	for _, b := range []uint64{1 << 39, 3 << 39, 1 << 40, 5 << 41} {
+		if b <= top {
+			bases = append(bases, b)
+		}
+	}
+	return append(bases, top)
 }
 
 // lookupOp is one step of an equivalence run: a Lookup of addr, or a
@@ -159,8 +183,8 @@ type lookupOp struct {
 }
 
 // checkAgainstRef replays ops on a fresh Cache of the given shape and on
-// the reference model, failing on the first difference in a Lookup result,
-// a Contains probe, or the hit and miss counters.
+// the reference model, failing on the first difference in a Lookup result
+// or a Contains probe.
 func checkAgainstRef(t *testing.T, sets, ways int, ops []lookupOp) {
 	t.Helper()
 	c := NewCache("t", int64(sets*ways*CachelineSize), ways)
@@ -182,10 +206,6 @@ func checkAgainstRef(t *testing.T, sets, ways int, ops []lookupOp) {
 		if got, want := c.Contains(probe), ref.contains(probe); got != want {
 			t.Fatalf("op %d: Contains(%#x) = %v, reference %v", i, probe, got, want)
 		}
-		if c.Hits() != ref.hits || c.Misses() != ref.misses {
-			t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d",
-				i, c.Hits(), c.Misses(), ref.hits, ref.misses)
-		}
 	}
 }
 
@@ -193,16 +213,18 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 	for _, sh := range cacheShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(sh.sets * sh.ways)))
-			// Addresses span twice the capacity, so hits, misses and
-			// evictions all occur; a Flush every ~2,000 lookups.
+			// Addresses span twice the capacity above each base, and
+			// every set sees at least 40 lookups, so hits, misses and
+			// evictions all occur; about ten Flushes a run.
 			span := int64(2 * sh.sets * sh.ways * CachelineSize)
-			ops := make([]lookupOp, 20_000)
+			bases := addrBases(sh.sets, uint64(span))
+			ops := make([]lookupOp, max(20_000, 40*sh.sets))
 			for i := range ops {
-				if rng.Intn(2000) == 0 {
+				if rng.Intn(len(ops)/10) == 0 {
 					ops[i].flush = true
 					continue
 				}
-				ops[i].addr = uint64(rng.Int63n(span))
+				ops[i].addr = bases[rng.Intn(len(bases))] + uint64(rng.Int63n(span))
 			}
 			checkAgainstRef(t, sh.sets, sh.ways, ops)
 		})
@@ -210,26 +232,31 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 }
 
 // FuzzCacheLRU drives Cache and the reference model with the same decoded
-// stream: the first byte picks a shape, then each 2-byte word is a line
-// index folded into four times the shape's capacity (0xFFFF is a Flush).
+// stream: the first byte picks a shape, then each 3-byte group is a 2-byte
+// line index folded into four times the shape's capacity (0xFFFF is a
+// Flush) and a byte that picks one of addrBases to offset it by.
 func FuzzCacheLRU(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 1, 0, 0xFF, 0xFF, 0, 1})
 	f.Add([]byte{2, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 0, 0})
 	f.Add([]byte{3, 9, 9, 8, 8, 7, 7, 9, 9, 6, 6, 5, 5, 8, 8})
+	f.Add([]byte{5, 1, 0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 0xFF, 0xFF, 0, 1, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		sh := cacheShapes[int(data[0])%len(cacheShapes)]
+		lines := uint64(4 * sh.sets * sh.ways)
+		bases := addrBases(sh.sets, lines*CachelineSize)
 		var ops []lookupOp
-		for b := data[1:]; len(b) >= 2; b = b[2:] {
+		for b := data[1:]; len(b) >= 3; b = b[3:] {
 			w := binary.LittleEndian.Uint16(b)
 			if w == 0xFFFF {
 				ops = append(ops, lookupOp{flush: true})
 				continue
 			}
-			line := uint64(w) % uint64(4*sh.sets*sh.ways)
-			ops = append(ops, lookupOp{addr: line*CachelineSize + uint64(b[0]&(CachelineSize-1))})
+			line := uint64(w) % lines
+			base := bases[int(b[2])%len(bases)]
+			ops = append(ops, lookupOp{addr: base + line*CachelineSize + uint64(b[0]&(CachelineSize-1))})
 		}
 		checkAgainstRef(t, sh.sets, sh.ways, ops)
 	})
@@ -251,17 +278,24 @@ func TestNewCacheRejectsWideAssociativity(t *testing.T) {
 	}
 }
 
-// An untouched cache costs its fill counts and one block header per 64
-// sets: the default 120 MiB 20-way LLC (32,768 sets), which every host
-// builds one of per socket, stays under 64 KiB.
+var footprintSink *Cache
+
+// An untouched cache is one small struct: the default 120 MiB 20-way LLC
+// (32,768 sets), which every host builds one of per socket, costs one
+// allocation of at most 128 B until its first lookup.
 func TestNewCacheFootprint(t *testing.T) {
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, func() { footprintSink = NewCache("llc", 120<<20, 20) }); allocs != 1 {
+		t.Fatalf("NewCache(120 MiB, 20-way) made %v allocations, want 1", allocs)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c := NewCache("llc", 120<<20, 20)
+	for i := 0; i < runs; i++ {
+		footprintSink = NewCache("llc", 120<<20, 20)
+	}
 	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(c)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
-		t.Fatalf("NewCache(120 MiB, 20-way) allocated %d bytes, want < 64 KiB", got)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 128 {
+		t.Fatalf("NewCache(120 MiB, 20-way) allocated %d bytes, want at most 128", got)
 	}
 }
 

@@ -48,8 +48,6 @@ type System struct {
 	// table is dense and len(pageNode) == nextAddr/PageSize.
 	pageNode []NodeID
 	nextAddr uint64
-
-	migrations int64 // pages migrated (AutoNUMA accounting)
 }
 
 // NewSystem creates an empty memory system with the given page size
@@ -218,12 +216,8 @@ func (s *System) MigratePage(addr uint64, to NodeID) error {
 	s.nodes[from].Used -= s.PageSize
 	dst.Used += s.PageSize
 	s.pageNode[pg] = to
-	s.migrations++
 	return nil
 }
-
-// Migrations returns the number of pages migrated so far.
-func (s *System) Migrations() int64 { return s.migrations }
 
 // AnyPageOn returns the address of some page mapped on node id, if any.
 // Iteration order is deterministic (lowest page first) so simulations stay
@@ -235,17 +229,6 @@ func (s *System) AnyPageOn(id NodeID) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// PagesOn returns the number of mapped pages owned by node id.
-func (s *System) PagesOn(id NodeID) int64 {
-	var n int64
-	for _, owner := range s.pageNode {
-		if owner == id {
-			n++
-		}
-	}
-	return n
 }
 
 // Run is a contiguous byte range of a buffer living on a single NUMA node.

@@ -79,9 +79,6 @@ func TestMigratePage(t *testing.T) {
 	if sys.Node(local).Used != 0 || sys.Node(remote).Used != sys.PageSize {
 		t.Fatal("usage not transferred on migration")
 	}
-	if sys.Migrations() != 1 {
-		t.Fatalf("migrations = %d, want 1", sys.Migrations())
-	}
 }
 
 func TestRemoveNodeWithPagesPanics(t *testing.T) {
@@ -192,7 +189,7 @@ func TestStreamAggregateSaturatesPipe(t *testing.T) {
 type refPages map[uint64]NodeID
 
 // checkPageTable compares every page up to two past the bump cursor, and
-// each node's usage, AnyPageOn and PagesOn, against the reference.
+// each node's usage and AnyPageOn, against the reference.
 func checkPageTable(t *testing.T, sys *System, ref refPages, step int) {
 	t.Helper()
 	ps := uint64(sys.PageSize)
@@ -218,9 +215,6 @@ func checkPageTable(t *testing.T, sys *System, ref refPages, step int) {
 			if !found || pg < lowest {
 				lowest, found = pg, true
 			}
-		}
-		if got := sys.PagesOn(NodeID(id)); got != pages {
-			t.Fatalf("step %d: PagesOn(%d) = %d, reference %d", step, id, got, pages)
 		}
 		if n.Used != pages*sys.PageSize {
 			t.Fatalf("step %d: node %d Used = %d, reference %d", step, id, n.Used, pages*sys.PageSize)
@@ -255,7 +249,7 @@ func TestPageTableMatchesReference(t *testing.T) {
 	ref := refPages{}
 	var live []*Buffer
 	rng := rand.New(rand.NewSource(5))
-	failed := 0
+	failed, migrated := 0, 0
 	for step := 0; step < 1000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4: // Alloc, sometimes failing and rolling back
@@ -285,14 +279,18 @@ func TestPageTableMatchesReference(t *testing.T) {
 			buf := live[rng.Intn(len(live))]
 			addr := buf.Addr(rng.Int63n(buf.Size))
 			to := NodeID(rng.Intn(nodes))
+			pg := addr / uint64(sys.PageSize)
 			if err := sys.MigratePage(addr, to); err == nil {
-				ref[addr/uint64(sys.PageSize)] = to
+				if ref[pg] != to {
+					migrated++
+				}
+				ref[pg] = to
 			}
 		}
 		checkPageTable(t, sys, ref, step)
 	}
-	if sys.Migrations() == 0 || failed == 0 {
-		t.Fatalf("degenerate run: %d migrations, %d failed allocs", sys.Migrations(), failed)
+	if migrated == 0 || failed == 0 {
+		t.Fatalf("degenerate run: %d migrations, %d failed allocs", migrated, failed)
 	}
 
 	// A node is removable only once its last page has migrated away.

@@ -244,9 +244,3 @@ func (t *Thread) StreamChunk(p *sim.Proc, node NodeID, bytes int64, flops int64)
 	p.Sleep(total)
 	return total
 }
-
-// FlushCaches empties this thread's private caches.
-func (t *Thread) FlushCaches() {
-	t.l1.Flush()
-	t.l2.Flush()
-}

@@ -22,6 +22,9 @@ func newSys(t *testing.T, localCap, remoteCap int64) (*mem.System, mem.NodeID, m
 	return sys, local, remote
 }
 
+// pagesOn returns the number of pages node id holds.
+func pagesOn(sys *mem.System, id mem.NodeID) int64 { return sys.Node(id).Used / sys.PageSize }
+
 func TestLocalPlacer(t *testing.T) {
 	sys, local, _ := newSys(t, 1<<30, 1<<30)
 	buf, err := sys.Alloc(10*sys.PageSize, Local(local))
@@ -51,8 +54,8 @@ func TestInterleavePlacer(t *testing.T) {
 		}
 	}
 	// 50/50 split, the paper's interleaved configuration.
-	if sys.PagesOn(local) != 5 || sys.PagesOn(remote) != 5 {
-		t.Fatalf("split %d/%d", sys.PagesOn(local), sys.PagesOn(remote))
+	if pagesOn(sys, local) != 5 || pagesOn(sys, remote) != 5 {
+		t.Fatalf("split %d/%d", pagesOn(sys, local), pagesOn(sys, remote))
 	}
 }
 
@@ -63,8 +66,8 @@ func TestPreferredSpillsWhenFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = buf
-	if sys.PagesOn(local) != 4 || sys.PagesOn(remote) != 4 {
-		t.Fatalf("preferred split %d/%d, want 4/4", sys.PagesOn(local), sys.PagesOn(remote))
+	if pagesOn(sys, local) != 4 || pagesOn(sys, remote) != 4 {
+		t.Fatalf("preferred split %d/%d, want 4/4", pagesOn(sys, local), pagesOn(sys, remote))
 	}
 }
 
@@ -77,8 +80,8 @@ func TestWeightedInterleave(t *testing.T) {
 	if _, err := sys.Alloc(8*sys.PageSize, placer); err != nil {
 		t.Fatal(err)
 	}
-	if sys.PagesOn(local) != 6 || sys.PagesOn(remote) != 2 {
-		t.Fatalf("weighted split %d/%d, want 6/2", sys.PagesOn(local), sys.PagesOn(remote))
+	if pagesOn(sys, local) != 6 || pagesOn(sys, remote) != 2 {
+		t.Fatalf("weighted split %d/%d, want 6/2", pagesOn(sys, local), pagesOn(sys, remote))
 	}
 	if _, err := WeightedInterleave([]mem.NodeID{local}, []int{0}); err == nil {
 		t.Fatal("zero weight accepted")
@@ -157,7 +160,7 @@ func TestDrainMovesEverything(t *testing.T) {
 	if moved != 16 {
 		t.Fatalf("drained %d pages, want 16", moved)
 	}
-	if sys.PagesOn(remote) != 0 {
+	if pagesOn(sys, remote) != 0 {
 		t.Fatal("pages remain after drain")
 	}
 	// Node can now be removed without panicking.

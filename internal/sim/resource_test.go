@@ -61,23 +61,6 @@ func TestResourceFIFONoStarvation(t *testing.T) {
 	}
 }
 
-func TestResourceMeanOccupancy(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, 4)
-	k.Go("w", func(p *Proc) {
-		r.Acquire(p, 2)
-		p.Sleep(50 * Nanosecond)
-		r.Release(2)
-		p.Sleep(50 * Nanosecond)
-	})
-	k.Run()
-	// 2 units held for half of 100ns => mean occupancy 1.0
-	got := r.MeanOccupancy()
-	if got < 0.99 || got > 1.01 {
-		t.Fatalf("mean occupancy = %v, want ~1.0", got)
-	}
-}
-
 func TestResourceOverReleasePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -85,7 +85,8 @@ func DefaultEngineConfig(partitions int) EngineConfig {
 // llcHitLatency is the fixed cost of one LLC-resident line touch.
 const llcHitLatency = 26 * sim.Nanosecond
 
-// request is one transaction queued to a partition executor.
+// request is one transaction queued to a partition executor. Requests are
+// recycled through the DB's free list, each keeping its Signal.
 type request struct {
 	op   ycsb.Op
 	done *sim.Signal
@@ -96,7 +97,7 @@ type Partition struct {
 	id    int
 	db    *DB
 	arena *mem.Buffer
-	queue []*request
+	queue sim.FIFO[*request]
 	work  *sim.Signal
 	th    *mem.Thread
 
@@ -111,9 +112,12 @@ type DB struct {
 	partitions []*Partition
 
 	// dispatch is the single-threaded network/initiator stage.
-	dispatchQ    []*request
+	dispatchQ    sim.FIFO[*request]
 	dispatchWork *sim.Signal
 	dispatchTh   *mem.Thread
+
+	// free holds completed requests for Submit to reuse.
+	free []*request
 
 	// exchange serializes the write-ordering coordinator slot.
 	exchange *sim.Resource
@@ -161,10 +165,18 @@ func (db *DB) PartitionOf(key uint64) *Partition {
 
 // Submit enqueues a transaction and blocks the caller until it completes.
 func (db *DB) Submit(p *sim.Proc, op ycsb.Op) {
-	req := &request{op: op, done: sim.NewSignal(db.host.K)}
-	db.dispatchQ = append(db.dispatchQ, req)
+	var req *request
+	if n := len(db.free); n > 0 {
+		req = db.free[n-1]
+		db.free = db.free[:n-1]
+		req.op = op
+	} else {
+		req = &request{op: op, done: sim.NewSignal(db.host.K)}
+	}
+	db.dispatchQ.Push(req)
 	db.dispatchWork.Wake()
 	req.done.Wait(p)
+	db.free = append(db.free, req)
 }
 
 // Stop terminates the executors and dispatcher.
@@ -179,19 +191,18 @@ func (db *DB) Stop() {
 func (db *DB) startDispatcher() {
 	db.host.K.Go("imdb-dispatch", func(proc *sim.Proc) {
 		for {
-			for len(db.dispatchQ) == 0 {
+			for db.dispatchQ.Len() == 0 {
 				if db.stopped {
 					return
 				}
 				db.dispatchWork.Wait(proc)
 			}
-			req := db.dispatchQ[0]
-			db.dispatchQ = db.dispatchQ[1:]
+			req := db.dispatchQ.Pop()
 			// Network deserialize + transaction initiation.
 			db.dispatchTh.Compute(proc, db.cfg.DispatchInstr)
 			db.dispatchTh.HitAccess(proc, db.cfg.DispatchHotLines, llcHitLatency)
 			part := db.PartitionOf(req.op.Key)
-			part.queue = append(part.queue, req)
+			part.queue.Push(req)
 			part.work.Wake()
 		}
 	})
@@ -200,15 +211,14 @@ func (db *DB) startDispatcher() {
 func (db *DB) startExecutor(part *Partition) {
 	db.host.K.Go(fmt.Sprintf("imdb-exec-%d", part.id), func(proc *sim.Proc) {
 		for {
-			for len(part.queue) == 0 {
+			for part.queue.Len() == 0 {
 				if db.stopped {
 					return
 				}
 				// Idle executor yields its core (off-CPU wait).
 				part.work.Wait(proc)
 			}
-			req := part.queue[0]
-			part.queue = part.queue[1:]
+			req := part.queue.Pop()
 			part.execute(proc, req.op)
 			part.executed++
 			req.done.Broadcast()
