@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check ci test build vet lint race chaos fuzz-smoke replay-smoke detect-smoke bench-quick bench trace-demo
+.PHONY: check ci test build vet lint race chaos fuzz-smoke replay-smoke detect-smoke perfbench-test bench-quick bench trace-demo
 
 check: lint vet build
 	$(GO) test -race ./...
@@ -15,10 +15,10 @@ check: lint vet build
 # Full CI gate: everything `check` runs, plus an uncached race pass over the
 # concurrency-bearing packages, the chaos conformance campaign through the
 # tfbench binary, a one-simulated-minute churn replay against the real
-# control plane, a single-scenario anomaly-detection scorecard, and a short
-# fuzz smoke of the frame and snapshot decoders. This is the target a
-# pipeline should invoke.
-ci: check race chaos replay-smoke detect-smoke fuzz-smoke
+# control plane, a single-scenario anomaly-detection scorecard, a short
+# fuzz smoke of the frame and snapshot decoders, and the benchmark
+# module's own tests. This is the target a pipeline should invoke.
+ci: check race chaos replay-smoke detect-smoke fuzz-smoke perfbench-test
 
 # Uncached (-count=1) race-detector pass over the packages with real
 # concurrency: the LLC protocol under the parallel experiment engine, the
@@ -84,6 +84,11 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -fuzz FuzzProcReuse -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzSleepFastPath -fuzztime 10s
 	$(GO) test ./internal/mem/ -fuzz FuzzCacheLRU -fuzztime 10s
+
+# The benchmark (perfbench/) is its own Go module, so `go test ./...` at
+# the root never reaches its tests: run them from inside it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

@@ -10,11 +10,7 @@
 // overcommitment, matching the paper's setup.
 package dcsim
 
-import (
-	"container/heap"
-
-	"thymesisflow/internal/dctrace"
-)
+import "thymesisflow/internal/dctrace"
 
 // DefaultServers matches the Google trace configuration the paper cites:
 // 12555 servers for the fixed model, 12555 compute plus 12555 memory
@@ -59,19 +55,63 @@ const retryDelay = 120.0
 // replay forever.
 const maxRetries = 200
 
+// eventHeap is a min-heap of events by time, departures first at one
+// instant. push and pop are container/heap's Push and Pop specialised to
+// event, so no event is boxed in an interface; their sift loops are
+// container/heap's up and down as they are, with the same comparisons and
+// swaps in the same order. Events that tie on (at, isEnd) therefore still
+// pop in the order container/heap popped them, and the replay is
+// unchanged (TestEventHeapMatchesContainerHeap).
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	// Process departures before arrivals at the same instant.
 	return h[i].isEnd && !h[j].isEnd
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// push adds e to the heap.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	j := len(s) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns the least event; the heap must not be empty.
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	e := s[n]
+	*h = s[:n]
+	return e
+}
 
 // Model places and releases tasks.
 type model interface {
@@ -90,7 +130,7 @@ func run(tasks []dctrace.Task, m model) Result {
 	byID := make(map[int]dctrace.Task, len(tasks))
 	for _, t := range tasks {
 		byID[t.ID] = t
-		heap.Push(&events, event{at: t.Arrive, taskID: t.ID})
+		events.push(event{at: t.Arrive, taskID: t.ID})
 	}
 	warmStart, measureEnd := 0.0, 0.0
 	if len(tasks) > 0 {
@@ -117,8 +157,8 @@ func run(tasks []dctrace.Task, m model) Result {
 	var res Result
 	var lastT float64
 	var wFragC, wFragM, wOffC, wOffM, wTotal float64
-	for events.Len() > 0 {
-		e := heap.Pop(&events).(event)
+	for len(events) > 0 {
+		e := events.pop()
 		// Clip the accounting segment [lastT, e.at] to the window.
 		lo, hi := lastT, e.at
 		if lo < warmStart {
@@ -152,9 +192,9 @@ func run(tasks []dctrace.Task, m model) Result {
 			placed[t.ID] = true
 			res.Placed++
 			dur := t.End - t.Arrive
-			heap.Push(&events, event{at: e.at + dur, isEnd: true, taskID: t.ID})
+			events.push(event{at: e.at + dur, isEnd: true, taskID: t.ID})
 		} else if e.retries < maxRetries {
-			heap.Push(&events, event{at: e.at + retryDelay, taskID: t.ID, retries: e.retries + 1})
+			events.push(event{at: e.at + retryDelay, taskID: t.ID, retries: e.retries + 1})
 		} else {
 			res.Rejected++
 		}

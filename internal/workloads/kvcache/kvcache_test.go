@@ -297,3 +297,47 @@ func TestWarmupReplayMatchesWarm(t *testing.T) {
 		}
 	}
 }
+
+// warmAllocSlack covers what warm allocates once per call whatever the
+// shape: the key generator and its source.
+const warmAllocSlack = 8
+
+// TestWarmAllocatesItemsInChunks checks that warming a shape of N items
+// allocates its items ⌈N/warmChunk⌉ at a time, not one by one. The index
+// map grows as it always did, so the budget adds what filling a map with
+// the same N keys allocates.
+func TestWarmAllocatesItemsInChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	etc := DefaultETCConfig(200_000)
+	for _, capacity := range []int64{1 << 20, 4 << 20, 16 << 20} {
+		const runs = 3
+		servers := make([]*Server, runs+1) // AllocsPerRun warms up once
+		for i := range servers {
+			_, servers[i] = newLocalServer(t, capacity, false)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			warm(servers[next], etc, 0, 1)
+			next++
+		})
+		s := servers[0]
+		keys := make([]uint64, 0, len(s.index))
+		for it := s.tail.prev; it != s.head; it = it.prev {
+			keys = append(keys, it.key)
+		}
+		mapAllocs := testing.AllocsPerRun(runs, func() {
+			m := make(map[uint64]*item)
+			for _, key := range keys {
+				m[key] = nil
+			}
+		})
+		n := len(keys)
+		budget := float64((n+warmChunk-1)/warmChunk) + mapAllocs + warmAllocSlack
+		if allocs > budget {
+			t.Fatalf("capacity %d: warming %d items made %.0f allocations, budget %.0f (%d chunks + %.0f for the index map + %d)",
+				capacity, n, allocs, budget, (n+warmChunk-1)/warmChunk, mapAllocs, warmAllocSlack)
+		}
+	}
+}

@@ -37,7 +37,6 @@ type item struct {
 
 // Server is one cache instance.
 type Server struct {
-	host  *core.Host
 	arena *mem.Buffer
 
 	capacity int64
@@ -85,7 +84,6 @@ func NewServer(host *core.Host, placer numa.Placer, cfg ServerConfig) (*Server, 
 		return nil, fmt.Errorf("kvcache: arena: %w", err)
 	}
 	s := &Server{
-		host:     host,
 		arena:    arena,
 		capacity: cfg.CapacityBytes,
 		index:    make(map[uint64]*item),
@@ -242,35 +240,6 @@ func (s *Server) HitRatio() float64 {
 
 // UsedBytes returns the occupied arena bytes.
 func (s *Server) UsedBytes() int64 { return s.used }
-
-// SlabStats describes one size class's occupancy (memcached's `stats
-// slabs` view).
-type SlabStats struct {
-	ClassBytes int64 // slot size of the class
-	Items      int64 // live items in the class
-	FreeSlots  int64 // carved but unused slots
-	UsedBytes  int64 // live bytes including per-item overhead
-	WasteBytes int64 // internal fragmentation: slot size minus item size
-}
-
-// Slabs reports per-class occupancy, ordered by class size.
-func (s *Server) Slabs() []SlabStats {
-	out := make([]SlabStats, len(slabClasses))
-	for i, c := range slabClasses {
-		out[i].ClassBytes = c
-		out[i].FreeSlots = int64(len(s.free[i]))
-	}
-	for it := s.head.next; it != s.tail; it = it.next {
-		st := &out[it.cls]
-		st.Items++
-		st.UsedBytes += itemOverhead + it.size
-		st.WasteBytes += slabClasses[it.cls] - (itemOverhead + it.size)
-	}
-	return out
-}
-
-// Close releases the arena.
-func (s *Server) Close() { s.host.Mem.Free(s.arena) }
 
 // workerPool hands out server worker threads (each with private L1/L2) to
 // incoming requests, queueing FIFO when all workers are busy — the

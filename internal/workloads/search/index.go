@@ -232,11 +232,10 @@ func (s *Indexes) Get(corpus CorpusConfig, shards int) (*Index, error) {
 
 // Engine is one search-engine instance (one per server node).
 type Engine struct {
-	host   *core.Host
 	shards []*Shard
 	// pool is the search thread pool (Elasticsearch sizes it from the core
 	// count).
-	poolFree []*mem.Thread
+	poolFree []*worker
 	poolSig  *sim.Signal
 	// coord is the coordinating (REST) thread.
 	coord *mem.Thread
@@ -249,7 +248,7 @@ func NewEngine(host *core.Host, placer numa.Placer, ix *Index, poolThreads int) 
 	if poolThreads <= 0 {
 		poolThreads = 48
 	}
-	e := &Engine{host: host, poolSig: sim.NewSignal(host.K), coord: host.NewThread(0)}
+	e := &Engine{poolSig: sim.NewSignal(host.K), coord: host.NewThread(0)}
 	for si, six := range ix.shards {
 		arena, err := host.Mem.Alloc(six.arenaBytes(), placer)
 		if err != nil {
@@ -258,15 +257,20 @@ func NewEngine(host *core.Host, placer numa.Placer, ix *Index, poolThreads int) 
 		e.shards = append(e.shards, &Shard{id: si, arena: arena, shardIndex: six})
 	}
 	for i := 0; i < poolThreads; i++ {
-		e.poolFree = append(e.poolFree, host.NewThread(i))
+		e.poolFree = append(e.poolFree, &worker{Thread: host.NewThread(i)})
 	}
 	return e, nil
 }
 
-// Shards returns the instance's shard list.
-func (e *Engine) Shards() []*Shard { return e.shards }
+// worker is one thread of an engine's search pool, with the buffer the
+// shard tasks it runs decode posting lists into. A task holds its worker
+// from acquireThread to releaseThread, so no two tasks share the buffer.
+type worker struct {
+	*mem.Thread
+	postings []int32
+}
 
-func (e *Engine) acquireThread(p *sim.Proc) *mem.Thread {
+func (e *Engine) acquireThread(p *sim.Proc) *worker {
 	for len(e.poolFree) == 0 {
 		e.poolSig.Wait(p)
 	}
@@ -275,14 +279,7 @@ func (e *Engine) acquireThread(p *sim.Proc) *mem.Thread {
 	return th
 }
 
-func (e *Engine) releaseThread(th *mem.Thread) {
-	e.poolFree = append(e.poolFree, th)
+func (e *Engine) releaseThread(w *worker) {
+	e.poolFree = append(e.poolFree, w)
 	e.poolSig.Wake()
-}
-
-// Close frees the shard arenas.
-func (e *Engine) Close() {
-	for _, sh := range e.shards {
-		e.host.Mem.Free(sh.arena)
-	}
 }

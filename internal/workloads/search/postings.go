@@ -78,13 +78,15 @@ func (it *postingIterator) next() (int32, bool) {
 // the quantity the timing model charges to the memory system.
 func (it *postingIterator) bytesConsumed() int { return it.pos }
 
-// decodePostings fully decodes a list (used by queries and tests).
-func decodePostings(data []byte) []int32 {
-	if len(data) == 0 {
-		return nil
+// decodePostings fully decodes a list into dst's backing array, replacing
+// its contents, and returns the ordinals. It allocates only when dst may
+// be too short for the list.
+func decodePostings(dst []int32, data []byte) []int32 {
+	// Every entry takes at least one byte, so len(data) bounds the count.
+	if cap(dst) < len(data) {
+		dst = make([]int32, 0, len(data))
 	}
-	// Every entry takes at least one byte, so this never regrows.
-	out := make([]int32, 0, len(data))
+	out := dst[:0]
 	it := newPostingIterator(data)
 	for {
 		ord, ok := it.next()

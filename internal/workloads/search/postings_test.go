@@ -13,7 +13,7 @@ func TestPostingsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := decodePostings(enc)
+	got := decodePostings(nil, enc)
 	if len(got) != len(list) {
 		t.Fatalf("decoded %d, want %d", len(got), len(list))
 	}
@@ -53,7 +53,7 @@ func TestPostingsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decodePostings(enc); len(got) != 0 {
+	if got := decodePostings(nil, enc); len(got) != 0 {
 		t.Fatalf("decoded %v from empty list", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestQuickPostingsRoundTrip(t *testing.T) {
 		if err != nil || cap(enc) != len(enc) {
 			return false
 		}
-		got := decodePostings(enc)
+		got := decodePostings(nil, enc)
 		if len(got) != len(list) {
 			return false
 		}

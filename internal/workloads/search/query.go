@@ -60,8 +60,9 @@ const (
 // streamPostings walks a tag's posting list: dependent block fetches (each
 // block's skip pointer is only known after the previous block arrives), so
 // remote memory latency is paid serially per block. The varint-delta
-// encoding is decoded for real, returning the local ordinals.
-func (sh *Shard) streamPostings(p *sim.Proc, th *mem.Thread, tag int) []int32 {
+// encoding is decoded for real into the worker's buffer, returning the
+// local ordinals; they are valid until the worker decodes again.
+func (sh *Shard) streamPostings(p *sim.Proc, w *worker, tag int) []int32 {
 	enc, base := sh.encoded(tag)
 	if len(enc) == 0 {
 		return nil
@@ -72,9 +73,10 @@ func (sh *Shard) streamPostings(p *sim.Proc, th *mem.Thread, tag int) []int32 {
 		if off+n > total {
 			n = total - off
 		}
-		th.Access(p, sh.arena.Addr(base+off), n, false)
+		w.Access(p, sh.arena.Addr(base+off), n, false)
 	}
-	return decodePostings(enc)
+	w.postings = decodePostings(w.postings, enc)
+	return w.postings
 }
 
 // scanDocValues prices a doc-values sweep over the candidate ordinals:
@@ -101,25 +103,25 @@ func (sh *Shard) scanDocValuesBatch(p *sim.Proc, th *mem.Thread, list []int32, b
 // Scoring reads each candidate's norms/impacts from doc values — the
 // per-document memory traffic that makes term queries latency-sensitive on
 // disaggregated memory (Figure 9's RTQ shows the largest gap).
-func (sh *Shard) runRTQ(p *sim.Proc, th *mem.Thread, tag int) int {
-	th.Compute(p, simpleSetupInstr)
-	list := sh.streamPostings(p, th, tag)
-	sh.scanDocValuesBatch(p, th, list, normsBatch)
-	th.Compute(p, int64(len(list))*scoreInstrPerDoc)
+func (sh *Shard) runRTQ(p *sim.Proc, w *worker, tag int) int {
+	w.Compute(p, simpleSetupInstr)
+	list := sh.streamPostings(p, w, tag)
+	sh.scanDocValuesBatch(p, w.Thread, list, normsBatch)
+	w.Compute(p, int64(len(list))*scoreInstrPerDoc)
 	// Fetch stored fields of the top-k documents.
 	for i := 0; i < topK && i < len(list); i++ {
-		th.Access(p, sh.docMetaAddr(list[i]), DocMetaBytes, false)
+		w.Access(p, sh.docMetaAddr(list[i]), DocMetaBytes, false)
 	}
 	return len(list)
 }
 
 // runRNQIHBS filters a tag's questions by answers-before-date; every
 // candidate requires its metadata document (random access).
-func (sh *Shard) runRNQIHBS(p *sim.Proc, th *mem.Thread, tag int, date int32) int {
-	th.Compute(p, nestedSetupInstr)
-	list := sh.streamPostings(p, th, tag)
-	sh.scanDocValues(p, th, list)
-	th.Compute(p, int64(len(list))*filterInstrPerDoc)
+func (sh *Shard) runRNQIHBS(p *sim.Proc, w *worker, tag int, date int32) int {
+	w.Compute(p, nestedSetupInstr)
+	list := sh.streamPostings(p, w, tag)
+	sh.scanDocValues(p, w.Thread, list)
+	w.Compute(p, int64(len(list))*filterInstrPerDoc)
 	hits := 0
 	for _, ord := range list {
 		d := sh.docs[ord]
@@ -132,15 +134,15 @@ func (sh *Shard) runRNQIHBS(p *sim.Proc, th *mem.Thread, tag int, date int32) in
 
 // runRSTQ runs the tag query and sorts results by date descending. Only
 // the hit count is returned, so the sort is priced, not performed.
-func (sh *Shard) runRSTQ(p *sim.Proc, th *mem.Thread, tag int) int {
-	th.Compute(p, nestedSetupInstr)
-	list := sh.streamPostings(p, th, tag)
+func (sh *Shard) runRSTQ(p *sim.Proc, w *worker, tag int) int {
+	w.Compute(p, nestedSetupInstr)
+	list := sh.streamPostings(p, w, tag)
 	// The sort key (date) lives in doc values.
-	sh.scanDocValues(p, th, list)
+	sh.scanDocValues(p, w.Thread, list)
 	n := len(list)
 	if n > 1 {
 		cost := int64(n) * int64(log2(n)) * sortInstrPerDoc
-		th.Compute(p, cost)
+		w.Compute(p, cost)
 	}
 	return n
 }
@@ -148,10 +150,10 @@ func (sh *Shard) runRSTQ(p *sim.Proc, th *mem.Thread, tag int) int {
 // runMA is match-all: Elasticsearch returns the first page of documents
 // without scoring the corpus, so the per-shard cost is fixed and largely
 // configuration-insensitive.
-func (sh *Shard) runMA(p *sim.Proc, th *mem.Thread) int {
-	th.Compute(p, matchAllInstr)
+func (sh *Shard) runMA(p *sim.Proc, w *worker) int {
+	w.Compute(p, matchAllInstr)
 	for i := int32(0); i < topK && int(i) < len(sh.docs); i++ {
-		th.Access(p, sh.docMetaAddr(i), DocMetaBytes, false)
+		w.Access(p, sh.docMetaAddr(i), DocMetaBytes, false)
 	}
 	return len(sh.docs)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"thymesisflow/internal/core"
+	"thymesisflow/internal/mem"
 	"thymesisflow/internal/numa"
 	"thymesisflow/internal/sim"
 )
@@ -91,6 +92,7 @@ func Run(cfgName core.MemoryConfig, rc RunConfig, ix *Indexes) (*Result, error) 
 	}
 
 	res := &Result{Challenge: rc.Challenge, Shards: rc.Shards, Config: cfgName}
+	tasks := shardTasks(engines)
 	wg := sim.NewWaitGroup(k)
 	wg.Add(rc.Clients)
 	for c := 0; c < rc.Clients; c++ {
@@ -98,6 +100,7 @@ func Run(cfgName core.MemoryConfig, rc RunConfig, ix *Indexes) (*Result, error) 
 		k.Go(fmt.Sprintf("rally-%d", c), func(p *sim.Proc) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c)*131 + 17))
+			q := newQuery(tb, engines[0].coord, tasks, rc)
 			// Match-all returns a full page of _source documents; the other
 			// challenges return compact summaries.
 			respBytes := int64(2048)
@@ -106,7 +109,7 @@ func Run(cfgName core.MemoryConfig, rc RunConfig, ix *Indexes) (*Result, error) 
 			}
 			for i := 0; i < rc.OpsPerClient; i++ {
 				tb.ClientLink.Send(p, 300)
-				hits := executeQuery(p, tb, engines, rc, rng)
+				hits := q.execute(p, rng)
 				res.TotalHits += int64(hits)
 				tb.ClientLink.SendReverse(p, respBytes)
 			}
@@ -122,56 +125,105 @@ func Run(cfgName core.MemoryConfig, rc RunConfig, ix *Indexes) (*Result, error) 
 	return res, nil
 }
 
-// executeQuery runs one query: the coordinating node fans the request out
-// to every shard (crossing the server Ethernet for shards hosted on the
-// second instance under scale-out), waits for all shard responses, and
-// reduces them.
-func executeQuery(p *sim.Proc, tb *core.Testbed, engines []*Engine, rc RunConfig, rng *rand.Rand) int {
-	k := p.Kernel()
-	coord := engines[0].coord
-	coord.Compute(p, coordInstr)
+// shardTask is one shard of a query's fan-out: the engine serving it, and
+// whether the request crosses the server Ethernet to reach it.
+type shardTask struct {
+	e      *Engine
+	sh     *Shard
+	remote bool
+}
 
-	tag := rng.Intn(rc.Corpus.Tags)
-	date := int32(rng.Intn(4000))
-
-	totalShards := 0
-	for _, e := range engines {
-		totalShards += len(e.shards)
-	}
-	wg := sim.NewWaitGroup(k)
-	wg.Add(totalShards)
-	hits := 0
+// shardTasks lists every shard of the engines in fan-out order, engine by
+// engine. Shards hosted on any engine but the first (the second instance
+// under scale-out) are remote to the coordinating node.
+func shardTasks(engines []*Engine) []shardTask {
+	var tasks []shardTask
 	for ei, e := range engines {
-		e := e
-		remote := ei > 0
 		for _, sh := range e.shards {
-			sh := sh
-			k.Go("shard-task", func(sp *sim.Proc) {
-				defer wg.Done()
-				if remote {
-					tb.ServerLink.Send(sp, 400)
-				}
-				th := e.acquireThread(sp)
-				var h int
-				switch rc.Challenge {
-				case RTQ:
-					h = sh.runRTQ(sp, th, tag)
-				case RNQIHBS:
-					h = sh.runRNQIHBS(sp, th, tag, date)
-				case RSTQ:
-					h = sh.runRSTQ(sp, th, tag)
-				case MA:
-					h = sh.runMA(sp, th)
-				}
-				e.releaseThread(th)
-				if remote {
-					tb.ServerLink.SendReverse(sp, 1024)
-				}
-				hits += h
-			})
+			tasks = append(tasks, shardTask{e: e, sh: sh, remote: ei > 0})
 		}
 	}
-	wg.Wait(p)
-	coord.Compute(p, int64(totalShards)*mergeInstrPerShrd)
-	return hits
+	return tasks
+}
+
+// query is one search client's query record, reused for every query the
+// client issues, so a query allocates no closure, WaitGroup or Signal.
+//
+// execute spawns one process per shard task, each running body, the one
+// func bound to runTask. A task learns its shard from next on its first
+// line, before it can park, and that is the shard a closure per task
+// would have held: Go schedules every task's first wake at the current
+// instant in spawn order, the kernel fires same-instant events in
+// sequence order, so the i-th task to start is the i-th spawned. The
+// spawns, events and their order are those of a closure per task, so
+// the figures are unchanged.
+type query struct {
+	tb    *core.Testbed
+	coord *mem.Thread
+	rc    RunConfig
+	tasks []shardTask
+	wg    *sim.WaitGroup
+	body  func(*sim.Proc)
+
+	// The query in flight: the index of the next task to start, the
+	// drawn parameters, and the hits summed so far.
+	next int
+	tag  int
+	date int32
+	hits int
+}
+
+// newQuery returns a client's query record over the fan-out tasks, with
+// coord as the coordinating (REST) thread.
+func newQuery(tb *core.Testbed, coord *mem.Thread, tasks []shardTask, rc RunConfig) *query {
+	q := &query{tb: tb, coord: coord, rc: rc, tasks: tasks, wg: sim.NewWaitGroup(tb.Cluster.K)}
+	q.body = q.runTask
+	return q
+}
+
+// execute runs one query: the coordinating node fans the request out to
+// every shard (crossing the server Ethernet for shards hosted on the
+// second instance under scale-out), waits for all shard responses, and
+// reduces them.
+func (q *query) execute(p *sim.Proc, rng *rand.Rand) int {
+	k := p.Kernel()
+	q.coord.Compute(p, coordInstr)
+
+	q.tag = rng.Intn(q.rc.Corpus.Tags)
+	q.date = int32(rng.Intn(4000))
+	q.next, q.hits = 0, 0
+	q.wg.Add(len(q.tasks))
+	for range q.tasks {
+		k.Go("shard-task", q.body)
+	}
+	q.wg.Wait(p)
+	q.coord.Compute(p, int64(len(q.tasks))*mergeInstrPerShrd)
+	return q.hits
+}
+
+// runTask is the body of one shard task of the query in flight.
+func (q *query) runTask(sp *sim.Proc) {
+	t := &q.tasks[q.next]
+	q.next++
+	if t.remote {
+		q.tb.ServerLink.Send(sp, 400)
+	}
+	w := t.e.acquireThread(sp)
+	var h int
+	switch q.rc.Challenge {
+	case RTQ:
+		h = t.sh.runRTQ(sp, w, q.tag)
+	case RNQIHBS:
+		h = t.sh.runRNQIHBS(sp, w, q.tag, q.date)
+	case RSTQ:
+		h = t.sh.runRSTQ(sp, w, q.tag)
+	case MA:
+		h = t.sh.runMA(sp, w)
+	}
+	t.e.releaseThread(w)
+	if t.remote {
+		q.tb.ServerLink.SendReverse(sp, 1024)
+	}
+	q.hits += h
+	q.wg.Done()
 }

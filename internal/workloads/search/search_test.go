@@ -64,7 +64,7 @@ func referenceCorpus(corpus CorpusConfig, shards int) (docs [][]docMeta, posting
 // postingsOf decodes a tag's posting list from its shard's index.
 func postingsOf(sh *Shard, tag int) []int32 {
 	enc, _ := sh.encoded(tag)
-	return decodePostings(enc)
+	return decodePostings(nil, enc)
 }
 
 func TestIndexStructure(t *testing.T) {
@@ -397,13 +397,19 @@ func TestEnginesShareIndex(t *testing.T) {
 		}
 	}
 	rc := RunConfig{Shards: 6, Clients: 4, OpsPerClient: 3, Corpus: smallCorpus()}
+	tasks := shardTasks(engines)
+	if len(tasks) != 6 || tasks[0].remote || !tasks[5].remote {
+		t.Fatalf("fan-out of %d tasks, first remote %v, last remote %v; want 6, false, true",
+			len(tasks), tasks[0].remote, tasks[5].remote)
+	}
 	for _, ch := range Challenges() {
 		rc.Challenge = ch
 		for c := 0; c < rc.Clients; c++ {
 			rng := rand.New(rand.NewSource(int64(c)))
+			q := newQuery(tb, engines[0].coord, tasks, rc)
 			tb.Cluster.K.Go("client", func(p *sim.Proc) {
 				for i := 0; i < rc.OpsPerClient; i++ {
-					executeQuery(p, tb, engines, rc, rng)
+					q.execute(p, rng)
 				}
 			})
 		}
@@ -442,5 +448,44 @@ func TestIndexesBuildEachShapeOnce(t *testing.T) {
 	}
 	if _, err := set.Get(smallCorpus(), 0); err == nil {
 		t.Fatal("a zero-shard index built without error")
+	}
+}
+
+// queryAllocBudget is what one query may allocate once its client has run
+// a query before, whatever the shard count: every shard task runs on a
+// process the previous query idled, through the client's one query
+// record, and decodes into its worker's buffer.
+const queryAllocBudget = 1
+
+// TestQueryAllocsIndependentOfShards runs a client's queries over 2 and
+// over 16 shards and requires the same small allocation budget per query:
+// no closure, WaitGroup, process or posting list per shard task.
+func TestQueryAllocsIndependentOfShards(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	for _, shards := range []int{2, 16} {
+		for _, ch := range Challenges() {
+			tb, e := newLocalEngine(t, shards)
+			rc := RunConfig{Challenge: ch, Shards: shards, Corpus: smallCorpus()}
+			q := newQuery(tb, e.coord, shardTasks([]*Engine{e}), rc)
+			rng := rand.New(rand.NewSource(1))
+			var allocs float64
+			tb.Cluster.K.Go("client", func(p *sim.Proc) {
+				// Warm-up queries let every worker's buffer reach the
+				// longest list it will decode, and touch every cache
+				// set block the queries reach: a cache allocates a block
+				// of sets on its first touch.
+				for range 200 {
+					q.execute(p, rng)
+				}
+				allocs = testing.AllocsPerRun(50, func() { q.execute(p, rng) })
+			})
+			tb.Cluster.K.Run()
+			if allocs > queryAllocBudget {
+				t.Errorf("%v over %d shards: %.0f allocations per query, budget %d",
+					ch, shards, allocs, queryAllocBudget)
+			}
+		}
 	}
 }

@@ -53,16 +53,6 @@ func Workloads() []Workload {
 // String returns "A".."F".
 func (w Workload) String() string { return string(w) }
 
-// ReadIntensive reports whether the workload is >95% reads/scans — the
-// grouping the paper uses when discussing Figure 6.
-func (w Workload) ReadIntensive() bool {
-	switch w {
-	case WorkloadB, WorkloadC, WorkloadD, WorkloadE:
-		return true
-	}
-	return false
-}
-
 // Op is one generated operation.
 type Op struct {
 	Kind OpKind
